@@ -15,27 +15,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Final, Literal, Mapping, Sequence
+from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
 from .schema import ActionRecord, Digest, canonical_hash
 
-DriverType = Literal["llm", "controller", "calibration", "sanity", "scripted"]
 DRIVER_TYPES: Final[frozenset[str]] = frozenset(
     {"llm", "controller", "calibration", "sanity", "scripted"}
 )
 
-EvidenceStatus = Literal["paper_facing", "smoke_only", "fixture_backed", "diagnostic"]
 EVIDENCE_STATUSES: Final[frozenset[str]] = frozenset(
     {"paper_facing", "smoke_only", "fixture_backed", "diagnostic"}
-)
-
-# Hook A drop reasons in precedence order; the first matching reason wins.
-HOOK_A_REASON_ORDER: Final[tuple[str, ...]] = (
-    "missing_terminal",
-    "invalid_sample",
-    "version_snapshot_mismatch",
-    "retry_budget_exceeded",
 )
 
 
@@ -406,7 +396,6 @@ __all__ = [
     "DriverRecord",
     "EVIDENCE_STATUSES",
     "FilterDecision",
-    "HOOK_A_REASON_ORDER",
     "HookBConfig",
     "NOOP_ACTION",
     "SampleMeta",

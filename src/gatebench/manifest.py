@@ -32,7 +32,6 @@ FAMILY_REPLAY_CLASS: Final[dict[str, str]] = {
     "code": "R2",
 }
 
-MANIFEST_VERSION: Final = "v1"
 SUITE_VERSION: Final = "0.1.0"
 REPLAY_HARNESS_VERSION: Final = "0.1.0"
 DEFAULT_ADAPTER_VERSION: Final = "1.0.0"
@@ -438,7 +437,6 @@ __all__ = [
     "FAMILIES",
     "FAMILY_REPLAY_CLASS",
     "FreezeRecord",
-    "MANIFEST_VERSION",
     "ManifestError",
     "ManifestStore",
     "RELEASE_EPOCH",

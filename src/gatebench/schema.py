@@ -8,12 +8,13 @@ documents, one event per line, preceded by a schema-version header line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Final, Iterable, Literal, Mapping
+from typing import Any, Final, Iterable, Mapping
 
 SCHEMA_VERSION: Final = "1.0.0"
 SUPPORTED_SCHEMA_VERSIONS: Final[frozenset[str]] = frozenset({SCHEMA_VERSION})
@@ -21,23 +22,6 @@ SUPPORTED_SCHEMA_VERSIONS: Final[frozenset[str]] = frozenset({SCHEMA_VERSION})
 HASH_ALGORITHM: Final = "sha256"
 _TRACE_ID_HEX_LEN: Final = 32
 _SPAN_ID_HEX_LEN: Final = 16
-
-EventKind = Literal[
-    "run_start",
-    "run_end",
-    "episode_start",
-    "episode_end",
-    "model_request_start",
-    "model_request_end",
-    "action_parsed",
-    "env_step_start",
-    "env_step_end",
-    "tool_call",
-    "verifier_outcome",
-    "retry",
-    "error",
-    "terminal_result",
-]
 
 EVENT_KINDS: Final[frozenset[str]] = frozenset(
     {
@@ -61,7 +45,6 @@ EVENT_KINDS: Final[frozenset[str]] = frozenset(
 # Kinds that belong to the run envelope rather than to a specific episode.
 RUN_SCOPED_KINDS: Final[frozenset[str]] = frozenset({"run_start", "run_end"})
 
-ParseStatus = Literal["parsed", "invalid", "empty"]
 PARSE_STATUSES: Final[frozenset[str]] = frozenset({"parsed", "invalid", "empty"})
 
 REPLAY_CLASSES: Final[frozenset[str]] = frozenset({"R0", "R1", "R2"})
@@ -185,6 +168,55 @@ def _check_canonical(value: Any, path: str) -> None:
     )
 
 
+# Containers nested deeper than this skip the fast scan and go to the
+# reference check, which also rejects self-referencing containers.
+_SCAN_MAX_DEPTH: Final = 64
+_SCAN_SCALARS: Final[frozenset[type]] = frozenset({str, int, bool, type(None)})
+
+# The same encoder ``json.dumps`` builds for these arguments, built once.
+_CANONICAL_ENCODER: Final = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+)
+
+
+def _is_plain_canonical(content: Any) -> bool:
+    """Exact-type scan: True only for documents ``_check_canonical`` accepts.
+
+    Accepts plain ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
+    ``int``, ``bool``, ``None`` and finite ``float``, nested at most
+    ``_SCAN_MAX_DEPTH`` containers deep. Anything else, subclasses included,
+    returns False and is left to the reference check. The walk keeps one
+    iterator per open container, so it stops on self-referencing containers
+    and its memory is bounded by the depth.
+    """
+
+    isfinite = math.isfinite
+    stack = [iter((content,))]
+    while stack:
+        for item in stack[-1]:
+            kind = type(item)
+            if kind in _SCAN_SCALARS:
+                continue
+            if kind is float:
+                if not isfinite(item):
+                    return False
+            elif kind is dict or kind is list or kind is tuple:
+                if len(stack) > _SCAN_MAX_DEPTH:
+                    return False
+                if kind is dict:
+                    for key in item:
+                        if type(key) is not str:
+                            return False
+                    item = item.values()
+                stack.append(iter(item))
+                break
+            else:
+                return False
+        else:
+            stack.pop()
+    return True
+
+
 def canonical_json(content: Any) -> str:
     """Render ``content`` in the canonical form used for hashing and storage.
 
@@ -192,10 +224,9 @@ def canonical_json(content: Any) -> str:
     formatting, and non-finite numbers are rejected.
     """
 
-    _check_canonical(content, "$")
-    return json.dumps(
-        content, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    )
+    if not _is_plain_canonical(content):
+        _check_canonical(content, "$")
+    return _CANONICAL_ENCODER.encode(content)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,6 +300,13 @@ class TraceContext:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _trace_id(run_seed: int) -> str:
+    # Every event of a run shares one seed, so this hashes once per run.
+    seed_bytes = run_seed.to_bytes(8, "big", signed=True)
+    return hashlib.sha256(b"trace:" + seed_bytes).hexdigest()[:_TRACE_ID_HEX_LEN]
+
+
 def new_trace_context(
     run_seed: int, counter: int, parent_span_id: str | None = None
 ) -> TraceContext:
@@ -279,10 +317,11 @@ def new_trace_context(
     """
 
     seed_bytes = run_seed.to_bytes(8, "big", signed=True)
-    trace_id = hashlib.sha256(b"trace:" + seed_bytes).hexdigest()[:_TRACE_ID_HEX_LEN]
     span_material = b"span:" + seed_bytes + counter.to_bytes(8, "big", signed=True)
     span_id = hashlib.sha256(span_material).hexdigest()[:_SPAN_ID_HEX_LEN]
-    return TraceContext(trace_id=trace_id, span_id=span_id, parent_span_id=parent_span_id)
+    return TraceContext(
+        trace_id=_trace_id(run_seed), span_id=span_id, parent_span_id=parent_span_id
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -877,12 +916,6 @@ class RunValidator:
         return ValidationReport.passed()
 
 
-def validate_event(record: EventRecord, state: RunValidator) -> ValidationReport:
-    """Validate one event against per-run state; state advances only on ok."""
-
-    return state.validate(record)
-
-
 def validate_log(docs: Iterable[Mapping[str, Any]], strict: bool = True) -> ValidationReport:
     """Validate a whole serialized event stream including run completeness."""
 
@@ -952,7 +985,6 @@ __all__ = [
     "check_event_doc",
     "new_trace_context",
     "read_event_log",
-    "validate_event",
     "validate_log",
     "write_event_log",
 ]

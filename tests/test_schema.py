@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,12 @@ from gatebench.schema import (
     SCHEMA_VERSION,
     SchemaError,
     TimingFields,
+    _check_canonical,
     canonical_hash,
     canonical_json,
     check_event_doc,
     new_trace_context,
     read_event_log,
-    validate_event,
     validate_log,
     write_event_log,
 )
@@ -154,6 +157,117 @@ def test_canonical_json_round_trips_ordering(doc):
 
 
 # ---------------------------------------------------------------------------
+# canonical_json: equivalence with the reference check
+# ---------------------------------------------------------------------------
+
+
+def _reference_outcome(doc):
+    """What canonical_json must do: the reference check, then json.dumps."""
+
+    try:
+        _check_canonical(doc, "$")
+        return json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        )
+    except (SchemaError, TypeError, ValueError) as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
+
+
+def _outcome(doc):
+    try:
+        return canonical_json(doc)
+    except (SchemaError, TypeError, ValueError) as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
+
+
+_str_keys = st.text(max_size=6)
+# Mostly string keys, so that many documents are canonical.
+_keys = st.one_of(
+    _str_keys, _str_keys, _str_keys, _str_keys,
+    st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.builds(object),
+    st.sets(st.integers(0, 3), max_size=2),
+    st.binary(max_size=3),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_str_keys, children, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_canonical_json_matches_reference_check(doc):
+    assert _outcome(doc) == _reference_outcome(doc)
+
+
+def test_canonical_json_rejects_non_string_key_with_path():
+    with pytest.raises(SchemaError) as err:
+        canonical_json({"a": {"ok": 1, 7: "x"}})
+    assert err.value.code == "non_canonical_value"
+    assert str(err.value) == "non_canonical_value: non-string key 7 at $.a"
+
+
+def test_canonical_json_rejects_nested_nan_with_path():
+    with pytest.raises(SchemaError) as err:
+        canonical_json({"a": [0, {"b": float("nan")}]})
+    assert err.value.code == "non_canonical_value"
+    assert str(err.value) == "non_canonical_value: non-finite number at $.a[1].b"
+
+
+def test_canonical_json_renders_tuple_as_list():
+    assert canonical_json({"t": (1, "x", (2.5,))}) == '{"t":[1,"x",[2.5]]}'
+
+
+def test_canonical_json_deep_nesting_matches_reference():
+    doc: object = 1.5
+    for _ in range(200):
+        doc = [doc]
+    assert canonical_json(doc) == json.dumps(doc, separators=(",", ":"))
+
+
+def _raises_within(seconds, func, arg):
+    outcome = {}
+
+    def target():
+        try:
+            func(arg)
+        except Exception as exc:  # RecursionError included; checked by the caller
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return outcome.get("error")
+
+
+def test_canonical_json_self_referencing_containers_raise_promptly():
+    narrow: list = []
+    narrow.append(narrow)
+    wide: list = []
+    wide.extend([wide] * 1000)
+    looped: dict = {}
+    looped["x"] = {"y": looped}
+    for doc in (narrow, wide, looped):
+        assert isinstance(_raises_within(10.0, canonical_json, doc), RecursionError)
+
+
+# ---------------------------------------------------------------------------
 # trace contexts
 # ---------------------------------------------------------------------------
 
@@ -186,13 +300,13 @@ def test_digest_validation():
 
 
 # ---------------------------------------------------------------------------
-# validate_event: state machine
+# RunValidator.validate: state machine
 # ---------------------------------------------------------------------------
 
 
 def test_run_start_sequence_zero_ok():
     validator = RunValidator()
-    report = validate_event(make_event("run_start", 0), validator)
+    report = validator.validate(make_event("run_start", 0))
     assert report.ok
 
 
