@@ -119,8 +119,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_diagnostics(runset, decisions) -> dict[str, Any]:
-    """Diagnostic inputs for the claim matrix, computed from admitted rows."""
+def _report_diagnostics(runset, decisions, events_by_run) -> dict[str, Any]:
+    """Diagnostic inputs for the claim matrix, computed from admitted rows.
+
+    ``events_by_run`` holds the logs the report already decoded; only the
+    admitted web runs it lacks (the decision-study stratum) are read here.
+    """
 
     verdicts = {d.run_id: d for d in decisions}
     diagnostics: dict[str, Any] = {}
@@ -145,7 +149,10 @@ def _report_diagnostics(runset, decisions) -> dict[str, Any]:
         if run.driver.driver_type == "sanity":
             sanity_episodes += len(run.episode_summaries)
         if run.family == "web" and run.event_log_ref and runset.base_dir is not None:
-            result = replay_run(build_bundle(run, runset.events_for(run)))
+            events = events_by_run.get(run.run_id)
+            if events is None:
+                events = runset.events_for(run)
+            result = replay_run(build_bundle(run, events))
             r1_runs += 1
             r1_reductions.append(result.reduction)
             r1_matches += 1 if result.terminal_match else 0
@@ -193,7 +200,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ) else None
 
     study_report = load_study_report(args.study) if args.study else None
-    diagnostics = _report_diagnostics(runset, decisions)
+    diagnostics = _report_diagnostics(runset, decisions, events_by_run)
     matrix = claim_matrix(canonical, study_report, diagnostics)
     save_report_outputs(
         args.out, latency=latency, invalid_actions=invalid, study=study_report, matrix=matrix

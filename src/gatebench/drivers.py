@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
-from .schema import ActionRecord, Digest, canonical_hash
+from .schema import ActionRecord, Digest, GatebenchError, canonical_hash
 
 DRIVER_TYPES: Final[frozenset[str]] = frozenset(
     {"llm", "controller", "calibration", "sanity", "scripted"}
@@ -29,10 +29,8 @@ EVIDENCE_STATUSES: Final[frozenset[str]] = frozenset(
 )
 
 
-class DriverError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class DriverError(GatebenchError):
+    """Raised for invalid driver declarations, scripts, profiles and hook settings."""
 
 
 @dataclass(frozen=True, slots=True)

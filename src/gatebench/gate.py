@@ -25,7 +25,7 @@ from typing import Any, Final, Iterable, Literal, Mapping, Sequence
 
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
 from .runner import RunRecord, RunSet
-from .schema import SUPPORTED_SCHEMA_VERSIONS, canonical_json
+from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, canonical_json
 from .simenv import CLEAN_LABEL
 
 Verdict = Literal["admitted", "rejected", "quarantined"]
@@ -64,10 +64,8 @@ PLANNED_CANONICAL_STRATA: Final[tuple[str, ...]] = (
 )
 
 
-class GateError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class GateError(GatebenchError):
+    """Raised for malformed or inconsistent gate decisions."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Final, Mapping
 
-from .schema import Digest, SCHEMA_VERSION, canonical_hash, canonical_json
+from .schema import Digest, GatebenchError, SCHEMA_VERSION, canonical_hash, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .drivers import DriverRecord
@@ -41,10 +41,8 @@ DEFAULT_PARSER_VERSION: Final = "1.0.0"
 RELEASE_EPOCH: Final = "2026-01-01T00:00:00Z"
 
 
-class ManifestError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class ManifestError(GatebenchError):
+    """Raised for unresolved or incomplete manifests and unsupported families."""
 
 
 @dataclass(frozen=True, slots=True)

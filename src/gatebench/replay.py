@@ -24,17 +24,15 @@ from typing import Any, Final, Mapping, Sequence
 
 from .manifest import REPLAY_HARNESS_VERSION
 from .runner import RunRecord
-from .schema import EventRecord, canonical_json
+from .schema import EventRecord, GatebenchError, canonical_json
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
 R1_REPLAY_STEP_COST_MS: Final = 1.0
 
 
-class ReplayError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class ReplayError(GatebenchError):
+    """Raised for bundles without a replay freeze or with another version."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ from typing import Any, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport
 from .runner import RewardPoint, RunRecord, RunSet
-from .schema import EventRecord, canonical_json
+from .schema import EventRecord, GatebenchError, canonical_json
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 
@@ -35,10 +35,8 @@ CLAIM_STATUSES: Final[frozenset[str]] = frozenset(
 )
 
 
-class ReportError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class ReportError(GatebenchError):
+    """Raised for inputs that cannot give a claim-scoped report."""
 
 
 # ---------------------------------------------------------------------------

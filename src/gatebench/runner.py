@@ -2,16 +2,19 @@
 
 A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
-sequentially; plan-level concurrency runs independent runs in parallel worker
-threads. Because every run owns its seed, clock, and rng, results are a pure
-function of the plan: event logs are byte-identical across concurrency levels.
+sequentially. The runs of a plan are independent, so ``run_plan`` spreads them
+over a pool of worker processes, ``concurrency`` wide but never wider than the
+usable CPUs; each worker writes the event logs of its own runs and sends back
+only their run records. Because every run owns its seed, clock, and rng,
+results are a pure function of the plan: event logs are byte-identical across
+concurrency levels.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Final, Mapping, Sequence
@@ -31,6 +34,7 @@ from .manifest import (
     FreezeRecord,
     ManifestError,
     ManifestStore,
+    ReleaseRoot,
     SuiteVersions,
     TaskManifest,
     freeze_run,
@@ -40,6 +44,7 @@ from .schema import (
     ActionRecord,
     Digest,
     EventRecord,
+    GatebenchError,
     ProvenanceFields,
     RunValidator,
     SCHEMA_VERSION,
@@ -68,10 +73,8 @@ DEFAULT_RETRY_BUDGET: Final = 2
 RUN_ID_HEX_LEN: Final = 16
 
 
-class RunnerError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class RunnerError(GatebenchError):
+    """Raised for invalid plans, unresolved manifests, missing logs and bad trajectories."""
 
 
 # ---------------------------------------------------------------------------
@@ -999,17 +1002,98 @@ def _candidate_run(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class _PlanContext:
+    """What every job of one plan shares; a pool worker receives it once."""
+
+    plan: RunPlan
+    root: ReleaseRoot
+    store: ManifestStore
+    out_dir: Path | None
+    strict: bool
+
+
+def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
+    """Execute one (entry index, repetition) of a plan and write its event log."""
+
+    entry_index, repetition = job
+    plan = context.plan
+    entry = plan.entries[entry_index]
+    spec = plan.drivers[entry.driver]
+    try:
+        manifest = resolve_manifest(entry.task_id, context.root, context.store)
+    except ManifestError:
+        return _candidate_run(entry, spec, repetition, plan.concurrency)
+    setting = plan.setting_for(entry.setting_label)
+    episodes = entry.episodes or plan.episodes_per_run
+    if spec.driver_type == "controller":
+        from .study import controller_run_for_plan  # deferred: study builds on runner
+
+        record, events = controller_run_for_plan(
+            manifest, setting, spec, seed=entry.seed, budget=entry.budget,
+            episodes=episodes, repetition=repetition,
+        )
+    else:
+        record, events = execute_run(
+            manifest,
+            spec,
+            setting,
+            seed=entry.seed,
+            budget=entry.budget,
+            planned_episodes=episodes,
+            repetition=repetition,
+            concurrency=plan.concurrency,
+            strict=context.strict,
+        )
+    if context.out_dir is not None and events:
+        write_event_log(context.out_dir / record.event_log_ref, events)
+    return record
+
+
+# Set once in each pool worker by ``_init_worker``; the parent never sets it.
+_worker_context: _PlanContext | None = None
+
+
+def _init_worker(context: _PlanContext) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _worker_job(job: tuple[int, int]) -> RunRecord:
+    assert _worker_context is not None, "pool worker started without _init_worker"
+    return _run_job(_worker_context, job)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_width(concurrency: int, jobs: int, cpus: int) -> int:
+    """Worker processes for a plan: its concurrency, capped by jobs and CPUs."""
+
+    return max(1, min(concurrency, jobs, cpus))
+
+
 def run_plan(
     plan: RunPlan,
     store: ManifestStore,
     out_dir: Path | str | None = None,
     strict: bool = True,
 ) -> RunSet:
-    """Execute all plan entries times repetitions with bounded concurrency.
+    """Execute all plan entries times repetitions on up to ``concurrency`` processes.
 
-    Output order is deterministic (entry-major, then repetition) regardless of
-    completion order; unresolved tasks become rejected-candidate runs rather
-    than failures.
+    The pool is ``min(plan.concurrency, jobs, usable CPUs)`` worker processes
+    wide; at width 1 every run executes in this process. Output order is
+    deterministic (entry-major, then repetition) regardless of completion
+    order; unresolved tasks become rejected-candidate runs rather than
+    failures. With ``out_dir``, each run's event log is written as soon as the
+    run finishes, so when a run raises (the first error in plan order is
+    re-raised with its type and code), the logs of finished runs may remain
+    without a ``runset.json``.
     """
 
     root = store.load_root()
@@ -1019,63 +1103,43 @@ def run_plan(
             f"plan wants root {plan.release_root!r} but store has {root.root_id!r}",
         )
 
-    jobs: list[tuple[int, int, PlanEntry]] = []
-    for entry_index, entry in enumerate(plan.entries):
-        for repetition in range(entry.repetitions):
-            jobs.append((entry_index, repetition, entry))
+    jobs = [
+        (entry_index, repetition)
+        for entry_index, entry in enumerate(plan.entries)
+        for repetition in range(entry.repetitions)
+    ]
+    base = None if out_dir is None else Path(out_dir)
+    if base is not None:
+        (base / "logs").mkdir(parents=True, exist_ok=True)
+    context = _PlanContext(plan, root, store, base, strict)
 
-    def _execute(job: tuple[int, int, PlanEntry]) -> tuple[int, int, RunRecord, list[EventRecord]]:
-        entry_index, repetition, entry = job
-        spec = plan.drivers[entry.driver]
-        try:
-            manifest = resolve_manifest(entry.task_id, root, store)
-        except ManifestError:
-            return entry_index, repetition, _candidate_run(
-                entry, spec, repetition, plan.concurrency
-            ), []
-        setting = plan.setting_for(entry.setting_label)
-        episodes = entry.episodes or plan.episodes_per_run
-        if spec.driver_type == "controller":
-            from .study import controller_run_for_plan  # deferred: study builds on runner
-
-            record, events = controller_run_for_plan(
-                manifest, setting, spec, seed=entry.seed, budget=entry.budget,
-                episodes=episodes, repetition=repetition,
-            )
-        else:
-            record, events = execute_run(
-                manifest,
-                spec,
-                setting,
-                seed=entry.seed,
-                budget=entry.budget,
-                planned_episodes=episodes,
-                repetition=repetition,
-                concurrency=plan.concurrency,
-                strict=strict,
-            )
-        return entry_index, repetition, record, events
-
-    results: list[tuple[int, int, RunRecord, list[EventRecord]]] = []
-    if plan.concurrency == 1:
-        results = [_execute(job) for job in jobs]
+    width = _pool_width(plan.concurrency, len(jobs), _usable_cpus())
+    if width == 1:
+        runs = [_run_job(context, job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=plan.concurrency) as pool:
-            results = list(pool.map(_execute, jobs))
-    results.sort(key=lambda item: (item[0], item[1]))
+        # Deferred so that no other verb pays for importing the pool. A fork
+        # start skips re-importing the package in every worker.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    runs = [item[2] for item in results]
+        pool = ProcessPoolExecutor(
+            max_workers=width,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(context,),
+        )
+        try:
+            chunksize = max(1, len(jobs) // (4 * width))
+            runs = list(pool.map(_worker_job, jobs, chunksize=chunksize))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     run_ids = [run.run_id for run in runs]
     if len(set(run_ids)) != len(run_ids):
         raise RunnerError("invalid_plan", "run_id collision across plan entries")
 
     runset = RunSet(runs=runs)
-    if out_dir is not None:
-        base = Path(out_dir)
-        (base / "logs").mkdir(parents=True, exist_ok=True)
-        for (_, _, record, events) in results:
-            if events:
-                write_event_log(base / record.event_log_ref, events)
+    if base is not None:
         save_runset(runset, base)
         runset.base_dir = base
     return runset

@@ -131,12 +131,25 @@ _OPTIONAL_PROVENANCE: Final[tuple[str, ...]] = (
 )
 
 
-class SchemaError(Exception):
-    """Raised for non-canonical content or malformed typed records."""
+class GatebenchError(Exception):
+    """Base of every typed harness error: ``str()`` is ``"code: message"``.
+
+    ``code`` is the machine-readable error code the CLI reports. The class
+    pickles by its arguments, so an error raised in a plan worker process
+    reaches the parent with its type and code intact.
+    """
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
+
+    def __reduce__(self) -> tuple[type[GatebenchError], tuple[str, str]]:
+        return type(self), (self.code, self.message)
+
+
+class SchemaError(GatebenchError):
+    """Raised for non-canonical content or malformed typed records."""
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +979,7 @@ __all__ = [
     "Digest",
     "EVENT_KINDS",
     "EventRecord",
+    "GatebenchError",
     "HASH_ALGORITHM",
     "OPTIONAL_PAYLOAD_KEYS",
     "PARSE_STATUSES",

@@ -21,7 +21,7 @@ from typing import Any, Final, Mapping
 
 from .drivers import Action, draw_lognormal
 from .manifest import TaskManifest
-from .schema import TimingFields
+from .schema import GatebenchError, TimingFields
 
 # Family base service times, calibrated to order of magnitude only; these are
 # configuration values, not measured claims.
@@ -39,10 +39,8 @@ STRESSED_LABEL: Final = "medium_live_stressed"
 SETTING_LABELS: Final[frozenset[str]] = frozenset({CLEAN_LABEL, STRESSED_LABEL})
 
 
-class EnvError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class EnvError(GatebenchError):
+    """Raised for invalid settings, queues, outcomes and environment steps."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gatebench import runner
 from gatebench.demo import build_demo_plan, build_demo_release
 from gatebench.gate import admit, decide_runset, gate_report
 from gatebench.manifest import ManifestStore, resolve_manifest, verify_binding
@@ -281,7 +282,9 @@ def _digest_tree(base: Path, skip_names: set[str] = frozenset()) -> dict[str, st
     return digests
 
 
-def test_criterion_8_determinism_across_concurrency(tmp_path):
+def test_criterion_8_determinism_across_concurrency(tmp_path, monkeypatch):
+    # Two usable CPUs, so that concurrency 4 takes the process pool on any host.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     store = ManifestStore(tmp_path / "root")
     build_demo_release(store)
     plan_doc = build_demo_plan().to_doc()

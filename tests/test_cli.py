@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gatebench.cli import EXIT_OK, EXIT_USAGE, main
+from gatebench import runner
+from gatebench.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from gatebench.drivers import DriverError
 
 
 def _tree_bytes(base: Path) -> dict[str, bytes]:
@@ -164,3 +170,60 @@ def test_run_respects_setting_filter(root_dir, tmp_path):
     ]) == EXIT_OK
     runset = json.loads((runs / "runset.json").read_text())
     assert all(run["setting_label"] == "medium_live_stressed" for run in runset["runs"])
+
+
+def test_worker_error_code_reaches_error_record(root_dir, tmp_path, capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise DriverError("driver_failure", "synthetic backend went away")
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "execute_run", failing_run)  # forked workers inherit it
+    status = main([
+        "run", "--plan", str(root_dir / "demo_plan.json"), "--release-root", str(root_dir),
+        "--out", str(tmp_path / "runs"), "--concurrency", "2",
+    ])
+    assert status == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {
+        "error": "driver_failure",
+        "message": "driver_failure: synthetic backend went away",
+    }
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    probe = (
+        "import sys, gatebench.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_report_reads_each_log_once(root_dir, tmp_path, monkeypatch):
+    runs, gate_out = tmp_path / "runs", tmp_path / "gate"
+    assert main([
+        "run", "--plan", str(root_dir / "demo_plan.json"), "--release-root", str(root_dir),
+        "--out", str(runs),
+    ]) == EXIT_OK
+    assert main([
+        "gate", "--runset", str(runs), "--release-root", str(root_dir), "--out", str(gate_out),
+    ]) == EXIT_OK
+
+    reads: Counter[str] = Counter()
+    real_read = runner.read_event_log
+
+    def counting_read(path):
+        reads[str(path)] += 1
+        return real_read(path)
+
+    monkeypatch.setattr(runner, "read_event_log", counting_read)
+    assert main([
+        "report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "report"),
+    ]) == EXIT_OK
+    assert reads and max(reads.values()) == 1

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
-from gatebench.drivers import SyntheticLlmProfile
+from gatebench import runner
+from gatebench.drivers import DriverError, SyntheticLlmProfile
 from gatebench.manifest import resolve_manifest
 from gatebench.runner import (
     DriverSpec,
@@ -255,7 +257,9 @@ def test_unknown_task_becomes_candidate_run(demo_store):
     assert not candidate.trace_complete
 
 
-def test_concurrency_one_vs_four_bit_identical(demo_store, tmp_path):
+def test_concurrency_one_vs_four_bit_identical(demo_store, tmp_path, monkeypatch):
+    # Two usable CPUs, so that concurrency 4 takes the process pool on any host.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     out_one = tmp_path / "c1"
     out_four = tmp_path / "c4"
     run_plan(_small_plan(concurrency=1), demo_store, out_dir=out_one)
@@ -271,6 +275,50 @@ def test_concurrency_one_vs_four_bit_identical(demo_store, tmp_path):
     assert one_logs == four_logs
     for name in one_logs:
         assert (out_one / "logs" / name).read_bytes() == (out_four / "logs" / name).read_bytes()
+
+
+def test_pool_width_is_capped_by_jobs_and_cpus():
+    # Pure arithmetic: no pool or process is started for any of these.
+    assert runner._pool_width(1, 360, 64) == 1
+    assert runner._pool_width(2, 360, 64) == 2
+    assert runner._pool_width(64, 360, 2) == 2
+    assert runner._pool_width(10**6, 360, 8) == 8
+    assert runner._pool_width(10**6, 3, 8) == 3
+    assert runner._pool_width(4, 0, 8) == 1
+    assert runner._pool_width(4, 360, 1) == 1
+
+
+def test_usable_cpus_is_positive():
+    assert runner._usable_cpus() >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert runner._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_width_one_runs_in_process_without_pool(demo_store, monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a width-1 plan must not start a pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    runset = run_plan(_small_plan(concurrency=4), demo_store)
+    assert [run.concurrency for run in runset.runs] == [4, 4, 4, 4]
+
+
+def test_worker_error_keeps_type_and_code(demo_store, tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def failing_run(*args, **kwargs):
+        raise DriverError("driver_failure", f"raised in pid {os.getpid()}")
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "execute_run", failing_run)  # forked workers inherit it
+    with pytest.raises(DriverError) as err:
+        run_plan(_small_plan(concurrency=2), demo_store, out_dir=tmp_path / "rs")
+    assert err.value.code == "driver_failure"
+    assert str(err.value).startswith("driver_failure: raised in pid ")
+    assert str(err.value) != f"driver_failure: raised in pid {parent}"
+    assert not (tmp_path / "rs" / "runset.json").exists()
 
 
 def test_runset_round_trip(demo_store, tmp_path):

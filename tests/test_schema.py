@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import json
+import pickle
 import random
 import threading
 from collections import OrderedDict
@@ -538,3 +540,31 @@ def test_action_record_invariant_enforced():
             completion_tokens=1,
             model_latency_ms=1.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+# ---------------------------------------------------------------------------
+
+
+_ERROR_CLASSES = (
+    ("schema", "SchemaError"),
+    ("manifest", "ManifestError"),
+    ("drivers", "DriverError"),
+    ("simenv", "EnvError"),
+    ("runner", "RunnerError"),
+    ("gate", "GateError"),
+    ("replay", "ReplayError"),
+    ("report", "ReportError"),
+)
+
+
+@pytest.mark.parametrize("module, name", _ERROR_CLASSES, ids=[name for _, name in _ERROR_CLASSES])
+def test_typed_error_survives_pickle(module, name):
+    cls = getattr(importlib.import_module(f"gatebench.{module}"), name)
+    assert (cls.__module__, cls.__name__) == (f"gatebench.{module}", name)
+    error = cls("invalid_plan", "x: with a colon")
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is cls
+    assert clone.code == error.code == "invalid_plan"
+    assert str(clone) == str(error) == "invalid_plan: x: with a colon"
