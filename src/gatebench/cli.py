@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from .demo import DEMO_ROOT_ID, build_demo_plan, build_demo_release
 from .gate import decide_runset, gate_report, load_decisions, load_gate_report, save_gate_outputs
 from .manifest import RELEASE_EPOCH, ManifestStore
-from .replay import build_bundle, load_bundle, replay_run, save_bundle
+from .replay import build_bundle, load_bundle, replay_run, replay_runset
 from .report import (
     claim_matrix,
     invalid_action_rate,
@@ -29,7 +29,7 @@ from .report import (
     save_report_outputs,
 )
 from .runner import load_plan, load_runset, run_plan, save_plan
-from .schema import canonical_json
+from .schema import canonical_json, float_sum
 from .simenv import simulate_family_throughput
 from .study import StudyConfig, run_study
 
@@ -96,22 +96,10 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = []
     if args.bundle:
-        result = replay_run(load_bundle(args.bundle))
-        results.append(result)
+        results = [replay_run(load_bundle(args.bundle))]
     else:
-        runset = load_runset(args.runset)
-        family_class = {"micro": "R0", "web": "R1", "code": "R2"}
-        for run in runset.runs:
-            if run.freeze is None or not run.manifest_resolved:
-                continue
-            if args.replay_class and family_class[run.family] != args.replay_class:
-                continue
-            events = runset.events_for(run) if run.event_log_ref else None
-            bundle = build_bundle(run, events)
-            save_bundle(bundle, out / f"bundle_{run.run_id}.json")
-            results.append(replay_run(bundle))
+        results = replay_runset(load_runset(args.runset), out, args.replay_class or None)
     lines = [canonical_json(result.to_doc()) for result in results]
     (out / "replay_results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     matches = sum(1 for result in results if result.terminal_match)
@@ -164,7 +152,7 @@ def _report_diagnostics(runset, decisions, events_by_run) -> dict[str, Any]:
     if sanity_episodes:
         diagnostics["sanity_episodes"] = sanity_episodes
     if r1_runs:
-        diagnostics["r1_reduction"] = sum(r1_reductions) / len(r1_reductions)
+        diagnostics["r1_reduction"] = float_sum(r1_reductions) / len(r1_reductions)
         diagnostics["r1_terminal_match_rate"] = r1_matches / r1_runs
         diagnostics["r1_runs"] = r1_runs
     diagnostics["throughput_eps"] = [

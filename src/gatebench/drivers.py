@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
-from .schema import ActionRecord, Digest, GatebenchError, canonical_hash
+from .schema import ActionRecord, Digest, GatebenchError, canonical_hash, float_sum
 
 DRIVER_TYPES: Final[frozenset[str]] = frozenset(
     {"llm", "controller", "calibration", "sanity", "scripted"}
@@ -344,7 +344,7 @@ class TelemetryWindow:
     def mean_queue_wait_ms(self) -> float | None:
         if not self.window:
             return None
-        return sum(item[2] for item in self.window) / len(self.window)
+        return float_sum(item[2] for item in self.window) / len(self.window)
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,12 +23,14 @@ from pathlib import Path
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import REPLAY_HARNESS_VERSION
-from .runner import RunRecord
-from .schema import EventRecord, GatebenchError, canonical_json
+from .runner import RunRecord, RunSet, map_runs
+from .schema import EventRecord, GatebenchError, canonical_json, float_sum
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
 R1_REPLAY_STEP_COST_MS: Final = 1.0
+
+_FAMILY_CLASS: Final[dict[str, str]] = {"micro": "R0", "web": "R1", "code": "R2"}
 
 
 class ReplayError(GatebenchError):
@@ -81,7 +83,7 @@ def _episode_rollup(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     episodes = len(rows)
     successes = sum(1 for row in rows if row["status"] == "success")
     total_steps = sum(int(row["steps"]) for row in rows)
-    total_wall = sum(float(row["wall_ms"]) for row in rows)
+    total_wall = float_sum(float(row["wall_ms"]) for row in rows)
     return {
         "episodes": episodes,
         "successes": successes,
@@ -220,7 +222,7 @@ def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
             matched = False
 
     per_step = tuple(R1_REPLAY_STEP_COST_MS for _ in range(total_steps))
-    live_mean = sum(live_step_ms) / len(live_step_ms) if live_step_ms else 0.0
+    live_mean = float_sum(live_step_ms) / len(live_step_ms) if live_step_ms else 0.0
     replay_mean = R1_REPLAY_STEP_COST_MS if total_steps else 0.0
     reduction = 1.0 - (replay_mean / live_mean) if live_mean > 0 else 0.0
     return ReplayResult(
@@ -233,6 +235,15 @@ def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
     )
 
 
+def _episode_index(episode_id: str) -> int:
+    """The episode index in a runner episode id, ``<run_id>-ep<index>``."""
+
+    _, sep, digits = episode_id.rpartition("-ep")
+    if not sep or not (digits.isascii() and digits.isdigit()):
+        raise ReplayError("invalid_bundle", f"episode id {episode_id!r} has no episode index")
+    return int(digits)
+
+
 def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
     freeze = material["verifier_freeze"]
     if not freeze.get("verifier_version"):
@@ -240,13 +251,15 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
     snapshot_hex = material["snapshot_digest"]["hex"]
     seed = int(material["seed"])
     matched = bool(material["decisions"])
-    for index, decision in enumerate(material["decisions"]):
+    for decision in material["decisions"]:
         quality = decision["patch_quality"]
         if quality == "gold":
             replayed = "success"
         elif quality == "noop":
             replayed = "failure"
         else:
+            # Seeded as the runner seeds the episode's verifier decision.
+            index = _episode_index(str(decision["episode_id"]))
             rng = random.Random(f"verify:{snapshot_hex}:{seed}:{index}")
             replayed = "success" if rng.random() < float(decision["pass_prob"]) else "failure"
         if replayed != decision["status"]:
@@ -286,6 +299,41 @@ def load_bundle(path: Path | str) -> ReplayBundle:
     return ReplayBundle.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _replay_job(context: tuple[RunSet, Path], index: int) -> ReplayResult:
+    """Bundle, save and replay run ``index`` of the runset."""
+
+    runset, out = context
+    run = runset.runs[index]
+    events = runset.events_for(run) if run.event_log_ref else None
+    bundle = build_bundle(run, events)
+    save_bundle(bundle, out / f"bundle_{run.run_id}.json")
+    return replay_run(bundle)
+
+
+def replay_runset(
+    runset: RunSet, out_dir: Path | str, replay_class: str | None = None
+) -> list[ReplayResult]:
+    """Replay every executed run with a freeze record, optionally of one class.
+
+    Each run's bundle is written to ``out_dir/bundle_<run_id>.json``. The runs
+    are independent, so they spread over ``min(runs, usable CPUs)`` worker
+    processes; results come back in runset order. When a run fails, the
+    first failure in runset order is raised and the bundles already written
+    remain.
+    """
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    jobs = [
+        index
+        for index, run in enumerate(runset.runs)
+        if run.freeze is not None
+        and run.manifest_resolved
+        and (replay_class is None or _FAMILY_CLASS[run.family] == replay_class)
+    ]
+    return map_runs(_replay_job, (runset, out), jobs, cap=len(jobs))
+
+
 __all__ = [
     "R1_REPLAY_STEP_COST_MS",
     "ReplayBundle",
@@ -294,5 +342,6 @@ __all__ = [
     "build_bundle",
     "load_bundle",
     "replay_run",
+    "replay_runset",
     "save_bundle",
 ]

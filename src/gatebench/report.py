@@ -15,7 +15,7 @@ from typing import Any, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport
 from .runner import RewardPoint, RunRecord, RunSet
-from .schema import EventRecord, GatebenchError, canonical_json
+from .schema import EventRecord, GatebenchError, canonical_json, float_sum
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 
@@ -109,11 +109,11 @@ def latency_breakdown(
     if not step_latencies_ms:
         raise ReportError("no_samples", "latency breakdown needs at least one sample")
     ordered = sorted(step_latencies_ms)
-    mean_wait = sum(queue_waits_ms) / len(queue_waits_ms) if queue_waits_ms else 0.0
+    mean_wait = float_sum(queue_waits_ms) / len(queue_waits_ms) if queue_waits_ms else 0.0
     throughput = episodes_completed / (wall_span_ms / 1000.0) if wall_span_ms > 0 else 0.0
     return LatencyBreakdown(
         count=len(ordered),
-        mean_ms=sum(ordered) / len(ordered),
+        mean_ms=float_sum(ordered) / len(ordered),
         p50_ms=nearest_rank(ordered, 50.0),
         p95_ms=nearest_rank(ordered, 95.0),
         p99_ms=nearest_rank(ordered, 99.0),

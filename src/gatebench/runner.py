@@ -3,11 +3,11 @@
 A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
 sequentially. The runs of a plan are independent, so ``run_plan`` spreads them
-over a pool of worker processes, ``concurrency`` wide but never wider than the
-usable CPUs; each worker writes the event logs of its own runs and sends back
-only their run records. Because every run owns its seed, clock, and rng,
-results are a pure function of the plan: event logs are byte-identical across
-concurrency levels.
+over a pool of worker processes (``map_runs``, shared with the study grid and
+replay), ``concurrency`` wide but never wider than the usable CPUs; each worker
+writes the event logs of its own runs and sends back only their run records.
+Because every run owns its seed, clock, and rng, results are a pure function
+of the plan: event logs are byte-identical across concurrency levels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Final, Mapping, Sequence
+from typing import Any, Callable, Final, Mapping, Sequence, TypeVar
 
 from .drivers import (
     Action,
@@ -51,6 +51,7 @@ from .schema import (
     TimingFields,
     canonical_hash,
     canonical_json,
+    decode_events,
     new_trace_context,
     read_event_log,
     write_event_log,
@@ -64,13 +65,16 @@ from .simenv import (
     env_step,
     init_env,
     setting_for_label,
-    submit_patch,
     verifier_outcome,
 )
 
 DEFAULT_EPISODES_PER_RUN: Final = 4
 DEFAULT_RETRY_BUDGET: Final = 2
 RUN_ID_HEX_LEN: Final = 16
+
+_Context = TypeVar("_Context")
+_Job = TypeVar("_Job")
+_Result = TypeVar("_Result")
 
 
 class RunnerError(GatebenchError):
@@ -692,7 +696,7 @@ def _run_one_episode(
                 * setting.verifier_arrival_rate_boost,
                 0.2,
             )
-            ticket = submit_patch(queue, clock_ms, demand)
+            ticket = queue.submit(clock_ms, demand)
             # Decision stream frozen to (snapshot, run seed, episode) so
             # snapshot-class replay can recompute the verdict bit for bit.
             decision_rng = random.Random(
@@ -976,8 +980,14 @@ class RunSet:
     def events_for(self, run: RunRecord) -> list[EventRecord]:
         if self.base_dir is None or not run.event_log_ref:
             raise RunnerError("missing_log", f"run {run.run_id} has no readable event log")
-        _, docs = read_event_log(self.base_dir / run.event_log_ref)
-        return [EventRecord.from_doc(doc) for doc in docs]
+        path = self.base_dir / run.event_log_ref
+        try:
+            _, docs = read_event_log(path)
+        except OSError as exc:
+            raise RunnerError(
+                "missing_log", f"run {run.run_id}: cannot read event log {path}: {exc.strerror}"
+            ) from exc
+        return decode_events(docs)
 
 
 def _candidate_run(
@@ -1051,17 +1061,18 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
 
 
 # Set once in each pool worker by ``_init_worker``; the parent never sets it.
-_worker_context: _PlanContext | None = None
+_worker_task: tuple[Callable[[Any, Any], Any], Any] | None = None
 
 
-def _init_worker(context: _PlanContext) -> None:
-    global _worker_context
-    _worker_context = context
+def _init_worker(fn: Callable[[Any, Any], Any], context: Any) -> None:
+    global _worker_task
+    _worker_task = (fn, context)
 
 
-def _worker_job(job: tuple[int, int]) -> RunRecord:
-    assert _worker_context is not None, "pool worker started without _init_worker"
-    return _run_job(_worker_context, job)
+def _worker_job(job: Any) -> Any:
+    assert _worker_task is not None, "pool worker started without _init_worker"
+    fn, context = _worker_task
+    return fn(context, job)
 
 
 def _usable_cpus() -> int:
@@ -1072,10 +1083,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_width(concurrency: int, jobs: int, cpus: int) -> int:
-    """Worker processes for a plan: its concurrency, capped by jobs and CPUs."""
+def _pool_width(cap: int, jobs: int, cpus: int) -> int:
+    """Worker processes for a set of jobs: ``cap``, capped by jobs and CPUs."""
 
-    return max(1, min(concurrency, jobs, cpus))
+    return max(1, min(cap, jobs, cpus))
+
+
+def map_runs(
+    fn: Callable[[_Context, _Job], _Result], context: _Context, jobs: Sequence[_Job], cap: int
+) -> list[_Result]:
+    """``[fn(context, job) for job in jobs]`` on up to ``cap`` worker processes.
+
+    The pool is ``min(cap, len(jobs), usable CPUs)`` wide; at width 1 every
+    job runs in this process. Wider pools are forked, so ``fn`` and
+    ``context`` reach each worker once without pickling; only the jobs and
+    the results cross the pipe, so both should be small. Results come back
+    in job order, and the first error in job order is re-raised with its type
+    and code. Whatever a job writes to disk stays written when a later job
+    fails.
+    """
+
+    width = _pool_width(cap, len(jobs), _usable_cpus())
+    if width == 1:
+        return [fn(context, job) for job in jobs]
+    # Deferred so that no verb pays for importing the pool unless it forks
+    # one. A fork start skips re-importing the package in every worker; it
+    # assumes the calling process runs no other threads (the CLI runs none).
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=width,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fn, context),
+    )
+    try:
+        chunksize = max(1, len(jobs) // (4 * width))
+        return list(pool.map(_worker_job, jobs, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_plan(
@@ -1113,26 +1160,7 @@ def run_plan(
         (base / "logs").mkdir(parents=True, exist_ok=True)
     context = _PlanContext(plan, root, store, base, strict)
 
-    width = _pool_width(plan.concurrency, len(jobs), _usable_cpus())
-    if width == 1:
-        runs = [_run_job(context, job) for job in jobs]
-    else:
-        # Deferred so that no other verb pays for importing the pool. A fork
-        # start skips re-importing the package in every worker.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            max_workers=width,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(context,),
-        )
-        try:
-            chunksize = max(1, len(jobs) // (4 * width))
-            runs = list(pool.map(_worker_job, jobs, chunksize=chunksize))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    runs = map_runs(_run_job, context, jobs, cap=plan.concurrency)
 
     run_ids = [run.run_id for run in runs]
     if len(set(run_ids)) != len(run_ids):
@@ -1178,6 +1206,7 @@ __all__ = [
     "load_plan",
     "load_runset",
     "make_run_id",
+    "map_runs",
     "provenance_for",
     "run_episode",
     "run_plan",

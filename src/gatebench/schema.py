@@ -242,6 +242,21 @@ def canonical_json(content: Any) -> str:
     return _CANONICAL_ENCODER.encode(content)
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from 0.0.
+
+    This is what ``sum`` does on Python 3.11 and earlier. From 3.12 ``sum``
+    compensates float rounding, which changes the last digits of the means
+    written into artifacts; every float sum that reaches an artifact goes
+    through here so the bytes are the same on every version.
+    """
+
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class Digest:
     """A content digest: algorithm label plus fixed-length lowercase hex."""
@@ -537,7 +552,11 @@ class EventRecord:
         }
 
     @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "EventRecord":
+    def from_doc(
+        cls, doc: Mapping[str, Any], provenance: ProvenanceFields | None = None
+    ) -> "EventRecord":
+        """Decode one event, reusing ``provenance`` as its decoded provenance if given."""
+
         return cls(
             run_id=str(doc["run_id"]),
             episode_id=str(doc["episode_id"]),
@@ -547,9 +566,31 @@ class EventRecord:
             sequence=int(doc["sequence"]),
             wall_clock_ms=float(doc["wall_clock_ms"]),
             timing=TimingFields.from_doc(doc["timing"]),
-            provenance=ProvenanceFields.from_doc(doc["provenance"]),
+            provenance=(
+                ProvenanceFields.from_doc(doc["provenance"]) if provenance is None else provenance
+            ),
             payload=dict(doc["payload"]),
         )
+
+
+def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
+    """Decode a log's event documents, equal to ``EventRecord.from_doc`` on each.
+
+    Every event of a run carries the same provenance, so it is decoded once
+    and the frozen record is shared until a document's provenance differs
+    from the one before; every other field is decoded per event.
+    """
+
+    events: list[EventRecord] = []
+    last_doc: Any = None
+    provenance: ProvenanceFields | None = None
+    for doc in docs:
+        provenance_doc = doc["provenance"]
+        if provenance is None or provenance_doc != last_doc:
+            provenance = ProvenanceFields.from_doc(provenance_doc)
+            last_doc = provenance_doc
+        events.append(EventRecord.from_doc(doc, provenance))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1038,8 @@ __all__ = [
     "canonical_hash",
     "canonical_json",
     "check_event_doc",
+    "decode_events",
+    "float_sum",
     "new_trace_context",
     "read_event_log",
     "validate_log",

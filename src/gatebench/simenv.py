@@ -21,7 +21,7 @@ from typing import Any, Final, Mapping
 
 from .drivers import Action, draw_lognormal
 from .manifest import TaskManifest
-from .schema import GatebenchError, TimingFields
+from .schema import GatebenchError, TimingFields, float_sum
 
 # Family base service times, calibrated to order of magnitude only; these are
 # configuration values, not measured claims.
@@ -316,12 +316,6 @@ class VerifierQueue:
         return submitted, served, submitted - served
 
 
-def submit_patch(queue: VerifierQueue, now_ms: float, demand_ms: float) -> int:
-    """Submit one patch-verification ticket; FIFO service order."""
-
-    return queue.submit(now_ms, demand_ms)
-
-
 def verifier_outcome(
     queue: VerifierQueue,
     ticket_id: int,
@@ -386,7 +380,7 @@ def simulate_family_throughput(
     rng = random.Random(seed)
     durations: list[float] = []
     for _ in range(episodes):
-        body = sum(
+        body = float_sum(
             draw_service_ms(rng, FAMILY_BASE_SERVICE_MS[family], setting) for _ in range(steps)
         )
         verify = draw_lognormal(rng, VERIFY_BASE_MS[family], SERVICE_CV)
@@ -419,6 +413,5 @@ __all__ = [
     "setting_for_label",
     "simulate_family_throughput",
     "stressed_setting",
-    "submit_patch",
     "verifier_outcome",
 ]

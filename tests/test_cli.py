@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from gatebench import runner
+from gatebench import replay, runner
 from gatebench.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from gatebench.drivers import DriverError
+from gatebench.replay import ReplayError
 
 
 def _tree_bytes(base: Path) -> dict[str, bytes]:
@@ -27,6 +28,25 @@ def root_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli-root")
     assert main(["init-root", "--out", str(base)]) == EXIT_OK
     return base
+
+
+@pytest.fixture()
+def gated_runs(root_dir, tmp_path):
+    """The demo plan run and gated: (runset directory, gate directory)."""
+
+    runs, gate_out = tmp_path / "runs", tmp_path / "gate"
+    assert main([
+        "run", "--plan", str(root_dir / "demo_plan.json"), "--release-root", str(root_dir),
+        "--out", str(runs),
+    ]) == EXIT_OK
+    assert main([
+        "gate", "--runset", str(runs), "--release-root", str(root_dir), "--out", str(gate_out),
+    ]) == EXIT_OK
+    return runs, gate_out
+
+
+def _last_error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def test_init_root_idempotent(tmp_path):
@@ -227,3 +247,57 @@ def test_report_reads_each_log_once(root_dir, tmp_path, monkeypatch):
         "report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "report"),
     ]) == EXIT_OK
     assert reads and max(reads.values()) == 1
+
+
+def test_replay_and_study_trees_identical_on_one_and_two_cpus(gated_runs, tmp_path, monkeypatch):
+    runs, _ = gated_runs
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["replay", "--runset", str(runs), "--out", str(out / "replay")]) == EXIT_OK
+        assert main(["study", "--out", str(out / "study")]) == EXIT_OK
+        trees.append(_tree_bytes(out))
+    assert len(trees[0]) > 60
+    assert trees[0] == trees[1]
+
+
+def test_replay_worker_error_code_reaches_error_record(gated_runs, tmp_path, capsys, monkeypatch):
+    runs, _ = gated_runs
+    parent = os.getpid()
+
+    def failing_replay(bundle):
+        raise ReplayError("replay_version_mismatch", f"raised in pid {os.getpid()}")
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(replay, "replay_run", failing_replay)  # forked workers inherit it
+    capsys.readouterr()
+    status = main(["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")])
+    assert status == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "replay_version_mismatch"
+    assert record["message"].startswith("replay_version_mismatch: raised in pid ")
+    assert record["message"] != f"replay_version_mismatch: raised in pid {parent}"
+    assert not (tmp_path / "replay" / "replay_results.jsonl").exists()
+
+
+def test_missing_log_is_typed_error_for_replay_and_report(gated_runs, tmp_path, capsys, monkeypatch):
+    runs, gate_out = gated_runs
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    decisions = [
+        json.loads(line) for line in (gate_out / "gate_decisions.jsonl").read_text().splitlines()
+    ]
+    missing = next(
+        d["run_id"] for d in decisions
+        if d["verdict"] == "admitted" and d["stratum"] != "decision_study"
+    )
+    (runs / "logs" / f"{missing}.log").unlink()
+    capsys.readouterr()
+    for argv in (
+        ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")],
+        ["report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "rep")],
+    ):
+        assert main(argv) == EXIT_ERROR
+        record = _last_error_record(capsys)
+        assert record["error"] == "missing_log"
+        assert missing in record["message"]

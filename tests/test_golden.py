@@ -1,10 +1,11 @@
-"""Golden digests: the demo pipeline and the default study grid, byte for byte.
+"""Golden digests: the demo pipeline, its replay and the study grid, byte for byte.
 
-Runs ``init-root``, ``all`` on the demo plan, and ``study`` on the default
-grid, then compares the sha256 of every output file with the values pinned in
-``golden_digests.json``. The outputs do not depend on the output directory.
-Any change to these bytes is a change to the artifacts and must be deliberate:
-regenerate the file and say why in the change log.
+Runs ``init-root``, ``all`` on the demo plan, ``replay`` of the demo runset,
+and ``study`` on the default grid, then compares the sha256 of every output
+file with the values pinned in ``golden_digests.json``. The outputs do not
+depend on the output directory. Any change to these bytes is a change to the
+artifacts and must be deliberate: regenerate the file and say why in the
+change log.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ def test_demo_pipeline_and_study_match_golden_digests(tmp_path):
     assert main([
         "all", "--plan", str(root / "demo_plan.json"), "--release-root", str(root),
         "--out", str(tmp_path / "all"),
+    ]) == EXIT_OK
+    assert main([
+        "replay", "--runset", str(tmp_path / "all" / "runs"), "--out", str(tmp_path / "replay"),
     ]) == EXIT_OK
     assert main(["study", "--out", str(tmp_path / "study")]) == EXIT_OK
 

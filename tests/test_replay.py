@@ -128,6 +128,27 @@ def test_r2_oracle_and_flipped_status(code_manifest):
     assert not replay_run(bundle).terminal_match
 
 
+def test_r2_seeds_each_decision_by_its_episode_index(code_manifest):
+    # An episode that records no verifier decision must not shift the seeds
+    # of the later ones: drop the first generated decision and the rest
+    # still replay to their recorded verdicts.
+    record, events = _run(code_manifest, GENERATED, episodes=8, budget=2)
+    bundle = build_bundle(record, events)
+    decisions = bundle.material["decisions"]
+    first = next(i for i, d in enumerate(decisions) if d["patch_quality"] == "generated")
+    del decisions[first]
+    assert replay_run(bundle).terminal_match
+
+
+def test_r2_episode_id_without_index_is_typed_error(code_manifest):
+    record, events = _run(code_manifest, GENERATED, episodes=2, budget=2)
+    bundle = build_bundle(record, events)
+    bundle.material["decisions"][0]["episode_id"] = "no-index-here"
+    with pytest.raises(ReplayError) as err:
+        replay_run(bundle)
+    assert err.value.code == "invalid_bundle"
+
+
 def test_harness_version_mismatch_rejected(micro_manifest):
     record, events = _run(micro_manifest, SCRIPTED)
     bundle = build_bundle(record, events)

@@ -321,6 +321,33 @@ def test_worker_error_keeps_type_and_code(demo_store, tmp_path, monkeypatch):
     assert not (tmp_path / "rs" / "runset.json").exists()
 
 
+def _square_unless_listed(failing: tuple[int, ...], job: int) -> tuple[int, int]:
+    if job in failing:
+        raise RunnerError(f"failed_{job}", f"job {job}")
+    return job * job, os.getpid()
+
+
+def test_map_runs_keeps_job_order_across_workers(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    results = runner.map_runs(_square_unless_listed, (), list(range(40)), cap=8)
+    assert [square for square, _ in results] == [job * job for job in range(40)]
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+def test_map_runs_reraises_first_error_in_job_order(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    with pytest.raises(RunnerError) as err:
+        runner.map_runs(_square_unless_listed, (29, 7), list(range(40)), cap=2)
+    assert err.value.code == "failed_7"
+
+
+def test_map_runs_at_width_one_runs_in_process(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 8)
+    results = runner.map_runs(_square_unless_listed, (), [3, 1, 2], cap=1)
+    assert results == [(9, os.getpid()), (1, os.getpid()), (4, os.getpid())]
+    assert runner.map_runs(_square_unless_listed, (), [], cap=4) == []
+
+
 def test_runset_round_trip(demo_store, tmp_path):
     out = tmp_path / "rs"
     runset = run_plan(_small_plan(), demo_store, out_dir=out)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import pickle
@@ -24,6 +25,8 @@ from gatebench.schema import (
     canonical_hash,
     canonical_json,
     check_event_doc,
+    decode_events,
+    float_sum,
     new_trace_context,
     read_event_log,
     validate_log,
@@ -526,6 +529,42 @@ def test_event_log_header_precedes_events(tmp_path):
     write_event_log(path, well_formed_run())
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert "schema_version" in first_line
+
+
+def test_decode_events_equals_per_doc_decoding():
+    other = ProvenanceFields(
+        manifest_hash=canonical_hash({"fixture": "other"}),
+        driver_id="driver-2",
+        schema_version=SCHEMA_VERSION,
+        replay_class="R2",
+        seed=8,
+        snapshot_digest=canonical_hash({"fixture": "snapshot"}),
+    )
+    events = well_formed_run()
+    events[3:5] = [dataclasses.replace(event, provenance=other) for event in events[3:5]]
+    docs = [event.to_doc() for event in events]
+    decoded = decode_events(docs)
+    assert decoded == [EventRecord.from_doc(doc) for doc in docs] == events
+    # One decoded provenance is shared by each stretch of equal documents.
+    assert decoded[0].provenance is decoded[2].provenance
+    assert decoded[3].provenance is decoded[4].provenance == other
+    assert decoded[5].provenance == PROVENANCE
+
+
+def test_decode_events_rejects_provenance_that_turns_invalid():
+    docs = [event.to_doc() for event in well_formed_run()]
+    docs[5]["provenance"]["replay_class"] = "R9"
+    with pytest.raises(SchemaError) as err:
+        decode_events(docs)
+    assert err.value.code == "invalid_value"
+    assert decode_events([]) == []
+
+
+def test_float_sum_adds_left_to_right_from_zero():
+    # A compensated sum (Python >= 3.12 ``sum``, or ``math.fsum``) gives 1.0.
+    assert float_sum([1e16, 1.0, -1e16]) == 0.0
+    assert float_sum(iter([0.1, 0.2, 0.3])) == (0.0 + 0.1 + 0.2) + 0.3
+    assert float_sum([]) == 0.0 and isinstance(float_sum([]), float)
 
 
 def test_action_record_invariant_enforced():

@@ -16,7 +16,6 @@ from gatebench.simenv import (
     init_env,
     simulate_family_throughput,
     stressed_setting,
-    submit_patch,
     verifier_outcome,
 )
 
@@ -134,14 +133,14 @@ def test_clean_setting_must_be_unperturbed():
 
 def test_empty_queue_no_wait():
     queue = VerifierQueue(servers=1)
-    ticket = submit_patch(queue, now_ms=10.0, demand_ms=50.0)
+    ticket = queue.submit(now_ms=10.0, demand_ms=50.0)
     assert queue.ticket(ticket).queue_wait_ms == 0.0
 
 
 def test_fifo_second_ticket_waits_exactly_demand():
     queue = VerifierQueue(servers=1)
-    submit_patch(queue, 0.0, 40.0)
-    second = submit_patch(queue, 0.0, 40.0)
+    queue.submit(0.0, 40.0)
+    second = queue.submit(0.0, 40.0)
     assert queue.ticket(second).queue_wait_ms == 40.0
 
 
@@ -151,7 +150,7 @@ def test_queue_conservation_at_any_instant():
     now = 0.0
     for _ in range(200):
         now += rng.expovariate(1.0)
-        submit_patch(queue, now, rng.expovariate(0.5) + 0.01)
+        queue.submit(now, rng.expovariate(0.5) + 0.01)
     for t in (0.0, now / 3, now / 2, now, now * 2):
         submitted, served, pending = queue.counts_at(t)
         assert submitted == served + pending
@@ -168,7 +167,7 @@ def test_mm1_queue_wait_matches_closed_form():
     tickets = []
     for _ in range(200_000):
         now += rng.expovariate(lam)
-        tickets.append(submit_patch(queue, now, rng.expovariate(mu)))
+        tickets.append(queue.submit(now, rng.expovariate(mu)))
     waits = [queue.ticket(t).queue_wait_ms for t in tickets]
     expected = (lam / mu) / (mu - lam)
     assert abs(statistics.fmean(waits) - expected) / expected <= 0.15
@@ -183,8 +182,8 @@ def test_unknown_ticket_raises():
 
 def test_gold_noop_generated_outcomes():
     queue = VerifierQueue(servers=1)
-    gold = submit_patch(queue, 0.0, 10.0)
-    noop = submit_patch(queue, 0.0, 10.0)
+    gold = queue.submit(0.0, 10.0)
+    noop = queue.submit(0.0, 10.0)
     outcome, timing = verifier_outcome(queue, gold, "gold")
     assert outcome.status == "success"
     assert timing.verifier_latency_ms == pytest.approx(10.0)
@@ -197,7 +196,7 @@ def test_generated_with_zero_pass_prob_always_fails():
     queue = VerifierQueue(servers=1)
     rng = random.Random(0)
     for index in range(100):
-        ticket = submit_patch(queue, float(index), 1.0)
+        ticket = queue.submit(float(index), 1.0)
         outcome, _ = verifier_outcome(queue, ticket, "generated", rng=rng, generated_pass_prob=0.0)
         assert outcome.status == "failure"
 
@@ -206,7 +205,7 @@ def test_generated_with_certain_pass_prob_always_succeeds():
     queue = VerifierQueue(servers=1)
     rng = random.Random(0)
     for index in range(50):
-        ticket = submit_patch(queue, float(index), 1.0)
+        ticket = queue.submit(float(index), 1.0)
         outcome, _ = verifier_outcome(queue, ticket, "generated", rng=rng, generated_pass_prob=1.0)
         assert outcome.status == "success"
 
