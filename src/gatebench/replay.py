@@ -315,15 +315,13 @@ def replay_runset(
 ) -> list[ReplayResult]:
     """Replay every executed run with a freeze record, optionally of one class.
 
-    Each run's bundle is written to ``out_dir/bundle_<run_id>.json``. The runs
-    are independent, so they spread over ``min(runs, usable CPUs)`` worker
-    processes; results come back in runset order. When a run fails, the
-    first failure in runset order is raised and the bundles already written
-    remain.
+    Each run's bundle is written to ``out_dir/bundle_<run_id>.json``; the
+    directory must exist. The runs are independent, so they spread over
+    ``min(runs, usable CPUs)`` worker processes; results come back in runset
+    order. When a run fails, the first failure in runset order is raised and
+    the bundles already written remain.
     """
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     jobs = [
         index
         for index, run in enumerate(runset.runs)
@@ -331,7 +329,7 @@ def replay_runset(
         and run.manifest_resolved
         and (replay_class is None or _FAMILY_CLASS[run.family] == replay_class)
     ]
-    return map_runs(_replay_job, (runset, out), jobs, cap=len(jobs))
+    return map_runs(_replay_job, (runset, Path(out_dir)), jobs, cap=len(jobs))
 
 
 __all__ = [

@@ -552,25 +552,25 @@ class EventRecord:
         }
 
     @classmethod
-    def from_doc(
-        cls, doc: Mapping[str, Any], provenance: ProvenanceFields | None = None
-    ) -> "EventRecord":
-        """Decode one event, reusing ``provenance`` as its decoded provenance if given."""
+    def from_doc(cls, doc: Mapping[str, Any]) -> "EventRecord":
+        return _event_from_doc(doc, ProvenanceFields.from_doc(doc["provenance"]))
 
-        return cls(
-            run_id=str(doc["run_id"]),
-            episode_id=str(doc["episode_id"]),
-            step_index=int(doc["step_index"]),
-            trace=TraceContext.from_doc(doc["trace"]),
-            kind=str(doc["kind"]),
-            sequence=int(doc["sequence"]),
-            wall_clock_ms=float(doc["wall_clock_ms"]),
-            timing=TimingFields.from_doc(doc["timing"]),
-            provenance=(
-                ProvenanceFields.from_doc(doc["provenance"]) if provenance is None else provenance
-            ),
-            payload=dict(doc["payload"]),
-        )
+
+def _event_from_doc(doc: Mapping[str, Any], provenance: ProvenanceFields) -> EventRecord:
+    """Decode one event whose provenance is already decoded as ``provenance``."""
+
+    return EventRecord(
+        run_id=str(doc["run_id"]),
+        episode_id=str(doc["episode_id"]),
+        step_index=int(doc["step_index"]),
+        trace=TraceContext.from_doc(doc["trace"]),
+        kind=str(doc["kind"]),
+        sequence=int(doc["sequence"]),
+        wall_clock_ms=float(doc["wall_clock_ms"]),
+        timing=TimingFields.from_doc(doc["timing"]),
+        provenance=provenance,
+        payload=dict(doc["payload"]),
+    )
 
 
 def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
@@ -589,7 +589,7 @@ def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
         if provenance is None or provenance_doc != last_doc:
             provenance = ProvenanceFields.from_doc(provenance_doc)
             last_doc = provenance_doc
-        events.append(EventRecord.from_doc(doc, provenance))
+        events.append(_event_from_doc(doc, provenance))
     return events
 
 

@@ -60,7 +60,6 @@ from .runner import (
     RunSet,
     build_reward_trajectory,
     make_run_id,
-    map_runs,
     provenance_for,
     save_runset,
 )
@@ -652,22 +651,6 @@ def build_study_release(store: ManifestStore, cfg: StudyConfig | None = None) ->
     return publish_release(store, STUDY_ROOT_ID, [manifest])
 
 
-def _study_job(
-    context: tuple[StudyConfig, TaskManifest, Path | None],
-    cell: tuple[str, int, int, str, str],
-) -> RunRecord:
-    """Simulate one (backend, seed, budget, setting, variant) cell; write its log."""
-
-    cfg, manifest, base = context
-    backend, seed, budget, label, variant = cell
-    record, events = simulate_controller_run(
-        cfg, manifest, setting_for_label(label), backend, seed, budget, variant
-    )
-    if base is not None:
-        write_event_log(base / record.event_log_ref, events)
-    return record
-
-
 def run_study(
     cfg: StudyConfig | None = None,
     out_dir: Path | str | None = None,
@@ -675,9 +658,8 @@ def run_study(
     """Execute the full grid, gate it with the decision gate, and aggregate.
 
     Deterministic: identical configuration yields byte-identical artifacts.
-    The grid's runs spread over ``min(runs, usable CPUs)`` worker processes,
-    each writing the event logs of its own runs; when a run fails, the first
-    failure in grid order is raised and the logs already written remain.
+    The grid runs in the calling process; each run's event log is written as
+    soon as the run finishes, so its events are not kept.
     """
 
     cfg = cfg or StudyConfig()
@@ -691,17 +673,23 @@ def run_study(
     root = build_study_release(store, cfg)
     manifest = resolve_manifest(STUDY_TASK_ID, root, store)
 
-    cells = [
-        (backend, seed, budget, label, variant)
-        for backend in cfg.backends
-        for seed in cfg.seeds
-        for budget in cfg.budgets
-        for label in cfg.setting_labels
-        for variant in cfg.variants
-    ]
     if base is not None:
         (base / "logs").mkdir(parents=True, exist_ok=True)
-    runset = RunSet(runs=map_runs(_study_job, (cfg, manifest, base), cells, cap=len(cells)))
+    runs: list[RunRecord] = []
+    for backend in cfg.backends:
+        for seed in cfg.seeds:
+            for budget in cfg.budgets:
+                for label in cfg.setting_labels:
+                    setting = setting_for_label(label)
+                    for variant in cfg.variants:
+                        record, events = simulate_controller_run(
+                            cfg, manifest, setting, backend, seed, budget, variant
+                        )
+                        runs.append(record)
+                        if base is not None:
+                            write_event_log(base / record.event_log_ref, events)
+
+    runset = RunSet(runs=runs)
     decisions = decide_runset(runset, root)
     study_report = decision_study(runset, decisions, cfg.grid())
 
