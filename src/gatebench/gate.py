@@ -25,7 +25,7 @@ from typing import Any, Final, Iterable, Literal, Mapping, Sequence
 
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
 from .runner import RunRecord, RunSet
-from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, canonical_json
+from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, canonical_json, read_input
 from .simenv import CLEAN_LABEL
 
 Verdict = Literal["admitted", "rejected", "quarantined"]
@@ -329,11 +329,11 @@ def save_gate_outputs(
 
 
 def load_gate_report(path: Path | str) -> GateReport:
-    return GateReport.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    return GateReport.from_doc(json.loads(read_input(path, GateError, "missing_gate_output")))
 
 
 def load_decisions(path: Path | str) -> list[GateDecision]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_input(path, GateError, "missing_gate_output").splitlines()
     return [GateDecision.from_doc(json.loads(line)) for line in lines if line]
 
 

@@ -24,7 +24,7 @@ from typing import Any, Final, Mapping, Sequence
 
 from .manifest import REPLAY_HARNESS_VERSION
 from .runner import RunRecord, RunSet, map_runs
-from .schema import EventRecord, GatebenchError, canonical_json, float_sum
+from .schema import EventRecord, GatebenchError, canonical_json, float_sum, read_input
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
@@ -296,7 +296,7 @@ def save_bundle(bundle: ReplayBundle, path: Path | str) -> None:
 
 
 def load_bundle(path: Path | str) -> ReplayBundle:
-    return ReplayBundle.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    return ReplayBundle.from_doc(json.loads(read_input(path, ReplayError, "missing_bundle")))
 
 
 def _replay_job(context: tuple[RunSet, Path], index: int) -> ReplayResult:

@@ -15,7 +15,7 @@ from typing import Any, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport
 from .runner import RewardPoint, RunRecord, RunSet
-from .schema import EventRecord, GatebenchError, canonical_json, float_sum
+from .schema import EventRecord, GatebenchError, canonical_json, float_sum, read_input
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 
@@ -714,7 +714,8 @@ def save_report_outputs(
 
 
 def load_study_report(path: Path | str) -> DecisionStudyReport:
-    return DecisionStudyReport.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    text = read_input(path, ReportError, "missing_study_report")
+    return DecisionStudyReport.from_doc(json.loads(text))
 
 
 __all__ = [

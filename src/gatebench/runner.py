@@ -54,6 +54,7 @@ from .schema import (
     decode_events,
     new_trace_context,
     read_event_log,
+    read_input,
     write_event_log,
 )
 from .simenv import (
@@ -293,7 +294,7 @@ class RunPlan:
 
 
 def load_plan(path: Path | str) -> RunPlan:
-    return RunPlan.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    return RunPlan.from_doc(json.loads(read_input(path, RunnerError, "missing_plan")))
 
 
 def save_plan(plan: RunPlan, path: Path | str) -> None:
@@ -1184,7 +1185,7 @@ def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
 def load_runset(path: Path | str) -> RunSet:
     path = Path(path)
     index = path if path.is_file() else path / "runset.json"
-    doc = json.loads(index.read_text(encoding="utf-8"))
+    doc = json.loads(read_input(index, RunnerError, "missing_runset"))
     runs = [RunRecord.from_doc(item) for item in doc["runs"]]
     return RunSet(runs=runs, base_dir=index.parent)
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping
 
@@ -150,6 +151,15 @@ class GatebenchError(Exception):
 
 class SchemaError(GatebenchError):
     """Raised for non-canonical content or malformed typed records."""
+
+
+def read_input(path: Path | str, error: type[GatebenchError], code: str) -> str:
+    """Read a UTF-8 input file; a file that cannot be read raises ``error(code)``."""
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(code, f"cannot read {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -992,13 +1002,137 @@ def validate_log(docs: Iterable[Mapping[str, Any]], strict: bool = True) -> Vali
 # ---------------------------------------------------------------------------
 
 
+def _event_middle(provenance: ProvenanceFields, run_id: str) -> str | None:
+    """The ``"provenance":{...},"run_id":"..."`` fragment of an event line.
+
+    The two keys sort next to each other, and every event of a run shares
+    one frozen provenance object and one run id, so the fragment is rendered
+    once per run. None when it cannot be rendered; the line then takes the
+    reference path, which raises the error.
+    """
+
+    try:
+        return canonical_json({"provenance": provenance.to_doc(), "run_id": run_id})[1:-1]
+    except Exception:  # whatever it is, the reference path raises it for the event
+        return None
+
+
+def _trace_json(trace: TraceContext) -> str | None:
+    """``canonical_json(trace.to_doc())`` for str ids; None for other types."""
+
+    if (
+        type(trace) is not TraceContext
+        or type(trace.trace_id) is not str
+        or type(trace.span_id) is not str
+    ):
+        return None
+    parent = trace.parent_span_id
+    ids = (
+        f'"span_id":{encode_basestring(trace.span_id)},'
+        f'"trace_id":{encode_basestring(trace.trace_id)}}}'
+    )
+    if parent is None:
+        return "{" + ids
+    if type(parent) is str:
+        return f'{{"parent_span_id":{encode_basestring(parent)},{ids}'
+    return None
+
+
+def _timing_json(timing: TimingFields) -> str | None:
+    """``canonical_json(timing.to_doc())`` for float fields; None for other types.
+
+    Keys go in sorted order, the optional ones only when set. Floats render
+    by ``float.__repr__``, as in the canonical encoder; ``__post_init__``
+    has checked that they are finite.
+    """
+
+    if type(timing) is not TimingFields:
+        return None
+    model = timing.model_latency_ms
+    queue = timing.queue_wait_ms
+    service = timing.service_time_ms
+    tool = timing.tool_latency_ms
+    verifier = timing.verifier_latency_ms
+    if type(queue) is not float or type(service) is not float:
+        return None
+    rendered = "{"
+    if model is not None:
+        if type(model) is not float:
+            return None
+        rendered += f'"model_latency_ms":{model!r},'
+    rendered += f'"queue_wait_ms":{queue!r},"service_time_ms":{service!r}'
+    if tool is not None:
+        if type(tool) is not float:
+            return None
+        rendered += f',"tool_latency_ms":{tool!r}'
+    if verifier is not None:
+        if type(verifier) is not float:
+            return None
+        rendered += f',"verifier_latency_ms":{verifier!r}'
+    return rendered + "}"
+
+
+def _event_line(event: EventRecord, middle: str | None) -> str:
+    """``canonical_json(event.to_doc())``, rendered field by field.
+
+    ``middle`` is the run's fragment from ``_event_middle``. Fields of the
+    exact types the record declares are rendered here, and only the payload
+    still goes through ``canonical_json``. An event with a field of any other
+    type, or whose payload ``canonical_json`` rejects, goes whole through
+    ``canonical_json(event.to_doc())``, so its bytes and its errors are
+    exactly those of that reference path.
+    """
+
+    payload = event.payload
+    trace_json = _trace_json(event.trace)
+    timing_json = _timing_json(event.timing)
+    if (
+        middle is not None
+        and trace_json is not None
+        and timing_json is not None
+        and type(payload) is dict
+        and type(event.episode_id) is str
+        and type(event.kind) is str
+        and type(event.sequence) is int
+        and type(event.step_index) is int
+        and type(event.wall_clock_ms) is float
+    ):
+        try:
+            return (
+                f'{{"episode_id":{encode_basestring(event.episode_id)},'
+                f'"kind":{encode_basestring(event.kind)},'
+                f'"payload":{canonical_json(payload)},{middle},'
+                f'"sequence":{event.sequence!r},"step_index":{event.step_index!r},'
+                f'"timing":{timing_json},"trace":{trace_json},'
+                f'"wall_clock_ms":{event.wall_clock_ms!r}}}'
+            )
+        except (SchemaError, ValueError, RecursionError):
+            pass  # the reference path raises it again, with its $.payload path
+    return canonical_json(event.to_doc())
+
+
 def write_event_log(
     path: Path | str, events: Iterable[EventRecord], schema_version: str = SCHEMA_VERSION
 ) -> None:
-    """Write events as newline-delimited canonical documents with a header line."""
+    """Write events as newline-delimited canonical documents with a header line.
+
+    Each line is ``canonical_json(event.to_doc())``, rendered by
+    ``_event_line`` from the typed record; the provenance and run id
+    fragment is rendered once per run.
+    """
 
     lines = [canonical_json({"schema_version": schema_version})]
-    lines.extend(canonical_json(event.to_doc()) for event in events)
+    provenance: Any = None
+    run_id: Any = None
+    middle: str | None = None
+    for event in events:
+        if type(event) is not EventRecord:
+            lines.append(canonical_json(event.to_doc()))
+            continue
+        if event.provenance is not provenance or event.run_id is not run_id:
+            provenance, run_id = event.provenance, event.run_id
+            middle = _event_middle(provenance, run_id)
+        lines.append(_event_line(event, middle))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -1042,6 +1176,7 @@ __all__ = [
     "float_sum",
     "new_trace_context",
     "read_event_log",
+    "read_input",
     "validate_log",
     "write_event_log",
 ]

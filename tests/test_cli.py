@@ -300,3 +300,28 @@ def test_missing_log_is_typed_error_for_replay_and_report(gated_runs, tmp_path, 
         record = _last_error_record(capsys)
         assert record["error"] == "missing_log"
         assert missing in record["message"]
+
+
+# One unreadable input per verb, "{gone}" standing for a path that does not exist.
+_MISSING_INPUT_ARGV = {
+    "missing_plan": ["run", "--plan", "{gone}", "--release-root", "{root}", "--out", "{out}"],
+    "missing_runset": ["gate", "--runset", "{gone}", "--release-root", "{root}", "--out", "{out}"],
+    "missing_gate_output": ["report", "--runset", "{runs}", "--gate", "{gone}", "--out", "{out}"],
+    "missing_bundle": ["replay", "--bundle", "{gone}", "--out", "{out}"],
+    "missing_study_report": [
+        "report", "--runset", "{runs}", "--gate", "{gate}", "--out", "{out}", "--study", "{gone}",
+    ],
+}
+
+
+@pytest.mark.parametrize("code", sorted(_MISSING_INPUT_ARGV))
+def test_missing_input_is_typed_error(code, gated_runs, root_dir, tmp_path, capsys):
+    runs, gate_out = gated_runs
+    gone = tmp_path / "gone"
+    paths = {"gone": gone, "root": root_dir, "runs": runs, "gate": gate_out, "out": tmp_path / "out"}
+    capsys.readouterr()
+    argv = [arg.format_map({k: str(v) for k, v in paths.items()}) for arg in _MISSING_INPUT_ARGV[code]]
+    assert main(argv) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == code
+    assert record["message"].startswith(f"{code}: cannot read {gone}")

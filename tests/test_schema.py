@@ -21,6 +21,7 @@ from gatebench.schema import (
     SCHEMA_VERSION,
     SchemaError,
     TimingFields,
+    TraceContext,
     _check_canonical,
     canonical_hash,
     canonical_json,
@@ -529,6 +530,217 @@ def test_event_log_header_precedes_events(tmp_path):
     write_event_log(path, well_formed_run())
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert "schema_version" in first_line
+
+
+# write_event_log renders lines from typed records; each must equal the
+# reference canonical_json(event.to_doc()), errors included.
+
+
+def _reference_log(events) -> str:
+    lines = [canonical_json({"schema_version": SCHEMA_VERSION})]
+    lines.extend(canonical_json(event.to_doc()) for event in events)
+    return "\n".join(lines) + "\n"
+
+
+def _written_log(path, events) -> str:
+    write_event_log(path, events)
+    return path.read_text(encoding="utf-8")
+
+
+def _text_or_error(func, *args):
+    try:
+        return func(*args)
+    except (SchemaError, TypeError, ValueError) as exc:
+        return type(exc), getattr(exc, "code", None), str(exc)
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("event-logs") / "run.log"
+
+
+# Quote, backslash, control, non-ASCII and astral characters next to plain ones.
+_SPECIAL_CHARS = '"\\\x00\x08\x1f\x7f\x85/é€\u2028😀'
+_texts = st.text(alphabet=_SPECIAL_CHARS + "az09-_ ", max_size=6)
+_SPECIAL_FLOATS = (0.0, -0.0, 1e-7, 1e22, 5e-324, 0.1, 2.5)
+_nonneg_floats = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+# Off the fast path: ints where floats are declared, bools where ints are.
+_clock_values = st.one_of(_nonneg_floats, _nonneg_floats, st.integers(0, 10**6))
+_count_values = st.one_of(st.integers(0, 2**70), st.integers(0, 50), st.booleans())
+_timings = st.builds(
+    TimingFields,
+    queue_wait_ms=_clock_values,
+    service_time_ms=_clock_values,
+    model_latency_ms=st.none() | _clock_values,
+    tool_latency_ms=st.none() | _clock_values,
+    verifier_latency_ms=st.none() | _clock_values,
+)
+_traces = st.builds(
+    TraceContext,
+    trace_id=st.text(alphabet=_SPECIAL_CHARS + "0123456789abcdef", min_size=32, max_size=32),
+    span_id=st.text(alphabet=_SPECIAL_CHARS + "0123456789abcdef", min_size=16, max_size=16),
+    parent_span_id=st.none() | _texts,
+)
+_digests = st.builds(
+    Digest, algorithm=st.just("sha256"), hex=st.text("0123456789abcdef", min_size=64, max_size=64)
+)
+_provenances = st.builds(
+    ProvenanceFields,
+    manifest_hash=_digests,
+    driver_id=_texts,
+    schema_version=st.sampled_from([SCHEMA_VERSION, "9.9.9"]),
+    replay_class=st.sampled_from(["R0", "R1", "R2"]),
+    seed=st.integers(-(2**63), 2**63 - 1),
+    model_backend_id=st.none() | _texts,
+    snapshot_digest=st.none() | _digests,
+    verifier_version=st.none() | _texts,
+)
+_payload_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(_SPECIAL_FLOATS + (-1e-7, -1e22)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _texts,
+)
+_payload_values = st.recursive(
+    _payload_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_texts, children, max_size=3),
+    ),
+    max_leaves=10,
+)
+_payloads = st.one_of(
+    st.dictionaries(_texts, _payload_values, max_size=4),
+    st.dictionaries(_texts, _payload_values, max_size=4),
+    st.dictionaries(_texts, _payload_values, max_size=4).map(OrderedDict),
+    # Not canonical: the line must raise the reference's error.
+    st.dictionaries(
+        st.one_of(_texts, st.integers(-3, 3)),
+        st.one_of(_payload_values, st.floats(), st.sets(st.integers(0, 3), max_size=2)),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def _event_lists(draw):
+    run_ids = draw(st.lists(_texts, min_size=1, max_size=2))
+    provenances = draw(st.lists(_provenances, min_size=1, max_size=2))
+    return [
+        EventRecord(
+            run_id=draw(st.sampled_from(run_ids)),
+            episode_id=draw(_texts),
+            step_index=draw(_count_values),
+            trace=draw(_traces),
+            kind=draw(st.sampled_from(sorted(EVENT_KINDS))),
+            sequence=draw(_count_values),
+            wall_clock_ms=draw(_clock_values),
+            timing=draw(_timings),
+            provenance=draw(st.sampled_from(provenances)),
+            payload=draw(_payloads),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_event_lists())
+def test_write_event_log_matches_reference_lines(log_path, events):
+    assert _text_or_error(_written_log, log_path, events) == _text_or_error(_reference_log, events)
+
+
+class _TaggedEvent(EventRecord):
+    def to_doc(self):
+        return {**super().to_doc(), "tag": "subclass"}
+
+
+def test_write_event_log_matches_reference_on_edge_values(tmp_path):
+    events = []
+    for mask in range(16):
+        present = [value if mask >> bit & 1 else None for bit, value in enumerate((1e22, 5e-324, -0.0))]
+        events.append(
+            make_event(
+                "env_step_end",
+                mask,
+                'ep-"é\\\x01 ',
+                trace=new_trace_context(7, mask, parent_span_id="a\"\\\x1f" if mask & 8 else None),
+                wall_clock_ms=1e-7,
+                timing=TimingFields(
+                    queue_wait_ms=-0.0,
+                    service_time_ms=1e22,
+                    model_latency_ms=present[0],
+                    tool_latency_ms=present[1],
+                    verifier_latency_ms=present[2],
+                ),
+                payload={"nested": {"b": [1, (2.5, None)], "a": {"é": "\x00\"\\"}}, "z": True},
+            )
+        )
+    # Off the fast path: int clock and timing, bool sequence, OrderedDict
+    # payload, and a subclass with its own to_doc.
+    events.append(make_event("run_end", 16, wall_clock_ms=16))
+    events.append(make_event("run_end", 17, timing=TimingFields(queue_wait_ms=3)))
+    events.append(make_event("run_end", True))
+    events.append(make_event("run_end", 18, payload=OrderedDict(b=1, a=2)))
+    fields = {field.name: getattr(events[0], field.name) for field in dataclasses.fields(EventRecord)}
+    events.append(_TaggedEvent(**fields))
+    path = tmp_path / "run.log"
+    write_event_log(path, events)
+    written = path.read_text(encoding="utf-8")
+    assert written == _reference_log(events)
+    assert '"timing":{"model_latency_ms":1e+22,"queue_wait_ms":-0.0,"service_time_ms":1e+22' in written
+    assert '"tag":"subclass"' in written.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"a": float("nan")}, "non-finite number at $.payload.a"),
+        ({"a": [0, {"b": float("inf")}]}, "non-finite number at $.payload.a[1].b"),
+        ({7: "x"}, "non-string key 7 at $.payload"),
+        ({"a": {"ok": 1, 7: "x"}}, "non-string key 7 at $.payload.a"),
+        ({"a": {1, 2}}, "unsupported type set at $.payload.a"),
+    ],
+)
+def test_write_event_log_payload_errors_match_reference(tmp_path, payload, message):
+    event = make_event("run_end", 0, payload=payload)
+    with pytest.raises(SchemaError) as reference:
+        canonical_json(event.to_doc())
+    with pytest.raises(SchemaError) as err:
+        write_event_log(tmp_path / "run.log", [make_event("run_start", 0), event])
+    assert (err.value.code, str(err.value)) == (reference.value.code, str(reference.value))
+    assert str(err.value) == f"non_canonical_value: {message}"
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["shared", "equal-copies"])
+def test_write_event_log_renders_each_runs_provenance(tmp_path, distinct):
+    other = ProvenanceFields(
+        manifest_hash=canonical_hash({"fixture": "other"}),
+        driver_id="driver-2",
+        schema_version=SCHEMA_VERSION,
+        replay_class="R2",
+        seed=8,
+        snapshot_digest=canonical_hash({"fixture": "snapshot"}),
+    )
+    # Run id and provenance each change on their own, then both at once.
+    segments = [("run-a", PROVENANCE), ("run-b", PROVENANCE), ("run-b", other), ("run-a", PROVENANCE)]
+    events = []
+    for run_id, provenance in segments:
+        for event in well_formed_run(episodes=1, steps=1):
+            if distinct:
+                run_id, provenance = "".join(run_id), dataclasses.replace(provenance)
+            events.append(dataclasses.replace(event, run_id=run_id, provenance=provenance))
+    if distinct:
+        assert events[0].provenance == events[1].provenance
+        assert events[0].provenance is not events[1].provenance
+    path = tmp_path / "run.log"
+    write_event_log(path, events)
+    assert path.read_text(encoding="utf-8") == _reference_log(events)
 
 
 def test_decode_events_equals_per_doc_decoding():
