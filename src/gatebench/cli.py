@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -55,14 +56,13 @@ def _cmd_init_root(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     if args.concurrency is not None:
-        plan = type(plan).from_doc({**plan.to_doc(), "concurrency": args.concurrency})
+        plan = replace(plan, concurrency=args.concurrency)
     if args.setting is not None:
-        doc = plan.to_doc()
-        doc["entries"] = [e for e in doc["entries"] if e["setting"] == args.setting]
-        if not doc["entries"]:
+        entries = tuple(e for e in plan.entries if e.setting_label == args.setting)
+        if not entries:  # checked first: the plan itself rejects an empty entry list
             _error_record("invalid_plan", f"no entries with setting {args.setting!r}")
             return EXIT_USAGE
-        plan = type(plan).from_doc(doc)
+        plan = replace(plan, entries=entries)
     store = ManifestStore(args.release_root)
     runset = run_plan(plan, store, out_dir=args.out, strict=args.strict_schema)
     executed = [run for run in runset.runs if run.manifest_resolved]

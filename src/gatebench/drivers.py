@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
-from .schema import ActionRecord, Digest, GatebenchError, canonical_hash, float_sum
+from .schema import ActionRecord, Digest, GatebenchError, Record, canonical_hash, float_sum
 
 DRIVER_TYPES: Final[frozenset[str]] = frozenset(
     {"llm", "controller", "calibration", "sanity", "scripted"}
@@ -34,7 +34,7 @@ class DriverError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class DriverRecord:
+class DriverRecord(Record):
     """Declared-driver metadata bound to every run the driver produces."""
 
     driver_id: str
@@ -65,50 +65,6 @@ class DriverRecord:
             raise DriverError(
                 "invalid_driver", "llm drivers require model_family and backend_engine"
             )
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "driver_id": self.driver_id,
-            "driver_type": self.driver_type,
-            "driver_version": self.driver_version,
-            "parser_version": self.parser_version,
-            "budget": self.budget,
-            "seed": self.seed,
-            "setting_label": self.setting_label,
-            "evidence_status": self.evidence_status,
-        }
-        if self.model_family is not None:
-            doc["model_family"] = self.model_family
-        if self.model_backend_id is not None:
-            doc["model_backend_id"] = self.model_backend_id
-        if self.backend_engine is not None:
-            doc["backend_engine"] = self.backend_engine
-        if self.prompt_template_hash is not None:
-            doc["prompt_template_hash"] = self.prompt_template_hash.to_doc()
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "DriverRecord":
-        return cls(
-            driver_id=str(doc["driver_id"]),
-            driver_type=str(doc["driver_type"]),
-            driver_version=str(doc["driver_version"]),
-            parser_version=str(doc["parser_version"]),
-            budget=int(doc["budget"]),
-            seed=int(doc["seed"]),
-            setting_label=str(doc["setting_label"]),
-            evidence_status=str(doc["evidence_status"]),
-            model_family=str(doc["model_family"]) if "model_family" in doc else None,
-            model_backend_id=(
-                str(doc["model_backend_id"]) if "model_backend_id" in doc else None
-            ),
-            backend_engine=str(doc["backend_engine"]) if "backend_engine" in doc else None,
-            prompt_template_hash=(
-                Digest.from_doc(doc["prompt_template_hash"])
-                if "prompt_template_hash" in doc
-                else None
-            ),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +131,7 @@ def calibration_action(mode: str, task: TaskManifest) -> Action:
 
 
 @dataclass(frozen=True, slots=True)
-class SyntheticLlmProfile:
+class SyntheticLlmProfile(Record):
     """Latency/validity profile standing in for a local model backend."""
 
     mean_model_latency_ms: float = 150.0
@@ -194,34 +150,6 @@ class SyntheticLlmProfile:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DriverError("invalid_profile", f"{name} must be in [0, 1]")
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "mean_model_latency_ms": self.mean_model_latency_ms,
-            "latency_cv": self.latency_cv,
-            "invalid_action_prob": self.invalid_action_prob,
-            "mean_prompt_tokens": self.mean_prompt_tokens,
-            "mean_completion_tokens": self.mean_completion_tokens,
-            "success_bias": self.success_bias,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "SyntheticLlmProfile":
-        base = cls()
-        return cls(
-            mean_model_latency_ms=float(
-                doc.get("mean_model_latency_ms", base.mean_model_latency_ms)
-            ),
-            latency_cv=float(doc.get("latency_cv", base.latency_cv)),
-            invalid_action_prob=float(
-                doc.get("invalid_action_prob", base.invalid_action_prob)
-            ),
-            mean_prompt_tokens=int(doc.get("mean_prompt_tokens", base.mean_prompt_tokens)),
-            mean_completion_tokens=int(
-                doc.get("mean_completion_tokens", base.mean_completion_tokens)
-            ),
-            success_bias=float(doc.get("success_bias", base.success_bias)),
-        )
 
 
 def draw_lognormal(rng: random.Random, mean: float, cv: float) -> float:

@@ -18,14 +18,13 @@ separate scope; they never merge into canonical counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Final, Iterable, Literal, Mapping, Sequence
+from typing import Final, Iterable, Literal, Sequence
 
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
 from .runner import RunRecord, RunSet
-from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, canonical_json, read_input
+from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, Record, canonical_json, read_json
 from .simenv import CLEAN_LABEL
 
 Verdict = Literal["admitted", "rejected", "quarantined"]
@@ -69,7 +68,7 @@ class GateError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class GateDecision:
+class GateDecision(Record):
     run_id: str
     verdict: Verdict
     reasons: tuple[str, ...]
@@ -85,23 +84,6 @@ class GateDecision:
                 raise GateError("invalid_decision", f"unknown reason {reason!r}")
         if self.stratum not in STRATA:
             raise GateError("invalid_decision", f"unknown stratum {self.stratum!r}")
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "stratum": self.stratum,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "GateDecision":
-        return cls(
-            run_id=str(doc["run_id"]),
-            verdict=str(doc["verdict"]),  # type: ignore[arg-type]
-            reasons=tuple(str(item) for item in doc["reasons"]),
-            stratum=str(doc["stratum"]),
-        )
 
 
 def stratify(run: RunRecord) -> str:
@@ -201,7 +183,7 @@ def decide_runset(runset: RunSet, root: ReleaseRoot) -> list[GateDecision]:
 
 
 @dataclass(frozen=True, slots=True)
-class GateReport:
+class GateReport(Record):
     scope: str
     indexed: int
     admitted: int
@@ -211,33 +193,6 @@ class GateReport:
     by_stratum: dict[str, int]
     missing_strata: tuple[str, ...]
     validation_failures: int
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "scope": self.scope,
-            "indexed": self.indexed,
-            "admitted": self.admitted,
-            "excluded": self.excluded,
-            "quarantined": self.quarantined,
-            "by_reason": dict(sorted(self.by_reason.items())),
-            "by_stratum": dict(sorted(self.by_stratum.items())),
-            "missing_strata": list(self.missing_strata),
-            "validation_failures": self.validation_failures,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "GateReport":
-        return cls(
-            scope=str(doc["scope"]),
-            indexed=int(doc["indexed"]),
-            admitted=int(doc["admitted"]),
-            excluded=int(doc["excluded"]),
-            quarantined=int(doc["quarantined"]),
-            by_reason={str(k): int(v) for k, v in doc["by_reason"].items()},
-            by_stratum={str(k): int(v) for k, v in doc["by_stratum"].items()},
-            missing_strata=tuple(str(item) for item in doc["missing_strata"]),
-            validation_failures=int(doc["validation_failures"]),
-        )
 
 
 def gate_report(
@@ -329,12 +284,14 @@ def save_gate_outputs(
 
 
 def load_gate_report(path: Path | str) -> GateReport:
-    return GateReport.from_doc(json.loads(read_input(path, GateError, "missing_gate_output")))
+    return GateReport.from_doc(
+        read_json(path, GateError, "missing_gate_output", "invalid_gate_output")
+    )
 
 
 def load_decisions(path: Path | str) -> list[GateDecision]:
-    lines = read_input(path, GateError, "missing_gate_output").splitlines()
-    return [GateDecision.from_doc(json.loads(line)) for line in lines if line]
+    docs = read_json(path, GateError, "missing_gate_output", "invalid_gate_output", lines=True)
+    return [GateDecision.from_doc(doc) for doc in docs]
 
 
 __all__ = [

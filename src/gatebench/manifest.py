@@ -8,12 +8,20 @@ as event logs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Final, Mapping
 
-from .schema import Digest, GatebenchError, SCHEMA_VERSION, canonical_hash, canonical_json
+from .schema import (
+    SCHEMA_VERSION,
+    Digest,
+    GatebenchError,
+    Record,
+    canonical_hash,
+    canonical_json,
+    doc_field,
+    read_json,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .drivers import DriverRecord
@@ -46,7 +54,7 @@ class ManifestError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class TaskManifest:
+class TaskManifest(Record):
     """Release-time binding of one task.
 
     The ``resolved`` marker is runtime state set by :func:`resolve_manifest`
@@ -63,7 +71,7 @@ class TaskManifest:
     schema_version: str
     release_binding: str
     family_params: dict[str, Any] = field(default_factory=dict)
-    resolved: bool = False
+    resolved: bool = doc_field(default=False, stored=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -78,35 +86,6 @@ class TaskManifest:
                 "invalid_manifest",
                 f"family {self.family} requires replay class {expected}, got {self.replay_class}",
             )
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "task_id": self.task_id,
-            "snapshot_ref": self.snapshot_ref,
-            "reset_contract": self.reset_contract,
-            "verifier_id": self.verifier_id,
-            "adapter_version": self.adapter_version,
-            "replay_class": self.replay_class,
-            "schema_version": self.schema_version,
-            "release_binding": self.release_binding,
-            "family_params": dict(self.family_params),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "TaskManifest":
-        return cls(
-            family=str(doc["family"]),
-            task_id=str(doc["task_id"]),
-            snapshot_ref=str(doc["snapshot_ref"]),
-            reset_contract=str(doc["reset_contract"]),
-            verifier_id=str(doc["verifier_id"]),
-            adapter_version=str(doc["adapter_version"]),
-            replay_class=str(doc["replay_class"]),
-            schema_version=str(doc["schema_version"]),
-            release_binding=str(doc["release_binding"]),
-            family_params=dict(doc.get("family_params", {})),
-        )
 
     def manifest_hash(self) -> Digest:
         return canonical_hash(self.to_doc())
@@ -155,27 +134,12 @@ def make_manifest(
 
 
 @dataclass(frozen=True, slots=True)
-class ReleaseRoot:
+class ReleaseRoot(Record):
     """Versioned registry mapping task ids to manifest hashes."""
 
     root_id: str
     registry: dict[str, str]
-    created_at: str = RELEASE_EPOCH
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "root_id": self.root_id,
-            "registry": dict(self.registry),
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ReleaseRoot":
-        return cls(
-            root_id=str(doc["root_id"]),
-            registry={str(k): str(v) for k, v in doc["registry"].items()},
-            created_at=str(doc["created_at"]),
-        )
+    created_at: str = doc_field(default=RELEASE_EPOCH, required=True)
 
 
 class ManifestStore:
@@ -203,7 +167,7 @@ class ManifestStore:
         path = self.manifest_path(task_id)
         if not path.exists():
             raise ManifestError("unresolved_manifest", f"no manifest file for {task_id!r}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path, ManifestError, "unresolved_manifest", "invalid_manifest")
         return TaskManifest.from_doc(doc)
 
     def save_root(self, root: ReleaseRoot) -> Path:
@@ -216,7 +180,8 @@ class ManifestStore:
         path = self.root_dir / self.REGISTRY_FILE
         if not path.exists():
             raise ManifestError("unresolved_manifest", f"no release root at {path}")
-        return ReleaseRoot.from_doc(json.loads(path.read_text(encoding="utf-8")))
+        doc = read_json(path, ManifestError, "unresolved_manifest", "invalid_manifest")
+        return ReleaseRoot.from_doc(doc)
 
 
 def publish_release(
@@ -270,7 +235,7 @@ class SuiteVersions:
 
 
 @dataclass(frozen=True, slots=True)
-class FreezeRecord:
+class FreezeRecord(Record):
     """Release-time version binding for one run.
 
     Construction is permissive so tampered or legacy records stay loadable
@@ -292,53 +257,6 @@ class FreezeRecord:
     model_backend_id: str | None = None
     prompt_template_hash: Digest | None = None
     repo_commit: str | None = None
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "suite_version": self.suite_version,
-            "manifest_hash": self.manifest_hash.to_doc(),
-            "driver_id": self.driver_id,
-            "driver_version": self.driver_version,
-            "parser_version": self.parser_version,
-            "snapshot_digest": self.snapshot_digest.to_doc(),
-            "verifier_version": self.verifier_version,
-            "schema_version": self.schema_version,
-            "replay_harness_version": self.replay_harness_version,
-            "setting_label": self.setting_label,
-            "seed_policy": self.seed_policy,
-        }
-        if self.model_backend_id is not None:
-            doc["model_backend_id"] = self.model_backend_id
-        if self.prompt_template_hash is not None:
-            doc["prompt_template_hash"] = self.prompt_template_hash.to_doc()
-        if self.repo_commit is not None:
-            doc["repo_commit"] = self.repo_commit
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "FreezeRecord":
-        return cls(
-            suite_version=str(doc["suite_version"]),
-            manifest_hash=Digest.from_doc(doc["manifest_hash"]),
-            driver_id=str(doc["driver_id"]),
-            driver_version=str(doc["driver_version"]),
-            parser_version=str(doc["parser_version"]),
-            snapshot_digest=Digest.from_doc(doc["snapshot_digest"]),
-            verifier_version=str(doc["verifier_version"]),
-            schema_version=str(doc["schema_version"]),
-            replay_harness_version=str(doc["replay_harness_version"]),
-            setting_label=str(doc["setting_label"]),
-            seed_policy=str(doc["seed_policy"]),
-            model_backend_id=(
-                str(doc["model_backend_id"]) if "model_backend_id" in doc else None
-            ),
-            prompt_template_hash=(
-                Digest.from_doc(doc["prompt_template_hash"])
-                if "prompt_template_hash" in doc
-                else None
-            ),
-            repo_commit=str(doc["repo_commit"]) if "repo_commit" in doc else None,
-        )
 
 
 def freeze_run(

@@ -16,7 +16,6 @@ identical results.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,15 @@ from typing import Any, Final, Mapping, Sequence
 
 from .manifest import REPLAY_HARNESS_VERSION
 from .runner import RunRecord, RunSet, map_runs
-from .schema import EventRecord, GatebenchError, canonical_json, float_sum, read_input
+from .schema import (
+    EventRecord,
+    GatebenchError,
+    Record,
+    canonical_json,
+    doc_field,
+    float_sum,
+    read_json,
+)
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
@@ -38,45 +45,20 @@ class ReplayError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class ReplayBundle:
+class ReplayBundle(Record):
     replay_class: str
     material: dict[str, Any]
-    harness_version: str = REPLAY_HARNESS_VERSION
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "replay_class": self.replay_class,
-            "material": self.material,
-            "harness_version": self.harness_version,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ReplayBundle":
-        return cls(
-            replay_class=str(doc["replay_class"]),
-            material=dict(doc["material"]),
-            harness_version=str(doc["harness_version"]),
-        )
+    harness_version: str = doc_field(default=REPLAY_HARNESS_VERSION, required=True)
 
 
 @dataclass(frozen=True, slots=True)
-class ReplayResult:
+class ReplayResult(Record):
     replay_class: str
     terminal_match: bool
     per_step_latency_ms: tuple[float, ...]
     live_mean_ms: float
     replay_mean_ms: float
     reduction: float
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "replay_class": self.replay_class,
-            "terminal_match": self.terminal_match,
-            "per_step_latency_ms": list(self.per_step_latency_ms),
-            "live_mean_ms": self.live_mean_ms,
-            "replay_mean_ms": self.replay_mean_ms,
-            "reduction": self.reduction,
-        }
 
 
 def _episode_rollup(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
@@ -296,7 +278,9 @@ def save_bundle(bundle: ReplayBundle, path: Path | str) -> None:
 
 
 def load_bundle(path: Path | str) -> ReplayBundle:
-    return ReplayBundle.from_doc(json.loads(read_input(path, ReplayError, "missing_bundle")))
+    return ReplayBundle.from_doc(
+        read_json(path, ReplayError, "missing_bundle", "invalid_bundle")
+    )
 
 
 def _replay_job(context: tuple[RunSet, Path], index: int) -> ReplayResult:

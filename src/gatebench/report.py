@@ -8,14 +8,13 @@ variant selection breaks ties lexicographically by variant label.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport
 from .runner import RewardPoint, RunRecord, RunSet
-from .schema import EventRecord, GatebenchError, canonical_json, float_sum, read_input
+from .schema import EventRecord, GatebenchError, Record, canonical_json, float_sum, read_json
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 
@@ -79,7 +78,7 @@ def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class LatencyBreakdown:
+class LatencyBreakdown(Record):
     count: int
     mean_ms: float
     p50_ms: float
@@ -87,17 +86,6 @@ class LatencyBreakdown:
     p99_ms: float
     mean_queue_wait_ms: float
     throughput_eps: float
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_queue_wait_ms": self.mean_queue_wait_ms,
-            "throughput_eps": self.throughput_eps,
-        }
 
 
 def latency_breakdown(
@@ -166,17 +154,10 @@ def latency_decomposition(
 
 
 @dataclass(frozen=True, slots=True)
-class InvalidActionReport:
+class InvalidActionReport(Record):
     rate: float
     total_actions: int
     counts_by_status: dict[str, int]
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "rate": self.rate,
-            "total_actions": self.total_actions,
-            "counts_by_status": dict(sorted(self.counts_by_status.items())),
-        }
 
 
 def invalid_action_rate(events: Iterable[EventRecord]) -> InvalidActionReport:
@@ -246,7 +227,7 @@ def select_variant(auc_by_variant: Mapping[str, float]) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class DecisionCell:
+class DecisionCell(Record):
     backend: str
     seed: int
     budget: int
@@ -268,57 +249,15 @@ class DecisionCell:
             selected=select_variant(auc_by_variant),
         )
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "seed": self.seed,
-            "budget": self.budget,
-            "setting": self.setting,
-            "auc_by_variant": dict(sorted(self.auc_by_variant.items())),
-            "selected": self.selected,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "DecisionCell":
-        return cls(
-            backend=str(doc["backend"]),
-            seed=int(doc["seed"]),
-            budget=int(doc["budget"]),
-            setting=str(doc["setting"]),
-            auc_by_variant={str(k): float(v) for k, v in doc["auc_by_variant"].items()},
-            selected=str(doc["selected"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class DecisionStudyReport:
+class DecisionStudyReport(Record):
     cells: tuple[DecisionCell, ...]
     admitted: int
     blocked: int
     comparable_cells: int
     reversal_cells: int
     incomparable: tuple[str, ...] = ()
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "cells": [cell.to_doc() for cell in self.cells],
-            "admitted": self.admitted,
-            "blocked": self.blocked,
-            "comparable_cells": self.comparable_cells,
-            "reversal_cells": self.reversal_cells,
-            "incomparable": list(self.incomparable),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "DecisionStudyReport":
-        return cls(
-            cells=tuple(DecisionCell.from_doc(item) for item in doc["cells"]),
-            admitted=int(doc["admitted"]),
-            blocked=int(doc["blocked"]),
-            comparable_cells=int(doc["comparable_cells"]),
-            reversal_cells=int(doc["reversal_cells"]),
-            incomparable=tuple(str(item) for item in doc.get("incomparable", [])),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +356,7 @@ def decision_study(
 
 
 @dataclass(frozen=True, slots=True)
-class ClaimRow:
+class ClaimRow(Record):
     claim: str
     status: str
     rows_used: int
@@ -427,21 +366,10 @@ class ClaimRow:
         if self.status not in CLAIM_STATUSES:
             raise ReportError("unknown_claim", f"unknown status label {self.status!r}")
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "rows_used": self.rows_used,
-            "scope": self.scope,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class ClaimMatrix:
+class ClaimMatrix(Record):
     rows: tuple[ClaimRow, ...]
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"rows": [row.to_doc() for row in self.rows]}
 
     def row(self, claim: str) -> ClaimRow:
         for row in self.rows:
@@ -714,8 +642,8 @@ def save_report_outputs(
 
 
 def load_study_report(path: Path | str) -> DecisionStudyReport:
-    text = read_input(path, ReportError, "missing_study_report")
-    return DecisionStudyReport.from_doc(json.loads(text))
+    doc = read_json(path, ReportError, "missing_study_report", "invalid_study_report")
+    return DecisionStudyReport.from_doc(doc)
 
 
 __all__ = [

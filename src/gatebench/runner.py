@@ -3,16 +3,16 @@
 A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
 sequentially. The runs of a plan are independent, so ``run_plan`` spreads them
-over a pool of worker processes (``map_runs``, shared with the study grid and
-replay), ``concurrency`` wide but never wider than the usable CPUs; each worker
-writes the event logs of its own runs and sends back only their run records.
+over a pool of worker processes (``map_runs``, shared with replay; the study
+grid runs its runs in process), ``concurrency`` wide but never wider than the
+usable CPUs; each worker writes the event logs of its own runs and sends back
+only their run records.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
@@ -46,15 +46,17 @@ from .schema import (
     EventRecord,
     GatebenchError,
     ProvenanceFields,
+    Record,
     RunValidator,
     SCHEMA_VERSION,
     TimingFields,
     canonical_hash,
     canonical_json,
     decode_events,
+    doc_field,
     new_trace_context,
     read_event_log,
-    read_input,
+    read_json,
     write_event_log,
 )
 from .simenv import (
@@ -88,7 +90,7 @@ class RunnerError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class DriverSpec:
+class DriverSpec(Record):
     """Driver configuration as written in a run plan."""
 
     name: str
@@ -97,7 +99,7 @@ class DriverSpec:
     driver_version: str = "1.0.0"
     parser_version: str = DEFAULT_PARSER_VERSION
     mode: str | None = None  # calibration: "oracle" | "noop"
-    script: tuple[str, ...] = ()
+    script: tuple[str, ...] = doc_field(default=(), omit_empty=True)
     cyclic: bool = True
     profile: SyntheticLlmProfile | None = None
     model_family: str | None = None
@@ -116,55 +118,6 @@ class DriverSpec:
                 "controller drivers need hooks_enabled set to exactly one of "
                 "hook_a_only or hook_b_only",
             )
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "name": self.name,
-            "driver_type": self.driver_type,
-            "evidence_status": self.evidence_status,
-            "driver_version": self.driver_version,
-            "parser_version": self.parser_version,
-            "cyclic": self.cyclic,
-            "retry_budget": self.retry_budget,
-        }
-        if self.mode is not None:
-            doc["mode"] = self.mode
-        if self.script:
-            doc["script"] = list(self.script)
-        if self.profile is not None:
-            doc["profile"] = self.profile.to_doc()
-        if self.model_family is not None:
-            doc["model_family"] = self.model_family
-        if self.backend_engine is not None:
-            doc["backend_engine"] = self.backend_engine
-        if self.model_backend_id is not None:
-            doc["model_backend_id"] = self.model_backend_id
-        if self.hooks_enabled is not None:
-            doc["hooks_enabled"] = self.hooks_enabled
-        return doc
-
-    @classmethod
-    def from_doc(cls, name: str, doc: Mapping[str, Any]) -> "DriverSpec":
-        return cls(
-            name=name,
-            driver_type=str(doc["driver_type"]),
-            evidence_status=str(doc.get("evidence_status", "paper_facing")),
-            driver_version=str(doc.get("driver_version", "1.0.0")),
-            parser_version=str(doc.get("parser_version", DEFAULT_PARSER_VERSION)),
-            mode=str(doc["mode"]) if "mode" in doc else None,
-            script=tuple(str(item) for item in doc.get("script", ())),
-            cyclic=bool(doc.get("cyclic", True)),
-            profile=(
-                SyntheticLlmProfile.from_doc(doc["profile"]) if "profile" in doc else None
-            ),
-            model_family=str(doc["model_family"]) if "model_family" in doc else None,
-            backend_engine=str(doc["backend_engine"]) if "backend_engine" in doc else None,
-            model_backend_id=(
-                str(doc["model_backend_id"]) if "model_backend_id" in doc else None
-            ),
-            retry_budget=int(doc.get("retry_budget", DEFAULT_RETRY_BUDGET)),
-            hooks_enabled=str(doc["hooks_enabled"]) if "hooks_enabled" in doc else None,
-        )
 
     def record(self, seed: int, setting_label: str, budget: int) -> DriverRecord:
         return DriverRecord(
@@ -191,10 +144,10 @@ class DriverSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class PlanEntry:
+class PlanEntry(Record):
     task_id: str
     driver: str
-    setting_label: str
+    setting_label: str = doc_field(key="setting")
     seed: int
     budget: int
     repetitions: int = 1
@@ -206,40 +159,21 @@ class PlanEntry:
         if self.budget < 1:
             raise RunnerError("invalid_plan", "budget must be >= 1")
 
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "task_id": self.task_id,
-            "driver": self.driver,
-            "setting": self.setting_label,
-            "seed": self.seed,
-            "budget": self.budget,
-            "repetitions": self.repetitions,
-        }
-        if self.episodes is not None:
-            doc["episodes"] = self.episodes
-        return doc
 
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "PlanEntry":
-        return cls(
-            task_id=str(doc["task_id"]),
-            driver=str(doc["driver"]),
-            setting_label=str(doc["setting"]),
-            seed=int(doc["seed"]),
-            budget=int(doc["budget"]),
-            repetitions=int(doc.get("repetitions", 1)),
-            episodes=int(doc["episodes"]) if "episodes" in doc else None,
-        )
+def _decode_drivers(docs: Mapping[str, Any]) -> dict[str, DriverSpec]:
+    # A driver's name is its key in the plan, whatever its stored "name" says.
+    return {name: DriverSpec.from_doc({**doc, "name": name}) for name, doc in docs.items()}
 
 
 @dataclass(frozen=True, slots=True)
-class RunPlan:
+class RunPlan(Record):
     entries: tuple[PlanEntry, ...]
-    drivers: dict[str, DriverSpec]
+    # Absent drivers decode as {}, so the plan's own check reports the entries.
+    drivers: dict[str, DriverSpec] = doc_field(missing=dict, decode=_decode_drivers)
     release_root: str
     concurrency: int = 1
     episodes_per_run: int = DEFAULT_EPISODES_PER_RUN
-    settings: dict[str, OperatingSetting] = field(default_factory=dict)
+    settings: dict[str, OperatingSetting] = doc_field(default_factory=dict, omit_empty=True)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -259,42 +193,9 @@ class RunPlan:
             return self.settings[label]
         return setting_for_label(label)
 
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "release_root": self.release_root,
-            "concurrency": self.concurrency,
-            "episodes_per_run": self.episodes_per_run,
-            "drivers": {name: spec.to_doc() for name, spec in sorted(self.drivers.items())},
-            "entries": [entry.to_doc() for entry in self.entries],
-        }
-        if self.settings:
-            doc["settings"] = {
-                label: setting.to_doc() for label, setting in sorted(self.settings.items())
-            }
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "RunPlan":
-        drivers = {
-            name: DriverSpec.from_doc(name, spec_doc)
-            for name, spec_doc in doc.get("drivers", {}).items()
-        }
-        settings = {
-            label: OperatingSetting.from_doc(setting_doc)
-            for label, setting_doc in doc.get("settings", {}).items()
-        }
-        return cls(
-            entries=tuple(PlanEntry.from_doc(item) for item in doc["entries"]),
-            drivers=drivers,
-            release_root=str(doc["release_root"]),
-            concurrency=int(doc.get("concurrency", 1)),
-            episodes_per_run=int(doc.get("episodes_per_run", DEFAULT_EPISODES_PER_RUN)),
-            settings=settings,
-        )
-
 
 def load_plan(path: Path | str) -> RunPlan:
-    return RunPlan.from_doc(json.loads(read_input(path, RunnerError, "missing_plan")))
+    return RunPlan.from_doc(read_json(path, RunnerError, "missing_plan", "invalid_plan"))
 
 
 def save_plan(plan: RunPlan, path: Path | str) -> None:
@@ -307,45 +208,21 @@ def save_plan(plan: RunPlan, path: Path | str) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class RewardPoint:
+class RewardPoint(Record):
     wall_clock_ms: float
     reward: float
 
-    def to_doc(self) -> dict[str, float]:
-        return {"wall_clock_ms": self.wall_clock_ms, "reward": self.reward}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "RewardPoint":
-        return cls(wall_clock_ms=float(doc["wall_clock_ms"]), reward=float(doc["reward"]))
-
 
 @dataclass(frozen=True, slots=True)
-class EpisodeSummary:
+class EpisodeSummary(Record):
     episode_id: str
     status: str
     steps: int
     wall_ms: float
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "episode_id": self.episode_id,
-            "status": self.status,
-            "steps": self.steps,
-            "wall_ms": self.wall_ms,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "EpisodeSummary":
-        return cls(
-            episode_id=str(doc["episode_id"]),
-            status=str(doc["status"]),
-            steps=int(doc["steps"]),
-            wall_ms=float(doc["wall_ms"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class RunRecord:
+class RunRecord(Record):
     """One completed (or rejected-candidate) workload-driver-setting run."""
 
     run_id: str
@@ -370,69 +247,6 @@ class RunRecord:
     backend: str | None = None
     variant: str | None = None
     horizon_ms: float | None = None
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "run_id": self.run_id,
-            "task_id": self.task_id,
-            "family": self.family,
-            "manifest_hash": self.manifest_hash.to_doc(),
-            "driver": self.driver.to_doc(),
-            "setting_label": self.setting_label,
-            "seed": self.seed,
-            "repetition": self.repetition,
-            "event_log_ref": self.event_log_ref,
-            "trace_complete": self.trace_complete,
-            "episode_summaries": [item.to_doc() for item in self.episode_summaries],
-            "reward_trajectory": [item.to_doc() for item in self.reward_trajectory],
-            "manifest_resolved": self.manifest_resolved,
-            "invalid_sample": self.invalid_sample,
-            "retry_count": self.retry_count,
-            "retry_budget": self.retry_budget,
-            "concurrency": self.concurrency,
-        }
-        if self.freeze is not None:
-            doc["freeze"] = self.freeze.to_doc()
-        if self.terminal is not None:
-            doc["terminal"] = self.terminal.to_doc()
-        if self.backend is not None:
-            doc["backend"] = self.backend
-        if self.variant is not None:
-            doc["variant"] = self.variant
-        if self.horizon_ms is not None:
-            doc["horizon_ms"] = self.horizon_ms
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "RunRecord":
-        return cls(
-            run_id=str(doc["run_id"]),
-            task_id=str(doc["task_id"]),
-            family=str(doc["family"]),
-            manifest_hash=Digest.from_doc(doc["manifest_hash"]),
-            driver=DriverRecord.from_doc(doc["driver"]),
-            setting_label=str(doc["setting_label"]),
-            seed=int(doc["seed"]),
-            repetition=int(doc["repetition"]),
-            event_log_ref=str(doc["event_log_ref"]),
-            trace_complete=bool(doc["trace_complete"]),
-            freeze=FreezeRecord.from_doc(doc["freeze"]) if "freeze" in doc else None,
-            terminal=TerminalOutcome.from_doc(doc["terminal"]) if "terminal" in doc else None,
-            episode_summaries=tuple(
-                EpisodeSummary.from_doc(item) for item in doc.get("episode_summaries", [])
-            ),
-            reward_trajectory=tuple(
-                RewardPoint.from_doc(item) for item in doc.get("reward_trajectory", [])
-            ),
-            manifest_resolved=bool(doc.get("manifest_resolved", True)),
-            invalid_sample=bool(doc.get("invalid_sample", False)),
-            retry_count=int(doc.get("retry_count", 0)),
-            retry_budget=int(doc.get("retry_budget", DEFAULT_RETRY_BUDGET)),
-            concurrency=int(doc.get("concurrency", 1)),
-            backend=str(doc["backend"]) if "backend" in doc else None,
-            variant=str(doc["variant"]) if "variant" in doc else None,
-            horizon_ms=float(doc["horizon_ms"]) if "horizon_ms" in doc else None,
-        )
 
 
 def make_run_id(
@@ -968,15 +782,11 @@ def build_reward_trajectory(events: Sequence[EventRecord]) -> list[RewardPoint]:
 
 
 @dataclass(slots=True)
-class RunSet:
+class RunSet(Record):
     runs: list[RunRecord]
-    base_dir: Path | None = None
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "runs": [run.to_doc() for run in self.runs],
-        }
+    base_dir: Path | None = doc_field(default=None, stored=False)
+    # Written as the version of the code that writes the file; never read.
+    schema_version: str = field(default=SCHEMA_VERSION, init=False)
 
     def events_for(self, run: RunRecord) -> list[EventRecord]:
         if self.base_dir is None or not run.event_log_ref:
@@ -1185,9 +995,9 @@ def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
 def load_runset(path: Path | str) -> RunSet:
     path = Path(path)
     index = path if path.is_file() else path / "runset.json"
-    doc = json.loads(read_input(index, RunnerError, "missing_runset"))
-    runs = [RunRecord.from_doc(item) for item in doc["runs"]]
-    return RunSet(runs=runs, base_dir=index.parent)
+    runset = RunSet.from_doc(read_json(index, RunnerError, "missing_runset", "invalid_runset"))
+    runset.base_dir = index.parent
+    return runset
 
 
 __all__ = [

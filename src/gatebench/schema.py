@@ -2,8 +2,10 @@
 
 Every other layer of the harness builds on this module: events emitted by the
 runner, manifests and freeze records, and the evidence gate all serialize
-through the canonical form defined here. Event logs are newline-delimited
-documents, one event per line, preceded by a schema-version header line.
+through the canonical form defined here, and every stored record derives from
+:class:`Record`, whose one codec is compiled from its dataclass fields. Event
+logs are newline-delimited documents, one event per line, preceded by a
+schema-version header line.
 """
 
 from __future__ import annotations
@@ -12,10 +14,22 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Final, Iterable, Mapping
+from types import UnionType
+from typing import (
+    Any,
+    Callable,
+    Final,
+    Iterable,
+    Literal,
+    Mapping,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 SCHEMA_VERSION: Final = "1.0.0"
 SUPPORTED_SCHEMA_VERSIONS: Final[frozenset[str]] = frozenset({SCHEMA_VERSION})
@@ -162,6 +176,28 @@ def read_input(path: Path | str, error: type[GatebenchError], code: str) -> str:
         raise error(code, f"cannot read {path}: {exc.strerror}") from exc
 
 
+def read_json(
+    path: Path | str,
+    error: type[GatebenchError],
+    missing_code: str,
+    invalid_code: str,
+    lines: bool = False,
+) -> Any:
+    """Read a JSON input file, or with ``lines`` one document per non-empty line.
+
+    A file that cannot be read raises ``error(missing_code)``; one that is not
+    UTF-8 or not valid JSON raises ``error(invalid_code)``.
+    """
+
+    try:
+        text = read_input(path, error, missing_code)
+        if lines:
+            return [json.loads(line) for line in text.splitlines() if line]
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(invalid_code, f"{path} is not valid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Canonical serialization and hashing
 # ---------------------------------------------------------------------------
@@ -267,8 +303,272 @@ def float_sum(values: Iterable[float]) -> float:
     return total
 
 
+# ---------------------------------------------------------------------------
+# Record codec
+# ---------------------------------------------------------------------------
+
+def doc_field(
+    *,
+    key: str | None = None,
+    required: bool = False,
+    omit_empty: bool = False,
+    stored: bool = True,
+    missing: Callable[[], Any] | None = None,
+    decode: Callable[[Any], Any] | None = None,
+    **kwargs: Any,
+) -> Any:
+    """``dataclasses.field`` plus the codec's per-field exceptions to its rule.
+
+    ``key``: the document key when it is not the field name. ``required``:
+    the key must be present on decode although the field has a default.
+    ``omit_empty``: not written when falsy. ``stored=False``: never written
+    nor read; such fields follow every stored one and decode to their
+    default. ``missing``: factory for an absent key of a field without a
+    default. ``decode``: converter used instead of the annotation's.
+    """
+
+    metadata = {"key": key, "required": required, "omit_empty": omit_empty,
+                "stored": stored, "missing": missing, "decode": decode}
+    return field(metadata=metadata, **kwargs)
+
+
+def _stored_fields(cls: type) -> list[tuple[Any, str, Any, bool]]:
+    """(field, document key, annotation without ``| None``, optional) per stored field."""
+
+    hints = get_type_hints(cls)
+    stored: list[tuple[Any, str, Any, bool]] = []
+    unstored: str | None = None
+    for item in fields(cls):
+        if not item.metadata.get("stored", True):
+            unstored = item.name
+            continue
+        if item.init and unstored is not None:
+            raise TypeError(f"{cls.__name__}.{item.name} follows unstored field {unstored}")
+        tp = hints[item.name]
+        members = get_args(tp)
+        optional = get_origin(tp) in (Union, UnionType) and type(None) in members
+        if optional:
+            (tp,) = [member for member in members if member is not type(None)]
+        stored.append((item, item.metadata.get("key") or item.name, tp, optional))
+    return stored
+
+
+def _is_record(tp: Any) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Record)
+
+
+def _encode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
+    """Source of the document form of ``value``, an expression of type ``tp``."""
+
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in (str, int, float, bool) or origin is Literal:
+        return value
+    if _is_record(tp):
+        name = f"_encode_{len(env)}"
+        env[name] = _encoder(tp)
+        return f"{name}({value})"
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        item = _encode_expr(args[0], f"i{depth}", env, depth + 1)
+        return f"list({value})" if item == f"i{depth}" else f"[{item} for i{depth} in {value}]"
+    if origin is dict and args[0] is str:
+        item = "" if args[1] is Any else _encode_expr(args[1], f"v{depth}", env, depth + 1)
+        if item in ("", f"v{depth}"):
+            return f"dict({value})"
+        return f"{{k{depth}: {item} for k{depth}, v{depth} in {value}.items()}}"
+    raise TypeError(f"no record codec for annotation {tp!r}")
+
+
+def _decode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
+    """Source of ``value``, a document value, coerced to ``tp``; names go in ``env``."""
+
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in (str, int, float, bool):
+        return f"{tp.__name__}({value})"
+    if origin is Literal:
+        return f"{type(args[0]).__name__}({value})"
+    if _is_record(tp):
+        name = f"_decode_{len(env)}"
+        env[name] = _decoder(tp)
+        return f"{name}({value})"
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        item = _decode_expr(args[0], f"i{depth}", env, depth + 1)
+        return f"{origin.__name__}([{item} for i{depth} in {value}])"
+    if origin is dict and args[0] is str:
+        if args[1] is Any:
+            return f"dict({value})"
+        item = _decode_expr(args[1], f"v{depth}", env, depth + 1)
+        return f"{{str(k{depth}): {item} for k{depth}, v{depth} in {value}.items()}}"
+    raise TypeError(f"no record codec for annotation {tp!r}")
+
+
+def _compile(cls: type, name: str, source: str, env: dict[str, Any]) -> Callable[..., Any]:
+    exec(source, env)
+    function = env[name]
+    function.__qualname__ = f"{cls.__qualname__}.{name}"
+    return function
+
+
+_ENCODERS: dict[type, Callable[[Any], dict[str, Any]]] = {}
+_DECODERS: dict[Any, Callable[..., Any]] = {}
+
+
+def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
+    """The compiled ``to_doc`` of ``cls``, built from its fields on first use.
+
+    For ``TraceContext`` it reads::
+
+        def to_doc(self):
+            doc = {'trace_id': self.trace_id, 'span_id': self.span_id}
+            if (value := self.parent_span_id) is not None:
+                doc['parent_span_id'] = value
+            return doc
+    """
+
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        env: dict[str, Any] = {}
+        always: list[str] = []
+        lines = ["def to_doc(self):", ""]
+        for item, key, tp, optional in _stored_fields(cls):
+            if item.metadata.get("omit_empty") or optional:
+                test = "" if item.metadata.get("omit_empty") else " is not None"
+                lines.append(f"    if (value := self.{item.name}){test}:")
+                lines.append(f"        doc[{key!r}] = {_encode_expr(tp, 'value', env)}")
+            else:
+                always.append(f"{key!r}: {_encode_expr(tp, 'self.' + item.name, env)}")
+        lines[1] = f"    doc = {{{', '.join(always)}}}"
+        lines.append("    return doc")
+        encoder = _ENCODERS[cls] = _compile(cls, "to_doc", "\n".join(lines), env)
+    return encoder
+
+
+def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
+    """The compiled decoder of ``cls``, built from its fields on first use.
+
+    It takes the document, then the already decoded value of each field
+    named in ``given``, in order. For ``TraceContext`` it reads::
+
+        def from_doc(doc):
+            if type(doc) is not dict and not isinstance(doc, Mapping):
+                _not_object(cls, doc)
+            key = None
+            try:
+                key = 'trace_id'; a0 = str(doc[key])
+                key = 'span_id'; a1 = str(doc[key])
+                key = 'parent_span_id'; a2 = str(doc[key]) if key in doc else None
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                _invalid(cls, key, doc, exc)
+            return cls(a0, a1, a2)
+    """
+
+    cache_key = (cls, given) if given else cls
+    decoder = _DECODERS.get(cache_key)
+    if decoder is None:
+        env: dict[str, Any] = {
+            "cls": cls, "Mapping": Mapping, "_not_object": _not_object, "_invalid": _invalid
+        }
+        params, args, lines = ["doc"], [], []
+        for index, (item, key, tp, _) in enumerate(_stored_fields(cls)):
+            if not item.init:
+                continue  # written, never read: the constructor sets it
+            arg = f"a{index}"
+            args.append(arg)
+            if item.name in given:
+                params.append(arg)
+                continue
+            meta = item.metadata
+            if meta.get("decode") is not None:
+                env[f"_hook_{index}"] = meta["decode"]
+                value = f"_hook_{index}(doc[key])"
+            else:
+                value = _decode_expr(tp, "doc[key]", env)
+            factory = meta.get("missing")
+            if factory is None and item.default_factory is not MISSING:
+                factory = item.default_factory
+            if meta.get("required") or (factory is None and item.default is MISSING):
+                lines.append(f"        key = {key!r}; {arg} = {value}")
+                continue
+            if factory is not None:
+                env[f"_factory_{index}"] = factory
+                absent = f"_factory_{index}()"
+            elif item.default is None:
+                absent = "None"
+            else:
+                env[f"_default_{index}"] = item.default
+                absent = f"_default_{index}"
+            lines.append(f"        key = {key!r}; {arg} = {value} if key in doc else {absent}")
+        source = "\n".join([
+            f"def from_doc({', '.join(params)}):",
+            "    if type(doc) is not dict and not isinstance(doc, Mapping):",
+            "        _not_object(cls, doc)",
+            "    key = None",
+            "    try:",
+            *(lines or ["        pass"]),
+            "    except (KeyError, TypeError, ValueError, AttributeError) as exc:",
+            "        _invalid(cls, key, doc, exc)",
+            f"    return cls({', '.join(args)})",
+        ])
+        decoder = _DECODERS[cache_key] = _compile(cls, "from_doc", source, env)
+    return decoder
+
+
+def _not_object(cls: type, doc: Any) -> None:
+    raise SchemaError(
+        "invalid_document", f"{cls.__name__}: expected an object, got {type(doc).__name__}"
+    )
+
+
+def _invalid(cls: type, key: str, doc: Mapping[str, Any], exc: Exception) -> None:
+    if isinstance(exc, KeyError) and key not in doc:
+        raise SchemaError(
+            "invalid_document", f"{cls.__name__}.{key}: missing required key"
+        ) from None
+    raise SchemaError(
+        "invalid_document", f"{cls.__name__}.{key}: {type(exc).__name__}: {exc}"
+    ) from exc
+
+
+def _to_doc(self: Any) -> dict[str, Any]:
+    """The record as a fresh document: see :class:`Record`."""
+
+    return (_ENCODERS.get(type(self)) or _encoder(type(self)))(self)
+
+
+def _from_doc(cls: Any, doc: Mapping[str, Any]) -> Any:
+    """Decode ``doc`` and call the constructor: see :class:`Record`."""
+
+    return (_DECODERS.get(cls) or _decoder(cls))(doc)
+
+
+class Record:
+    """Base of every stored record: one codec driven by ``dataclasses.fields``.
+
+    ``to_doc`` writes every field under its name: a ``X | None`` field only
+    when it is not None, every other field always, in fresh containers
+    (tuples as lists, nested records as their documents). ``from_doc`` reads
+    the keys back, coercing each value by its annotation (``str``, ``int``,
+    ``float``, ``bool``, tuples and lists item by item, ``dict[str, T]`` with
+    ``str`` keys, nested records by their class's codec, ``dict[str, Any]``
+    as a shallow copy), and calls the constructor positionally, so
+    every ``__post_init__`` check runs. An absent key of a defaulted field
+    decodes to the default; any other absent key, a value its coercion
+    rejects or a document that is not an object raises
+    ``SchemaError("invalid_document")`` naming the class and key.
+    :func:`doc_field` declares the exceptions to this rule.
+
+    The codec of each class is compiled from its fields on first use, not
+    at import, into the plain ``to_doc``/``from_doc`` a person would write,
+    as ``dataclasses`` compiles ``__init__``.
+    """
+
+    __slots__ = ()
+
+    to_doc = _to_doc
+    from_doc = classmethod(_from_doc)
+
+
 @dataclass(frozen=True, slots=True)
-class Digest:
+class Digest(Record):
     """A content digest: algorithm label plus fixed-length lowercase hex."""
 
     algorithm: str
@@ -279,13 +579,6 @@ class Digest:
             raise SchemaError("invalid_digest", f"sha256 hex must be 64 chars, got {len(self.hex)}")
         if self.hex != self.hex.lower():
             raise SchemaError("invalid_digest", "digest hex must be lowercase")
-
-    def to_doc(self) -> dict[str, str]:
-        return {"algorithm": self.algorithm, "hex": self.hex}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Digest":
-        return cls(algorithm=str(doc["algorithm"]), hex=str(doc["hex"]))
 
 
 def canonical_hash(content: Any) -> Digest:
@@ -308,7 +601,7 @@ def canonical_hash(content: Any) -> Digest:
 
 
 @dataclass(frozen=True, slots=True)
-class TraceContext:
+class TraceContext(Record):
     """Trace/span identity for one event; trace_id is constant per run."""
 
     trace_id: str
@@ -320,22 +613,6 @@ class TraceContext:
             raise SchemaError("invalid_trace", "trace_id must be 32 hex chars")
         if len(self.span_id) != _SPAN_ID_HEX_LEN:
             raise SchemaError("invalid_trace", "span_id must be 16 hex chars")
-
-    def to_doc(self) -> dict[str, str]:
-        doc = {"trace_id": self.trace_id, "span_id": self.span_id}
-        if self.parent_span_id is not None:
-            doc["parent_span_id"] = self.parent_span_id
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "TraceContext":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            parent_span_id=(
-                str(doc["parent_span_id"]) if "parent_span_id" in doc else None
-            ),
-        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,9 +652,9 @@ def _require_nonneg(name: str, value: float | None) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class TimingFields:
-    queue_wait_ms: float = 0.0
-    service_time_ms: float = 0.0
+class TimingFields(Record):
+    queue_wait_ms: float = doc_field(default=0.0, required=True)
+    service_time_ms: float = doc_field(default=0.0, required=True)
     model_latency_ms: float | None = None
     tool_latency_ms: float | None = None
     verifier_latency_ms: float | None = None
@@ -389,38 +666,9 @@ class TimingFields:
         _require_nonneg("tool_latency_ms", self.tool_latency_ms)
         _require_nonneg("verifier_latency_ms", self.verifier_latency_ms)
 
-    def to_doc(self) -> dict[str, float]:
-        doc: dict[str, float] = {
-            "queue_wait_ms": self.queue_wait_ms,
-            "service_time_ms": self.service_time_ms,
-        }
-        for name in _OPTIONAL_TIMING:
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "TimingFields":
-        return cls(
-            queue_wait_ms=float(doc["queue_wait_ms"]),
-            service_time_ms=float(doc["service_time_ms"]),
-            model_latency_ms=(
-                float(doc["model_latency_ms"]) if "model_latency_ms" in doc else None
-            ),
-            tool_latency_ms=(
-                float(doc["tool_latency_ms"]) if "tool_latency_ms" in doc else None
-            ),
-            verifier_latency_ms=(
-                float(doc["verifier_latency_ms"])
-                if "verifier_latency_ms" in doc
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ProvenanceFields:
+class ProvenanceFields(Record):
     manifest_hash: Digest
     driver_id: str
     schema_version: str
@@ -433,43 +681,6 @@ class ProvenanceFields:
     def __post_init__(self) -> None:
         if self.replay_class not in REPLAY_CLASSES:
             raise SchemaError("invalid_value", f"unknown replay class {self.replay_class!r}")
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "manifest_hash": self.manifest_hash.to_doc(),
-            "driver_id": self.driver_id,
-            "schema_version": self.schema_version,
-            "replay_class": self.replay_class,
-            "seed": self.seed,
-        }
-        if self.model_backend_id is not None:
-            doc["model_backend_id"] = self.model_backend_id
-        if self.snapshot_digest is not None:
-            doc["snapshot_digest"] = self.snapshot_digest.to_doc()
-        if self.verifier_version is not None:
-            doc["verifier_version"] = self.verifier_version
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ProvenanceFields":
-        return cls(
-            manifest_hash=Digest.from_doc(doc["manifest_hash"]),
-            driver_id=str(doc["driver_id"]),
-            schema_version=str(doc["schema_version"]),
-            replay_class=str(doc["replay_class"]),
-            seed=int(doc["seed"]),
-            model_backend_id=(
-                str(doc["model_backend_id"]) if "model_backend_id" in doc else None
-            ),
-            snapshot_digest=(
-                Digest.from_doc(doc["snapshot_digest"])
-                if "snapshot_digest" in doc
-                else None
-            ),
-            verifier_version=(
-                str(doc["verifier_version"]) if "verifier_version" in doc else None
-            ),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -528,7 +739,7 @@ class ActionRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(Record):
     run_id: str
     episode_id: str
     step_index: int
@@ -538,7 +749,12 @@ class EventRecord:
     wall_clock_ms: float
     timing: TimingFields
     provenance: ProvenanceFields
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any] = doc_field(default_factory=dict, required=True)
+
+    # The inherited codec, bound on the class itself so that it can be
+    # wrapped per class (perfbench traces EventRecord.to_doc and from_doc).
+    to_doc = _to_doc
+    from_doc = classmethod(_from_doc)
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -546,41 +762,6 @@ class EventRecord:
         if self.sequence < 0 or self.step_index < 0:
             raise SchemaError("invalid_value", "sequence and step_index must be >= 0")
         _require_nonneg("wall_clock_ms", self.wall_clock_ms)
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "episode_id": self.episode_id,
-            "step_index": self.step_index,
-            "trace": self.trace.to_doc(),
-            "kind": self.kind,
-            "sequence": self.sequence,
-            "wall_clock_ms": self.wall_clock_ms,
-            "timing": self.timing.to_doc(),
-            "provenance": self.provenance.to_doc(),
-            "payload": dict(self.payload),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "EventRecord":
-        return _event_from_doc(doc, ProvenanceFields.from_doc(doc["provenance"]))
-
-
-def _event_from_doc(doc: Mapping[str, Any], provenance: ProvenanceFields) -> EventRecord:
-    """Decode one event whose provenance is already decoded as ``provenance``."""
-
-    return EventRecord(
-        run_id=str(doc["run_id"]),
-        episode_id=str(doc["episode_id"]),
-        step_index=int(doc["step_index"]),
-        trace=TraceContext.from_doc(doc["trace"]),
-        kind=str(doc["kind"]),
-        sequence=int(doc["sequence"]),
-        wall_clock_ms=float(doc["wall_clock_ms"]),
-        timing=TimingFields.from_doc(doc["timing"]),
-        provenance=provenance,
-        payload=dict(doc["payload"]),
-    )
 
 
 def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
@@ -591,15 +772,19 @@ def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
     from the one before; every other field is decoded per event.
     """
 
+    decode, decode_shared = _decoder(EventRecord), _decoder(EventRecord, ("provenance",))
     events: list[EventRecord] = []
     last_doc: Any = None
     provenance: ProvenanceFields | None = None
     for doc in docs:
-        provenance_doc = doc["provenance"]
-        if provenance is None or provenance_doc != last_doc:
-            provenance = ProvenanceFields.from_doc(provenance_doc)
-            last_doc = provenance_doc
-        events.append(_event_from_doc(doc, provenance))
+        if type(doc) is dict and "provenance" in doc:
+            provenance_doc = doc["provenance"]
+            if provenance is None or provenance_doc != last_doc:
+                provenance = ProvenanceFields.from_doc(provenance_doc)
+                last_doc = provenance_doc
+            events.append(decode_shared(doc, provenance))
+        else:
+            events.append(decode(doc))  # a document it cannot share, or an error to raise
     return events
 
 
@@ -1139,13 +1324,16 @@ def write_event_log(
 def read_event_log(path: Path | str) -> tuple[str, list[dict[str, Any]]]:
     """Read an event log; returns (schema_version, event documents in order)."""
 
-    raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw_lines:
-        raise SchemaError("missing_field", f"empty event log: {path}")
-    header = json.loads(raw_lines[0])
-    if "schema_version" not in header:
+    try:
+        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+        if not raw_lines:
+            raise SchemaError("missing_field", f"empty event log: {path}")
+        header = json.loads(raw_lines[0])
+        docs = [json.loads(line) for line in raw_lines[1:] if line]
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError("invalid_log", f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or "schema_version" not in header:
         raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
-    docs = [json.loads(line) for line in raw_lines[1:] if line]
     return str(header["schema_version"]), docs
 
 
@@ -1160,6 +1348,7 @@ __all__ = [
     "PARSE_STATUSES",
     "ProvenanceFields",
     "REPLAY_CLASSES",
+    "Record",
     "REQUIRED_PAYLOAD_KEYS",
     "RunValidator",
     "SCHEMA_VERSION",
@@ -1173,10 +1362,12 @@ __all__ = [
     "canonical_json",
     "check_event_doc",
     "decode_events",
+    "doc_field",
     "float_sum",
     "new_trace_context",
     "read_event_log",
     "read_input",
+    "read_json",
     "validate_log",
     "write_event_log",
 ]

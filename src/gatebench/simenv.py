@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Final, Mapping
+from typing import Final
 
 from .drivers import Action, draw_lognormal
 from .manifest import TaskManifest
-from .schema import GatebenchError, TimingFields, float_sum
+from .schema import GatebenchError, Record, TimingFields, float_sum
 
 # Family base service times, calibrated to order of magnitude only; these are
 # configuration values, not measured claims.
@@ -44,7 +44,7 @@ class EnvError(GatebenchError):
 
 
 @dataclass(frozen=True, slots=True)
-class OperatingSetting:
+class OperatingSetting(Record):
     """Evaluation condition for a workload-driver pair."""
 
     label: str
@@ -68,25 +68,6 @@ class OperatingSetting:
             or self.fault_injection_prob != 0.0
         ):
             raise EnvError("invalid_setting", "clean setting must have unit factors and no faults")
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "env_latency_multiplier": self.env_latency_multiplier,
-            "tail_inflation": self.tail_inflation,
-            "verifier_arrival_rate_boost": self.verifier_arrival_rate_boost,
-            "fault_injection_prob": self.fault_injection_prob,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "OperatingSetting":
-        return cls(
-            label=str(doc["label"]),
-            env_latency_multiplier=float(doc.get("env_latency_multiplier", 1.0)),
-            tail_inflation=float(doc.get("tail_inflation", 1.0)),
-            verifier_arrival_rate_boost=float(doc.get("verifier_arrival_rate_boost", 1.0)),
-            fault_injection_prob=float(doc.get("fault_injection_prob", 0.0)),
-        )
 
 
 def clean_setting() -> OperatingSetting:
@@ -114,7 +95,7 @@ def setting_for_label(label: str) -> OperatingSetting:
 
 
 @dataclass(frozen=True, slots=True)
-class TerminalOutcome:
+class TerminalOutcome(Record):
     status: str
     evaluator_id: str
     detail: str = ""
@@ -122,17 +103,6 @@ class TerminalOutcome:
     def __post_init__(self) -> None:
         if self.status not in ("success", "failure", "error"):
             raise EnvError("invalid_outcome", f"unknown terminal status {self.status!r}")
-
-    def to_doc(self) -> dict[str, str]:
-        return {"status": self.status, "evaluator_id": self.evaluator_id, "detail": self.detail}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "TerminalOutcome":
-        return cls(
-            status=str(doc["status"]),
-            evaluator_id=str(doc["evaluator_id"]),
-            detail=str(doc.get("detail", "")),
-        )
 
 
 @dataclass(slots=True)

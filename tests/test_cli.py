@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -325,3 +326,112 @@ def test_missing_input_is_typed_error(code, gated_runs, root_dir, tmp_path, caps
     record = _last_error_record(capsys)
     assert record["error"] == code
     assert record["message"].startswith(f"{code}: cannot read {gone}")
+
+
+# One input per verb that exists but is cut short, "{bad}" standing for a copy of
+# the runset directory in which each named file is replaced by a truncated one.
+_TRUNCATED = '{"runs": [\n'
+_INVALID_INPUT = {
+    "invalid_plan": (
+        ["run", "--plan", "{bad}/plan.json", "--release-root", "{root}", "--out", "{out}"],
+        ["plan.json"],
+    ),
+    "invalid_runset": (
+        ["gate", "--runset", "{bad}", "--release-root", "{root}", "--out", "{out}"],
+        ["runset.json"],
+    ),
+    "invalid_gate_output": (
+        ["report", "--runset", "{runs}", "--gate", "{bad}", "--out", "{out}"],
+        ["gate_report.json", "gate_decisions.jsonl"],
+    ),
+    "invalid_bundle": (["replay", "--bundle", "{bad}/bundle.json", "--out", "{out}"], ["bundle.json"]),
+    "invalid_study_report": (
+        ["report", "--runset", "{runs}", "--gate", "{gate}", "--out", "{out}",
+         "--study", "{bad}/decision_study.json"],
+        ["decision_study.json"],
+    ),
+    "invalid_manifest": (
+        ["gate", "--runset", "{runs}", "--release-root", "{bad}", "--out", "{out}"],
+        ["release_root.json"],
+    ),
+    "invalid_log": (["replay", "--runset", "{bad}", "--out", "{out}"], ["logs/*.log"]),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_INVALID_INPUT))
+def test_invalid_json_input_is_typed_error(code, gated_runs, root_dir, tmp_path, capsys):
+    runs, gate_out = gated_runs
+    bad = tmp_path / "bad"
+    shutil.copytree(runs, bad)
+    argv, names = _INVALID_INPUT[code]
+    for name in names:
+        for target in list(bad.glob(name)) or [bad / name]:
+            target.write_text(_TRUNCATED, encoding="utf-8")
+    paths = {"bad": bad, "root": root_dir, "runs": runs, "gate": gate_out, "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert main([arg.format_map({k: str(v) for k, v in paths.items()}) for arg in argv]) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == code
+    assert " is not valid JSON: Expecting value: line " in record["message"]
+
+
+def _edit_json(path: Path, edit) -> None:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "verb, edit, message",
+    [
+        ("gate", lambda doc: doc.update(runs=[{"run_id": "x"}]), "RunRecord.task_id: missing required key"),
+        ("gate", lambda doc: doc["runs"][0].update(seed="s"), "RunRecord.seed: ValueError: "),
+        ("gate", lambda doc: doc.pop("runs"), "RunSet.runs: missing required key"),
+        ("run", lambda doc: doc["entries"][0].pop("driver"), "PlanEntry.driver: missing required key"),
+        ("run", lambda doc: doc.update(entries=7), "RunPlan.entries: TypeError: "),
+        ("run", lambda doc: doc.update(drivers=[]), "RunPlan.drivers: AttributeError: "),
+    ],
+    ids=["runset-entry", "runset-seed", "runset-runs", "plan-driver", "plan-entries", "plan-drivers"],
+)
+def test_malformed_document_is_typed_error(verb, edit, message, gated_runs, root_dir, tmp_path, capsys):
+    runs, _ = gated_runs
+    if verb == "gate":
+        _edit_json(runs / "runset.json", edit)
+        argv = ["gate", "--runset", str(runs), "--release-root", str(root_dir)]
+    else:
+        plan = tmp_path / "plan.json"
+        shutil.copy(root_dir / "demo_plan.json", plan)
+        _edit_json(plan, edit)
+        argv = ["run", "--plan", str(plan), "--release-root", str(root_dir)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "invalid_document"
+    assert record["message"].startswith(f"invalid_document: {message}")
+
+
+def test_plan_checks_keep_their_codes_after_decoding(root_dir, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    shutil.copy(root_dir / "demo_plan.json", plan)
+    _edit_json(plan, lambda doc: doc.pop("drivers"))
+    capsys.readouterr()
+    argv = ["run", "--plan", str(plan), "--release-root", str(root_dir), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_ERROR
+    assert _last_error_record(capsys)["message"] == (
+        "invalid_plan: entry references unknown driver 'scripted-anchor'"
+    )
+    argv[2] = str(root_dir / "demo_plan.json")
+    assert main([*argv, "--concurrency", "0"]) == EXIT_ERROR
+    assert _last_error_record(capsys)["message"] == "invalid_plan: concurrency must be >= 1"
+
+
+def test_run_with_no_entries_for_setting_is_usage_error(root_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main([
+        "run", "--plan", str(root_dir / "demo_plan.json"), "--release-root", str(root_dir),
+        "--out", str(tmp_path / "runs"), "--setting", "no-such-setting",
+    ]) == EXIT_USAGE
+    assert _last_error_record(capsys) == {
+        "error": "invalid_plan", "message": "no entries with setting 'no-such-setting'",
+    }
+    assert not (tmp_path / "runs").exists()

@@ -772,6 +772,51 @@ def test_decode_events_rejects_provenance_that_turns_invalid():
     assert decode_events([]) == []
 
 
+def test_decode_events_types_malformed_documents_like_from_doc():
+    docs = [event.to_doc() for event in well_formed_run()]
+    del docs[2]["provenance"]
+    docs[4] = ["not", "an", "event"]
+    for doc, message in (
+        (docs[2], "EventRecord.provenance: missing required key"),
+        (docs[4], "EventRecord: expected an object, got list"),
+    ):
+        for decode in (EventRecord.from_doc, lambda doc: decode_events([docs[0], doc])):
+            with pytest.raises(SchemaError) as err:
+                decode(doc)
+            assert (err.value.code, err.value.message) == ("invalid_document", message)
+
+
+@pytest.mark.parametrize(
+    "cls, doc, code, message",
+    [
+        (Digest, {"algorithm": "sha256"}, "invalid_document", "Digest.hex: missing required key"),
+        (Digest, "sha256", "invalid_document", "Digest: expected an object, got str"),
+        (TimingFields, {"queue_wait_ms": "soon", "service_time_ms": 1.0}, "invalid_document",
+         "TimingFields.queue_wait_ms: ValueError: could not convert string to float: 'soon'"),
+        (TimingFields, {"queue_wait_ms": 1.0, "service_time_ms": -1.0}, "invalid_value",
+         "service_time_ms must be finite and >= 0, got -1.0"),
+        (TraceContext, {"trace_id": "ab", "span_id": "cd" * 8}, "invalid_trace",
+         "trace_id must be 32 hex chars"),
+        (ProvenanceFields, {**PROVENANCE.to_doc(), "manifest_hash": {"algorithm": "sha256", "hex": "AB"}},
+         "invalid_digest", "sha256 hex must be 64 chars, got 2"),
+    ],
+    ids=["missing-key", "not-object", "coercion", "post-init", "trace-check", "nested-check"],
+)
+def test_codec_errors_are_typed_and_record_checks_keep_theirs(cls, doc, code, message):
+    with pytest.raises(SchemaError) as err:
+        cls.from_doc(doc)
+    assert (err.value.code, err.value.message) == (code, message)
+
+
+def test_record_to_doc_returns_fresh_containers():
+    event = well_formed_run()[1]
+    first, second = event.to_doc(), event.to_doc()
+    assert first == second and first["payload"] is not event.payload
+    first["payload"]["extra"] = 1
+    first["timing"]["queue_wait_ms"] = 9.0
+    assert "extra" not in event.payload and event.to_doc() == second
+
+
 def test_float_sum_adds_left_to_right_from_zero():
     # A compensated sum (Python >= 3.12 ``sum``, or ``math.fsum``) gives 1.0.
     assert float_sum([1e16, 1.0, -1e16]) == 0.0
