@@ -14,24 +14,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from .demo import DEMO_ROOT_ID, build_demo_plan, build_demo_release
-from .gate import decide_runset, gate_report, load_decisions, load_gate_report, save_gate_outputs
+from .gate import decide_runset, gate_report, save_gate_outputs
 from .manifest import RELEASE_EPOCH, ManifestStore
-from .replay import build_bundle, load_bundle, replay_run, replay_runset
-from .report import (
-    claim_matrix,
-    invalid_action_rate,
-    latency_decomposition,
-    load_study_report,
-    render_claim_matrix,
-    render_decision_table,
-    save_report_outputs,
-)
+from .replay import load_bundle, replay_run, replay_runset
+from .report import render_claim_matrix, render_decision_table, report_runset
 from .runner import load_plan, load_runset, run_plan, save_plan
-from .schema import canonical_json, float_sum
-from .simenv import simulate_family_throughput
+from .schema import canonical_json
 from .study import StudyConfig, run_study
 
 EXIT_OK = 0
@@ -107,93 +98,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_diagnostics(runset, decisions, events_by_run) -> dict[str, Any]:
-    """Diagnostic inputs for the claim matrix, computed from admitted rows.
-
-    ``events_by_run`` holds the logs the report already decoded; only the
-    admitted web runs it lacks (the decision-study stratum) are read here.
-    """
-
-    verdicts = {d.run_id: d for d in decisions}
-    diagnostics: dict[str, Any] = {}
-    gold_total = gold_pass = noop_total = noop_fail = 0
-    sanity_episodes = 0
-    r1_reductions: list[float] = []
-    r1_matches = 0
-    r1_runs = 0
-    for run in runset.runs:
-        decision = verdicts.get(run.run_id)
-        if decision is None or decision.verdict != "admitted":
-            continue
-        if run.driver.driver_type == "calibration" and run.family == "code":
-            successes = sum(1 for s in run.episode_summaries if s.status == "success")
-            failures = sum(1 for s in run.episode_summaries if s.status == "failure")
-            if run.driver.driver_id.startswith("oracle"):
-                gold_total += len(run.episode_summaries)
-                gold_pass += successes
-            elif run.driver.driver_id.startswith("noop"):
-                noop_total += len(run.episode_summaries)
-                noop_fail += failures
-        if run.driver.driver_type == "sanity":
-            sanity_episodes += len(run.episode_summaries)
-        if run.family == "web" and run.event_log_ref and runset.base_dir is not None:
-            events = events_by_run.get(run.run_id)
-            if events is None:
-                events = runset.events_for(run)
-            result = replay_run(build_bundle(run, events))
-            r1_runs += 1
-            r1_reductions.append(result.reduction)
-            r1_matches += 1 if result.terminal_match else 0
-    if gold_total or noop_total:
-        diagnostics.update(
-            gold_total=gold_total, gold_pass=gold_pass,
-            noop_total=noop_total, noop_fail=noop_fail,
-        )
-    if sanity_episodes:
-        diagnostics["sanity_episodes"] = sanity_episodes
-    if r1_runs:
-        diagnostics["r1_reduction"] = float_sum(r1_reductions) / len(r1_reductions)
-        diagnostics["r1_terminal_match_rate"] = r1_matches / r1_runs
-        diagnostics["r1_runs"] = r1_runs
-    diagnostics["throughput_eps"] = [
-        simulate_family_throughput("code", concurrency, episodes=40, seed=7)
-        for concurrency in (1, 4, 8)
-    ]
-    return diagnostics
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    runset = load_runset(args.runset)
-    gate_dir = Path(args.gate)
-    decisions = load_decisions(gate_dir / "gate_decisions.jsonl")
-    canonical = load_gate_report(gate_dir / "gate_report.json")
-
-    verdicts = {d.run_id: d for d in decisions}
-    admitted_runs = [
-        run
-        for run in runset.runs
-        if verdicts.get(run.run_id) is not None
-        and verdicts[run.run_id].verdict == "admitted"
-        and verdicts[run.run_id].stratum != "decision_study"
-    ]
-    admitted_decisions = [verdicts[run.run_id] for run in admitted_runs]
-    events_by_run = {
-        run.run_id: runset.events_for(run) for run in admitted_runs if run.event_log_ref
-    }
-
-    latency = latency_decomposition(admitted_runs, events_by_run, admitted_decisions)
-    all_events = [event for events in events_by_run.values() for event in events]
-    invalid = invalid_action_rate(all_events) if any(
-        event.kind == "action_parsed" for event in all_events
-    ) else None
-
-    study_report = load_study_report(args.study) if args.study else None
-    diagnostics = _report_diagnostics(runset, decisions, events_by_run)
-    matrix = claim_matrix(canonical, study_report, diagnostics)
-    save_report_outputs(
-        args.out, latency=latency, invalid_actions=invalid, study=study_report, matrix=matrix
-    )
-    print(render_claim_matrix(matrix))
+    print(render_claim_matrix(report_runset(args.runset, args.gate, args.out, args.study)))
     return EXIT_OK
 
 

@@ -4,6 +4,12 @@ Reports consume admitted rows only; feeding a rejected or quarantined run into
 a report input raises. Percentiles are nearest-rank over sorted samples, the
 reward AUC is the left-continuous step integral normalized by the horizon, and
 variant selection breaks ties lexicographically by variant label.
+
+``report_runset`` is the ``report`` verb. It reads each event log it needs
+once, on the run pool (``runner.map_runs``): a job decodes one run's log and
+sends back only that run's ``RunSummary``, and the latency tables, the
+invalid-action report and the replay diagnostic are aggregated from the
+summaries in runset order.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping, Sequence
 
-from .gate import GateDecision, GateReport
-from .runner import RewardPoint, RunRecord, RunSet
+from .gate import GateDecision, GateReport, load_decisions, load_gate_report
+from .replay import build_bundle, replay_run
+from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
 from .schema import EventRecord, GatebenchError, Record, canonical_json, float_sum, read_json
+from .simenv import simulate_family_throughput
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 
@@ -57,6 +65,64 @@ def require_admitted(
                 f"run {run.run_id} is {verdict or 'undecided'}; reports consume admitted rows only",
             )
     return list(runs)
+
+
+# ---------------------------------------------------------------------------
+# Per-run log summaries
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class RunSummary:
+    """What the report keeps of one run's event log once its events are dropped.
+
+    Samples keep the order of the log. ``r1`` is the run's R1 replay as
+    (reduction, terminal match), present for a web run summarized with its
+    record.
+    """
+
+    service_times_ms: list[float]
+    queue_waits_ms: list[float]
+    episodes: int
+    wall_span_ms: float
+    counts_by_status: dict[str, int]
+    invalid_actions: int
+    r1: tuple[float, bool] | None = None
+
+
+def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -> RunSummary:
+    """Reduce one run's events to its ``RunSummary``.
+
+    Service times come from environment steps, queue waits from verifier
+    outcomes, episodes from terminal results, parse statuses from parsed
+    actions, and the wall span is the latest event clock. Given the record of
+    a web run, the summary also holds ``replay_run(build_bundle(run, events))``.
+    """
+
+    steps: list[float] = []
+    waits: list[float] = []
+    counts: dict[str, int] = {}
+    episodes = invalid = 0
+    span = 0.0
+    for event in events:
+        kind = event.kind
+        if kind == "env_step_end":
+            steps.append(float(event.payload["service_time_ms"]))
+        elif kind == "verifier_outcome":
+            waits.append(float(event.payload["queue_wait_ms"]))
+        elif kind == "terminal_result":
+            episodes += 1
+        elif kind == "action_parsed":
+            status = str(event.payload["parse_status"])
+            counts[status] = counts.get(status, 0) + 1
+            if bool(event.payload["invalid_action"]):
+                invalid += 1
+        span = max(span, event.wall_clock_ms)
+    r1 = None
+    if run is not None and run.family == "web":
+        result = replay_run(build_bundle(run, events))
+        r1 = (result.reduction, result.terminal_match)
+    return RunSummary(steps, waits, episodes, span, counts, invalid, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +178,15 @@ def latency_breakdown(
 
 def latency_decomposition(
     runs: Sequence[RunRecord],
-    events_by_run: Mapping[str, Sequence[EventRecord]],
+    summaries: Mapping[str, RunSummary],
     decisions: Sequence[GateDecision],
 ) -> dict[str, LatencyBreakdown]:
     """Per-(family, concurrency) latency breakdowns over admitted runs.
 
     Samples are environment step service times; queue waits come from verifier
     outcomes; throughput is completed episodes over the run's wall-clock span.
-    Empty groups are omitted.
+    Each run contributes its summary, keyed by run id, in the order of
+    ``runs``; a run without one contributes nothing. Empty groups are omitted.
     """
 
     require_admitted(runs, decisions)
@@ -129,14 +196,13 @@ def latency_decomposition(
         bucket = grouped.setdefault(
             key, {"steps": [], "waits": [], "episodes": 0, "span": 0.0}
         )
-        for event in events_by_run.get(run.run_id, ()):
-            if event.kind == "env_step_end":
-                bucket["steps"].append(float(event.payload["service_time_ms"]))
-            elif event.kind == "verifier_outcome":
-                bucket["waits"].append(float(event.payload["queue_wait_ms"]))
-            elif event.kind == "terminal_result":
-                bucket["episodes"] += 1
-            bucket["span"] = max(bucket["span"], event.wall_clock_ms)
+        summary = summaries.get(run.run_id)
+        if summary is None:
+            continue
+        bucket["steps"] += summary.service_times_ms
+        bucket["waits"] += summary.queue_waits_ms
+        bucket["episodes"] += summary.episodes
+        bucket["span"] = max(bucket["span"], summary.wall_span_ms)
     output: dict[str, LatencyBreakdown] = {}
     for key in sorted(grouped):
         bucket = grouped[key]
@@ -160,18 +226,14 @@ class InvalidActionReport(Record):
     counts_by_status: dict[str, int]
 
 
-def invalid_action_rate(events: Iterable[EventRecord]) -> InvalidActionReport:
+def invalid_action_rate(summaries: Iterable[RunSummary]) -> InvalidActionReport:
     counts: dict[str, int] = {}
     invalid = 0
-    total = 0
-    for event in events:
-        if event.kind != "action_parsed":
-            continue
-        total += 1
-        status = str(event.payload["parse_status"])
-        counts[status] = counts.get(status, 0) + 1
-        if bool(event.payload["invalid_action"]):
-            invalid += 1
+    for summary in summaries:
+        for status, count in summary.counts_by_status.items():
+            counts[status] = counts.get(status, 0) + count
+        invalid += summary.invalid_actions
+    total = sum(counts.values())
     if total == 0:
         raise ReportError("no_actions", "no action_parsed events in input")
     return InvalidActionReport(
@@ -646,6 +708,122 @@ def load_study_report(path: Path | str) -> DecisionStudyReport:
     return DecisionStudyReport.from_doc(doc)
 
 
+# ---------------------------------------------------------------------------
+# The report verb
+# ---------------------------------------------------------------------------
+
+
+def _summary_job(runset: RunSet, index: int) -> RunSummary:
+    """Decode the event log of run ``index`` and keep only its summary."""
+
+    run = runset.runs[index]
+    return summarize_run(runset.events_for(run), run)
+
+
+def _diagnostics(
+    runset: RunSet, verdicts: Mapping[str, GateDecision], summaries: Mapping[str, RunSummary]
+) -> dict[str, Any]:
+    """Diagnostic inputs for the claim matrix, computed from admitted rows.
+
+    The R1 replay of every admitted web run with a log comes from its summary.
+    """
+
+    diagnostics: dict[str, Any] = {}
+    gold_total = gold_pass = noop_total = noop_fail = 0
+    sanity_episodes = 0
+    r1_reductions: list[float] = []
+    r1_matches = 0
+    for run in runset.runs:
+        decision = verdicts.get(run.run_id)
+        if decision is None or decision.verdict != "admitted":
+            continue
+        if run.driver.driver_type == "calibration" and run.family == "code":
+            successes = sum(1 for s in run.episode_summaries if s.status == "success")
+            failures = sum(1 for s in run.episode_summaries if s.status == "failure")
+            if run.driver.driver_id.startswith("oracle"):
+                gold_total += len(run.episode_summaries)
+                gold_pass += successes
+            elif run.driver.driver_id.startswith("noop"):
+                noop_total += len(run.episode_summaries)
+                noop_fail += failures
+        if run.driver.driver_type == "sanity":
+            sanity_episodes += len(run.episode_summaries)
+        if run.family == "web" and run.event_log_ref:
+            reduction, terminal_match = summaries[run.run_id].r1
+            r1_reductions.append(reduction)
+            r1_matches += 1 if terminal_match else 0
+    if gold_total or noop_total:
+        diagnostics.update(
+            gold_total=gold_total, gold_pass=gold_pass,
+            noop_total=noop_total, noop_fail=noop_fail,
+        )
+    if sanity_episodes:
+        diagnostics["sanity_episodes"] = sanity_episodes
+    if r1_reductions:
+        diagnostics["r1_reduction"] = float_sum(r1_reductions) / len(r1_reductions)
+        diagnostics["r1_terminal_match_rate"] = r1_matches / len(r1_reductions)
+        diagnostics["r1_runs"] = len(r1_reductions)
+    diagnostics["throughput_eps"] = [
+        simulate_family_throughput("code", concurrency, episodes=40, seed=7)
+        for concurrency in (1, 4, 8)
+    ]
+    return diagnostics
+
+
+def report_runset(
+    runset_path: Path | str,
+    gate_dir: Path | str,
+    out_dir: Path | str,
+    study_path: Path | str | None = None,
+) -> ClaimMatrix:
+    """Write the claim-scoped report of a gated runset; returns its claim matrix.
+
+    The latency tables and the invalid-action report cover the admitted runs
+    outside the decision study; the diagnostics cover every admitted run. The
+    logs read are those of the admitted runs outside the decision study, then
+    those of the admitted decision-study web runs (for the R1 diagnostic), each
+    once, as one job on ``min(logs, usable CPUs)`` worker processes. A job
+    returns only the run's ``RunSummary``; the first failing job in that order
+    raises, before the study report at ``study_path`` is read.
+    """
+
+    runset = load_runset(runset_path)
+    gate_dir = Path(gate_dir)
+    decisions = load_decisions(gate_dir / "gate_decisions.jsonl")
+    canonical = load_gate_report(gate_dir / "gate_report.json")
+
+    verdicts = {decision.run_id: decision for decision in decisions}
+    admitted = [
+        (index, run, verdicts[run.run_id].stratum == "decision_study")
+        for index, run in enumerate(runset.runs)
+        if run.run_id in verdicts and verdicts[run.run_id].verdict == "admitted"
+    ]
+    reported = [run for _, run, in_study in admitted if not in_study]
+    jobs = [index for index, run, in_study in admitted if not in_study and run.event_log_ref]
+    jobs += [
+        index for index, run, in_study in admitted
+        if in_study and run.family == "web" and run.event_log_ref
+    ]
+    summaries = dict(zip(
+        (runset.runs[index].run_id for index in jobs),
+        map_runs(_summary_job, runset, jobs, cap=len(jobs)),
+    ))
+
+    latency = latency_decomposition(
+        reported, summaries, [verdicts[run.run_id] for run in reported]
+    )
+    logged = [summaries[run.run_id] for run in reported if run.event_log_ref]
+    invalid = (
+        invalid_action_rate(logged) if any(s.counts_by_status for s in logged) else None
+    )
+    study = load_study_report(study_path) if study_path else None
+    matrix = claim_matrix(canonical, study, _diagnostics(runset, verdicts, summaries))
+    save_report_outputs(
+        out_dir, latency=latency, invalid_actions=invalid, study=study, matrix=matrix
+    )
+    return matrix
+
+
 __all__ = [
     "CLAIM_KEYS",
     "CLAIM_STATUSES",
@@ -656,6 +834,7 @@ __all__ = [
     "InvalidActionReport",
     "LatencyBreakdown",
     "ReportError",
+    "RunSummary",
     "StudyGrid",
     "VARIANT_LABELS",
     "claim_matrix",
@@ -668,8 +847,10 @@ __all__ = [
     "render_claim_matrix",
     "render_decision_table",
     "render_latency_table",
+    "report_runset",
     "reward_auc",
     "require_admitted",
     "save_report_outputs",
     "select_variant",
+    "summarize_run",
 ]

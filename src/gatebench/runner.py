@@ -3,10 +3,10 @@
 A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
 sequentially. The runs of a plan are independent, so ``run_plan`` spreads them
-over a pool of worker processes (``map_runs``, shared with replay; the study
-grid runs its runs in process), ``concurrency`` wide but never wider than the
-usable CPUs; each worker writes the event logs of its own runs and sends back
-only their run records.
+over a pool of worker processes (``map_runs``, shared with replay and the
+report's log pass; the study grid runs its runs in process), ``concurrency``
+wide but never wider than the usable CPUs; each worker writes the event logs
+of its own runs and sends back only their run records.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """

@@ -195,7 +195,26 @@ def read_json(
             return [json.loads(line) for line in text.splitlines() if line]
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise error(invalid_code, f"{path} is not valid JSON: {exc}") from exc
+        where = _in_file(text, exc) if lines and isinstance(exc, json.JSONDecodeError) else exc
+        raise error(invalid_code, f"{path} is not valid JSON: {where}") from exc
+
+
+def _in_file(text: str, exc: json.JSONDecodeError) -> json.JSONDecodeError:
+    """An error from decoding one line of ``text``, placed at that line of the file.
+
+    ``json.loads`` on a single line reports ``line 1`` and the column within
+    the line; the result is the same error in the same form
+    (``line N column M (char C)``), counted in the whole text. The failing
+    line is the first one equal to the text the decoder saw, since an equal
+    line before it would have failed first.
+    """
+
+    start = 0
+    for segment in text.splitlines(keepends=True):
+        if segment.splitlines()[0] == exc.doc:
+            return json.JSONDecodeError(exc.msg, text, start + exc.pos)
+        start += len(segment)
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -1325,13 +1344,15 @@ def read_event_log(path: Path | str) -> tuple[str, list[dict[str, Any]]]:
     """Read an event log; returns (schema_version, event documents in order)."""
 
     try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
+        raw_lines = text.splitlines()
         if not raw_lines:
             raise SchemaError("missing_field", f"empty event log: {path}")
         header = json.loads(raw_lines[0])
         docs = [json.loads(line) for line in raw_lines[1:] if line]
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise SchemaError("invalid_log", f"{path} is not valid JSON: {exc}") from exc
+        where = _in_file(text, exc) if isinstance(exc, json.JSONDecodeError) else exc
+        raise SchemaError("invalid_log", f"{path} is not valid JSON: {where}") from exc
     if not isinstance(header, dict) or "schema_version" not in header:
         raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
     return str(header["schema_version"]), docs

@@ -243,11 +243,119 @@ def test_report_reads_each_log_once(root_dir, tmp_path, monkeypatch):
         reads[str(path)] += 1
         return real_read(path)
 
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)  # every read in this process
     monkeypatch.setattr(runner, "read_event_log", counting_read)
     assert main([
         "report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "report"),
     ]) == EXIT_OK
     assert reads and max(reads.values()) == 1
+
+
+@pytest.fixture(scope="module")
+def study_out(tmp_path_factory):
+    """The study grid's output directory: a runset, its gate outputs and the study report."""
+
+    out = tmp_path_factory.mktemp("study")
+    assert main(["study", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(params=["demo", "study"])
+def report_input(request):
+    """(runset, gate directory, extra report arguments, R1 rows) for the demo and the study."""
+
+    if request.param == "demo":
+        runs, gate_out = request.getfixturevalue("gated_runs")
+        return runs, gate_out, [], 2
+    study = request.getfixturevalue("study_out")
+    return study, study, ["--study", str(study / "decision_study.json")], 48
+
+
+def _report_argv(runs: Path, gate_out: Path, out: Path, extra: list[str]) -> list[str]:
+    return ["report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(out), *extra]
+
+
+def _report_logs(runs: Path, gate_out: Path) -> list[str]:
+    """The logs the report reads: admitted runs outside the decision study, and
+    admitted decision-study web runs, each with a log."""
+
+    decisions = {
+        doc["run_id"]: doc
+        for doc in map(json.loads, (gate_out / "gate_decisions.jsonl").read_text().splitlines())
+    }
+    logs = []
+    for run in json.loads((runs / "runset.json").read_text())["runs"]:
+        decision = decisions.get(run["run_id"])
+        if decision is None or decision["verdict"] != "admitted" or not run["event_log_ref"]:
+            continue
+        if decision["stratum"] != "decision_study" or run["family"] == "web":
+            logs.append(str(runs / run["event_log_ref"]))
+    return logs
+
+
+def test_report_workers_read_each_log_once(report_input, tmp_path, monkeypatch):
+    runs, gate_out, extra, _ = report_input
+    journal = tmp_path / "reads.txt"
+    real_read = runner.read_event_log
+
+    def journaled_read(path):
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {path}\n")
+        return real_read(path)
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "read_event_log", journaled_read)  # forked workers inherit it
+    assert main(_report_argv(runs, gate_out, tmp_path / "report", extra)) == EXIT_OK
+    reads = [line.split(" ", 1) for line in journal.read_text(encoding="utf-8").splitlines()]
+    assert str(os.getpid()) not in {pid for pid, _ in reads}
+    assert len({pid for pid, _ in reads}) == 2
+    expected = _report_logs(runs, gate_out)
+    assert len(expected) > 2
+    assert sorted(path for _, path in reads) == sorted(expected)
+
+
+def test_report_tree_identical_on_one_and_two_cpus(report_input, tmp_path, monkeypatch):
+    runs, gate_out, extra, r1_rows = report_input
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(_report_argv(runs, gate_out, out, extra)) == EXIT_OK
+        trees.append(_tree_bytes(out))
+    rows = {row["claim"]: row for row in json.loads(trees[0]["claim_matrix.json"])["rows"]}
+    assert rows["replay_fidelity"]["rows_used"] == r1_rows
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "faults, code",
+    [
+        (["deleted_log"], "missing_log"),
+        (["truncated_log"], "invalid_log"),
+        (["missing_study"], "missing_study_report"),
+        (["deleted_log", "missing_study"], "missing_log"),  # the logs are read first
+    ],
+    ids=["deleted_log", "truncated_log", "missing_study", "deleted_log_and_missing_study"],
+)
+def test_report_fault_gives_its_error_code(faults, code, cpus, gated_runs, tmp_path, capsys, monkeypatch):
+    runs, gate_out = gated_runs
+    logs = _report_logs(runs, gate_out)
+    log = Path(logs[len(logs) // 2])
+    study = tmp_path / "gone.json"
+    named = {"deleted_log": log.stem, "truncated_log": str(log), "missing_study": str(study)}
+    if "deleted_log" in faults:
+        log.unlink()
+    if "truncated_log" in faults:
+        data = log.read_bytes()
+        log.write_bytes(data[: data.index(b"\n", len(data) // 2) - 1])  # cut inside a line
+    extra = ["--study", str(study)] if "missing_study" in faults else []
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    capsys.readouterr()
+    assert main(_report_argv(runs, gate_out, tmp_path / "report", extra)) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == code
+    assert named[faults[0]] in record["message"]
 
 
 def test_replay_tree_identical_on_one_and_two_cpus(gated_runs, tmp_path, monkeypatch):

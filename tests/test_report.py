@@ -22,6 +22,7 @@ from gatebench.report import (
     require_admitted,
     reward_auc,
     select_variant,
+    summarize_run,
 )
 from gatebench.gate import GateReport
 from gatebench.runner import DriverSpec, RewardPoint, RunSet, execute_run
@@ -93,18 +94,18 @@ def _action_events(statuses: list[str]):
 
 
 def test_invalid_rate_all_parsed():
-    report = invalid_action_rate(_action_events(["parsed"] * 8))
+    report = invalid_action_rate([summarize_run(_action_events(["parsed"] * 8))])
     assert report.rate == 0.0
 
 
 def test_invalid_rate_all_invalid():
-    report = invalid_action_rate(_action_events(["invalid"] * 5))
+    report = invalid_action_rate([summarize_run(_action_events(["invalid"] * 5))])
     assert report.rate == 1.0
 
 
 def test_invalid_rate_matches_hand_count():
     statuses = ["parsed", "invalid", "empty", "parsed", "invalid", "parsed"]
-    report = invalid_action_rate(_action_events(statuses))
+    report = invalid_action_rate([summarize_run(_action_events(statuses))])
     assert report.rate == pytest.approx(3 / 6)
     assert report.counts_by_status == {"parsed": 3, "invalid": 2, "empty": 1}
 
@@ -353,12 +354,12 @@ def test_reports_refuse_rejected_inputs(micro_manifest):
         require_admitted([run], [rejected])
     assert err.value.code == "rejected_input"
     with pytest.raises(ReportError):
-        latency_decomposition([run], {run.run_id: events}, [rejected])
+        latency_decomposition([run], {run.run_id: summarize_run(events)}, [rejected])
 
 
 def test_latency_decomposition_groups_by_family(micro_manifest, web_manifest):
     runs = []
-    events_by_run = {}
+    summaries = {}
     decisions = []
     for manifest in (micro_manifest, web_manifest):
         run, events = execute_run(
@@ -366,12 +367,12 @@ def test_latency_decomposition_groups_by_family(micro_manifest, web_manifest):
             seed=3, budget=6, planned_episodes=2,
         )
         runs.append(run)
-        events_by_run[run.run_id] = events
+        summaries[run.run_id] = summarize_run(events)
         decisions.append(
             GateDecision(run_id=run.run_id, verdict="admitted", reasons=(),
                          stratum="real_task_anchor")
         )
-    groups = latency_decomposition(runs, events_by_run, decisions)
+    groups = latency_decomposition(runs, summaries, decisions)
     assert set(groups) == {"micro/c1", "web/c1"}
     assert groups["web/c1"].mean_ms > groups["micro/c1"].mean_ms
 

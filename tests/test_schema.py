@@ -30,6 +30,7 @@ from gatebench.schema import (
     float_sum,
     new_trace_context,
     read_event_log,
+    read_json,
     validate_log,
     write_event_log,
 )
@@ -530,6 +531,25 @@ def test_event_log_header_precedes_events(tmp_path):
     write_event_log(path, well_formed_run())
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert "schema_version" in first_line
+
+
+@pytest.mark.parametrize("lines", [False, True], ids=["event_log", "json_lines"])
+def test_invalid_json_line_is_reported_at_its_file_line(tmp_path, lines):
+    path = tmp_path / "run.log"
+    write_event_log(path, well_formed_run())
+    rows = path.read_text(encoding="utf-8").split("\n")
+    rows[3] = '{"x":,' + rows[3][6:]
+    path.write_text("\n".join(rows), encoding="utf-8")
+    offset = sum(len(row) + 1 for row in rows[:3]) + 5
+    with pytest.raises(SchemaError) as err:
+        if lines:
+            read_json(path, SchemaError, "missing_log", "invalid_log", lines=True)
+        else:
+            read_event_log(path)
+    assert err.value.code == "invalid_log"
+    assert str(err.value).endswith(
+        f"is not valid JSON: Expecting value: line 4 column 6 (char {offset})"
+    )
 
 
 # write_event_log renders lines from typed records; each must equal the
