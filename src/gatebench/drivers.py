@@ -12,13 +12,23 @@ their inputs:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
-from .schema import ActionRecord, Digest, GatebenchError, Record, canonical_hash, float_sum
+from .schema import (
+    ActionRecord,
+    Digest,
+    GatebenchError,
+    Record,
+    canonical_hash,
+    canonical_json,
+    float_sum,
+    text_hash,
+)
 
 DRIVER_TYPES: Final[frozenset[str]] = frozenset(
     {"llm", "controller", "calibration", "sanity", "scripted"}
@@ -80,6 +90,45 @@ class Action:
 
 
 NOOP_ACTION: Final = Action(kind="noop", advance_prob=0.0)
+_UNPARSED_ACTION: Final = Action(kind="unparsed", advance_prob=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Action-record digests
+# ---------------------------------------------------------------------------
+
+
+def _observation_doc(obs: Any) -> Any:
+    if isinstance(obs, Mapping):
+        return dict(obs)
+    return str(obs)
+
+
+_OBS_KEY: Final = '{"obs":'
+
+
+def _observation_json(obs: Any) -> str:
+    """``canonical_json({"obs": doc})`` for the observation's document ``doc``.
+
+    The observation's own canonical form is this text without the ``{"obs":``
+    prefix and the closing brace; an observation ``canonical_json`` rejects
+    raises here, with the same error as ``canonical_hash({"obs": doc})``.
+    """
+
+    return canonical_json({"obs": _observation_doc(obs)})
+
+
+def observation_hash(obs: Any) -> Digest:
+    """``canonical_hash({"obs": doc})`` for the observation's document ``doc``."""
+
+    return text_hash(_observation_json(obs))
+
+
+@functools.lru_cache(maxsize=256)
+def action_kind_hash(kind: str) -> Digest:
+    """``canonical_hash({"kind": kind})``, computed once per action kind."""
+
+    return canonical_hash({"kind": kind})
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +147,13 @@ def scripted_next_action(
         raise DriverError("empty_script", f"step {step} beyond script of length {len(script)}")
     action = script[step % len(script)]
     record = ActionRecord(
-        observation_hash=canonical_hash({"obs": _observation_doc(obs)}),
+        observation_hash=observation_hash(obs),
         parse_status="parsed",
         invalid_action=False,
         prompt_tokens=0,
         completion_tokens=0,
         model_latency_ms=0.0,
-        parsed_action_hash=canonical_hash({"kind": action.kind}),
+        parsed_action_hash=action_kind_hash(action.kind),
     )
     return record, action
 
@@ -162,12 +211,6 @@ def draw_lognormal(rng: random.Random, mean: float, cv: float) -> float:
     return rng.lognormvariate(mu, math.sqrt(sigma_sq))
 
 
-def _observation_doc(obs: Any) -> Any:
-    if isinstance(obs, Mapping):
-        return dict(obs)
-    return str(obs)
-
-
 def synthetic_llm_call(
     obs: Any, profile: SyntheticLlmProfile, rng: random.Random,
     backend_engine: str = "vllm", policy_version: str = "synthetic-1",
@@ -176,6 +219,11 @@ def synthetic_llm_call(
 
     Deterministic given the rng state and call order; the action advances the
     task with the profile's success bias unless the call parsed invalid.
+
+    The observation is rendered once. Its digests are those of the documents
+    ``{"obs": doc}``, ``{"prompt": doc}`` and the raw output
+    ``{"invalid": ..., "obs": doc, "tokens": ...}``, whose canonical text is
+    assembled around that one rendering in sorted key order.
     """
 
     latency = draw_lognormal(rng, profile.mean_model_latency_ms, profile.latency_cv)
@@ -184,24 +232,28 @@ def synthetic_llm_call(
     completion_tokens = max(
         1, int(round(profile.mean_completion_tokens * (0.8 + 0.4 * rng.random())))
     )
-    obs_doc = _observation_doc(obs)
-    raw_output = {"obs": obs_doc, "invalid": invalid, "tokens": completion_tokens}
+    obs_text = _observation_json(obs)
+    obs_json = obs_text[len(_OBS_KEY):-1]
+    raw_output = (
+        f'{{"invalid":{"true" if invalid else "false"},"obs":{obs_json},'
+        f'"tokens":{completion_tokens!r}}}'
+    )
     if invalid:
-        action = Action(kind="unparsed", advance_prob=0.0)
+        action = _UNPARSED_ACTION
         parse_status = "invalid"
     else:
         action = Action(kind="act", advance_prob=profile.success_bias)
         parse_status = "parsed"
     record = ActionRecord(
-        observation_hash=canonical_hash({"obs": obs_doc}),
+        observation_hash=text_hash(obs_text),
         parse_status=parse_status,
         invalid_action=invalid,
         prompt_tokens=prompt_tokens,
         completion_tokens=completion_tokens,
         model_latency_ms=latency,
-        prompt_hash=canonical_hash({"prompt": obs_doc}),
-        raw_output_hash=canonical_hash(raw_output),
-        parsed_action_hash=None if invalid else canonical_hash({"kind": action.kind}),
+        prompt_hash=text_hash(f'{{"prompt":{obs_json}}}'),
+        raw_output_hash=text_hash(raw_output),
+        parsed_action_hash=None if invalid else action_kind_hash("act"),
         backend_engine=backend_engine,
         policy_version=policy_version,
     )
@@ -327,10 +379,12 @@ __all__ = [
     "SampleMeta",
     "SyntheticLlmProfile",
     "TelemetryWindow",
+    "action_kind_hash",
     "calibration_action",
     "draw_lognormal",
     "hook_a_filter",
     "hook_b_adjust",
+    "observation_hash",
     "scripted_next_action",
     "synthetic_llm_call",
 ]

@@ -24,8 +24,10 @@ from .drivers import (
     DriverError,
     DriverRecord,
     SyntheticLlmProfile,
+    action_kind_hash,
     calibration_action,
     draw_lognormal,
+    observation_hash,
     scripted_next_action,
     synthetic_llm_call,
 )
@@ -269,6 +271,10 @@ def make_run_id(
 # ---------------------------------------------------------------------------
 
 
+# The timing of an event emitted without one; frozen, so every such event shares it.
+_NO_TIMING: Final = TimingFields()
+
+
 class EventBuilder:
     """Sequence, span, and validation bookkeeping for one run's event stream."""
 
@@ -317,7 +323,7 @@ class EventBuilder:
             kind=kind,
             sequence=self._sequence,
             wall_clock_ms=wall_clock_ms,
-            timing=timing or TimingFields(),
+            timing=_NO_TIMING if timing is None else timing,
             provenance=self.provenance,
             payload=dict(payload or {}),
         )
@@ -340,10 +346,13 @@ class EventBuilder:
 
 
 def provenance_for(
-    manifest: TaskManifest, driver: DriverRecord, seed: int
+    manifest: TaskManifest, driver: DriverRecord, seed: int, manifest_hash: Digest
 ) -> ProvenanceFields:
+    """The provenance every event of a run carries; ``manifest_hash`` is
+    ``manifest.manifest_hash()``, which the caller has already computed."""
+
     return ProvenanceFields(
-        manifest_hash=manifest.manifest_hash(),
+        manifest_hash=manifest_hash,
         driver_id=driver.driver_id,
         schema_version=SCHEMA_VERSION,
         replay_class=manifest.replay_class,
@@ -381,13 +390,13 @@ def _driver_call(
     if spec.driver_type == "calibration":
         action = calibration_action(spec.mode or "oracle", manifest)
         record = ActionRecord(
-            observation_hash=canonical_hash({"obs": dict(obs)}),
+            observation_hash=observation_hash(obs),
             parse_status="parsed",
             invalid_action=False,
             prompt_tokens=0,
             completion_tokens=0,
             model_latency_ms=0.0,
-            parsed_action_hash=canonical_hash({"kind": action.kind}),
+            parsed_action_hash=action_kind_hash(action.kind),
             policy_version=spec.driver_version,
         )
         return record, action, 0.0
@@ -646,8 +655,9 @@ def execute_run(
     if not manifest.resolved:
         raise RunnerError("unresolved_manifest", f"manifest {manifest.task_id} not resolved")
     driver = spec.record(seed=seed, setting_label=setting.label, budget=budget)
-    run_id = make_run_id(manifest.manifest_hash(), driver.driver_id, setting.label, seed, repetition)
-    provenance = provenance_for(manifest, driver, seed)
+    manifest_hash = manifest.manifest_hash()
+    run_id = make_run_id(manifest_hash, driver.driver_id, setting.label, seed, repetition)
+    provenance = provenance_for(manifest, driver, seed, manifest_hash)
     builder = EventBuilder(run_id, provenance, run_seed=seed, strict=strict)
     rng = random.Random(f"run:{run_id}:{seed}")
     queue = VerifierQueue(servers=1)
@@ -701,13 +711,13 @@ def execute_run(
             detail=f"{successes}/{planned_episodes}",
         )
 
-    freeze = freeze_run(manifest, driver, setting.label, versions)
+    freeze = freeze_run(manifest, driver, setting.label, versions, manifest_hash)
     trajectory = build_reward_trajectory(builder.events)
     record = RunRecord(
         run_id=run_id,
         task_id=manifest.task_id,
         family=manifest.family,
-        manifest_hash=manifest.manifest_hash(),
+        manifest_hash=manifest_hash,
         driver=driver,
         setting_label=setting.label,
         seed=seed,

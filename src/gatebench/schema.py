@@ -185,14 +185,17 @@ def read_json(
 ) -> Any:
     """Read a JSON input file, or with ``lines`` one document per non-empty line.
 
-    A file that cannot be read raises ``error(missing_code)``; one that is not
-    UTF-8 or not valid JSON raises ``error(invalid_code)``.
+    Lines end at a line feed only, as the writers end them; the canonical form
+    keeps U+2028, U+2029 and U+0085 raw inside strings, where
+    ``str.splitlines`` would break a line. A file that cannot be read raises
+    ``error(missing_code)``; one that is not UTF-8 or not valid JSON raises
+    ``error(invalid_code)``.
     """
 
     try:
         text = read_input(path, error, missing_code)
         if lines:
-            return [json.loads(line) for line in text.splitlines() if line]
+            return [json.loads(line) for line in text.split("\n") if line]
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         where = _in_file(text, exc) if lines and isinstance(exc, json.JSONDecodeError) else exc
@@ -210,10 +213,10 @@ def _in_file(text: str, exc: json.JSONDecodeError) -> json.JSONDecodeError:
     """
 
     start = 0
-    for segment in text.splitlines(keepends=True):
-        if segment.splitlines()[0] == exc.doc:
+    for line in text.split("\n"):
+        if line == exc.doc:
             return json.JSONDecodeError(exc.msg, text, start + exc.pos)
-        start += len(segment)
+        start += len(line) + 1
     return exc
 
 
@@ -600,6 +603,21 @@ class Digest(Record):
             raise SchemaError("invalid_digest", "digest hex must be lowercase")
 
 
+def text_hash(rendered: str) -> Digest:
+    """The digest of text already in canonical form.
+
+    ``canonical_hash(doc)`` is ``text_hash(canonical_json(doc))``; a caller
+    that renders one document and hashes several documents built around it
+    (as the synthetic driver does with an observation) renders it once and
+    hashes each result here.
+    """
+
+    return Digest(
+        algorithm=HASH_ALGORITHM,
+        hex=hashlib.sha256(rendered.encode("utf-8")).hexdigest(),
+    )
+
+
 def canonical_hash(content: Any) -> Digest:
     """Hash an ordered key/value document in canonical form.
 
@@ -607,11 +625,7 @@ def canonical_hash(content: Any) -> Digest:
     value changes.
     """
 
-    rendered = canonical_json(content)
-    return Digest(
-        algorithm=HASH_ALGORITHM,
-        hex=hashlib.sha256(rendered.encode("utf-8")).hexdigest(),
-    )
+    return text_hash(canonical_json(content))
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +840,21 @@ class ValidationReport:
 
     @classmethod
     def passed(cls) -> "ValidationReport":
-        return cls(ok=True)
+        return _PASSED
 
     @classmethod
     def failed(cls, violations: Iterable[Violation]) -> "ValidationReport":
         return cls(ok=False, violations=tuple(violations))
+
+
+# Every passing check returns this one frozen report.
+_PASSED: Final = ValidationReport(ok=True)
+
+# Strict mode's allowed payload keys per kind, required ∪ optional.
+_ALLOWED_PAYLOAD_KEYS: Final[dict[str, frozenset[str]]] = {
+    kind: frozenset(REQUIRED_PAYLOAD_KEYS.get(kind, ()) + OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
+    for kind in REQUIRED_PAYLOAD_KEYS.keys() | OPTIONAL_PAYLOAD_KEYS.keys()
+}
 
 
 def _payload_violations(kind: str, payload: Mapping[str, Any], strict: bool) -> list[Violation]:
@@ -842,7 +866,7 @@ def _payload_violations(kind: str, payload: Mapping[str, Any], strict: bool) -> 
                 Violation("missing_field", f"payload.{key}", f"{kind} requires payload key {key}")
             )
     if strict:
-        allowed = set(required) | set(OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
+        allowed = _ALLOWED_PAYLOAD_KEYS.get(kind, frozenset())
         for key in payload:
             if key not in allowed:
                 violations.append(
@@ -1341,13 +1365,16 @@ def write_event_log(
 
 
 def read_event_log(path: Path | str) -> tuple[str, list[dict[str, Any]]]:
-    """Read an event log; returns (schema_version, event documents in order)."""
+    """Read an event log; returns (schema_version, event documents in order).
+
+    Lines end at a line feed only, as ``write_event_log`` ends them.
+    """
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw_lines = text.splitlines()
-        if not raw_lines:
+        if not text:
             raise SchemaError("missing_field", f"empty event log: {path}")
+        raw_lines = text.split("\n")
         header = json.loads(raw_lines[0])
         docs = [json.loads(line) for line in raw_lines[1:] if line]
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -1389,6 +1416,7 @@ __all__ = [
     "read_event_log",
     "read_input",
     "read_json",
+    "text_hash",
     "validate_log",
     "write_event_log",
 ]

@@ -154,19 +154,6 @@ class _Sample:
     attempts: int = 0
 
 
-@dataclass(slots=True)
-class _TimedEvent:
-    """Event payload collected during simulation, ordered later by (time, seq)."""
-
-    time_ms: float
-    order: int
-    kind: str
-    episode_id: str
-    step_index: int
-    timing: TimingFields | None
-    payload: dict[str, Any]
-
-
 class _ControllerRunSim:
     """Discrete-event simulation of one controller run."""
 
@@ -194,12 +181,13 @@ class _ControllerRunSim:
         self.target = cfg.lanes
         self.idle_lanes: set[int] = set()
         self.pending = list(range(cfg.episodes_per_run))
-        self.records: list[_TimedEvent] = []
+        # One tuple per event: (time_ms, order, kind, episode_id, step_index,
+        # timing, payload). ``order`` is unique within the run, so the tuples
+        # sort by (time, order) without comparing the fields after it.
+        self.records: list[tuple] = []
         self.retry_events = 0
-        self._order = 0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._heap_seq = 0
-        self.end_ms = 0.0
 
     # -- event collection ---------------------------------------------------
 
@@ -212,19 +200,10 @@ class _ControllerRunSim:
         timing: TimingFields | None = None,
         payload: dict[str, Any] | None = None,
     ) -> None:
-        self.records.append(
-            _TimedEvent(
-                time_ms=time_ms,
-                order=self._order,
-                kind=kind,
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=timing,
-                payload=dict(payload or {}),
-            )
+        records = self.records
+        records.append(
+            (time_ms, len(records), kind, episode_id, step_index, timing, payload)
         )
-        self._order += 1
-        self.end_ms = max(self.end_ms, time_ms)
 
     def _schedule(self, time_ms: float, kind: str, args: tuple) -> None:
         heapq.heappush(self._heap, (time_ms, self._heap_seq, kind, args))
@@ -257,6 +236,7 @@ class _ControllerRunSim:
                 obs, cfg.profile, rng, backend_engine=self.backend, policy_version=self.variant
             )
             model_ms = record.model_latency_ms * scale
+            model_timing = TimingFields(model_latency_ms=model_ms)
             self._record(
                 clock,
                 "model_request_start",
@@ -270,7 +250,7 @@ class _ControllerRunSim:
                 "model_request_end",
                 episode_id=episode_id,
                 step_index=step_index,
-                timing=TimingFields(model_latency_ms=model_ms),
+                timing=model_timing,
                 payload={"request_index": request_index, "model_latency_ms": model_ms},
             )
             request_index += 1
@@ -281,7 +261,7 @@ class _ControllerRunSim:
                 "action_parsed",
                 episode_id=episode_id,
                 step_index=step_index,
-                timing=TimingFields(model_latency_ms=model_ms),
+                timing=model_timing,
                 payload=payload,
             )
             self._record(
@@ -480,7 +460,9 @@ class _ControllerRunSim:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self) -> list[_TimedEvent]:
+    def run(self) -> list[tuple]:
+        """Simulate the run; its events sorted by (time, order of recording)."""
+
         for lane in range(self.cfg.lanes):
             start = lane * self.cfg.lane_stagger_ms
             if lane < self.target:
@@ -495,6 +477,7 @@ class _ControllerRunSim:
                 self._submit(time_ms, *args)
             elif kind == "deliver":
                 self._deliver(time_ms, *args)
+        self.records.sort()
         return self.records
 
 
@@ -523,15 +506,16 @@ def simulate_controller_run(
         model_backend_id=f"{backend}:synthetic",
         backend_engine=backend,
     )
-    run_id = make_run_id(
-        manifest.manifest_hash(), driver.driver_id, setting.label, seed, repetition
-    )
+    manifest_hash = manifest.manifest_hash()
+    run_id = make_run_id(manifest_hash, driver.driver_id, setting.label, seed, repetition)
     sim = _ControllerRunSim(cfg, manifest, setting, backend, seed, budget, variant, run_id)
     timed = sim.run()
-    timed.sort(key=lambda item: (item.time_ms, item.order))
 
-    builder = EventBuilder(run_id, provenance_for(manifest, driver, seed), run_seed=seed)
-    builder.emit(
+    builder = EventBuilder(
+        run_id, provenance_for(manifest, driver, seed, manifest_hash), run_seed=seed
+    )
+    emit = builder.emit
+    emit(
         "run_start",
         0.0,
         payload={
@@ -542,23 +526,25 @@ def simulate_controller_run(
             "backend": backend,
         },
     )
-    for item in timed:
-        builder.emit(
-            item.kind,
-            item.time_ms,
-            episode_id=item.episode_id,
-            step_index=item.step_index,
-            timing=item.timing,
-            payload=item.payload,
-        )
     statuses: dict[str, str] = {}
-    for item in timed:
-        if item.kind == "terminal_result":
-            statuses[item.episode_id] = str(item.payload["status"])
+    summaries = []
+    for time_ms, _, kind, episode_id, step_index, timing, payload in timed:
+        emit(kind, time_ms, episode_id, step_index, timing, payload)
+        if kind == "terminal_result":
+            statuses[episode_id] = str(payload["status"])
+        elif kind == "episode_end":
+            summaries.append(
+                EpisodeSummary(
+                    episode_id=episode_id,
+                    status=str(payload["status"]),
+                    steps=int(payload["steps"]),
+                    wall_ms=float(payload["wall_ms"]),
+                )
+            )
     successes = sum(1 for status in statuses.values() if status == "success")
-    builder.emit(
+    emit(
         "run_end",
-        sim.end_ms,
+        timed[-1][0] if timed else 0.0,
         payload={
             "status": "success",
             "successes": successes,
@@ -567,17 +553,6 @@ def simulate_controller_run(
     )
     trace_complete = builder.finalize()
 
-    summaries = []
-    for item in timed:
-        if item.kind == "episode_end":
-            summaries.append(
-                EpisodeSummary(
-                    episode_id=item.episode_id,
-                    status=str(item.payload["status"]),
-                    steps=int(item.payload["steps"]),
-                    wall_ms=float(item.payload["wall_ms"]),
-                )
-            )
     terminal = TerminalOutcome(
         status="success",
         evaluator_id="harness",
@@ -587,14 +562,14 @@ def simulate_controller_run(
         run_id=run_id,
         task_id=manifest.task_id,
         family=manifest.family,
-        manifest_hash=manifest.manifest_hash(),
+        manifest_hash=manifest_hash,
         driver=driver,
         setting_label=setting.label,
         seed=seed,
         repetition=repetition,
         event_log_ref=f"logs/{run_id}.log",
         trace_complete=trace_complete,
-        freeze=freeze_run(manifest, driver, setting.label),
+        freeze=freeze_run(manifest, driver, setting.label, manifest_hash=manifest_hash),
         terminal=terminal,
         episode_summaries=tuple(summaries),
         reward_trajectory=tuple(build_reward_trajectory(builder.events)),

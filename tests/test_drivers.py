@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from gatebench.drivers import (
     synthetic_llm_call,
 )
 from gatebench.manifest import make_manifest
+from gatebench.schema import SchemaError, canonical_hash
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,74 @@ def test_synthetic_deterministic_sequences_match():
             record, _ = synthetic_llm_call({"step": index}, profile, rng)
             bucket.append(record)
     assert first == second  # includes every hash field
+
+
+# Digests of the action record equal canonical_hash of the documents they
+# stand for, however the driver assembles their canonical text.
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=16,
+)
+_observations = (
+    st.dictionaries(st.text(), _json_values, max_size=6)
+    | _json_values
+    | st.tuples(st.integers(), st.text())
+)
+
+
+def _observation_reference(obs):
+    return dict(obs) if isinstance(obs, Mapping) else str(obs)
+
+
+@given(_observations, st.integers(0, 2**32), st.sampled_from([0.0, 0.5, 1.0]))
+def test_synthetic_digests_equal_reference_documents(obs, seed, invalid_prob):
+    profile = SyntheticLlmProfile(invalid_action_prob=invalid_prob)
+    record, action = synthetic_llm_call(obs, profile, random.Random(seed))
+    doc = _observation_reference(obs)
+    raw_output = {"obs": doc, "invalid": record.invalid_action, "tokens": record.completion_tokens}
+    assert record.observation_hash == canonical_hash({"obs": doc})
+    assert record.prompt_hash == canonical_hash({"prompt": doc})
+    assert record.raw_output_hash == canonical_hash(raw_output)
+    if record.invalid_action:
+        assert record.parsed_action_hash is None
+    else:
+        assert record.parsed_action_hash == canonical_hash({"kind": action.kind})
+
+
+@given(_observations, st.text())
+def test_scripted_digests_equal_reference_documents(obs, kind):
+    record, action = scripted_next_action(obs, (Action(kind=kind),), 0)
+    assert action.kind == kind
+    assert record.observation_hash == canonical_hash({"obs": _observation_reference(obs)})
+    assert record.parsed_action_hash == canonical_hash({"kind": kind})
+
+
+_uncanonical_observations = (
+    st.dictionaries(st.text(), st.just(float("nan")) | st.just(float("-inf")), min_size=1)
+    | st.dictionaries(st.integers() | st.none(), _json_values, min_size=1)
+    | st.dictionaries(
+        st.text(), st.dictionaries(st.integers(), st.integers(), min_size=1), min_size=1
+    )
+    | st.dictionaries(st.text(), st.lists(st.just(float("nan")), min_size=1), min_size=1)
+)
+
+
+@given(_uncanonical_observations, st.integers(0, 2**32))
+def test_uncanonical_observations_raise_the_reference_error(obs, seed):
+    with pytest.raises(SchemaError) as expected:
+        canonical_hash({"obs": dict(obs)})
+    assert expected.value.code == "non_canonical_value"
+    calls = (
+        lambda: synthetic_llm_call(obs, SyntheticLlmProfile(), random.Random(seed)),
+        lambda: scripted_next_action(obs, SCRIPT, 0),
+    )
+    for call in calls:
+        with pytest.raises(SchemaError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (expected.value.code, str(expected.value))
 
 
 def test_synthetic_fills_action_level_fields():

@@ -20,7 +20,15 @@ from gatebench.runner import (
     run_episode,
     run_plan,
 )
-from gatebench.schema import EventRecord, read_event_log, validate_log
+from gatebench.schema import (
+    SCHEMA_VERSION,
+    EventRecord,
+    ProvenanceFields,
+    TimingFields,
+    canonical_hash,
+    read_event_log,
+    validate_log,
+)
 from gatebench.simenv import clean_setting, stressed_setting
 
 ORACLE = DriverSpec(name="oracle", driver_type="calibration", mode="oracle",
@@ -32,6 +40,50 @@ SCRIPTED = DriverSpec(name="scripted", driver_type="scripted")
 
 def kinds(events: list[EventRecord]) -> list[str]:
     return [event.kind for event in events]
+
+
+# ---------------------------------------------------------------------------
+# EventBuilder
+# ---------------------------------------------------------------------------
+
+PROVENANCE = ProvenanceFields(
+    manifest_hash=canonical_hash({"fixture": "manifest"}),
+    driver_id="driver-1",
+    schema_version=SCHEMA_VERSION,
+    replay_class="R1",
+    seed=7,
+)
+RUN_START = {"setting_label": "clean", "planned_episodes": 1}
+
+
+def test_emit_without_timing_equals_emit_with_default_timing():
+    builders = [runner.EventBuilder("run-1", PROVENANCE, run_seed=7) for _ in range(2)]
+    for timing, builder in zip((None, TimingFields()), builders):
+        builder.emit("run_start", 0.0, payload=RUN_START, timing=timing)
+        builder.emit("run_end", 1.0, payload={"status": "success"}, timing=timing)
+    assert builders[0].events == builders[1].events
+    assert [event.to_doc() for event in builders[0].events] == [
+        event.to_doc() for event in builders[1].events
+    ]
+    assert builders[0].events[0].timing == TimingFields()
+
+
+def test_emit_copies_the_payload():
+    builder = runner.EventBuilder("run-1", PROVENANCE, run_seed=7)
+    payload = dict(RUN_START)
+    event = builder.emit("run_start", 0.0, payload=payload)
+    payload["planned_episodes"] = 2
+    assert event.payload == RUN_START
+
+
+def test_failed_event_clears_trace_complete():
+    builder = runner.EventBuilder("run-1", PROVENANCE, run_seed=7)
+    builder.emit("run_start", 0.0, payload=RUN_START)
+    assert builder.trace_complete
+    builder.emit("episode_start", 1.0, episode_id="ep-0", payload={})  # no episode_index
+    assert not builder.trace_complete
+    builder.emit("run_end", 2.0, payload={"status": "success"})
+    assert builder.finalize() is False
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from gatebench.schema import (
     Digest,
     EVENT_KINDS,
     EventRecord,
+    OPTIONAL_PAYLOAD_KEYS,
     ProvenanceFields,
     REQUIRED_PAYLOAD_KEYS,
     RunValidator,
@@ -22,7 +23,10 @@ from gatebench.schema import (
     SchemaError,
     TimingFields,
     TraceContext,
+    ValidationReport,
+    Violation,
     _check_canonical,
+    _payload_violations,
     canonical_hash,
     canonical_json,
     check_event_doc,
@@ -31,6 +35,7 @@ from gatebench.schema import (
     new_trace_context,
     read_event_log,
     read_json,
+    text_hash,
     validate_log,
     write_event_log,
 )
@@ -134,6 +139,11 @@ def test_canonical_hash_rejects_non_finite():
 def test_canonical_hash_rejects_unsupported_types():
     with pytest.raises(SchemaError):
         canonical_hash({"bad": object()})
+
+
+@given(st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | st.text()))
+def test_canonical_hash_is_text_hash_of_canonical_json(doc):
+    assert canonical_hash(doc) == text_hash(canonical_json(doc))
 
 
 def test_canonical_hash_of_demo_manifest_is_pinned(micro_manifest):
@@ -414,6 +424,67 @@ def test_interleaved_episodes_validate():
     assert validator.finalize().ok
 
 
+def _reference_payload_violations(kind, payload, strict):
+    """The payload check as first written: allowed keys built per call."""
+
+    required = REQUIRED_PAYLOAD_KEYS.get(kind, ())
+    violations = [
+        Violation("missing_field", f"payload.{key}", f"{kind} requires payload key {key}")
+        for key in required
+        if key not in payload
+    ]
+    if strict:
+        allowed = set(required) | set(OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
+        violations.extend(
+            Violation("unknown_field", f"payload.{key}", f"{kind} does not allow key {key}")
+            for key in payload
+            if key not in allowed
+        )
+    return violations
+
+
+_PAYLOAD_KEY_NAMES = sorted(
+    {key for keys in (*REQUIRED_PAYLOAD_KEYS.values(), *OPTIONAL_PAYLOAD_KEYS.values())
+     for key in keys} | {"zzz", ""}
+)
+
+
+@given(
+    st.sampled_from(sorted(EVENT_KINDS) + ["not_a_kind"]),
+    st.lists(st.sampled_from(_PAYLOAD_KEY_NAMES), unique=True),
+    st.booleans(),
+)
+def test_payload_violations_match_reference_in_both_modes(kind, keys, strict):
+    payload = dict.fromkeys(keys, 1)
+    assert _payload_violations(kind, payload, strict) == _reference_payload_violations(
+        kind, payload, strict
+    )
+
+
+def test_missing_and_unknown_payload_keys_reported_in_both_modes():
+    event = make_event("run_start", 0, payload={"planned_episodes": 1, "zzz": 1, "aaa": 2})
+    missing = Violation(
+        "missing_field", "payload.setting_label", "run_start requires payload key setting_label"
+    )
+    strict = RunValidator(strict=True).validate(event)
+    assert strict.violations == (
+        missing,
+        Violation("unknown_field", "payload.zzz", "run_start does not allow key zzz"),
+        Violation("unknown_field", "payload.aaa", "run_start does not allow key aaa"),
+    )
+    assert RunValidator(strict=False).validate(event).violations == (missing,)
+
+
+def test_passing_checks_share_one_report_and_failures_get_their_own():
+    validator = RunValidator()
+    first = validator.validate(make_event("run_start", 0))
+    assert first is validator.validate(make_event("run_end", 1)) is validator.finalize()
+    assert first == ValidationReport(ok=True) and first is ValidationReport.passed()
+    failed = validator.validate(make_event("error", 2))
+    assert not failed.ok and failed.violations
+    assert ValidationReport.passed() == ValidationReport(ok=True)
+
+
 @given(st.lists(st.sampled_from(sorted(EVENT_KINDS)), max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_validator_never_crashes_and_accepted_runs_balance(kinds):
@@ -550,6 +621,62 @@ def test_invalid_json_line_is_reported_at_its_file_line(tmp_path, lines):
     assert str(err.value).endswith(
         f"is not valid JSON: Expecting value: line 4 column 6 (char {offset})"
     )
+
+
+# canonical_json keeps U+2028, U+2029 and U+0085 raw inside strings; the
+# readers split lines at "\n" only, so such a payload reads back unchanged.
+_LINE_BREAKING_CHARACTERS = ["\u2028", "\u2029", "\u0085"]
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKING_CHARACTERS, ids=["u2028", "u2029", "u0085"])
+def test_payload_with_unicode_line_separator_round_trips(tmp_path, char):
+    events = well_formed_run()
+    events[-1] = make_event(
+        "run_end", events[-1].sequence, payload={"status": f"a{char}b{char}"}
+    )
+    path = tmp_path / "run.log"
+    write_event_log(path, events)
+    assert char in path.read_text(encoding="utf-8")
+    expected = [json.loads(canonical_json(event.to_doc())) for event in events]
+    assert read_event_log(path) == (SCHEMA_VERSION, expected)
+    lines = read_json(path, SchemaError, "missing_log", "invalid_log", lines=True)
+    assert lines == [{"schema_version": SCHEMA_VERSION}, *expected]
+    assert decode_events(expected) == events
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKING_CHARACTERS, ids=["u2028", "u2029", "u0085"])
+@pytest.mark.parametrize("lines", [False, True], ids=["event_log", "json_lines"])
+def test_bad_line_after_unicode_line_separator_is_reported_at_its_file_line(
+    tmp_path, char, lines
+):
+    events = well_formed_run()
+    events[1] = make_event(
+        "episode_start", 1, "ep-0", payload={"episode_index": 0, "goal": char}
+    )
+    path = tmp_path / "run.log"
+    write_event_log(path, events)
+    rows = path.read_text(encoding="utf-8").split("\n")
+    assert char in rows[2]
+    rows[4] = '{"x":,' + rows[4][6:]
+    path.write_text("\n".join(rows), encoding="utf-8")
+    offset = sum(len(row) + 1 for row in rows[:4]) + 5
+    with pytest.raises(SchemaError) as err:
+        if lines:
+            read_json(path, SchemaError, "missing_log", "invalid_log", lines=True)
+        else:
+            read_event_log(path)
+    assert err.value.code == "invalid_log"
+    assert str(err.value).endswith(
+        f"is not valid JSON: Expecting value: line 5 column 6 (char {offset})"
+    )
+
+
+def test_empty_event_log_is_missing_field(tmp_path):
+    path = tmp_path / "run.log"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_event_log(path)
+    assert err.value.code == "missing_field"
 
 
 # write_event_log renders lines from typed records; each must equal the
