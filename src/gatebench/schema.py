@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -259,6 +259,19 @@ _CANONICAL_ENCODER: Final = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
 )
 
+# Its C core, built once, without the circular-reference markers: it encodes
+# only documents the scan accepted, which nest at most _SCAN_MAX_DEPTH deep
+# and so cannot refer to themselves. These are the arguments
+# ``JSONEncoder.iterencode`` passes for the encoder above with
+# ``check_circular=False``. None where ``json`` has no C accelerator.
+_ACYCLIC_ENCODE: Final = (
+    c_make_encoder(
+        None, _CANONICAL_ENCODER.default, encode_basestring, None, ":", ",", True, False, False
+    )
+    if c_make_encoder is not None
+    else None
+)
+
 
 def _is_plain_canonical(content: Any) -> bool:
     """Exact-type scan: True only for documents ``_check_canonical`` accepts.
@@ -307,6 +320,8 @@ def canonical_json(content: Any) -> str:
 
     if not _is_plain_canonical(content):
         _check_canonical(content, "$")
+    elif _ACYCLIC_ENCODE is not None:
+        return "".join(_ACYCLIC_ENCODE(content, 0))
     return _CANONICAL_ENCODER.encode(content)
 
 
@@ -667,9 +682,7 @@ def new_trace_context(
     seed_bytes = run_seed.to_bytes(8, "big", signed=True)
     span_material = b"span:" + seed_bytes + counter.to_bytes(8, "big", signed=True)
     span_id = hashlib.sha256(span_material).hexdigest()[:_SPAN_ID_HEX_LEN]
-    return TraceContext(
-        trace_id=_trace_id(run_seed), span_id=span_id, parent_span_id=parent_span_id
-    )
+    return TraceContext(_trace_id(run_seed), span_id, parent_span_id)
 
 
 # ---------------------------------------------------------------------------
