@@ -627,10 +627,7 @@ def text_hash(rendered: str) -> Digest:
     hashes each result here.
     """
 
-    return Digest(
-        algorithm=HASH_ALGORITHM,
-        hex=hashlib.sha256(rendered.encode("utf-8")).hexdigest(),
-    )
+    return Digest(HASH_ALGORITHM, hashlib.sha256(rendered.encode("utf-8")).hexdigest())
 
 
 def canonical_hash(content: Any) -> Digest:
