@@ -308,8 +308,8 @@ class EventBuilder:
         trace = new_trace_context(
             self.run_seed, sequence, self._episode_spans.get(episode_id, self._run_span)
         )
-        # Positional, in field order: keyword arguments cost this per-event
-        # constructor a third more.
+        # Positional, in field order: matching ten keyword arguments is a
+        # measurable share of this per-event constructor's cost.
         event = EventRecord(
             self.run_id,
             episode_id,
