@@ -263,13 +263,13 @@ def freeze_run(
     manifest: TaskManifest,
     driver: "DriverRecord",
     setting_label: str,
+    manifest_hash: Digest,
     versions: SuiteVersions | None = None,
-    manifest_hash: Digest | None = None,
 ) -> FreezeRecord:
     """Bind one run to its release-time versions; deterministic in its inputs.
 
-    ``manifest_hash``, when given, is ``manifest.manifest_hash()`` computed by
-    the caller.
+    ``manifest_hash`` is ``manifest.manifest_hash()``, which the caller has
+    already computed.
     """
 
     versions = versions or SuiteVersions()
@@ -290,7 +290,7 @@ def freeze_run(
             raise ManifestError("incomplete_freeze", f"freeze field {name} is empty")
     return FreezeRecord(
         suite_version=versions.suite_version,
-        manifest_hash=manifest_hash or manifest.manifest_hash(),
+        manifest_hash=manifest_hash,
         driver_id=driver.driver_id,
         driver_version=driver.driver_version,
         parser_version=driver.parser_version,

@@ -705,7 +705,7 @@ def execute_run(
             detail=f"{successes}/{planned_episodes}",
         )
 
-    freeze = freeze_run(manifest, driver, setting.label, versions, manifest_hash)
+    freeze = freeze_run(manifest, driver, setting.label, manifest_hash, versions)
     trajectory = build_reward_trajectory(builder.events)
     record = RunRecord(
         run_id=run_id,

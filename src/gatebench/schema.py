@@ -14,8 +14,8 @@ import functools
 import hashlib
 import json
 import math
+from _json import encode_basestring, make_encoder
 from dataclasses import MISSING, dataclass, field, fields
-from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -254,22 +254,13 @@ def _check_canonical(value: Any, path: str) -> None:
 _SCAN_MAX_DEPTH: Final = 64
 _SCAN_SCALARS: Final[frozenset[type]] = frozenset({str, int, bool, type(None)})
 
-# The same encoder ``json.dumps`` builds for these arguments, built once.
-_CANONICAL_ENCODER: Final = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-)
-
-# Its C core, built once, without the circular-reference markers: it encodes
-# only documents the scan accepted, which nest at most _SCAN_MAX_DEPTH deep
-# and so cannot refer to themselves. These are the arguments
-# ``JSONEncoder.iterencode`` passes for the encoder above with
-# ``check_circular=False``. None where ``json`` has no C accelerator.
-_ACYCLIC_ENCODE: Final = (
-    c_make_encoder(
-        None, _CANONICAL_ENCODER.default, encode_basestring, None, ":", ",", True, False, False
-    )
-    if c_make_encoder is not None
-    else None
+# The C encoder core ``json.dumps(content, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=False, allow_nan=False, check_circular=False)`` builds on every
+# call, built once. It keeps no circular-reference markers: every document it
+# encodes has passed the scan or the reference check, and neither accepts a
+# container that refers to itself.
+_ENCODE: Final = make_encoder(
+    None, json.JSONEncoder().default, encode_basestring, None, ":", ",", True, False, False
 )
 
 
@@ -320,9 +311,7 @@ def canonical_json(content: Any) -> str:
 
     if not _is_plain_canonical(content):
         _check_canonical(content, "$")
-    elif _ACYCLIC_ENCODE is not None:
-        return "".join(_ACYCLIC_ENCODE(content, 0))
-    return _CANONICAL_ENCODER.encode(content)
+    return "".join(_ENCODE(content, 0))
 
 
 def float_sum(values: Iterable[float]) -> float:

@@ -569,7 +569,7 @@ def simulate_controller_run(
         repetition=repetition,
         event_log_ref=f"logs/{run_id}.log",
         trace_complete=trace_complete,
-        freeze=freeze_run(manifest, driver, setting.label, manifest_hash=manifest_hash),
+        freeze=freeze_run(manifest, driver, setting.label, manifest_hash),
         terminal=terminal,
         episode_summaries=tuple(summaries),
         reward_trajectory=tuple(build_reward_trajectory(builder.events)),

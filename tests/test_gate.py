@@ -48,6 +48,7 @@ def test_fully_admissible_run_admitted(admissible):
 
 
 def _negations(run):
+    foreign = make_manifest("micro", "foreign-task", "foreign-root")
     return {
         "unresolved_manifest": dataclasses.replace(run, manifest_resolved=False),
         "missing_driver_metadata": dataclasses.replace(
@@ -57,9 +58,7 @@ def _negations(run):
         "missing_terminal_outcome": dataclasses.replace(run, terminal=None),
         "snapshot_mismatch": dataclasses.replace(
             run,
-            freeze=freeze_run(
-                make_manifest("micro", "foreign-task", "foreign-root"), run.driver, "clean"
-            ),
+            freeze=freeze_run(foreign, run.driver, "clean", foreign.manifest_hash()),
         ),
         "version_mismatch": dataclasses.replace(
             run, freeze=dataclasses.replace(run.freeze, schema_version="")

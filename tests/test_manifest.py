@@ -108,7 +108,9 @@ def test_wrong_replay_class_rejected():
 
 
 def test_freeze_copies_setting_label(web_manifest):
-    freeze = freeze_run(web_manifest, driver_record(), "clean")
+    freeze = freeze_run(
+        web_manifest, driver_record(), "clean", web_manifest.manifest_hash()
+    )
     assert freeze.setting_label == "clean"
     assert freeze.manifest_hash == web_manifest.manifest_hash()
 
@@ -116,8 +118,9 @@ def test_freeze_copies_setting_label(web_manifest):
 def test_freeze_deterministic_bytes(web_manifest):
     from gatebench.schema import canonical_json
 
-    first = freeze_run(web_manifest, driver_record(), "clean")
-    second = freeze_run(web_manifest, driver_record(), "clean")
+    manifest_hash = web_manifest.manifest_hash()
+    first = freeze_run(web_manifest, driver_record(), "clean", manifest_hash)
+    second = freeze_run(web_manifest, driver_record(), "clean", manifest_hash)
     assert canonical_json(first.to_doc()) == canonical_json(second.to_doc())
 
 
@@ -129,13 +132,13 @@ def test_freeze_requires_verifier_version_for_code(demo_store, demo_root):
 
     broken = dataclasses.replace(manifest, family_params=params)
     with pytest.raises(ManifestError) as err:
-        freeze_run(broken, driver_record(), "clean")
+        freeze_run(broken, driver_record(), "clean", broken.manifest_hash())
     assert err.value.code == "incomplete_freeze"
 
 
 def test_freeze_round_trip():
     manifest = make_manifest("code", "code-x", "root-x")
-    freeze = freeze_run(manifest, driver_record(), "clean")
+    freeze = freeze_run(manifest, driver_record(), "clean", manifest.manifest_hash())
     assert FreezeRecord.from_doc(freeze.to_doc()) == freeze
 
 
@@ -164,7 +167,9 @@ def test_binding_snapshot_mismatch_for_unregistered_hash(demo_store, demo_root):
 
     run = _executed_run(demo_store, demo_root)
     foreign = make_manifest("micro", "other-task", "other-root")
-    tampered = dataclasses.replace(run, freeze=freeze_run(foreign, run.driver, "clean"))
+    tampered = dataclasses.replace(
+        run, freeze=freeze_run(foreign, run.driver, "clean", foreign.manifest_hash())
+    )
     status = verify_binding(tampered, demo_root)
     assert not status.bound
     assert "snapshot_mismatch" in status.violations

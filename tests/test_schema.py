@@ -11,7 +11,6 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatebench import schema
 from gatebench.schema import (
     Digest,
     EVENT_KINDS,
@@ -231,15 +230,6 @@ _documents = st.recursive(
 @given(_documents)
 def test_canonical_json_matches_reference_check(doc):
     assert _outcome(doc) == _reference_outcome(doc)
-
-
-def test_canonical_json_without_the_c_encoder_renders_the_same(monkeypatch):
-    docs = [{"b": [1, 2.5, None], "a": {"z": "\u2028", "y": True}}, "text", 3, -0.0, [[]]]
-    rendered = [canonical_json(doc) for doc in docs]
-    monkeypatch.setattr(schema, "_ACYCLIC_ENCODE", None)
-    assert [canonical_json(doc) for doc in docs] == rendered == [
-        _reference_outcome(doc) for doc in docs
-    ]
 
 
 def test_canonical_json_rejects_non_string_key_with_path():
