@@ -22,7 +22,7 @@ from .manifest import RELEASE_EPOCH, ManifestStore
 from .replay import load_bundle, replay_run, replay_runset
 from .report import render_claim_matrix, render_decision_table, report_runset
 from .runner import load_plan, load_runset, run_plan, save_plan
-from .schema import canonical_json
+from .schema import REPLAY_CLASSES, canonical_json
 from .study import StudyConfig, run_study
 
 EXIT_OK = 0
@@ -87,10 +87,10 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.bundle:
+    if args.bundle is not None:
         results = [replay_run(load_bundle(args.bundle))]
     else:
-        results = replay_runset(load_runset(args.runset), out, args.replay_class or None)
+        results = replay_runset(load_runset(args.runset), out, args.replay_class)
     lines = [canonical_json(result.to_doc()) for result in results]
     (out / "replay_results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     matches = sum(1 for result in results if result.terminal_match)
@@ -174,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.set_defaults(func=_cmd_gate)
 
     p_replay = sub.add_parser("replay", help="replay bundles or a runset")
-    p_replay.add_argument("--bundle", default=None)
-    p_replay.add_argument("--runset", default=None)
-    p_replay.add_argument("--class", dest="replay_class", default=None)
+    source = p_replay.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bundle", default=None)
+    source.add_argument("--runset", default=None)
+    p_replay.add_argument("--class", dest="replay_class", choices=sorted(REPLAY_CLASSES))
     p_replay.add_argument("--out", required=True)
     p_replay.set_defaults(func=_cmd_replay)
 

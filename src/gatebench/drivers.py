@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import TaskManifest
+from .records import record
 from .schema import (
     ActionRecord,
     Digest,
@@ -43,7 +44,7 @@ class DriverError(GatebenchError):
     """Raised for invalid driver declarations, scripts, profiles and hook settings."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DriverRecord(Record):
     """Declared-driver metadata bound to every run the driver produces."""
 
@@ -77,7 +78,7 @@ class DriverRecord(Record):
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Action:
     """One environment action: its kind and the chance it advances the task."""
 
@@ -179,7 +180,7 @@ def calibration_action(mode: str, task: TaskManifest) -> Action:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SyntheticLlmProfile(Record):
     """Latency/validity profile standing in for a local model backend."""
 
@@ -265,7 +266,7 @@ def synthetic_llm_call(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SampleMeta:
     """Validity and staleness signals for one verification sample."""
 
@@ -282,8 +283,10 @@ class SampleMeta:
             raise DriverError("invalid_sample_meta", "retry counts must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FilterDecision:
+    """Hook A's verdict on one sample: keep it, or drop it with the first matching reason."""
+
     keep: bool
     reason: str | None = None
 
@@ -327,7 +330,7 @@ class TelemetryWindow:
         return float_sum(item[2] for item in self.window) / len(self.window)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HookBConfig:
     """Thresholds for the adaptive concurrency hook (hook_b_only)."""
 

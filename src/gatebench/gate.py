@@ -18,11 +18,11 @@ separate scope; they never merge into canonical counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Final, Iterable, Literal, Sequence
 
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
+from .records import record
 from .runner import RunRecord, RunSet
 from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, Record, canonical_json, read_json
 from .simenv import CLEAN_LABEL
@@ -67,8 +67,10 @@ class GateError(GatebenchError):
     """Raised for malformed or inconsistent gate decisions."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GateDecision(Record):
+    """The gate's verdict on one run, with every failed condition and its stratum."""
+
     run_id: str
     verdict: Verdict
     reasons: tuple[str, ...]
@@ -182,8 +184,10 @@ def decide_runset(runset: RunSet, root: ReleaseRoot) -> list[GateDecision]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GateReport(Record):
+    """Admission counts of one gate scope, by reason and by stratum."""
+
     scope: str
     indexed: int
     admitted: int

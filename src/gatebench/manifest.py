@@ -8,10 +8,11 @@ as event logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Final, Mapping
 
+from .records import record
 from .schema import (
     SCHEMA_VERSION,
     Digest,
@@ -53,7 +54,7 @@ class ManifestError(GatebenchError):
     """Raised for unresolved or incomplete manifests and unsupported families."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TaskManifest(Record):
     """Release-time binding of one task.
 
@@ -133,7 +134,7 @@ def make_manifest(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReleaseRoot(Record):
     """Versioned registry mapping task ids to manifest hashes."""
 
@@ -224,7 +225,7 @@ def resolve_manifest(task_id: str, root: ReleaseRoot, store: ManifestStore) -> T
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SuiteVersions:
     """Version set stamped onto freeze records at release time."""
 
@@ -234,7 +235,7 @@ class SuiteVersions:
     seed_policy: str = "fixed-per-entry"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FreezeRecord(Record):
     """Release-time version binding for one run.
 
@@ -315,8 +316,10 @@ def freeze_run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BindingStatus:
+    """Whether a run is bound to the release root, with every binding violation found."""
+
     bound: bool
     violations: tuple[str, ...] = ()
 

@@ -17,11 +17,11 @@ identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import REPLAY_HARNESS_VERSION
+from .records import record
 from .runner import RunRecord, RunSet, map_runs
 from .schema import (
     EventRecord,
@@ -44,15 +44,19 @@ class ReplayError(GatebenchError):
     """Raised for bundles without a replay freeze or with another version."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReplayBundle(Record):
+    """The material one replay class needs to replay a run without its driver."""
+
     replay_class: str
     material: dict[str, Any]
     harness_version: str = doc_field(default=REPLAY_HARNESS_VERSION, required=True)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReplayResult(Record):
+    """A replay's terminal match and its latency against the live run."""
+
     replay_class: str
     terminal_match: bool
     per_step_latency_ms: tuple[float, ...]

@@ -14,11 +14,12 @@ summaries in runset order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport, load_decisions, load_gate_report
+from .records import record
 from .replay import build_bundle, replay_run
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
 from .schema import EventRecord, GatebenchError, Record, canonical_json, float_sum, read_json
@@ -72,7 +73,7 @@ def require_admitted(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunSummary:
     """What the report keeps of one run's event log once its events are dropped.
 
@@ -143,8 +144,10 @@ def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:
     return sorted_values[rank - 1]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LatencyBreakdown(Record):
+    """Step-latency percentiles, queue wait and throughput of one latency group."""
+
     count: int
     mean_ms: float
     p50_ms: float
@@ -219,8 +222,10 @@ def latency_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InvalidActionReport(Record):
+    """Invalid-action rate over every parsed action, with counts by parse status."""
+
     rate: float
     total_actions: int
     counts_by_status: dict[str, int]
@@ -288,8 +293,10 @@ def select_variant(auc_by_variant: Mapping[str, float]) -> str:
     return sorted(auc_by_variant.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DecisionCell(Record):
+    """Reward AUC per variant in one study cell, and the variant it selects."""
+
     backend: str
     seed: int
     budget: int
@@ -312,8 +319,10 @@ class DecisionCell(Record):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DecisionStudyReport(Record):
+    """The decision study: every cell, and the admitted, blocked and reversal counts."""
+
     cells: tuple[DecisionCell, ...]
     admitted: int
     blocked: int
@@ -322,7 +331,7 @@ class DecisionStudyReport(Record):
     incomparable: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StudyGrid:
     """Grid specification the decision study aggregates over."""
 
@@ -417,8 +426,10 @@ def decision_study(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClaimRow(Record):
+    """One claim's status, the rows it rests on and its scope."""
+
     claim: str
     status: str
     rows_used: int
@@ -429,8 +440,10 @@ class ClaimRow(Record):
             raise ReportError("unknown_claim", f"unknown status label {self.status!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClaimMatrix(Record):
+    """The status of every claim the report makes."""
+
     rows: tuple[ClaimRow, ...]
 
     def row(self, claim: str) -> ClaimRow:

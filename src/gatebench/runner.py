@@ -42,6 +42,7 @@ from .manifest import (
     freeze_run,
     resolve_manifest,
 )
+from .records import record
 from .schema import (
     ActionRecord,
     Digest,
@@ -91,7 +92,7 @@ class RunnerError(GatebenchError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DriverSpec(Record):
     """Driver configuration as written in a run plan."""
 
@@ -145,8 +146,10 @@ class DriverSpec(Record):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PlanEntry(Record):
+    """One plan line: a task under a named driver and setting, run ``repetitions`` times."""
+
     task_id: str
     driver: str
     setting_label: str = doc_field(key="setting")
@@ -167,8 +170,10 @@ def _decode_drivers(docs: Mapping[str, Any]) -> dict[str, DriverSpec]:
     return {name: DriverSpec.from_doc({**doc, "name": name}) for name, doc in docs.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunPlan(Record):
+    """An executable plan: its entries, the drivers they name and the pool width."""
+
     entries: tuple[PlanEntry, ...]
     # Absent drivers decode as {}, so the plan's own check reports the entries.
     drivers: dict[str, DriverSpec] = doc_field(missing=dict, decode=_decode_drivers)
@@ -209,21 +214,25 @@ def save_plan(plan: RunPlan, path: Path | str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RewardPoint(Record):
+    """Cumulative reward of a run at one simulated wall-clock time."""
+
     wall_clock_ms: float
     reward: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EpisodeSummary(Record):
+    """Outcome, step count and simulated wall time of one episode."""
+
     episode_id: str
     status: str
     steps: int
     wall_ms: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunRecord(Record):
     """One completed (or rejected-candidate) workload-driver-setting run."""
 
@@ -787,6 +796,8 @@ def build_reward_trajectory(events: Sequence[EventRecord]) -> list[RewardPoint]:
 
 @dataclass(slots=True)
 class RunSet(Record):
+    """The run records of one ``runs/`` directory, whose logs live under ``base_dir``."""
+
     runs: list[RunRecord]
     base_dir: Path | None = doc_field(default=None, stored=False)
     # Written as the version of the code that writes the file; never read.
@@ -827,7 +838,7 @@ def _candidate_run(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _PlanContext:
     """What every job of one plan shares; a pool worker receives it once."""
 

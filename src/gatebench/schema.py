@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from _json import encode_basestring, make_encoder
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -30,6 +30,8 @@ from typing import (
     get_origin,
     get_type_hints,
 )
+
+from .records import record
 
 SCHEMA_VERSION: Final = "1.0.0"
 SUPPORTED_SCHEMA_VERSIONS: Final[frozenset[str]] = frozenset({SCHEMA_VERSION})
@@ -235,18 +237,14 @@ def _check_canonical(value: Any, path: str) -> None:
     if isinstance(value, Mapping):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise SchemaError(
-                    "non_canonical_value", f"non-string key {key!r} at {path}"
-                )
+                raise SchemaError("non_canonical_value", f"non-string key {key!r} at {path}")
             _check_canonical(item, f"{path}.{key}")
         return
     if isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
             _check_canonical(item, f"{path}[{index}]")
         return
-    raise SchemaError(
-        "non_canonical_value", f"unsupported type {type(value).__name__} at {path}"
-    )
+    raise SchemaError("non_canonical_value", f"unsupported type {type(value).__name__} at {path}")
 
 
 # Containers nested deeper than this skip the fast scan and go to the
@@ -584,7 +582,7 @@ class Record:
 
     The codec of each class is compiled from its fields on first use, not
     at import, into the plain ``to_doc``/``from_doc`` a person would write,
-    as ``dataclasses`` compiles ``__init__``.
+    as ``records.record`` compiles ``__init__``.
     """
 
     __slots__ = ()
@@ -593,7 +591,7 @@ class Record:
     from_doc = classmethod(_from_doc)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Digest(Record):
     """A content digest: algorithm label plus fixed-length lowercase hex."""
 
@@ -634,7 +632,7 @@ def canonical_hash(content: Any) -> Digest:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceContext(Record):
     """Trace/span identity for one event; trace_id is constant per run."""
 
@@ -683,8 +681,10 @@ def _require_nonneg(name: str, value: float | None) -> None:
         raise SchemaError("invalid_value", f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TimingFields(Record):
+    """Queue wait, service time and the optional latencies of one event."""
+
     queue_wait_ms: float = doc_field(default=0.0, required=True)
     service_time_ms: float = doc_field(default=0.0, required=True)
     model_latency_ms: float | None = None
@@ -699,8 +699,10 @@ class TimingFields(Record):
         _require_nonneg("verifier_latency_ms", self.verifier_latency_ms)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProvenanceFields(Record):
+    """Where an event comes from: manifest, driver, schema, replay class and seed."""
+
     manifest_hash: Digest
     driver_id: str
     schema_version: str
@@ -715,7 +717,7 @@ class ProvenanceFields(Record):
             raise SchemaError("invalid_value", f"unknown replay class {self.replay_class!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ActionRecord:
     """Action-level record attached to each driver call."""
 
@@ -770,8 +772,10 @@ class ActionRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EventRecord(Record):
+    """One event-log line."""
+
     run_id: str
     episode_id: str
     step_index: int
@@ -825,15 +829,19 @@ def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Violation:
+    """One validation failure: its code, the field at fault and a message."""
+
     code: str
     field: str
     message: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValidationReport:
+    """Whether an event passed validation, with its violations."""
+
     ok: bool
     violations: tuple[Violation, ...] = ()
 
@@ -924,16 +932,12 @@ def check_event_doc(doc: Mapping[str, Any], strict: bool = True) -> list[Violati
 
     provenance = doc["provenance"]
     if not isinstance(provenance, Mapping):
-        violations.append(
-            Violation("invalid_value", "provenance", "provenance must be a mapping")
-        )
+        violations.append(Violation("invalid_value", "provenance", "provenance must be a mapping"))
     else:
         for name in _REQUIRED_PROVENANCE:
             if name not in provenance:
                 violations.append(
-                    Violation(
-                        "missing_field", f"provenance.{name}", f"provenance missing {name}"
-                    )
+                    Violation("missing_field", f"provenance.{name}", f"provenance missing {name}")
                 )
         replay_class = provenance.get("replay_class")
         if replay_class is not None and replay_class not in REPLAY_CLASSES:
@@ -1008,9 +1012,7 @@ class RunValidator:
 
         if not self._started and kind != "run_start":
             return [
-                Violation(
-                    "boundary_mismatch", "kind", f"{kind} before run_start for this run"
-                )
+                Violation("boundary_mismatch", "kind", f"{kind} before run_start for this run")
             ]
         if self._ended:
             return [Violation("boundary_mismatch", "kind", f"{kind} after run_end")]
@@ -1135,10 +1137,7 @@ class RunValidator:
         elif kind == "run_end":
             self._ended = True
         elif kind == "episode_start":
-            self._open_episodes[event.episode_id] = {
-                "env_step_open": False,
-                "request_open": False,
-            }
+            self._open_episodes[event.episode_id] = {"env_step_open": False, "request_open": False}
         elif kind == "episode_end":
             self._open_episodes.pop(event.episode_id, None)
             self._closed_episodes.add(event.episode_id)

@@ -21,6 +21,7 @@ from typing import Final
 
 from .drivers import Action, draw_lognormal
 from .manifest import TaskManifest
+from .records import record
 from .schema import GatebenchError, Record, TimingFields, float_sum
 
 # Family base service times, calibrated to order of magnitude only; these are
@@ -43,7 +44,7 @@ class EnvError(GatebenchError):
     """Raised for invalid settings, queues, outcomes and environment steps."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OperatingSetting(Record):
     """Evaluation condition for a workload-driver pair."""
 
@@ -94,8 +95,10 @@ def setting_for_label(label: str) -> OperatingSetting:
     raise EnvError("invalid_setting", f"unknown setting label {label!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TerminalOutcome(Record):
+    """The evaluator's terminal verdict on an episode."""
+
     status: str
     evaluator_id: str
     detail: str = ""
@@ -120,8 +123,10 @@ class EnvState:
     base_service_ms: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepOutcome:
+    """Timing, progress, fault flag and any terminal outcome of one environment step."""
+
     timing: TimingFields
     progressed: bool
     fault: bool
@@ -210,6 +215,8 @@ def env_step(
 
 @dataclass(slots=True)
 class Ticket:
+    """One verifier job: its submit, start-of-service and completion times."""
+
     ticket_id: int
     submit_time_ms: float
     service_demand_ms: float

@@ -52,6 +52,7 @@ from .manifest import (
     publish_release,
     resolve_manifest,
 )
+from .records import record
 from .report import DecisionStudyReport, StudyGrid, decision_study, save_report_outputs
 from .runner import (
     EpisodeSummary,
@@ -80,7 +81,7 @@ STUDY_TASK_ID: Final = "study-web-001"
 STUDY_ROOT_ID: Final = "study-root"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StudyConfig:
     """Default desk-scale grid: 2 backends x 2 seeds x 3 budgets x 2 settings
     x 2 variants = 48 runs."""
@@ -143,6 +144,8 @@ def _substream(*parts: Any) -> random.Random:
 
 @dataclass(slots=True)
 class _Sample:
+    """An episode's result on its way to the verifier in a controller run."""
+
     episode_id: str
     episode_index: int
     env_status: str

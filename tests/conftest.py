@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from gatebench.cli import EXIT_OK, main
 from gatebench.demo import build_demo_plan, build_demo_release
 from gatebench.manifest import ManifestStore, resolve_manifest
 from gatebench.runner import run_plan
@@ -43,3 +44,21 @@ def demo_runset(tmp_path_factory):
     build_demo_release(store)
     plan = build_demo_plan()
     return run_plan(plan, store, out_dir=base / "runs"), store
+
+
+@pytest.fixture(scope="session")
+def golden_tree(tmp_path_factory):
+    """The demo release, its pipeline, its replay and the study, as the CLI writes them."""
+
+    base = tmp_path_factory.mktemp("golden")
+    root = base / "root"
+    assert main(["init-root", "--out", str(root)]) == EXIT_OK
+    assert main([
+        "all", "--plan", str(root / "demo_plan.json"), "--release-root", str(root),
+        "--out", str(base / "all"),
+    ]) == EXIT_OK
+    assert main([
+        "replay", "--runset", str(base / "all" / "runs"), "--out", str(base / "replay"),
+    ]) == EXIT_OK
+    assert main(["study", "--out", str(base / "study")]) == EXIT_OK
+    return base

@@ -172,6 +172,24 @@ def test_replay_single_bundle(root_dir, tmp_path):
     assert main(["replay", "--bundle", str(bundles[0]), "--out", str(single_out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        ([], "one of the arguments --bundle --runset is required"),
+        (["--bundle", "{tmp}/b.json", "--runset", "{tmp}/runs"], "not allowed with argument"),
+        (["--runset", "{tmp}/runs", "--class", "R7"], "argument --class: invalid choice: 'R7'"),
+    ],
+    ids=["no_source", "bundle_and_runset", "unknown_class"],
+)
+def test_replay_argument_error_is_usage_error(tmp_path, capsys, flags, message):
+    argv = ["replay", *(flag.format(tmp=tmp_path) for flag in flags), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_error_record_on_bad_input(tmp_path, capsys):
     status = main([
         "gate", "--runset", str(tmp_path / "missing"), "--release-root",

@@ -19,9 +19,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
-from gatebench.cli import EXIT_OK, main
 from gatebench.drivers import DriverRecord, SyntheticLlmProfile
 from gatebench.gate import GateDecision, GateReport, load_decisions, load_gate_report
 from gatebench.manifest import FreezeRecord, ManifestStore, ReleaseRoot, TaskManifest
@@ -59,24 +56,6 @@ def _tree_digests(base: Path) -> dict[str, str]:
         for path in sorted(base.rglob("*"))
         if path.is_file()
     }
-
-
-@pytest.fixture(scope="module")
-def golden_tree(tmp_path_factory):
-    """The demo release, its pipeline, its replay and the study, as the CLI writes them."""
-
-    base = tmp_path_factory.mktemp("golden")
-    root = base / "root"
-    assert main(["init-root", "--out", str(root)]) == EXIT_OK
-    assert main([
-        "all", "--plan", str(root / "demo_plan.json"), "--release-root", str(root),
-        "--out", str(base / "all"),
-    ]) == EXIT_OK
-    assert main([
-        "replay", "--runset", str(base / "all" / "runs"), "--out", str(base / "replay"),
-    ]) == EXIT_OK
-    assert main(["study", "--out", str(base / "study")]) == EXIT_OK
-    return base
 
 
 def test_demo_pipeline_and_study_match_golden_digests(golden_tree):
