@@ -211,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "replay" and args.bundle is not None and args.replay_class is not None:
+        # --class selects runs of a runset; a bundle carries its own class.
+        parser.error("argument --class: not allowed with argument --bundle")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001  (single boundary: map to error records)

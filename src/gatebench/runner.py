@@ -1,8 +1,10 @@
-"""Run execution: episode loops, event emission, retries, and run records.
+"""Run execution: the episode kernel, event emission, retries, and run records.
 
 A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
-sequentially. The runs of a plan are independent, so ``run_plan`` spreads them
+sequentially. The step loop (``run_episode_steps``), the verifier and
+episode-end events and the run's start and close-out are shared with the
+controller runs of ``study``, which schedule their lanes on a heap. The runs of a plan are independent, so ``run_plan`` spreads them
 over a pool of worker processes (``map_runs``, shared with replay and the
 report's log pass; the study grid runs its runs in process), ``concurrency``
 wide but never wider than the usable CPUs; each worker writes the event logs
@@ -63,8 +65,10 @@ from .schema import (
     write_event_log,
 )
 from .simenv import (
+    EnvState,
     OperatingSetting,
     TerminalOutcome,
+    Ticket,
     VERIFY_BASE_MS,
     VerifierQueue,
     draw_service_ms,
@@ -367,8 +371,13 @@ def provenance_for(
 
 
 # ---------------------------------------------------------------------------
-# Episode execution (plain sequential runs)
+# The episode kernel (plain runs and controller lanes)
 # ---------------------------------------------------------------------------
+
+# Where the kernel writes its events: ``EventBuilder.emit``, or a controller
+# run's recorder, called as (kind, wall_clock_ms, episode_id, step_index,
+# timing, payload).
+Emit = Callable[..., Any]
 
 
 def _driver_call(
@@ -377,19 +386,17 @@ def _driver_call(
     obs: Mapping[str, Any],
     step: int,
     rng: random.Random,
-) -> tuple[ActionRecord, Action, float]:
-    """One driver invocation: (action record, action, model latency in ms)."""
+) -> tuple[ActionRecord, Action]:
+    """One driver invocation: the action record and the action."""
 
     if spec.driver_type == "llm":
-        profile = spec.profile or SyntheticLlmProfile()
-        record, action = synthetic_llm_call(
+        return synthetic_llm_call(
             obs,
-            profile,
+            spec.profile or SyntheticLlmProfile(),
             rng,
             backend_engine=spec.backend_engine or "vllm",
             policy_version=spec.driver_version,
         )
-        return record, action, record.model_latency_ms
     if spec.driver_type == "calibration":
         action = calibration_action(spec.mode or "oracle", manifest)
         record = ActionRecord(
@@ -402,16 +409,255 @@ def _driver_call(
             parsed_action_hash=action_kind_hash(action.kind),
             policy_version=spec.driver_version,
         )
-        return record, action, 0.0
+        return record, action
     if spec.driver_type in ("scripted", "sanity"):
         script = (
             tuple(Action(kind=k, advance_prob=1.0) for k in spec.script)
             if spec.script
             else (Action(kind="advance", advance_prob=1.0),)
         )
-        record, action = scripted_next_action(obs, script, step, cyclic=spec.cyclic)
-        return record, action, 0.0
+        return scripted_next_action(obs, script, step, cyclic=spec.cyclic)
     raise DriverError("invalid_driver", f"no call path for driver type {spec.driver_type!r}")
+
+
+def run_episode_steps(
+    emit: Emit,
+    manifest: TaskManifest,
+    spec: DriverSpec,
+    setting: OperatingSetting,
+    rng: random.Random,
+    episode_id: str,
+    episode_index: int,
+    budget: int,
+    clock_ms: float,
+    *,
+    latency_scale: float,
+    retry_cap: int | None,
+    retry_on_last_step: bool,
+) -> tuple[EnvState, float, int]:
+    """Start one episode at ``clock_ms`` and step it until it ends.
+
+    One step: observation, driver call, model request events (LLM drivers
+    only), ``action_parsed``, ``env_step``, ``env_step_end``, then fault and
+    retry. A code-family episode is one patch step; its verification is the
+    caller's. Every fault counts as a retry. Callers differ in three rules:
+    ``latency_scale`` multiplies model latency (1.0 is exact in float); a
+    fault beyond ``retry_cap`` retries ends the episode (``None``: no cap);
+    without ``retry_on_last_step`` no ``retry`` is written once no step
+    remains. Returns (environment, end clock, retries).
+    """
+
+    env = init_env(
+        manifest, setting, seed=0, budget=None if manifest.family == "code" else budget
+    )
+    emit(
+        "episode_start", clock_ms, episode_id, 0, None,
+        {"episode_index": episode_index, "goal": env.goal},
+    )
+    model_requests = spec.driver_type == "llm"
+    retries = 0
+    while env.terminal is None and env.step_count < budget:
+        step_index = env.step_count
+        obs = {"task_id": manifest.task_id, "step": step_index, "progress": env.solved_progress}
+        record, action = _driver_call(spec, manifest, obs, step_index, rng)
+        model_ms = record.model_latency_ms * latency_scale
+        model_timing = TimingFields(model_latency_ms=model_ms)
+        if model_requests:  # one request per step, so its index is the step's
+            emit("model_request_start", clock_ms, episode_id, step_index, None,
+                 {"request_index": step_index})
+            clock_ms += model_ms
+            emit("model_request_end", clock_ms, episode_id, step_index, model_timing,
+                 {"request_index": step_index, "model_latency_ms": model_ms})
+        payload = record.to_payload()
+        payload["model_latency_ms"] = model_ms
+        emit("action_parsed", clock_ms, episode_id, step_index, model_timing, payload)
+        emit("env_step_start", clock_ms, episode_id, step_index, None, {"action_kind": action.kind})
+        outcome = env_step(env, action, setting, rng)
+        clock_ms += outcome.timing.service_time_ms
+        emit(
+            "env_step_end", clock_ms, episode_id, step_index, outcome.timing,
+            {
+                "service_time_ms": outcome.timing.service_time_ms,
+                "progress": env.solved_progress,
+                "fault": outcome.fault,
+            },
+        )
+        if manifest.family == "code":
+            break  # the patch is applied once; the verifier owns the verdict
+        if outcome.fault:
+            retries += 1
+            if (retry_cap is not None and retries > retry_cap) or (
+                not retry_on_last_step and env.step_count >= budget
+            ):
+                break
+            emit("retry", clock_ms, episode_id, step_index, None,
+                 {"attempt": retries, "reason": "env_fault", "scope": "step"})
+    return env, clock_ms, retries
+
+
+def emit_verifier_outcome(
+    emit: Emit,
+    ticket: Ticket,
+    episode_id: str,
+    step_index: int,
+    status: str,
+    evaluator_id: str,
+    **extra: Any,
+) -> float:
+    """The ``verifier_outcome`` of a served ticket, at its completion; returns that time."""
+
+    latency = ticket.completion_ms - ticket.submit_time_ms
+    emit(
+        "verifier_outcome",
+        ticket.completion_ms,
+        episode_id,
+        step_index,
+        TimingFields(
+            queue_wait_ms=ticket.queue_wait_ms,
+            service_time_ms=ticket.service_demand_ms,
+            verifier_latency_ms=latency,
+        ),
+        {
+            "status": status,
+            "queue_wait_ms": ticket.queue_wait_ms,
+            "verifier_latency_ms": latency,
+            "evaluator_id": evaluator_id,
+            "ticket_id": ticket.ticket_id,
+            **extra,
+        },
+    )
+    return ticket.completion_ms
+
+
+def end_episode(
+    emit: Emit,
+    clock_ms: float,
+    episode_id: str,
+    step_index: int,
+    steps: int,
+    start_ms: float,
+    terminal: TerminalOutcome | None,
+    **extra: Any,
+) -> EpisodeSummary:
+    """An episode's ``terminal_result`` (``error`` without a terminal) and ``episode_end``."""
+
+    if terminal is None:
+        status = "missing_terminal"
+        emit("error", clock_ms, episode_id, step_index, None,
+             {"message": "episode ended without terminal outcome", "scope": "episode"})
+    else:
+        status = terminal.status
+        emit(
+            "terminal_result", clock_ms, episode_id, step_index, None,
+            {
+                "status": status,
+                "evaluator_id": terminal.evaluator_id,
+                "detail": terminal.detail,
+                **extra,
+            },
+        )
+    wall_ms = clock_ms - start_ms
+    emit("episode_end", clock_ms, episode_id, 0, None,
+         {"status": status, "steps": steps, "wall_ms": wall_ms})
+    return EpisodeSummary(episode_id=episode_id, status=status, steps=steps, wall_ms=wall_ms)
+
+
+# ---------------------------------------------------------------------------
+# Run open and close-out (plain runs and controller runs)
+# ---------------------------------------------------------------------------
+
+
+def open_run(
+    manifest: TaskManifest,
+    driver: DriverRecord,
+    repetition: int,
+    planned_episodes: int,
+    strict: bool = True,
+    **start: Any,
+) -> EventBuilder:
+    """The event builder of a new run, its ``run_start`` written at 0."""
+
+    manifest_hash = manifest.manifest_hash()
+    run_id = make_run_id(
+        manifest_hash, driver.driver_id, driver.setting_label, driver.seed, repetition
+    )
+    builder = EventBuilder(
+        run_id,
+        provenance_for(manifest, driver, driver.seed, manifest_hash),
+        run_seed=driver.seed,
+        strict=strict,
+    )
+    builder.emit(
+        "run_start",
+        0.0,
+        payload={
+            "setting_label": driver.setting_label,
+            "planned_episodes": planned_episodes,
+            "driver_type": driver.driver_type,
+            **start,
+        },
+    )
+    return builder
+
+
+def close_run(
+    builder: EventBuilder,
+    manifest: TaskManifest,
+    driver: DriverRecord,
+    repetition: int,
+    planned_episodes: int,
+    summaries: Sequence[EpisodeSummary],
+    end_ms: float,
+    versions: SuiteVersions | None = None,
+    **fields: Any,
+) -> tuple[RunRecord, list[EventRecord]]:
+    """Write ``run_end``, validate the stream and build the run's record.
+
+    The harness terminal counts successes over planned episodes; a run with
+    an episode that ended without a terminal has none. ``fields`` are the
+    remaining ``RunRecord`` fields of the caller's run kind.
+    """
+
+    successes = sum(1 for item in summaries if item.status == "success")
+    builder.emit(
+        "run_end",
+        end_ms,
+        payload={
+            "status": "success",
+            "successes": successes,
+            "episodes_completed": len(summaries),
+        },
+    )
+    trace_complete = builder.finalize()
+    terminal = None
+    if all(item.status != "missing_terminal" for item in summaries):
+        terminal = TerminalOutcome(
+            status="success", evaluator_id="harness", detail=f"{successes}/{planned_episodes}"
+        )
+    manifest_hash = builder.provenance.manifest_hash
+    record = RunRecord(
+        run_id=builder.run_id,
+        task_id=manifest.task_id,
+        family=manifest.family,
+        manifest_hash=manifest_hash,
+        driver=driver,
+        setting_label=driver.setting_label,
+        seed=driver.seed,
+        repetition=repetition,
+        event_log_ref=f"logs/{builder.run_id}.log",
+        trace_complete=trace_complete,
+        freeze=freeze_run(manifest, driver, driver.setting_label, manifest_hash, versions),
+        terminal=terminal,
+        episode_summaries=tuple(summaries),
+        reward_trajectory=tuple(build_reward_trajectory(builder.events)),
+        **fields,
+    )
+    return record, builder.events
+
+
+# ---------------------------------------------------------------------------
+# Plain runs: sequential episodes on one clock
+# ---------------------------------------------------------------------------
 
 
 def _patch_quality(spec: DriverSpec) -> tuple[str, float]:
@@ -419,6 +665,51 @@ def _patch_quality(spec: DriverSpec) -> tuple[str, float]:
         return ("gold" if (spec.mode or "oracle") == "oracle" else "noop", 1.0)
     profile = spec.profile or SyntheticLlmProfile()
     return "generated", profile.success_bias
+
+
+def _verify_demand_ms(rng: random.Random, family: str, setting: OperatingSetting) -> float:
+    return draw_lognormal(
+        rng,
+        VERIFY_BASE_MS[family]
+        * setting.env_latency_multiplier
+        * setting.verifier_arrival_rate_boost,
+        0.2,
+    )
+
+
+def _verify_patch(
+    builder: EventBuilder,
+    manifest: TaskManifest,
+    spec: DriverSpec,
+    setting: OperatingSetting,
+    rng: random.Random,
+    queue: VerifierQueue,
+    episode_id: str,
+    episode_index: int,
+    clock_ms: float,
+) -> tuple[TerminalOutcome, float]:
+    """Apply a code episode's patch and verify it; returns (verdict, end clock)."""
+
+    apply_ms = draw_service_ms(rng, 25.0, setting)
+    clock_ms += apply_ms
+    builder.emit("tool_call", clock_ms, episode_id, 0, TimingFields(tool_latency_ms=apply_ms),
+                 {"tool_name": "patch_apply"})
+    quality, pass_prob = _patch_quality(spec)
+    ticket = queue.ticket(queue.submit(clock_ms, _verify_demand_ms(rng, "code", setting)))
+    # Decision stream frozen to (snapshot, run seed, episode) so
+    # snapshot-class replay can recompute the verdict bit for bit.
+    snapshot = builder.provenance.snapshot_digest
+    decision_rng = random.Random(
+        f"verify:{snapshot.hex if snapshot else ''}:{builder.run_seed}:{episode_index}"
+    )
+    terminal = verifier_outcome(
+        quality, decision_rng, generated_pass_prob=pass_prob, evaluator_id=manifest.verifier_id
+    )
+    end_ms = emit_verifier_outcome(
+        builder.emit, ticket, episode_id, 0, terminal.status, terminal.evaluator_id,
+        detail=terminal.detail, patch_quality=quality, pass_prob=pass_prob,
+    )
+    return terminal, end_ms
 
 
 def _run_one_episode(
@@ -435,210 +726,26 @@ def _run_one_episode(
     """Execute one episode starting at ``clock_ms``; returns (summary, end clock, retries)."""
 
     episode_id = f"{builder.run_id}-ep{episode_index:03d}"
-    start_ms = clock_ms
-    env = init_env(
-        manifest, setting, seed=0, budget=None if manifest.family == "code" else budget
+    env, end_ms, retries = run_episode_steps(
+        builder.emit, manifest, spec, setting, rng, episode_id, episode_index, budget, clock_ms,
+        latency_scale=1.0, retry_cap=spec.retry_budget, retry_on_last_step=True,
     )
-    builder.emit(
-        "episode_start",
-        clock_ms,
-        episode_id=episode_id,
-        payload={"episode_index": episode_index, "goal": env.goal},
+    terminal = env.terminal
+    if manifest.family == "code" and env.step_count:
+        # The verifier, not the environment, owns a patch's verdict.
+        terminal, end_ms = _verify_patch(
+            builder, manifest, spec, setting, rng, queue, episode_id, episode_index, end_ms
+        )
+    elif manifest.family == "web" and terminal is not None:
+        ticket = queue.ticket(queue.submit(end_ms, _verify_demand_ms(rng, "web", setting)))
+        end_ms = emit_verifier_outcome(
+            builder.emit, ticket, episode_id, env.step_count, terminal.status,
+            manifest.verifier_id,
+        )
+    summary = end_episode(
+        builder.emit, end_ms, episode_id, env.step_count, env.step_count, clock_ms, terminal
     )
-    retries_used = 0
-    request_index = 0
-    terminal: TerminalOutcome | None = None
-
-    while env.terminal is None and env.step_count < budget:
-        step_index = env.step_count
-        obs = {"task_id": manifest.task_id, "step": step_index, "progress": env.solved_progress}
-
-        record, action, model_ms = _driver_call(spec, manifest, obs, step_index, rng)
-        if spec.driver_type == "llm":
-            builder.emit(
-                "model_request_start",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=step_index,
-                payload={"request_index": request_index},
-            )
-            clock_ms += model_ms
-            builder.emit(
-                "model_request_end",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=TimingFields(model_latency_ms=model_ms),
-                payload={"request_index": request_index, "model_latency_ms": model_ms},
-            )
-            request_index += 1
-        builder.emit(
-            "action_parsed",
-            clock_ms,
-            episode_id=episode_id,
-            step_index=step_index,
-            timing=TimingFields(model_latency_ms=model_ms),
-            payload=record.to_payload(),
-        )
-
-        builder.emit(
-            "env_step_start",
-            clock_ms,
-            episode_id=episode_id,
-            step_index=step_index,
-            payload={"action_kind": action.kind},
-        )
-        outcome = env_step(env, action, setting, rng)
-        clock_ms += outcome.timing.service_time_ms
-        builder.emit(
-            "env_step_end",
-            clock_ms,
-            episode_id=episode_id,
-            step_index=step_index,
-            timing=outcome.timing,
-            payload={
-                "service_time_ms": outcome.timing.service_time_ms,
-                "progress": env.solved_progress,
-                "fault": outcome.fault,
-            },
-        )
-
-        if manifest.family == "code":
-            # Patch application and verification; the verifier owns the verdict.
-            apply_ms = draw_service_ms(rng, 25.0, setting)
-            clock_ms += apply_ms
-            builder.emit(
-                "tool_call",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=TimingFields(tool_latency_ms=apply_ms),
-                payload={"tool_name": "patch_apply"},
-            )
-            quality, pass_prob = _patch_quality(spec)
-            demand = draw_lognormal(
-                rng,
-                VERIFY_BASE_MS["code"]
-                * setting.env_latency_multiplier
-                * setting.verifier_arrival_rate_boost,
-                0.2,
-            )
-            ticket = queue.submit(clock_ms, demand)
-            # Decision stream frozen to (snapshot, run seed, episode) so
-            # snapshot-class replay can recompute the verdict bit for bit.
-            decision_rng = random.Random(
-                f"verify:{builder.provenance.snapshot_digest.hex if builder.provenance.snapshot_digest else ''}"
-                f":{builder.run_seed}:{episode_index}"
-            )
-            terminal, timing = verifier_outcome(
-                queue,
-                ticket,
-                quality,
-                rng=decision_rng,
-                generated_pass_prob=pass_prob,
-                evaluator_id=manifest.verifier_id,
-            )
-            clock_ms = queue.ticket(ticket).completion_ms
-            builder.emit(
-                "verifier_outcome",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=timing,
-                payload={
-                    "status": terminal.status,
-                    "queue_wait_ms": timing.queue_wait_ms,
-                    "verifier_latency_ms": timing.verifier_latency_ms or 0.0,
-                    "evaluator_id": terminal.evaluator_id,
-                    "detail": terminal.detail,
-                    "ticket_id": ticket,
-                    "patch_quality": quality,
-                    "pass_prob": pass_prob,
-                },
-            )
-            break
-
-        if outcome.fault:
-            retries_used += 1
-            if retries_used > spec.retry_budget:
-                break  # fault budget exhausted: episode ends without a terminal
-            builder.emit(
-                "retry",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=step_index,
-                payload={"attempt": retries_used, "reason": "env_fault", "scope": "step"},
-            )
-            continue
-
-    if manifest.family != "code" and env.terminal is not None:
-        terminal = env.terminal
-        if manifest.family == "web":
-            demand = draw_lognormal(
-                rng,
-                VERIFY_BASE_MS["web"]
-                * setting.env_latency_multiplier
-                * setting.verifier_arrival_rate_boost,
-                0.2,
-            )
-            ticket = queue.submit(clock_ms, demand)
-            info = queue.ticket(ticket)
-            clock_ms = info.completion_ms
-            builder.emit(
-                "verifier_outcome",
-                clock_ms,
-                episode_id=episode_id,
-                step_index=env.step_count,
-                timing=TimingFields(
-                    queue_wait_ms=info.queue_wait_ms,
-                    service_time_ms=info.service_demand_ms,
-                    verifier_latency_ms=info.completion_ms - info.submit_time_ms,
-                ),
-                payload={
-                    "status": terminal.status,
-                    "queue_wait_ms": info.queue_wait_ms,
-                    "verifier_latency_ms": info.completion_ms - info.submit_time_ms,
-                    "evaluator_id": manifest.verifier_id,
-                    "ticket_id": ticket,
-                },
-            )
-
-    status = "missing_terminal"
-    if terminal is not None:
-        builder.emit(
-            "terminal_result",
-            clock_ms,
-            episode_id=episode_id,
-            step_index=env.step_count,
-            payload={
-                "status": terminal.status,
-                "evaluator_id": terminal.evaluator_id,
-                "detail": terminal.detail,
-            },
-        )
-        status = terminal.status
-    else:
-        builder.emit(
-            "error",
-            clock_ms,
-            episode_id=episode_id,
-            step_index=env.step_count,
-            payload={"message": "episode ended without terminal outcome", "scope": "episode"},
-        )
-
-    builder.emit(
-        "episode_end",
-        clock_ms,
-        episode_id=episode_id,
-        payload={"status": status, "steps": env.step_count, "wall_ms": clock_ms - start_ms},
-    )
-    summary = EpisodeSummary(
-        episode_id=episode_id,
-        status=status,
-        steps=env.step_count,
-        wall_ms=clock_ms - start_ms,
-    )
-    return summary, clock_ms, retries_used
+    return summary, end_ms, retries
 
 
 def execute_run(
@@ -658,24 +765,11 @@ def execute_run(
     if not manifest.resolved:
         raise RunnerError("unresolved_manifest", f"manifest {manifest.task_id} not resolved")
     driver = spec.record(seed=seed, setting_label=setting.label, budget=budget)
-    manifest_hash = manifest.manifest_hash()
-    run_id = make_run_id(manifest_hash, driver.driver_id, setting.label, seed, repetition)
-    provenance = provenance_for(manifest, driver, seed, manifest_hash)
-    builder = EventBuilder(run_id, provenance, run_seed=seed, strict=strict)
-    rng = random.Random(f"run:{run_id}:{seed}")
+    builder = open_run(manifest, driver, repetition, planned_episodes, strict)
+    rng = random.Random(f"run:{builder.run_id}:{seed}")
     queue = VerifierQueue(servers=1)
 
     clock_ms = 0.0
-    builder.emit(
-        "run_start",
-        clock_ms,
-        payload={
-            "setting_label": setting.label,
-            "planned_episodes": planned_episodes,
-            "driver_type": spec.driver_type,
-        },
-    )
-
     summaries: list[EpisodeSummary] = []
     retry_total = 0
     for index in range(planned_episodes):
@@ -693,49 +787,10 @@ def execute_run(
             )
             break
 
-    successes = sum(1 for item in summaries if item.status == "success")
-    builder.emit(
-        "run_end",
-        clock_ms,
-        payload={
-            "status": "success",
-            "successes": successes,
-            "episodes_completed": len(summaries),
-        },
+    return close_run(
+        builder, manifest, driver, repetition, planned_episodes, summaries, clock_ms, versions,
+        retry_count=retry_total, retry_budget=spec.retry_budget, concurrency=concurrency,
     )
-    trace_complete = builder.finalize()
-
-    missing = any(item.status == "missing_terminal" for item in summaries)
-    terminal = None
-    if not missing:
-        terminal = TerminalOutcome(
-            status="success",
-            evaluator_id="harness",
-            detail=f"{successes}/{planned_episodes}",
-        )
-
-    freeze = freeze_run(manifest, driver, setting.label, manifest_hash, versions)
-    trajectory = build_reward_trajectory(builder.events)
-    record = RunRecord(
-        run_id=run_id,
-        task_id=manifest.task_id,
-        family=manifest.family,
-        manifest_hash=manifest_hash,
-        driver=driver,
-        setting_label=setting.label,
-        seed=seed,
-        repetition=repetition,
-        event_log_ref=f"logs/{run_id}.log",
-        trace_complete=trace_complete,
-        freeze=freeze,
-        terminal=terminal,
-        episode_summaries=tuple(summaries),
-        reward_trajectory=tuple(trajectory),
-        retry_count=retry_total,
-        retry_budget=spec.retry_budget,
-        concurrency=concurrency,
-    )
-    return record, builder.events
 
 
 def run_episode(
@@ -1028,13 +1083,18 @@ __all__ = [
     "RunSet",
     "RunnerError",
     "build_reward_trajectory",
+    "close_run",
+    "emit_verifier_outcome",
+    "end_episode",
     "execute_run",
     "load_plan",
     "load_runset",
     "make_run_id",
     "map_runs",
+    "open_run",
     "provenance_for",
     "run_episode",
+    "run_episode_steps",
     "run_plan",
     "save_plan",
     "save_runset",

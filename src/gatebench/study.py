@@ -29,7 +29,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field, replace as dataclasses_replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Final
+from typing import Any, Final
 
 from .drivers import (
     DriverRecord,
@@ -40,14 +40,12 @@ from .drivers import (
     draw_lognormal,
     hook_a_filter,
     hook_b_adjust,
-    synthetic_llm_call,
 )
 from .gate import GateDecision, decide_runset, gate_report, save_gate_outputs
 from .manifest import (
     ManifestStore,
     ReleaseRoot,
     TaskManifest,
-    freeze_run,
     make_manifest,
     publish_release,
     resolve_manifest,
@@ -55,27 +53,25 @@ from .manifest import (
 from .records import record
 from .report import DecisionStudyReport, StudyGrid, decision_study, save_report_outputs
 from .runner import (
+    DriverSpec,
     EpisodeSummary,
-    EventBuilder,
     RunRecord,
     RunSet,
-    build_reward_trajectory,
-    make_run_id,
-    provenance_for,
+    close_run,
+    emit_verifier_outcome,
+    end_episode,
+    open_run,
+    run_episode_steps,
     save_runset,
 )
 from .schema import TimingFields, write_event_log
 from .simenv import (
     OperatingSetting,
     TerminalOutcome,
+    Ticket,
     VerifierQueue,
-    env_step,
-    init_env,
     setting_for_label,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .runner import DriverSpec as DriverSpecLike
 
 STUDY_TASK_ID: Final = "study-web-001"
 STUDY_ROOT_ID: Final = "study-root"
@@ -147,7 +143,6 @@ class _Sample:
     """An episode's result on its way to the verifier in a controller run."""
 
     episode_id: str
-    episode_index: int
     env_status: str
     invalid: bool
     missing_first: bool
@@ -158,7 +153,12 @@ class _Sample:
 
 
 class _ControllerRunSim:
-    """Discrete-event simulation of one controller run."""
+    """Discrete-event simulation of one controller run.
+
+    Each lane runs its episodes through the episode kernel with a synthetic
+    LLM actor, whose policy version is the variant, and hands each sample to
+    the shared verifier queue; the hook acts on the verifier's deliveries.
+    """
 
     def __init__(
         self,
@@ -174,11 +174,18 @@ class _ControllerRunSim:
         self.cfg = cfg
         self.manifest = manifest
         self.setting = setting
-        self.backend = backend
         self.seed = seed
         self.budget = budget
         self.variant = variant
         self.run_id = run_id
+        self.actor = DriverSpec(
+            name=f"{variant}-actor",
+            driver_type="llm",
+            driver_version=variant,
+            profile=cfg.profile,
+            backend_engine=backend,
+        )
+        self.latency_scale = cfg.backend_latency_scale.get(backend, 1.0)
         self.queue = VerifierQueue(servers=cfg.verify_servers)
         self.window = TelemetryWindow(capacity=cfg.window_capacity)
         self.target = cfg.lanes
@@ -188,6 +195,9 @@ class _ControllerRunSim:
         # timing, payload). ``order`` is unique within the run, so the tuples
         # sort by (time, order) without comparing the fields after it.
         self.records: list[tuple] = []
+        # Episodes end in time order, so this is also the order of their
+        # ``episode_end`` events in the sorted stream.
+        self.summaries: list[EpisodeSummary] = []
         self.retry_events = 0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._heap_seq = 0
@@ -196,13 +206,15 @@ class _ControllerRunSim:
 
     def _record(
         self,
-        time_ms: float,
         kind: str,
+        time_ms: float,
         episode_id: str = "",
         step_index: int = 0,
         timing: TimingFields | None = None,
         payload: dict[str, Any] | None = None,
     ) -> None:
+        """``EventBuilder.emit``'s signature; the event is kept for sorting."""
+
         records = self.records
         records.append(
             (time_ms, len(records), kind, episode_id, step_index, timing, payload)
@@ -211,97 +223,6 @@ class _ControllerRunSim:
     def _schedule(self, time_ms: float, kind: str, args: tuple) -> None:
         heapq.heappush(self._heap, (time_ms, self._heap_seq, kind, args))
         self._heap_seq += 1
-
-    # -- episode body ---------------------------------------------------------
-
-    def _simulate_body(self, episode_index: int, start_ms: float) -> tuple[float, str | None, int]:
-        """Steps of one episode starting at ``start_ms``; returns
-        (end time, env terminal status or None, steps taken)."""
-
-        cfg = self.cfg
-        episode_id = f"{self.run_id}-ep{episode_index:03d}"
-        rng = _substream("study-body", self.seed, self.budget, self.setting.label, episode_index)
-        env = init_env(self.manifest, self.setting, seed=0, budget=self.budget)
-        clock = start_ms
-        self._record(
-            clock,
-            "episode_start",
-            episode_id=episode_id,
-            payload={"episode_index": episode_index, "goal": env.goal},
-        )
-        scale = cfg.backend_latency_scale.get(self.backend, 1.0)
-        request_index = 0
-        retries = 0
-        while env.terminal is None and env.step_count < self.budget:
-            step_index = env.step_count
-            obs = {"task_id": self.manifest.task_id, "step": step_index, "progress": env.solved_progress}
-            record, action = synthetic_llm_call(
-                obs, cfg.profile, rng, backend_engine=self.backend, policy_version=self.variant
-            )
-            model_ms = record.model_latency_ms * scale
-            model_timing = TimingFields(model_latency_ms=model_ms)
-            self._record(
-                clock,
-                "model_request_start",
-                episode_id=episode_id,
-                step_index=step_index,
-                payload={"request_index": request_index},
-            )
-            clock += model_ms
-            self._record(
-                clock,
-                "model_request_end",
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=model_timing,
-                payload={"request_index": request_index, "model_latency_ms": model_ms},
-            )
-            request_index += 1
-            payload = record.to_payload()
-            payload["model_latency_ms"] = model_ms
-            self._record(
-                clock,
-                "action_parsed",
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=model_timing,
-                payload=payload,
-            )
-            self._record(
-                clock,
-                "env_step_start",
-                episode_id=episode_id,
-                step_index=step_index,
-                payload={"action_kind": action.kind},
-            )
-            outcome = env_step(env, action, self.setting, rng)
-            clock += outcome.timing.service_time_ms
-            self._record(
-                clock,
-                "env_step_end",
-                episode_id=episode_id,
-                step_index=step_index,
-                timing=outcome.timing,
-                payload={
-                    "service_time_ms": outcome.timing.service_time_ms,
-                    "progress": env.solved_progress,
-                    "fault": outcome.fault,
-                },
-            )
-            if outcome.fault:
-                retries += 1
-                self.retry_events += 1
-                if env.step_count >= self.budget:
-                    break
-                self._record(
-                    clock,
-                    "retry",
-                    episode_id=episode_id,
-                    step_index=step_index,
-                    payload={"attempt": retries, "reason": "env_fault", "scope": "step"},
-                )
-        status = env.terminal.status if env.terminal is not None else None
-        return clock, status, env.step_count
 
     # -- verification lifecycle ----------------------------------------------
 
@@ -318,64 +239,40 @@ class _ControllerRunSim:
         ticket = self.queue.submit(time_ms, demand)
         sample.attempts += 1
         info = self.queue.ticket(ticket)
-        self._schedule(info.completion_ms, "deliver", (lane, sample, ticket))
+        self._schedule(info.completion_ms, "deliver", (lane, sample, info))
 
     def _finalize(
         self, time_ms: float, sample: _Sample, status: str, detail: str, drop_reason: str | None
     ) -> None:
-        payload: dict[str, Any] = {
-            "status": status,
-            "evaluator_id": self.manifest.verifier_id,
-            "detail": detail,
-            "sample_retry_count": sample.attempts - 1,
-        }
+        extra: dict[str, Any] = {"sample_retry_count": sample.attempts - 1}
         if drop_reason is not None:
-            payload["drop_reason"] = drop_reason
-        self._record(
-            time_ms,
-            "terminal_result",
-            episode_id=sample.episode_id,
-            step_index=0,
-            payload=payload,
-        )
-        self._record(
-            time_ms,
-            "episode_end",
-            episode_id=sample.episode_id,
-            payload={
-                "status": status,
-                "steps": sample.steps,
-                "wall_ms": time_ms - sample.start_ms,
-            },
+            extra["drop_reason"] = drop_reason
+        self.summaries.append(
+            end_episode(
+                self._record,
+                time_ms,
+                sample.episode_id,
+                0,
+                sample.steps,
+                sample.start_ms,
+                TerminalOutcome(
+                    status=status, evaluator_id=self.manifest.verifier_id, detail=detail
+                ),
+                **extra,
+            )
         )
 
-    def _deliver(self, time_ms: float, lane: int, sample: _Sample, ticket: int) -> None:
+    def _deliver(self, time_ms: float, lane: int, sample: _Sample, info: Ticket) -> None:
         cfg = self.cfg
-        info = self.queue.ticket(ticket)
         wait = info.queue_wait_ms
         stale = (
             self.setting.fault_injection_prob > 0.0 and wait > cfg.stale_after_ms
         )
         missing = sample.missing_first and sample.attempts == 1
         attempt_status = "error" if missing else ("failure" if sample.invalid else sample.env_status)
-        self._record(
-            time_ms,
-            "verifier_outcome",
-            episode_id=sample.episode_id,
-            step_index=0,
-            timing=TimingFields(
-                queue_wait_ms=wait,
-                service_time_ms=info.service_demand_ms,
-                verifier_latency_ms=info.completion_ms - info.submit_time_ms,
-            ),
-            payload={
-                "status": attempt_status,
-                "queue_wait_ms": wait,
-                "verifier_latency_ms": info.completion_ms - info.submit_time_ms,
-                "evaluator_id": self.manifest.verifier_id,
-                "ticket_id": ticket,
-                "detail": "sample_attempt",
-            },
+        emit_verifier_outcome(
+            self._record, info, sample.episode_id, 0, attempt_status,
+            self.manifest.verifier_id, detail="sample_attempt",
         )
 
         if self.variant == "hook_a_only":
@@ -405,11 +302,12 @@ class _ControllerRunSim:
         if needs_retry:
             self.retry_events += 1
             self._record(
-                time_ms,
                 "retry",
-                episode_id=sample.episode_id,
-                step_index=0,
-                payload={
+                time_ms,
+                sample.episode_id,
+                0,
+                None,
+                {
                     "attempt": sample.attempts,
                     "reason": "missing_terminal" if missing else "invalid_sample",
                     "scope": "sample",
@@ -443,7 +341,21 @@ class _ControllerRunSim:
             return
         episode_index = self.pending.pop(0)
         episode_id = f"{self.run_id}-ep{episode_index:03d}"
-        body_end, env_status, steps = self._simulate_body(episode_index, time_ms)
+        env, body_end, retries = run_episode_steps(
+            self._record,
+            self.manifest,
+            self.actor,
+            self.setting,
+            _substream("study-body", self.seed, self.budget, self.setting.label, episode_index),
+            episode_id,
+            episode_index,
+            self.budget,
+            time_ms,
+            latency_scale=self.latency_scale,
+            retry_cap=None,
+            retry_on_last_step=False,
+        )
+        self.retry_events += retries
         rng = _substream(
             "study-sample", self.seed, self.budget, self.setting.label, episode_index
         )
@@ -451,13 +363,12 @@ class _ControllerRunSim:
         missing = rng.random() < self.setting.fault_injection_prob
         sample = _Sample(
             episode_id=episode_id,
-            episode_index=episode_index,
-            env_status=env_status if env_status is not None else "failure",
+            env_status=env.terminal.status if env.terminal is not None else "failure",
             invalid=invalid,
-            missing_first=missing or env_status is None,
+            missing_first=missing or env.terminal is None,
             demand_rng=rng,
             start_ms=time_ms,
-            steps=steps,
+            steps=env.step_count,
         )
         self._schedule(body_end, "submit", (lane, sample))
 
@@ -509,73 +420,22 @@ def simulate_controller_run(
         model_backend_id=f"{backend}:synthetic",
         backend_engine=backend,
     )
-    manifest_hash = manifest.manifest_hash()
-    run_id = make_run_id(manifest_hash, driver.driver_id, setting.label, seed, repetition)
-    sim = _ControllerRunSim(cfg, manifest, setting, backend, seed, budget, variant, run_id)
+    builder = open_run(
+        manifest, driver, repetition, cfg.episodes_per_run, variant=variant, backend=backend
+    )
+    sim = _ControllerRunSim(cfg, manifest, setting, backend, seed, budget, variant, builder.run_id)
     timed = sim.run()
-
-    builder = EventBuilder(
-        run_id, provenance_for(manifest, driver, seed, manifest_hash), run_seed=seed
-    )
     emit = builder.emit
-    emit(
-        "run_start",
-        0.0,
-        payload={
-            "setting_label": setting.label,
-            "planned_episodes": cfg.episodes_per_run,
-            "driver_type": "controller",
-            "variant": variant,
-            "backend": backend,
-        },
-    )
-    statuses: dict[str, str] = {}
-    summaries = []
     for time_ms, _, kind, episode_id, step_index, timing, payload in timed:
         emit(kind, time_ms, episode_id, step_index, timing, payload)
-        if kind == "terminal_result":
-            statuses[episode_id] = str(payload["status"])
-        elif kind == "episode_end":
-            summaries.append(
-                EpisodeSummary(
-                    episode_id=episode_id,
-                    status=str(payload["status"]),
-                    steps=int(payload["steps"]),
-                    wall_ms=float(payload["wall_ms"]),
-                )
-            )
-    successes = sum(1 for status in statuses.values() if status == "success")
-    emit(
-        "run_end",
+    return close_run(
+        builder,
+        manifest,
+        driver,
+        repetition,
+        cfg.episodes_per_run,
+        sim.summaries,
         timed[-1][0] if timed else 0.0,
-        payload={
-            "status": "success",
-            "successes": successes,
-            "episodes_completed": len(statuses),
-        },
-    )
-    trace_complete = builder.finalize()
-
-    terminal = TerminalOutcome(
-        status="success",
-        evaluator_id="harness",
-        detail=f"{successes}/{cfg.episodes_per_run}",
-    )
-    record = RunRecord(
-        run_id=run_id,
-        task_id=manifest.task_id,
-        family=manifest.family,
-        manifest_hash=manifest_hash,
-        driver=driver,
-        setting_label=setting.label,
-        seed=seed,
-        repetition=repetition,
-        event_log_ref=f"logs/{run_id}.log",
-        trace_complete=trace_complete,
-        freeze=freeze_run(manifest, driver, setting.label, manifest_hash),
-        terminal=terminal,
-        episode_summaries=tuple(summaries),
-        reward_trajectory=tuple(build_reward_trajectory(builder.events)),
         retry_count=sim.retry_events,
         retry_budget=cfg.run_retry_budget(),
         concurrency=cfg.lanes,
@@ -583,13 +443,12 @@ def simulate_controller_run(
         variant=variant,
         horizon_ms=cfg.horizons_ms[setting.label],
     )
-    return record, builder.events
 
 
 def controller_run_for_plan(
     manifest: TaskManifest,
     setting: OperatingSetting,
-    spec: "DriverSpecLike",
+    spec: DriverSpec,
     seed: int,
     budget: int,
     episodes: int,

@@ -178,8 +178,12 @@ def test_replay_single_bundle(root_dir, tmp_path):
         ([], "one of the arguments --bundle --runset is required"),
         (["--bundle", "{tmp}/b.json", "--runset", "{tmp}/runs"], "not allowed with argument"),
         (["--runset", "{tmp}/runs", "--class", "R7"], "argument --class: invalid choice: 'R7'"),
+        (
+            ["--bundle", "{tmp}/b.json", "--class", "R2"],
+            "argument --class: not allowed with argument --bundle",
+        ),
     ],
-    ids=["no_source", "bundle_and_runset", "unknown_class"],
+    ids=["no_source", "bundle_and_runset", "unknown_class", "class_with_bundle"],
 )
 def test_replay_argument_error_is_usage_error(tmp_path, capsys, flags, message):
     argv = ["replay", *(flag.format(tmp=tmp_path) for flag in flags), "--out", str(tmp_path / "o")]

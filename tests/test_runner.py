@@ -14,6 +14,7 @@ from gatebench.runner import (
     RunPlan,
     RunnerError,
     build_reward_trajectory,
+    emit_verifier_outcome,
     execute_run,
     load_runset,
     make_run_id,
@@ -29,7 +30,7 @@ from gatebench.schema import (
     read_event_log,
     validate_log,
 )
-from gatebench.simenv import clean_setting, stressed_setting
+from gatebench.simenv import VerifierQueue, clean_setting, stressed_setting
 
 ORACLE = DriverSpec(name="oracle", driver_type="calibration", mode="oracle",
                     evidence_status="diagnostic")
@@ -84,6 +85,33 @@ def test_failed_event_clears_trace_complete():
     assert not builder.trace_complete
     builder.emit("run_end", 2.0, payload={"status": "success"})
     assert builder.finalize() is False
+
+
+def test_verifier_event_takes_its_time_and_timing_from_the_ticket():
+    queue = VerifierQueue(servers=1)
+    queue.submit(0.0, 10.0)
+    ticket = queue.ticket(queue.submit(4.0, 5.0))  # waits for the first until 10
+    emitted = []
+    end_ms = emit_verifier_outcome(
+        lambda *event: emitted.append(event), ticket, "ep-0", 3, "success", "verifier:web:1",
+        detail="sample_attempt",
+    )
+    assert end_ms == 15.0
+    assert emitted == [(
+        "verifier_outcome",
+        15.0,
+        "ep-0",
+        3,
+        TimingFields(queue_wait_ms=6.0, service_time_ms=5.0, verifier_latency_ms=11.0),
+        {
+            "status": "success",
+            "queue_wait_ms": 6.0,
+            "verifier_latency_ms": 11.0,
+            "evaluator_id": "verifier:web:1",
+            "ticket_id": 1,
+            "detail": "sample_attempt",
+        },
+    )]
 
 
 # ---------------------------------------------------------------------------

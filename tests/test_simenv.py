@@ -182,31 +182,25 @@ def test_unknown_ticket_raises():
 
 def test_gold_noop_generated_outcomes():
     queue = VerifierQueue(servers=1)
-    gold = queue.submit(0.0, 10.0)
-    noop = queue.submit(0.0, 10.0)
-    outcome, timing = verifier_outcome(queue, gold, "gold")
-    assert outcome.status == "success"
-    assert timing.verifier_latency_ms == pytest.approx(10.0)
-    outcome, timing = verifier_outcome(queue, noop, "noop")
-    assert outcome.status == "failure"
-    assert timing.queue_wait_ms == pytest.approx(10.0)
+    gold = queue.ticket(queue.submit(0.0, 10.0))
+    noop = queue.ticket(queue.submit(0.0, 10.0))
+    assert verifier_outcome("gold").status == "success"
+    assert gold.completion_ms - gold.submit_time_ms == pytest.approx(10.0)
+    assert verifier_outcome("noop").status == "failure"
+    assert noop.queue_wait_ms == pytest.approx(10.0)
 
 
 def test_generated_with_zero_pass_prob_always_fails():
-    queue = VerifierQueue(servers=1)
     rng = random.Random(0)
-    for index in range(100):
-        ticket = queue.submit(float(index), 1.0)
-        outcome, _ = verifier_outcome(queue, ticket, "generated", rng=rng, generated_pass_prob=0.0)
+    for _ in range(100):
+        outcome = verifier_outcome("generated", rng=rng, generated_pass_prob=0.0)
         assert outcome.status == "failure"
 
 
 def test_generated_with_certain_pass_prob_always_succeeds():
-    queue = VerifierQueue(servers=1)
     rng = random.Random(0)
-    for index in range(50):
-        ticket = queue.submit(float(index), 1.0)
-        outcome, _ = verifier_outcome(queue, ticket, "generated", rng=rng, generated_pass_prob=1.0)
+    for _ in range(50):
+        outcome = verifier_outcome("generated", rng=rng, generated_pass_prob=1.0)
         assert outcome.status == "success"
 
 
