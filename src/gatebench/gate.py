@@ -24,7 +24,14 @@ from typing import Final, Iterable, Literal, Sequence
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
 from .records import record
 from .runner import RunRecord, RunSet
-from .schema import SUPPORTED_SCHEMA_VERSIONS, GatebenchError, Record, canonical_json, read_json
+from .schema import (
+    SUPPORTED_SCHEMA_VERSIONS,
+    GatebenchError,
+    Record,
+    canonical_json,
+    read_json,
+    write_json,
+)
 from .simenv import CLEAN_LABEL
 
 Verdict = Literal["admitted", "rejected", "quarantined"]
@@ -276,15 +283,11 @@ def save_gate_outputs(
 ) -> None:
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    (base / "gate_report.json").write_text(
-        canonical_json(report.to_doc()) + "\n", encoding="utf-8"
-    )
+    write_json(base / "gate_report.json", report)
     lines = [canonical_json(decision.to_doc()) for decision in decisions]
     (base / "gate_decisions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if decision_report is not None:
-        (base / "gate_report_decision_study.json").write_text(
-            canonical_json(decision_report.to_doc()) + "\n", encoding="utf-8"
-        )
+        write_json(base / "gate_report_decision_study.json", decision_report)
 
 
 def load_gate_report(path: Path | str) -> GateReport:

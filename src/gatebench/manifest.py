@@ -19,9 +19,9 @@ from .schema import (
     GatebenchError,
     Record,
     canonical_hash,
-    canonical_json,
     doc_field,
     read_json,
+    write_json,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -161,7 +161,7 @@ class ManifestStore:
     def save(self, manifest: TaskManifest) -> Path:
         self.root_dir.mkdir(parents=True, exist_ok=True)
         path = self.manifest_path(manifest.task_id)
-        path.write_text(canonical_json(manifest.to_doc()) + "\n", encoding="utf-8")
+        write_json(path, manifest)
         return path
 
     def load(self, task_id: str) -> TaskManifest:
@@ -174,7 +174,7 @@ class ManifestStore:
     def save_root(self, root: ReleaseRoot) -> Path:
         self.root_dir.mkdir(parents=True, exist_ok=True)
         path = self.root_dir / self.REGISTRY_FILE
-        path.write_text(canonical_json(root.to_doc()) + "\n", encoding="utf-8")
+        write_json(path, root)
         return path
 
     def load_root(self) -> ReleaseRoot:

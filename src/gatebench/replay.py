@@ -27,10 +27,10 @@ from .schema import (
     EventRecord,
     GatebenchError,
     Record,
-    canonical_json,
     doc_field,
     float_sum,
     read_json,
+    write_json,
 )
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
@@ -278,7 +278,7 @@ def replay_run(bundle: ReplayBundle) -> ReplayResult:
 
 
 def save_bundle(bundle: ReplayBundle, path: Path | str) -> None:
-    Path(path).write_text(canonical_json(bundle.to_doc()) + "\n", encoding="utf-8")
+    write_json(path, bundle)
 
 
 def load_bundle(path: Path | str) -> ReplayBundle:

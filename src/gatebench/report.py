@@ -22,7 +22,7 @@ from .gate import GateDecision, GateReport, load_decisions, load_gate_report
 from .records import record
 from .replay import build_bundle, replay_run
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
-from .schema import EventRecord, GatebenchError, Record, canonical_json, float_sum, read_json
+from .schema import EventRecord, GatebenchError, Record, float_sum, read_json, write_json
 from .simenv import simulate_family_throughput
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
@@ -698,21 +698,15 @@ def save_report_outputs(
     base.mkdir(parents=True, exist_ok=True)
     if latency is not None:
         doc = {key: block.to_doc() for key, block in sorted(latency.items())}
-        (base / "latency_tables.json").write_text(canonical_json(doc) + "\n", encoding="utf-8")
+        write_json(base / "latency_tables.json", doc)
         (base / "latency_tables.txt").write_text(render_latency_table(latency), encoding="utf-8")
     if invalid_actions is not None:
-        (base / "invalid_actions.json").write_text(
-            canonical_json(invalid_actions.to_doc()) + "\n", encoding="utf-8"
-        )
+        write_json(base / "invalid_actions.json", invalid_actions)
     if study is not None:
-        (base / "decision_study.json").write_text(
-            canonical_json(study.to_doc()) + "\n", encoding="utf-8"
-        )
+        write_json(base / "decision_study.json", study)
         (base / "decision_study.txt").write_text(render_decision_table(study), encoding="utf-8")
     if matrix is not None:
-        (base / "claim_matrix.json").write_text(
-            canonical_json(matrix.to_doc()) + "\n", encoding="utf-8"
-        )
+        write_json(base / "claim_matrix.json", matrix)
         (base / "claim_matrix.txt").write_text(render_claim_matrix(matrix), encoding="utf-8")
 
 

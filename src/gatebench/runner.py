@@ -56,13 +56,14 @@ from .schema import (
     SCHEMA_VERSION,
     TimingFields,
     canonical_hash,
-    canonical_json,
+    canonical_json,  # unused here; perfbench's tracer self-test patches runner's binding
     decode_events,
     doc_field,
     new_trace_context,
     read_event_log,
     read_json,
     write_event_log,
+    write_json,
 )
 from .simenv import (
     EnvState,
@@ -192,10 +193,15 @@ class RunPlan(Record):
         if self.concurrency < 1:
             raise RunnerError("invalid_plan", "concurrency must be >= 1")
         for entry in self.entries:
-            if entry.driver not in self.drivers:
+            spec = self.drivers.get(entry.driver)
+            if spec is None:
                 raise RunnerError(
                     "invalid_plan", f"entry references unknown driver {entry.driver!r}"
                 )
+            # Built here as each run of the entry builds them first, so that a
+            # bad driver or setting fails the plan at load, before any log.
+            spec.record(entry.seed, entry.setting_label, entry.budget)
+            self.setting_for(entry.setting_label)
 
     def setting_for(self, label: str) -> OperatingSetting:
         """Plan-defined setting when present, built-in definition otherwise."""
@@ -210,7 +216,7 @@ def load_plan(path: Path | str) -> RunPlan:
 
 
 def save_plan(plan: RunPlan, path: Path | str) -> None:
-    Path(path).write_text(canonical_json(plan.to_doc()) + "\n", encoding="utf-8")
+    write_json(path, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,10 +1061,20 @@ def run_plan(
 
 
 def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
+    """Write ``runset.json`` under ``out_dir``, creating it; returns the file's path.
+
+    The file is ``canonical_json(runset.to_doc())`` and a line feed, written
+    by ``write_json`` one run at a time: no step holds the whole document
+    tree, so the writer's memory grows with one run's document and the
+    rendered text, not with the tree of every run. A runset that cannot be
+    rendered raises the error ``canonical_json(runset.to_doc())`` raises and
+    leaves an existing ``runset.json`` as it was.
+    """
+
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
     path = base / "runset.json"
-    path.write_text(canonical_json(runset.to_doc()) + "\n", encoding="utf-8")
+    write_json(path, runset)
     return path
 
 

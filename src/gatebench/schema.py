@@ -17,7 +17,7 @@ import math
 from _json import encode_basestring, make_encoder
 from dataclasses import MISSING, field, fields
 from pathlib import Path
-from types import UnionType
+from types import GeneratorType, UnionType
 from typing import (
     Any,
     Callable,
@@ -381,8 +381,14 @@ def _is_record(tp: Any) -> bool:
     return isinstance(tp, type) and issubclass(tp, Record)
 
 
-def _encode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
-    """Source of the document form of ``value``, an expression of type ``tp``."""
+def _encode_expr(
+    tp: Any, value: str, env: dict[str, Any], depth: int = 0, items: bool = False
+) -> str:
+    """Source of the document form of ``value``, an expression of type ``tp``.
+
+    With ``items``, a list or tuple of records becomes a generator of the
+    items' documents instead of a list of them.
+    """
 
     origin, args = get_origin(tp), get_args(tp)
     if tp in (str, int, float, bool) or origin is Literal:
@@ -393,7 +399,10 @@ def _encode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> st
         return f"{name}({value})"
     if origin is list or (origin is tuple and args[1:] == (...,)):
         item = _encode_expr(args[0], f"i{depth}", env, depth + 1)
-        return f"list({value})" if item == f"i{depth}" else f"[{item} for i{depth} in {value}]"
+        if item == f"i{depth}":
+            return f"list({value})"
+        loop = f"{item} for i{depth} in {value}"
+        return f"({loop})" if items and _is_record(args[0]) else f"[{loop}]"
     if origin is dict and args[0] is str:
         item = "" if args[1] is Any else _encode_expr(args[1], f"v{depth}", env, depth + 1)
         if item in ("", f"v{depth}"):
@@ -406,7 +415,10 @@ def _decode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> st
     """Source of ``value``, a document value, coerced to ``tp``; names go in ``env``."""
 
     origin, args = get_origin(tp), get_args(tp)
-    if tp in (str, int, float, bool):
+    if tp is bool:
+        env["_strict_bool"] = _strict_bool
+        return f"_strict_bool({value})"
+    if tp in (str, int, float):
         return f"{tp.__name__}({value})"
     if origin is Literal:
         return f"{type(args[0]).__name__}({value})"
@@ -425,6 +437,14 @@ def _decode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> st
     raise TypeError(f"no record codec for annotation {tp!r}")
 
 
+def _strict_bool(value: Any) -> bool:
+    """A ``bool`` field's document value: only JSON ``true`` or ``false``."""
+
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _compile(cls: type, name: str, source: str, env: dict[str, Any]) -> Callable[..., Any]:
     exec(source, env)
     function = env[name]
@@ -432,11 +452,11 @@ def _compile(cls: type, name: str, source: str, env: dict[str, Any]) -> Callable
     return function
 
 
-_ENCODERS: dict[type, Callable[[Any], dict[str, Any]]] = {}
+_ENCODERS: dict[Any, Callable[[Any], dict[str, Any]]] = {}
 _DECODERS: dict[Any, Callable[..., Any]] = {}
 
 
-def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
+def _encoder(cls: type, items: bool = False) -> Callable[[Any], dict[str, Any]]:
     """The compiled ``to_doc`` of ``cls``, built from its fields on first use.
 
     For ``TraceContext`` it reads::
@@ -446,9 +466,15 @@ def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
             if (value := self.parent_span_id) is not None:
                 doc['parent_span_id'] = value
             return doc
+
+    With ``items``, the same function except that the value of a field
+    holding a list or tuple of records is a generator of the items'
+    documents (``RunSet``: ``{'runs': (_encode_1(i0) for i0 in self.runs),
+    ...}``), for :func:`write_json` to render one item at a time.
     """
 
-    encoder = _ENCODERS.get(cls)
+    cache_key = (cls, items) if items else cls
+    encoder = _ENCODERS.get(cache_key)
     if encoder is None:
         env: dict[str, Any] = {}
         always: list[str] = []
@@ -457,12 +483,14 @@ def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
             if item.metadata.get("omit_empty") or optional:
                 test = "" if item.metadata.get("omit_empty") else " is not None"
                 lines.append(f"    if (value := self.{item.name}){test}:")
-                lines.append(f"        doc[{key!r}] = {_encode_expr(tp, 'value', env)}")
+                value = _encode_expr(tp, "value", env, items=items)
+                lines.append(f"        doc[{key!r}] = {value}")
             else:
-                always.append(f"{key!r}: {_encode_expr(tp, 'self.' + item.name, env)}")
+                value = _encode_expr(tp, "self." + item.name, env, items=items)
+                always.append(f"{key!r}: {value}")
         lines[1] = f"    doc = {{{', '.join(always)}}}"
         lines.append("    return doc")
-        encoder = _ENCODERS[cls] = _compile(cls, "to_doc", "\n".join(lines), env)
+        encoder = _ENCODERS[cache_key] = _compile(cls, "to_doc", "\n".join(lines), env)
     return encoder
 
 
@@ -571,10 +599,10 @@ class Record:
     when it is not None, every other field always, in fresh containers
     (tuples as lists, nested records as their documents). ``from_doc`` reads
     the keys back, coercing each value by its annotation (``str``, ``int``,
-    ``float``, ``bool``, tuples and lists item by item, ``dict[str, T]`` with
-    ``str`` keys, nested records by their class's codec, ``dict[str, Any]``
-    as a shallow copy), and calls the constructor positionally, so
-    every ``__post_init__`` check runs. An absent key of a defaulted field
+    ``float``; ``bool`` only from JSON ``true``/``false``; tuples and lists
+    item by item, ``dict[str, T]`` with ``str`` keys, nested records by their
+    class's codec, ``dict[str, Any]`` as a shallow copy), and calls the
+    constructor positionally, so every ``__post_init__`` check runs. An absent key of a defaulted field
     decodes to the default; any other absent key, a value its coercion
     rejects or a document that is not an object raises
     ``SchemaError("invalid_document")`` naming the class and key.
@@ -1224,6 +1252,69 @@ def validate_log(docs: Iterable[Mapping[str, Any]], strict: bool = True) -> Vali
 
 
 # ---------------------------------------------------------------------------
+# Artifact files
+# ---------------------------------------------------------------------------
+
+
+def _record_parts(content: Record) -> list[str]:
+    """``canonical_json(content.to_doc())`` as a list of strings, field by field.
+
+    The fields come from the codec's own encoder, so their keys, their order
+    and the fields it omits are those of ``to_doc``. A field holding a list
+    of records is rendered one item at a time; a record without one, or of a
+    class with a ``to_doc`` of its own, is rendered by a single
+    ``canonical_json`` call.
+    """
+
+    if type(content).to_doc is not _to_doc:
+        return [canonical_json(content.to_doc())]
+    doc = _encoder(type(content), items=True)(content)
+    if not any(type(value) is GeneratorType for value in doc.values()):
+        return [canonical_json(doc)]
+    parts: list[str] = []
+    for key in sorted(doc):
+        parts.append(("," if parts else "{") + encode_basestring(key) + ":")
+        value = doc[key]
+        if type(value) is not GeneratorType:
+            parts.append(canonical_json(value))
+            continue
+        parts.append("[")
+        for index, item in enumerate(value):
+            if index:
+                parts.append(",")
+            parts.append(canonical_json(item))
+        parts.append("]")
+    parts.append("}")
+    return parts
+
+
+def write_json(path: Path | str, content: Any) -> None:
+    """Write ``canonical_json(doc) + "\\n"`` to ``path``: the one artifact writer.
+
+    ``doc`` is ``content.to_doc()`` for a :class:`Record` and ``content``
+    itself otherwise. A record's field that holds a list of records is
+    rendered one item at a time, each item's document through
+    ``canonical_json``, so no step holds the whole document tree and no
+    encoder pass covers the whole file. The text is rendered before the file
+    is opened: content that cannot be rendered raises the error
+    ``canonical_json(content.to_doc())`` raises, and leaves ``path`` as it
+    was.
+    """
+
+    if isinstance(content, Record):
+        try:
+            parts = _record_parts(content)
+        except Exception:
+            canonical_json(content.to_doc())  # raises the whole document's error
+            raise
+    else:
+        parts = [canonical_json(content)]
+    parts.append("\n")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(parts)
+
+
+# ---------------------------------------------------------------------------
 # Event-log files
 # ---------------------------------------------------------------------------
 
@@ -1417,4 +1508,5 @@ __all__ = [
     "text_hash",
     "validate_log",
     "write_event_log",
+    "write_json",
 ]

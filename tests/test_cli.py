@@ -517,11 +517,16 @@ def _edit_json(path: Path, edit) -> None:
         ("gate", lambda doc: doc.update(runs=[{"run_id": "x"}]), "RunRecord.task_id: missing required key"),
         ("gate", lambda doc: doc["runs"][0].update(seed="s"), "RunRecord.seed: ValueError: "),
         ("gate", lambda doc: doc.pop("runs"), "RunSet.runs: missing required key"),
+        ("gate", lambda doc: doc["runs"][0].update(trace_complete="false"),
+         "RunRecord.trace_complete: TypeError: expected true or false, got 'false'"),
         ("run", lambda doc: doc["entries"][0].pop("driver"), "PlanEntry.driver: missing required key"),
         ("run", lambda doc: doc.update(entries=7), "RunPlan.entries: TypeError: "),
         ("run", lambda doc: doc.update(drivers=[]), "RunPlan.drivers: AttributeError: "),
     ],
-    ids=["runset-entry", "runset-seed", "runset-runs", "plan-driver", "plan-entries", "plan-drivers"],
+    ids=[
+        "runset-entry", "runset-seed", "runset-runs", "runset-bool",
+        "plan-driver", "plan-entries", "plan-drivers",
+    ],
 )
 def test_malformed_document_is_typed_error(verb, edit, message, gated_runs, root_dir, tmp_path, capsys):
     runs, _ = gated_runs
@@ -553,6 +558,38 @@ def test_plan_checks_keep_their_codes_after_decoding(root_dir, tmp_path, capsys)
     argv[2] = str(root_dir / "demo_plan.json")
     assert main([*argv, "--concurrency", "0"]) == EXIT_ERROR
     assert _last_error_record(capsys)["message"] == "invalid_plan: concurrency must be >= 1"
+
+
+def _cut_demo_plan(doc: dict, driver: str, setting: str) -> None:
+    # The demo plan's first three entries, then one that cannot run.
+    doc["drivers"]["bare-llm"] = {"driver_type": "llm"}
+    doc["entries"] = doc["entries"][:3] + [
+        {"task_id": "web-001", "driver": driver, "setting": setting, "seed": 5, "budget": 4}
+    ]
+    doc["concurrency"] = 1
+
+
+@pytest.mark.parametrize(
+    "driver, setting, code, message",
+    [
+        ("bare-llm", "clean", "invalid_driver",
+         "invalid_driver: llm drivers require model_family and backend_engine"),
+        ("scripted-anchor", "hot_summer", "invalid_setting",
+         "invalid_setting: unknown setting label 'hot_summer'"),
+    ],
+    ids=["driver", "setting"],
+)
+def test_bad_plan_entry_fails_at_load_before_any_log(
+    driver, setting, code, message, root_dir, tmp_path, capsys
+):
+    plan, out = tmp_path / "plan.json", tmp_path / "runs"
+    shutil.copy(root_dir / "demo_plan.json", plan)
+    _edit_json(plan, lambda doc: _cut_demo_plan(doc, driver, setting))
+    capsys.readouterr()
+    status = main(["run", "--plan", str(plan), "--release-root", str(root_dir), "--out", str(out)])
+    assert status == EXIT_ERROR
+    assert _last_error_record(capsys) == {"error": code, "message": message}
+    assert not any(out.rglob("*"))
 
 
 def test_run_with_no_entries_for_setting_is_usage_error(root_dir, tmp_path, capsys):

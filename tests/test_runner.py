@@ -12,6 +12,7 @@ from gatebench.runner import (
     DriverSpec,
     PlanEntry,
     RunPlan,
+    RunRecord,
     RunnerError,
     build_reward_trajectory,
     emit_verifier_outcome,
@@ -25,6 +26,7 @@ from gatebench.schema import (
     SCHEMA_VERSION,
     EventRecord,
     ProvenanceFields,
+    SchemaError,
     TimingFields,
     canonical_hash,
     read_event_log,
@@ -435,6 +437,17 @@ def test_runset_round_trip(demo_store, tmp_path):
     assert [run.to_doc() for run in loaded.runs] == [run.to_doc() for run in runset.runs]
     events = loaded.events_for(loaded.runs[0])
     assert events[0].kind == "run_start"
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+def test_bool_fields_decode_only_from_json_booleans(demo_runset, value):
+    doc = demo_runset[0].runs[0].to_doc()
+    for flag in (True, False):
+        assert RunRecord.from_doc({**doc, "trace_complete": flag}).trace_complete is flag
+    with pytest.raises(SchemaError) as err:
+        RunRecord.from_doc({**doc, "trace_complete": value})
+    message = f"RunRecord.trace_complete: TypeError: expected true or false, got {value!r}"
+    assert (err.value.code, err.value.message) == ("invalid_document", message)
 
 
 def test_event_log_files_validate(demo_store, tmp_path):
