@@ -2,9 +2,11 @@
 
 Verbs: init-root, run, gate, replay, report, study, all. No command mutates
 its inputs; artifacts land under --out, and re-running a verb with identical
-inputs overwrites with identical bytes. Exit codes: 0 success, 2 usage error,
-3 validator failure during a run, 1 any other error (with a machine-readable
-error record on stderr).
+inputs overwrites with identical bytes. Every event log that replay or
+report reads is validated, and one that breaks an event rule is the error
+invalid_log. Exit codes: 0 success, 2 usage error, 3 validator failure
+during a run, 1 any other error (with a machine-readable error record on
+stderr).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         plan = replace(plan, entries=entries)
     store = ManifestStore(args.release_root)
-    runset = run_plan(plan, store, out_dir=args.out, strict=args.strict_schema)
+    runset = run_plan(plan, store, out_dir=args.out)
     executed = [run for run in runset.runs if run.manifest_resolved]
     incomplete = [run for run in executed if not run.trace_complete]
     print(f"{len(runset.runs)} runs recorded ({len(runset.runs) - len(executed)} candidates)")
@@ -123,7 +125,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
         out=out / "runs",
         concurrency=args.concurrency,
         setting=None,
-        strict_schema=args.strict_schema,
     )
     status = _cmd_run(run_args)
     if status not in (EXIT_OK, EXIT_VALIDATOR):
@@ -162,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--concurrency", type=int, default=None)
     p_run.add_argument("--setting", default=None)
-    p_run.add_argument(
-        "--strict-schema", action=argparse.BooleanOptionalAction, default=True
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_gate = sub.add_parser("gate", help="apply the evidence gate to a runset")
@@ -200,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--out", required=True)
     p_all.add_argument("--concurrency", type=int, default=None)
     p_all.add_argument("--study", default=None)
-    p_all.add_argument(
-        "--strict-schema", action=argparse.BooleanOptionalAction, default=True
-    )
     p_all.set_defaults(func=_cmd_all)
 
     return parser

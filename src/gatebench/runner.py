@@ -62,6 +62,7 @@ from .schema import (
     new_trace_context,
     read_event_log,
     read_json,
+    require_valid_log,
     write_event_log,
     write_json,
 )
@@ -302,12 +303,11 @@ class EventBuilder:
         run_id: str,
         provenance: ProvenanceFields,
         run_seed: int,
-        strict: bool = True,
     ) -> None:
         self.run_id = run_id
         self.provenance = provenance
         self.run_seed = run_seed
-        self.validator = RunValidator(strict=strict)
+        self.validator = RunValidator()
         self.events: list[EventRecord] = []
         self.trace_complete = True
         self._sequence = 0  # also the counter each event's span id derives from
@@ -578,7 +578,6 @@ def open_run(
     driver: DriverRecord,
     repetition: int,
     planned_episodes: int,
-    strict: bool = True,
     **start: Any,
 ) -> EventBuilder:
     """The event builder of a new run, its ``run_start`` written at 0."""
@@ -591,7 +590,6 @@ def open_run(
         run_id,
         provenance_for(manifest, driver, driver.seed, manifest_hash),
         run_seed=driver.seed,
-        strict=strict,
     )
     builder.emit(
         "run_start",
@@ -764,14 +762,13 @@ def execute_run(
     repetition: int = 0,
     concurrency: int = 1,
     versions: SuiteVersions | None = None,
-    strict: bool = True,
 ) -> tuple[RunRecord, list[EventRecord]]:
     """Execute one plain run of sequential episodes on a fresh simulated clock."""
 
     if not manifest.resolved:
         raise RunnerError("unresolved_manifest", f"manifest {manifest.task_id} not resolved")
     driver = spec.record(seed=seed, setting_label=setting.label, budget=budget)
-    builder = open_run(manifest, driver, repetition, planned_episodes, strict)
+    builder = open_run(manifest, driver, repetition, planned_episodes)
     rng = random.Random(f"run:{builder.run_id}:{seed}")
     queue = VerifierQueue(servers=1)
 
@@ -865,6 +862,11 @@ class RunSet(Record):
     schema_version: str = field(default=SCHEMA_VERSION, init=False)
 
     def events_for(self, run: RunRecord) -> list[EventRecord]:
+        """The events of ``run``'s log, decoded and held to every event rule.
+
+        A log that breaks a rule raises ``invalid_log`` at its first violation.
+        """
+
         if self.base_dir is None or not run.event_log_ref:
             raise RunnerError("missing_log", f"run {run.run_id} has no readable event log")
         path = self.base_dir / run.event_log_ref
@@ -874,7 +876,9 @@ class RunSet(Record):
             raise RunnerError(
                 "missing_log", f"run {run.run_id}: cannot read event log {path}: {exc.strerror}"
             ) from exc
-        return decode_events(docs)
+        events = decode_events(docs)
+        require_valid_log(events, run.run_id)
+        return events
 
 
 def _candidate_run(
@@ -907,7 +911,6 @@ class _PlanContext:
     root: ReleaseRoot
     store: ManifestStore
     out_dir: Path | None
-    strict: bool
 
 
 def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
@@ -940,7 +943,6 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
             planned_episodes=episodes,
             repetition=repetition,
             concurrency=plan.concurrency,
-            strict=context.strict,
         )
     if context.out_dir is not None and events:
         write_event_log(context.out_dir / record.event_log_ref, events)
@@ -1016,7 +1018,6 @@ def run_plan(
     plan: RunPlan,
     store: ManifestStore,
     out_dir: Path | str | None = None,
-    strict: bool = True,
 ) -> RunSet:
     """Execute all plan entries times repetitions on up to ``concurrency`` processes.
 
@@ -1045,7 +1046,7 @@ def run_plan(
     base = None if out_dir is None else Path(out_dir)
     if base is not None:
         (base / "logs").mkdir(parents=True, exist_ok=True)
-    context = _PlanContext(plan, root, store, base, strict)
+    context = _PlanContext(plan, root, store, base)
 
     runs = map_runs(_run_job, context, jobs, cap=plan.concurrency)
 

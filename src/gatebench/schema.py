@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 from _json import encode_basestring, make_encoder
 from dataclasses import MISSING, field, fields
 from pathlib import Path
@@ -25,6 +26,7 @@ from typing import (
     Iterable,
     Literal,
     Mapping,
+    NoReturn,
     Union,
     get_args,
     get_origin,
@@ -66,8 +68,8 @@ PARSE_STATUSES: Final[frozenset[str]] = frozenset({"parsed", "invalid", "empty"}
 
 REPLAY_CLASSES: Final[frozenset[str]] = frozenset({"R0", "R1", "R2"})
 
-# Closed per-kind payload schemas. Required keys must be present; in strict
-# mode any key outside required ∪ optional is rejected.
+# Closed per-kind payload schemas. Required keys must be present, and any key
+# outside required ∪ optional is rejected.
 REQUIRED_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
     "run_start": ("setting_label", "planned_episodes"),
     "run_end": ("status",),
@@ -114,39 +116,6 @@ OPTIONAL_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
     "error": ("scope",),
     "terminal_result": ("evaluator_id", "detail", "drop_reason", "sample_retry_count"),
 }
-
-_REQUIRED_TOP_LEVEL: Final[tuple[str, ...]] = (
-    "run_id",
-    "episode_id",
-    "step_index",
-    "trace",
-    "kind",
-    "sequence",
-    "wall_clock_ms",
-    "timing",
-    "provenance",
-    "payload",
-)
-_REQUIRED_TRACE: Final[tuple[str, ...]] = ("trace_id", "span_id")
-_REQUIRED_TIMING: Final[tuple[str, ...]] = ("queue_wait_ms", "service_time_ms")
-_OPTIONAL_TIMING: Final[tuple[str, ...]] = (
-    "model_latency_ms",
-    "tool_latency_ms",
-    "verifier_latency_ms",
-)
-_REQUIRED_PROVENANCE: Final[tuple[str, ...]] = (
-    "manifest_hash",
-    "driver_id",
-    "schema_version",
-    "replay_class",
-    "seed",
-)
-_OPTIONAL_PROVENANCE: Final[tuple[str, ...]] = (
-    "model_backend_id",
-    "snapshot_digest",
-    "verifier_version",
-)
-
 
 class GatebenchError(Exception):
     """Base of every typed harness error: ``str()`` is ``"code: message"``.
@@ -412,36 +381,65 @@ def _encode_expr(
 
 
 def _decode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
-    """Source of ``value``, a document value, coerced to ``tp``; names go in ``env``."""
+    """Source of ``value``, a document value, checked against ``tp``; names go in ``env``."""
 
     origin, args = get_origin(tp), get_args(tp)
-    if tp is bool:
-        env["_strict_bool"] = _strict_bool
-        return f"_strict_bool({value})"
-    if tp in (str, int, float):
-        return f"{tp.__name__}({value})"
-    if origin is Literal:
-        return f"{type(args[0]).__name__}({value})"
+    if tp is float:
+        env["_float"] = _float
+        return f"(x{depth} if type(x{depth} := {value}) is float else _float(x{depth}))"
+    if tp in (str, int, bool) or origin is Literal:
+        exact = tp if origin is not Literal else type(args[0])
+        env["_mismatch"] = _mismatch
+        return (
+            f"(x{depth} if type(x{depth} := {value}) is {exact.__name__}"
+            f" else _mismatch({exact.__name__}, x{depth}))"
+        )
     if _is_record(tp):
         name = f"_decode_{len(env)}"
         env[name] = _decoder(tp)
         return f"{name}({value})"
     if origin is list or (origin is tuple and args[1:] == (...,)):
+        env["_exact"] = _exact
         item = _decode_expr(args[0], f"i{depth}", env, depth + 1)
-        return f"{origin.__name__}([{item} for i{depth} in {value}])"
+        return f"{origin.__name__}([{item} for i{depth} in _exact(list, {value})])"
     if origin is dict and args[0] is str:
+        env["_exact"] = _exact
         if args[1] is Any:
-            return f"dict({value})"
+            return f"dict(_exact(dict, {value}))"
         item = _decode_expr(args[1], f"v{depth}", env, depth + 1)
-        return f"{{str(k{depth}): {item} for k{depth}, v{depth} in {value}.items()}}"
+        return f"{{k{depth}: {item} for k{depth}, v{depth} in _exact(dict, {value}).items()}}"
     raise TypeError(f"no record codec for annotation {tp!r}")
 
 
-def _strict_bool(value: Any) -> bool:
-    """A ``bool`` field's document value: only JSON ``true`` or ``false``."""
+# What each exact type is called in a decoder's type error.
+_JSON_NAMES: Final[dict[type, str]] = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    dict: "an object", list: "an array",
+}
 
-    if type(value) is not bool:
-        raise TypeError(f"expected true or false, got {value!r}")
+
+def _mismatch(expected: type, value: Any) -> NoReturn:
+    """Raise the type error of a document value not of the ``expected`` JSON type.
+
+    The value is shown by ``reprlib.repr``, which shortens long ones.
+    """
+
+    raise TypeError(f"expected {_JSON_NAMES[expected]}, got {reprlib.repr(value)}")
+
+
+def _float(value: Any) -> float:
+    """A ``float`` field's document value: a JSON number, an integer converted."""
+
+    if type(value) is not int:
+        _mismatch(float, value)
+    return float(value)
+
+
+def _exact(expected: type, value: Any) -> Any:
+    """A container field's document value: only a JSON array (``list``) or object (``dict``)."""
+
+    if type(value) is not expected:
+        _mismatch(expected, value)
     return value
 
 
@@ -505,10 +503,13 @@ def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
                 _not_object(cls, doc)
             key = None
             try:
-                key = 'trace_id'; a0 = str(doc[key])
-                key = 'span_id'; a1 = str(doc[key])
-                key = 'parent_span_id'; a2 = str(doc[key]) if key in doc else None
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                key = 'trace_id'
+                a0 = (x0 if type(x0 := doc[key]) is str else _mismatch(str, x0))
+                key = 'span_id'
+                a1 = (x0 if type(x0 := doc[key]) is str else _mismatch(str, x0))
+                key = 'parent_span_id'
+                a2 = (x0 if type(x0 := doc[key]) is str else _mismatch(str, x0)) if key in doc else None
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
                 _invalid(cls, key, doc, exc)
             return cls(a0, a1, a2)
     """
@@ -538,7 +539,7 @@ def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
             if factory is None and item.default_factory is not MISSING:
                 factory = item.default_factory
             if meta.get("required") or (factory is None and item.default is MISSING):
-                lines.append(f"        key = {key!r}; {arg} = {value}")
+                lines += [f"        key = {key!r}", f"        {arg} = {value}"]
                 continue
             if factory is not None:
                 env[f"_factory_{index}"] = factory
@@ -548,7 +549,9 @@ def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
             else:
                 env[f"_default_{index}"] = item.default
                 absent = f"_default_{index}"
-            lines.append(f"        key = {key!r}; {arg} = {value} if key in doc else {absent}")
+            lines += [
+                f"        key = {key!r}", f"        {arg} = {value} if key in doc else {absent}"
+            ]
         source = "\n".join([
             f"def from_doc({', '.join(params)}):",
             "    if type(doc) is not dict and not isinstance(doc, Mapping):",
@@ -556,12 +559,16 @@ def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
             "    key = None",
             "    try:",
             *(lines or ["        pass"]),
-            "    except (KeyError, TypeError, ValueError, AttributeError) as exc:",
+            "    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:",
             "        _invalid(cls, key, doc, exc)",
             f"    return cls({', '.join(args)})",
         ])
         decoder = _DECODERS[cache_key] = _compile(cls, "from_doc", source, env)
     return decoder
+
+
+# The end of the message of a decoder error for an absent key.
+_MISSING_KEY: Final = "missing required key"
 
 
 def _not_object(cls: type, doc: Any) -> None:
@@ -572,9 +579,7 @@ def _not_object(cls: type, doc: Any) -> None:
 
 def _invalid(cls: type, key: str, doc: Mapping[str, Any], exc: Exception) -> None:
     if isinstance(exc, KeyError) and key not in doc:
-        raise SchemaError(
-            "invalid_document", f"{cls.__name__}.{key}: missing required key"
-        ) from None
+        raise SchemaError("invalid_document", f"{cls.__name__}.{key}: {_MISSING_KEY}") from None
     raise SchemaError(
         "invalid_document", f"{cls.__name__}.{key}: {type(exc).__name__}: {exc}"
     ) from exc
@@ -598,13 +603,15 @@ class Record:
     ``to_doc`` writes every field under its name: a ``X | None`` field only
     when it is not None, every other field always, in fresh containers
     (tuples as lists, nested records as their documents). ``from_doc`` reads
-    the keys back, coercing each value by its annotation (``str``, ``int``,
-    ``float``; ``bool`` only from JSON ``true``/``false``; tuples and lists
-    item by item, ``dict[str, T]`` with ``str`` keys, nested records by their
-    class's codec, ``dict[str, Any]`` as a shallow copy), and calls the
-    constructor positionally, so every ``__post_init__`` check runs. An absent key of a defaulted field
-    decodes to the default; any other absent key, a value its coercion
-    rejects or a document that is not an object raises
+    the keys back, each value of exactly the JSON type its annotation
+    declares (``str``, ``int`` and ``bool`` as themselves, so ``true`` is
+    not an integer; ``float`` from any number, an integer converted; tuples
+    and lists only from arrays, item by item; ``dict[str, T]`` only from
+    objects, ``dict[str, Any]`` as a shallow copy; nested records by their
+    class's codec), and calls the constructor positionally, so every
+    ``__post_init__`` check runs. An absent key of a defaulted field decodes
+    to the default; any other absent key, a value of another type (a
+    ``TypeError``) or a document that is not an object raises
     ``SchemaError("invalid_document")`` naming the class and key.
     :func:`doc_field` declares the exceptions to this rule.
 
@@ -885,14 +892,14 @@ class ValidationReport:
 # Every passing check returns this one frozen report.
 _PASSED: Final = ValidationReport(ok=True)
 
-# Strict mode's allowed payload keys per kind, required ∪ optional.
+# The allowed payload keys per kind, required ∪ optional.
 _ALLOWED_PAYLOAD_KEYS: Final[dict[str, frozenset[str]]] = {
     kind: frozenset(REQUIRED_PAYLOAD_KEYS.get(kind, ()) + OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
     for kind in REQUIRED_PAYLOAD_KEYS.keys() | OPTIONAL_PAYLOAD_KEYS.keys()
 }
 
 
-def _payload_violations(kind: str, payload: Mapping[str, Any], strict: bool) -> list[Violation]:
+def _payload_violations(kind: str, payload: Mapping[str, Any]) -> list[Violation]:
     violations: list[Violation] = []
     required = REQUIRED_PAYLOAD_KEYS.get(kind, ())
     for key in required:
@@ -900,118 +907,76 @@ def _payload_violations(kind: str, payload: Mapping[str, Any], strict: bool) -> 
             violations.append(
                 Violation("missing_field", f"payload.{key}", f"{kind} requires payload key {key}")
             )
-    if strict:
-        allowed = _ALLOWED_PAYLOAD_KEYS.get(kind, frozenset())
-        for key in payload:
-            if key not in allowed:
-                violations.append(
-                    Violation("unknown_field", f"payload.{key}", f"{kind} does not allow key {key}")
-                )
+    allowed = _ALLOWED_PAYLOAD_KEYS.get(kind, frozenset())
+    for key in payload:
+        if key not in allowed:
+            violations.append(
+                Violation("unknown_field", f"payload.{key}", f"{kind} does not allow key {key}")
+            )
     return violations
 
 
-def check_event_doc(doc: Mapping[str, Any], strict: bool = True) -> list[Violation]:
-    """Structural check of a serialized event: field presence and basic shape.
+def _event_violations(event: EventRecord) -> list[Violation]:
+    """The rules a decoded event meets on its own, wherever it sits in a run.
 
-    Stateful rules (ordering, boundaries) live in :class:`RunValidator`.
+    Its payload keys, for ``action_parsed`` a known ``parse_status`` with an
+    ``invalid_action`` that is true exactly when it is not ``parsed``, and a
+    supported schema version. Each field's type and range are the decoder's
+    and the records' checks.
     """
 
-    violations: list[Violation] = []
-    for name in _REQUIRED_TOP_LEVEL:
-        if name not in doc:
-            violations.append(Violation("missing_field", name, f"event missing field {name}"))
-    if violations:
-        return violations
-
-    kind = doc["kind"]
-    if kind not in EVENT_KINDS:
-        return [Violation("invalid_value", "kind", f"unknown event kind {kind!r}")]
-
-    trace = doc["trace"]
-    if not isinstance(trace, Mapping):
-        violations.append(Violation("invalid_value", "trace", "trace must be a mapping"))
-    else:
-        for name in _REQUIRED_TRACE:
-            if name not in trace:
-                violations.append(
-                    Violation("missing_field", f"trace.{name}", f"trace missing {name}")
-                )
-
-    timing = doc["timing"]
-    if not isinstance(timing, Mapping):
-        violations.append(Violation("invalid_value", "timing", "timing must be a mapping"))
-    else:
-        for name in _REQUIRED_TIMING:
-            if name not in timing:
-                violations.append(
-                    Violation("missing_field", f"timing.{name}", f"timing missing {name}")
-                )
-        for name in (*_REQUIRED_TIMING, *_OPTIONAL_TIMING):
-            value = timing.get(name)
-            if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-                or value < 0
-            ):
-                violations.append(
-                    Violation("invalid_value", f"timing.{name}", f"{name} must be >= 0")
-                )
-
-    provenance = doc["provenance"]
-    if not isinstance(provenance, Mapping):
-        violations.append(Violation("invalid_value", "provenance", "provenance must be a mapping"))
-    else:
-        for name in _REQUIRED_PROVENANCE:
-            if name not in provenance:
-                violations.append(
-                    Violation("missing_field", f"provenance.{name}", f"provenance missing {name}")
-                )
-        replay_class = provenance.get("replay_class")
-        if replay_class is not None and replay_class not in REPLAY_CLASSES:
-            violations.append(
-                Violation(
-                    "invalid_value",
-                    "provenance.replay_class",
-                    f"unknown replay class {replay_class!r}",
-                )
-            )
-
-    payload = doc["payload"]
-    if not isinstance(payload, Mapping):
-        violations.append(Violation("invalid_value", "payload", "payload must be a mapping"))
-    else:
-        violations.extend(_payload_violations(kind, payload, strict))
-
-    sequence = doc["sequence"]
-    if not isinstance(sequence, int) or isinstance(sequence, bool) or sequence < 0:
-        violations.append(
-            Violation("invalid_value", "sequence", "sequence must be a non-negative integer")
-        )
-    step_index = doc["step_index"]
-    if not isinstance(step_index, int) or isinstance(step_index, bool) or step_index < 0:
-        violations.append(
-            Violation("invalid_value", "step_index", "step_index must be a non-negative integer")
-        )
-
-    if kind == "action_parsed" and isinstance(payload, Mapping):
-        status = payload.get("parse_status")
-        invalid = payload.get("invalid_action")
-        if status is not None and status not in PARSE_STATUSES:
+    payload = event.payload
+    violations = _payload_violations(event.kind, payload)
+    if event.kind == "action_parsed" and "parse_status" in payload:
+        status = payload["parse_status"]
+        if type(status) is not str or status not in PARSE_STATUSES:
             violations.append(
                 Violation("invalid_value", "payload.parse_status", f"unknown status {status!r}")
             )
-        elif status is not None and invalid is not None:
-            if bool(invalid) != (status != "parsed"):
-                violations.append(
-                    Violation(
-                        "invalid_value",
-                        "payload.invalid_action",
-                        "invalid_action inconsistent with parse_status",
-                    )
+        elif "invalid_action" in payload and payload["invalid_action"] is not (status != "parsed"):
+            violations.append(
+                Violation(
+                    "invalid_value",
+                    "payload.invalid_action",
+                    "invalid_action inconsistent with parse_status",
                 )
-
+            )
+    if event.provenance.schema_version not in SUPPORTED_SCHEMA_VERSIONS:
+        violations.append(
+            Violation(
+                "invalid_value",
+                "provenance.schema_version",
+                f"unsupported schema version {event.provenance.schema_version!r}",
+            )
+        )
     return violations
+
+
+def _decode_event(doc: Mapping[str, Any]) -> EventRecord | Violation:
+    """``EventRecord.from_doc(doc)``, or its error as a violation of the event.
+
+    An absent key is ``missing_field``; any other error is ``invalid_value``.
+    """
+
+    try:
+        return EventRecord.from_doc(doc)
+    except SchemaError as exc:
+        code = "missing_field" if exc.message.endswith(_MISSING_KEY) else "invalid_value"
+        return Violation(code, "event", str(exc))
+
+
+def check_event_doc(doc: Mapping[str, Any]) -> list[Violation]:
+    """The violations of one serialized event taken alone; empty when it has none.
+
+    The document is decoded as a log line is, and a decoder error is its one
+    violation. Stateful rules (ordering, boundaries) live in
+    :class:`RunValidator`.
+    """
+
+    event = _decode_event(doc)
+    if isinstance(event, Violation):
+        return [event]
+    return _event_violations(event)
 
 
 class RunValidator:
@@ -1021,8 +986,7 @@ class RunValidator:
     runs may be validated concurrently with separate instances.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._run_id: str | None = None
         self._last_sequence: int | None = None
         self._last_clock: float | None = None
@@ -1186,35 +1150,12 @@ class RunValidator:
     def validate(self, event: EventRecord) -> ValidationReport:
         """Validate one typed event and advance state only when it is legal."""
 
-        violations = _payload_violations(event.kind, event.payload, self.strict)
-        if event.provenance.schema_version not in SUPPORTED_SCHEMA_VERSIONS:
-            violations.append(
-                Violation(
-                    "invalid_value",
-                    "provenance.schema_version",
-                    f"unsupported schema version {event.provenance.schema_version!r}",
-                )
-            )
+        violations = _event_violations(event)
         violations.extend(self._stateful_violations(event))
         if violations:
             return ValidationReport.failed(violations)
         self._advance(event)
         return ValidationReport.passed()
-
-    def validate_doc(self, doc: Mapping[str, Any], strict: bool | None = None) -> ValidationReport:
-        """Validate a serialized event document (structural check first)."""
-
-        effective_strict = self.strict if strict is None else strict
-        violations = check_event_doc(doc, strict=effective_strict)
-        if violations:
-            return ValidationReport.failed(violations)
-        try:
-            event = EventRecord.from_doc(doc)
-        except (SchemaError, KeyError, TypeError, ValueError) as exc:
-            return ValidationReport.failed(
-                [Violation("invalid_value", "event", f"cannot decode event: {exc}")]
-            )
-        return self.validate(event)
 
     def finalize(self) -> ValidationReport:
         """Check run-level completeness after the last event."""
@@ -1234,21 +1175,47 @@ class RunValidator:
         return ValidationReport.passed()
 
 
-def validate_log(docs: Iterable[Mapping[str, Any]], strict: bool = True) -> ValidationReport:
-    """Validate a whole serialized event stream including run completeness."""
+def validate_log(docs: Iterable[Mapping[str, Any]]) -> ValidationReport:
+    """Validate a serialized event stream, run completeness included.
 
-    validator = RunValidator(strict=strict)
+    Each document is decoded as by :func:`check_event_doc` and each event
+    goes through one :class:`RunValidator`; the report lists every
+    violation in log order.
+    """
+
+    validator = RunValidator()
     failures: list[Violation] = []
     for doc in docs:
-        report = validator.validate_doc(doc)
+        event = _decode_event(doc)
+        if isinstance(event, Violation):
+            failures.append(event)
+        else:
+            failures.extend(validator.validate(event).violations)
+    failures.extend(validator.finalize().violations)
+    return ValidationReport.failed(failures) if failures else ValidationReport.passed()
+
+
+def require_valid_log(events: Iterable[EventRecord], run_id: str) -> None:
+    """Raise ``SchemaError("invalid_log")`` at the first rule a run's decoded log breaks.
+
+    The events go through one :class:`RunValidator` and its ``finalize``.
+    The message names the run, the event's sequence (``end of log`` for a
+    run that is not complete), and the rule's code, field and message.
+    """
+
+    validator = RunValidator()
+    for event in events:
+        report = validator.validate(event)
         if not report.ok:
-            failures.extend(report.violations)
-    final = validator.finalize()
-    if not final.ok:
-        failures.extend(final.violations)
-    if failures:
-        return ValidationReport.failed(failures)
-    return ValidationReport.passed()
+            where = f"event {event.sequence}"
+            break
+    else:
+        report, where = validator.finalize(), "end of log"
+    if not report.ok:
+        first = report.violations[0]
+        raise SchemaError(
+            "invalid_log", f"run {run_id}: {where}: {first.code} {first.field}: {first.message}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1505,6 +1472,7 @@ __all__ = [
     "read_event_log",
     "read_input",
     "read_json",
+    "require_valid_log",
     "text_hash",
     "validate_log",
     "write_event_log",

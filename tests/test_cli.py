@@ -433,6 +433,57 @@ def test_missing_log_is_typed_error_for_replay_and_report(gated_runs, tmp_path, 
         assert missing in record["message"]
 
 
+def _drop_first_env_step_end(lines: list[str]) -> None:
+    lines.remove(next(line for line in lines if '"kind":"env_step_end"' in line))
+
+
+def _swap_events(lines: list[str]) -> None:
+    lines[3], lines[4] = lines[4], lines[3]  # the first model request's start and end
+
+
+def _change_run_id(lines: list[str]) -> None:
+    doc = json.loads(lines[3])
+    doc["run_id"] = "0" * 16
+    lines[3] = json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "tamper, rule",
+    [
+        (_drop_first_env_step_end, "boundary_mismatch kind: nested env_step_start"),
+        (_swap_events, "boundary_mismatch kind: model_request_end without model_request_start"),
+        (_change_run_id, "boundary_mismatch run_id: event run_id '0000000000000000' does not"),
+    ],
+    ids=["drop-env-step-end", "swap-lines", "run-id"],
+)
+def test_tampered_log_is_invalid_log_for_replay_and_report(
+    tamper, rule, gated_runs, tmp_path, capsys
+):
+    runs, gate_out = gated_runs
+    decisions = [
+        json.loads(line) for line in (gate_out / "gate_decisions.jsonl").read_text().splitlines()
+    ]
+    families = {run.run_id: run.family for run in runner.load_runset(runs).runs}
+    run_id = next(
+        d["run_id"] for d in decisions
+        if d["verdict"] == "admitted" and families[d["run_id"]] == "web"
+    )
+    log = runs / "logs" / f"{run_id}.log"
+    lines = log.read_text(encoding="utf-8").split("\n")
+    tamper(lines)
+    log.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (
+        ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")],
+        ["report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "rep")],
+    ):
+        assert main(argv) == EXIT_ERROR
+        record = _last_error_record(capsys)
+        assert record["error"] == "invalid_log"
+        assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+        assert rule in record["message"]
+
+
 # One unreadable input per verb, "{gone}" standing for a path that does not exist.
 _MISSING_INPUT_ARGV = {
     "missing_plan": ["run", "--plan", "{gone}", "--release-root", "{root}", "--out", "{out}"],
@@ -515,17 +566,22 @@ def _edit_json(path: Path, edit) -> None:
     "verb, edit, message",
     [
         ("gate", lambda doc: doc.update(runs=[{"run_id": "x"}]), "RunRecord.task_id: missing required key"),
-        ("gate", lambda doc: doc["runs"][0].update(seed="s"), "RunRecord.seed: ValueError: "),
+        ("gate", lambda doc: doc["runs"][0].update(seed="s"),
+         "RunRecord.seed: TypeError: expected an integer, got 's'"),
+        ("gate", lambda doc: doc["runs"][0].update(seed=7.9),
+         "RunRecord.seed: TypeError: expected an integer, got 7.9"),
         ("gate", lambda doc: doc.pop("runs"), "RunSet.runs: missing required key"),
         ("gate", lambda doc: doc["runs"][0].update(trace_complete="false"),
          "RunRecord.trace_complete: TypeError: expected true or false, got 'false'"),
         ("run", lambda doc: doc["entries"][0].pop("driver"), "PlanEntry.driver: missing required key"),
         ("run", lambda doc: doc.update(entries=7), "RunPlan.entries: TypeError: "),
         ("run", lambda doc: doc.update(drivers=[]), "RunPlan.drivers: AttributeError: "),
+        ("run", lambda doc: doc["entries"][0].update(budget="3"),
+         "PlanEntry.budget: TypeError: expected an integer, got '3'"),
     ],
     ids=[
-        "runset-entry", "runset-seed", "runset-runs", "runset-bool",
-        "plan-driver", "plan-entries", "plan-drivers",
+        "runset-entry", "runset-seed", "runset-float-seed", "runset-runs", "runset-bool",
+        "plan-driver", "plan-entries", "plan-drivers", "plan-string-budget",
     ],
 )
 def test_malformed_document_is_typed_error(verb, edit, message, gated_runs, root_dir, tmp_path, capsys):

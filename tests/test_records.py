@@ -139,7 +139,7 @@ def instances(golden_tree):
             parsed["model_latency_ms"],
         ),
         StepOutcome(events[0].timing, True, False, run.terminal),
-        _PlanContext(plan, release, store, None, True),
+        _PlanContext(plan, release, store, None),
     ], found)
     return found
 

@@ -11,6 +11,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatebench.runner import RunSet
 from gatebench.schema import (
     Digest,
     EVENT_KINDS,
@@ -369,11 +370,9 @@ def test_unknown_payload_key_rejected_in_strict_mode_only():
     event = make_event(
         "run_start", 0, payload={"setting_label": "clean", "planned_episodes": 1, "zzz": 1}
     )
-    strict = RunValidator(strict=True).validate(event)
+    strict = RunValidator().validate(event)
     assert not strict.ok
     assert any(violation.code == "unknown_field" for violation in strict.violations)
-    permissive = RunValidator(strict=False).validate(event)
-    assert permissive.ok
 
 
 def test_unsupported_schema_version_rejected():
@@ -424,7 +423,7 @@ def test_interleaved_episodes_validate():
     assert validator.finalize().ok
 
 
-def _reference_payload_violations(kind, payload, strict):
+def _reference_payload_violations(kind, payload):
     """The payload check as first written: allowed keys built per call."""
 
     required = REQUIRED_PAYLOAD_KEYS.get(kind, ())
@@ -433,13 +432,12 @@ def _reference_payload_violations(kind, payload, strict):
         for key in required
         if key not in payload
     ]
-    if strict:
-        allowed = set(required) | set(OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
-        violations.extend(
-            Violation("unknown_field", f"payload.{key}", f"{kind} does not allow key {key}")
-            for key in payload
-            if key not in allowed
-        )
+    allowed = set(required) | set(OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
+    violations.extend(
+        Violation("unknown_field", f"payload.{key}", f"{kind} does not allow key {key}")
+        for key in payload
+        if key not in allowed
+    )
     return violations
 
 
@@ -452,13 +450,10 @@ _PAYLOAD_KEY_NAMES = sorted(
 @given(
     st.sampled_from(sorted(EVENT_KINDS) + ["not_a_kind"]),
     st.lists(st.sampled_from(_PAYLOAD_KEY_NAMES), unique=True),
-    st.booleans(),
 )
-def test_payload_violations_match_reference_in_both_modes(kind, keys, strict):
+def test_payload_violations_match_reference_in_both_modes(kind, keys):
     payload = dict.fromkeys(keys, 1)
-    assert _payload_violations(kind, payload, strict) == _reference_payload_violations(
-        kind, payload, strict
-    )
+    assert _payload_violations(kind, payload) == _reference_payload_violations(kind, payload)
 
 
 def test_missing_and_unknown_payload_keys_reported_in_both_modes():
@@ -466,13 +461,12 @@ def test_missing_and_unknown_payload_keys_reported_in_both_modes():
     missing = Violation(
         "missing_field", "payload.setting_label", "run_start requires payload key setting_label"
     )
-    strict = RunValidator(strict=True).validate(event)
+    strict = RunValidator().validate(event)
     assert strict.violations == (
         missing,
         Violation("unknown_field", "payload.zzz", "run_start does not allow key zzz"),
         Violation("unknown_field", "payload.aaa", "run_start does not allow key aaa"),
     )
-    assert RunValidator(strict=False).validate(event).violations == (missing,)
 
 
 def test_passing_checks_share_one_report_and_failures_get_their_own():
@@ -580,6 +574,93 @@ def test_fuzz_random_key_deletion_never_false_accepts():
         ok = not check_event_doc(mutated)
         if removed_required:
             assert not ok
+
+
+# ---------------------------------------------------------------------------
+# Mutation table: one rule per row, on the document and on a read log
+# ---------------------------------------------------------------------------
+
+
+def _run_with_action() -> list[EventRecord]:
+    """A valid run whose event at index 2 is an ``action_parsed``."""
+
+    episode = "ep-0"
+    kinds = ["episode_start", "action_parsed", "env_step_start", "env_step_end",
+             "terminal_result", "episode_end"]
+    events = [make_event("run_start", 0)]
+    events += [make_event(kind, index, episode) for index, kind in enumerate(kinds, start=1)]
+    return [*events, make_event("run_end", len(events))]
+
+
+def _set(path: str, value):
+    def mutate(doc: dict) -> None:
+        *parents, key = path.split(".")
+        for name in parents:
+            doc = doc[name]
+        doc[key] = value
+    return mutate
+
+
+def _pairs(name: str):
+    def mutate(doc: dict) -> None:
+        doc[name] = [list(item) for item in doc[name].items()]
+    return mutate
+
+
+_MUTATIONS = {
+    "sequence-true": _set("sequence", True),
+    "sequence-string": _set("sequence", "3"),
+    "sequence-float": _set("sequence", 3.5),
+    "step-index-negative": _set("step_index", -1),
+    "queue-wait-string": _set("timing.queue_wait_ms", "5"),
+    "queue-wait-bool": _set("timing.queue_wait_ms", True),
+    "timing-list": _pairs("timing"),
+    "payload-pairs": _pairs("payload"),
+    "trace-string": _set("trace", "ab" * 16),
+    "replay-class": _set("provenance.replay_class", "R9"),
+    "unknown-kind": _set("kind", "teleport"),
+    "unknown-parse-status": _set("payload.parse_status", "garbled"),
+    "invalid-action-inconsistent": _set("payload.invalid_action", True),
+    "unknown-payload-key": _set("payload.zzz", 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_mutated_event_rejected_by_check_and_on_read(mutation, demo_runset, tmp_path):
+    events = _run_with_action()
+    docs = [event.to_doc() for event in events]
+    assert validate_log(docs).ok and not any(map(check_event_doc, docs))
+    _MUTATIONS[mutation](docs[2])
+    assert check_event_doc(docs[2])
+
+    run = demo_runset[0].runs[0]
+    log = tmp_path / run.event_log_ref
+    log.parent.mkdir(parents=True)
+    lines = [canonical_json({"schema_version": SCHEMA_VERSION}), *map(canonical_json, docs)]
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError):
+        RunSet(runs=[run], base_dir=tmp_path).events_for(run)
+
+
+def test_read_log_reports_first_violation_with_run_and_sequence(demo_runset, tmp_path):
+    run = demo_runset[0].runs[0]
+    log = tmp_path / run.event_log_ref
+    log.parent.mkdir(parents=True)
+    runset = RunSet(runs=[run], base_dir=tmp_path)
+    events = _run_with_action()
+    write_event_log(log, events)
+    assert runset.events_for(run) == events
+    for kept, where, rule in (
+        (events[:4] + events[5:], "event 6",
+         "boundary_mismatch kind: episode_end with open step or request"),
+        (events[:-1], "end of log", "boundary_mismatch run: no run_end seen"),
+    ):
+        write_event_log(log, kept)
+        with pytest.raises(SchemaError) as err:
+            runset.events_for(run)
+        assert (err.value.code, err.value.message) == (
+            "invalid_log", f"run {run.run_id}: {where}: {rule}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +1020,9 @@ def test_decode_events_types_malformed_documents_like_from_doc():
         (Digest, {"algorithm": "sha256"}, "invalid_document", "Digest.hex: missing required key"),
         (Digest, "sha256", "invalid_document", "Digest: expected an object, got str"),
         (TimingFields, {"queue_wait_ms": "soon", "service_time_ms": 1.0}, "invalid_document",
-         "TimingFields.queue_wait_ms: ValueError: could not convert string to float: 'soon'"),
+         "TimingFields.queue_wait_ms: TypeError: expected a number, got 'soon'"),
+        (TimingFields, {"queue_wait_ms": 10**400, "service_time_ms": 1.0}, "invalid_document",
+         "TimingFields.queue_wait_ms: OverflowError: int too large to convert to float"),
         (TimingFields, {"queue_wait_ms": 1.0, "service_time_ms": -1.0}, "invalid_value",
          "service_time_ms must be finite and >= 0, got -1.0"),
         (TraceContext, {"trace_id": "ab", "span_id": "cd" * 8}, "invalid_trace",
@@ -947,7 +1030,10 @@ def test_decode_events_types_malformed_documents_like_from_doc():
         (ProvenanceFields, {**PROVENANCE.to_doc(), "manifest_hash": {"algorithm": "sha256", "hex": "AB"}},
          "invalid_digest", "sha256 hex must be 64 chars, got 2"),
     ],
-    ids=["missing-key", "not-object", "coercion", "post-init", "trace-check", "nested-check"],
+    ids=[
+        "missing-key", "not-object", "coercion", "overflow", "post-init", "trace-check",
+        "nested-check",
+    ],
 )
 def test_codec_errors_are_typed_and_record_checks_keep_theirs(cls, doc, code, message):
     with pytest.raises(SchemaError) as err:
