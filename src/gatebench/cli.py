@@ -106,13 +106,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = StudyConfig()
-    if args.grid != "default":
-        _error_record("unknown_grid", f"unknown grid {args.grid!r}")
-        return EXIT_USAGE
-    if args.seed_base:
-        cfg = StudyConfig(seeds=tuple(args.seed_base + seed for seed in cfg.seeds))
-    _, _, report = run_study(cfg, out_dir=args.out)
+    seeds = tuple(args.seed_base + seed for seed in StudyConfig().seeds)
+    _, _, report = run_study(StudyConfig(seeds=seeds), out_dir=args.out)
     print(render_decision_table(report))
     return EXIT_OK
 
@@ -188,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run the controller decision study grid")
     p_study.add_argument("--out", required=True)
-    p_study.add_argument("--grid", default="default")
     p_study.add_argument("--seed-base", type=int, default=0)
     p_study.set_defaults(func=_cmd_study)
 

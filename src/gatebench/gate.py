@@ -19,7 +19,7 @@ separate scope; they never merge into canonical counts.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Final, Iterable, Literal, Sequence
+from typing import Final, Literal, Sequence
 
 from .manifest import BindingStatus, ReleaseRoot, verify_binding
 from .records import record
@@ -210,7 +210,6 @@ def gate_report(
     runset: RunSet,
     decisions: Sequence[GateDecision],
     scope: str = "canonical",
-    planned_strata: Iterable[str] | None = None,
 ) -> GateReport:
     """Aggregate decisions into one report for the requested scope.
 
@@ -234,14 +233,14 @@ def gate_report(
             for run, decision in zip(runset.runs, decisions)
             if decision.stratum != "decision_study"
         ]
-        planned = tuple(planned_strata or PLANNED_CANONICAL_STRATA)
+        planned = PLANNED_CANONICAL_STRATA
     elif scope == "decision_study":
         kept = [
             (run, decision)
             for run, decision in zip(runset.runs, decisions)
             if decision.stratum == "decision_study"
         ]
-        planned = tuple(planned_strata or ("decision_study",))
+        planned = ("decision_study",)
     else:
         raise GateError("decision_set_mismatch", f"unknown report scope {scope!r}")
 

@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 from typing import Any, Final, Mapping, Sequence
 
-from .manifest import REPLAY_HARNESS_VERSION
+from .manifest import FAMILY_REPLAY_CLASS, REPLAY_HARNESS_VERSION
 from .records import record
 from .runner import RunRecord, RunSet, map_runs
 from .schema import (
@@ -36,8 +36,6 @@ from .schema import (
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
 R1_REPLAY_STEP_COST_MS: Final = 1.0
-
-_FAMILY_CLASS: Final[dict[str, str]] = {"micro": "R0", "web": "R1", "code": "R2"}
 
 
 class ReplayError(GatebenchError):
@@ -315,7 +313,7 @@ def replay_runset(
         for index, run in enumerate(runset.runs)
         if run.freeze is not None
         and run.manifest_resolved
-        and (replay_class is None or _FAMILY_CLASS[run.family] == replay_class)
+        and (replay_class is None or FAMILY_REPLAY_CLASS[run.family] == replay_class)
     ]
     return map_runs(_replay_job, (runset, Path(out_dir)), jobs, cap=len(jobs))
 

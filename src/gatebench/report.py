@@ -14,7 +14,6 @@ summaries in runset order.
 
 from __future__ import annotations
 
-from dataclasses import field
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping, Sequence
 
@@ -23,9 +22,11 @@ from .records import record
 from .replay import build_bundle, replay_run
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
 from .schema import EventRecord, GatebenchError, Record, float_sum, read_json, write_json
-from .simenv import simulate_family_throughput
+from .simenv import CLEAN_LABEL, STRESSED_LABEL, simulate_family_throughput
 
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
+# The two settings a decision-study group compares.
+STUDY_SETTINGS: Final[tuple[str, str]] = (CLEAN_LABEL, STRESSED_LABEL)
 
 CLAIM_KEYS: Final[tuple[str, ...]] = (
     "substrate_evidence_gate",
@@ -331,34 +332,18 @@ class DecisionStudyReport(Record):
     incomparable: tuple[str, ...] = ()
 
 
-@record
-class StudyGrid:
-    """Grid specification the decision study aggregates over."""
-
-    backends: tuple[str, ...] = ("vllm", "sglang")
-    seeds: tuple[int, ...] = (0, 1)
-    budgets: tuple[int, ...] = (5, 7, 9)
-    settings: tuple[str, ...] = ("clean", "medium_live_stressed")
-    variants: tuple[str, ...] = VARIANT_LABELS
-    horizons_ms: dict[str, float] = field(
-        default_factory=lambda: {"clean": 60_000.0, "medium_live_stressed": 300_000.0}
-    )
-
-
 def decision_study(
-    runset: RunSet,
-    decisions: Sequence[GateDecision],
-    grid: StudyGrid | None = None,
+    runset: RunSet, decisions: Sequence[GateDecision]
 ) -> DecisionStudyReport:
     """Aggregate admitted controller-study runs into per-cell variant choices.
 
     One cell per (backend, seed, budget, setting); the selected variant is the
-    reward-AUC argmax. A (backend, seed, budget) group is comparable when both
-    settings have complete cells; reversals count comparable groups whose
-    clean and stressed selections differ.
+    reward-AUC argmax over the run's own ``horizon_ms``. A cell is complete
+    with a run of each of ``VARIANT_LABELS``; a (backend, seed, budget) group
+    is comparable when both ``STUDY_SETTINGS`` have complete cells; reversals
+    count comparable groups whose clean and stressed selections differ.
     """
 
-    grid = grid or StudyGrid()
     verdicts = {decision.run_id: decision for decision in decisions}
     study_runs = [
         run
@@ -377,12 +362,11 @@ def decision_study(
             raise ReportError(
                 "rejected_input", f"study run {run.run_id} lacks backend/variant labels"
             )
-        horizon = run.horizon_ms or grid.horizons_ms.get(run.setting_label)
-        if horizon is None:
-            raise ReportError("invalid_horizon", f"no horizon for {run.setting_label}")
+        if run.horizon_ms is None:
+            raise ReportError("invalid_horizon", f"study run {run.run_id} has no horizon")
         key = (run.backend, run.seed, run.driver.budget, run.setting_label)
         aucs.setdefault(key, {})[run.variant] = reward_auc(
-            list(run.reward_trajectory), horizon
+            list(run.reward_trajectory), run.horizon_ms
         )
 
     cells: list[DecisionCell] = []
@@ -390,7 +374,7 @@ def decision_study(
     for key in sorted(aucs):
         backend, seed, budget, setting = key
         by_variant = aucs[key]
-        if set(by_variant) != set(grid.variants):
+        if set(by_variant) != set(VARIANT_LABELS):
             incomparable.append(f"{backend}/s{seed}/b{budget}/{setting}")
             continue
         cells.append(DecisionCell.from_aucs(backend, seed, budget, setting, by_variant))
@@ -403,11 +387,11 @@ def decision_study(
     comparable = 0
     reversals = 0
     for group, selections in sorted(by_group.items()):
-        if set(selections) != set(grid.settings):
+        if set(selections) != set(STUDY_SETTINGS):
             incomparable.append(f"{group[0]}/s{group[1]}/b{group[2]}")
             continue
         comparable += 1
-        choices = {selections[setting] for setting in grid.settings}
+        choices = {selections[setting] for setting in STUDY_SETTINGS}
         if len(choices) > 1:
             reversals += 1
 
@@ -489,18 +473,13 @@ def claim_matrix(
     gate_rep: GateReport,
     study: DecisionStudyReport | None = None,
     diagnostics: Mapping[str, Any] | None = None,
-    claims: Sequence[str] | None = None,
 ) -> ClaimMatrix:
-    """Build the claim-support matrix from gate, study, and diagnostic inputs."""
+    """Build the claim-support matrix, one row per ``CLAIM_KEYS`` entry in
+    order, from gate, study, and diagnostic inputs."""
 
     diagnostics = diagnostics or {}
-    selected = tuple(claims or CLAIM_KEYS)
-    for claim in selected:
-        if claim not in CLAIM_KEYS:
-            raise ReportError("unknown_claim", f"unknown claim key {claim!r}")
-
     rows: list[ClaimRow] = []
-    for claim in selected:
+    for claim in CLAIM_KEYS:
         if claim == "substrate_evidence_gate":
             if gate_rep.admitted == 0:
                 rows.append(ClaimRow(claim, "not_claimed", 0, "no admitted rows"))
@@ -842,7 +821,7 @@ __all__ = [
     "LatencyBreakdown",
     "ReportError",
     "RunSummary",
-    "StudyGrid",
+    "STUDY_SETTINGS",
     "VARIANT_LABELS",
     "claim_matrix",
     "decision_study",

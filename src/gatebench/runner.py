@@ -4,17 +4,19 @@ A run is one workload-driver-setting execution of ``planned_episodes``
 episodes on a single simulated clock. Episodes inside a plain run execute
 sequentially. The step loop (``run_episode_steps``), the verifier and
 episode-end events and the run's start and close-out are shared with the
-controller runs of ``study``, which schedule their lanes on a heap. The runs of a plan are independent, so ``run_plan`` spreads them
-over a pool of worker processes (``map_runs``, shared with replay and the
-report's log pass; the study grid runs its runs in process), ``concurrency``
-wide but never wider than the usable CPUs; each worker writes the event logs
-of its own runs and sends back only their run records.
+controller runs of ``study``, which schedule their lanes on a heap. The runs
+of a plan, the study's plan included, are independent, so ``run_plan``
+spreads them over a pool of worker processes (``map_runs``, shared with
+replay and the report's log pass), ``concurrency`` wide but never wider than
+the usable CPUs; each worker writes the event logs of its own runs and sends
+back only their run records.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from dataclasses import dataclass, field
@@ -54,7 +56,9 @@ from .schema import (
     Record,
     RunValidator,
     SCHEMA_VERSION,
+    SchemaError,
     TimingFields,
+    _exact,
     canonical_hash,
     canonical_json,  # unused here; perfbench's tracer self-test patches runner's binding
     decode_events,
@@ -171,9 +175,12 @@ class PlanEntry(Record):
             raise RunnerError("invalid_plan", "budget must be >= 1")
 
 
-def _decode_drivers(docs: Mapping[str, Any]) -> dict[str, DriverSpec]:
+def _decode_drivers(docs: Any) -> dict[str, DriverSpec]:
     # A driver's name is its key in the plan, whatever its stored "name" says.
-    return {name: DriverSpec.from_doc({**doc, "name": name}) for name, doc in docs.items()}
+    return {
+        name: DriverSpec.from_doc({**doc, "name": name})
+        for name, doc in _exact(dict, docs).items()
+    }
 
 
 @record
@@ -864,7 +871,8 @@ class RunSet(Record):
     def events_for(self, run: RunRecord) -> list[EventRecord]:
         """The events of ``run``'s log, decoded and held to every event rule.
 
-        A log that breaks a rule raises ``invalid_log`` at its first violation.
+        A log that breaks a rule raises ``invalid_log`` at its first violation;
+        one with a line that does not decode to an event, at that line.
         """
 
         if self.base_dir is None or not run.event_log_ref:
@@ -876,9 +884,31 @@ class RunSet(Record):
             raise RunnerError(
                 "missing_log", f"run {run.run_id}: cannot read event log {path}: {exc.strerror}"
             ) from exc
-        events = decode_events(docs)
+        try:
+            events = decode_events(docs)
+        except GatebenchError as exc:
+            line = _first_undecodable_line(path)
+            raise SchemaError(
+                "invalid_log", f"run {run.run_id}: line {line}: {exc.code}: {exc.message}"
+            ) from exc
         require_valid_log(events, run.run_id)
         return events
+
+
+def _decodes(line: str) -> bool:
+    try:
+        EventRecord.from_doc(json.loads(line))
+    except GatebenchError:
+        return False
+    return True
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """The number of the first line of an event log that does not decode to
+    an event, the header being line 1; read again only once the log failed."""
+
+    lines = path.read_text(encoding="utf-8").split("\n")
+    return next(n for n, line in enumerate(lines[1:], start=2) if line and not _decodes(line))
 
 
 def _candidate_run(
@@ -927,11 +957,10 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
     setting = plan.setting_for(entry.setting_label)
     episodes = entry.episodes or plan.episodes_per_run
     if spec.driver_type == "controller":
-        from .study import controller_run_for_plan  # deferred: study builds on runner
+        from .study import simulate_controller_run  # deferred: study builds on runner
 
-        record, events = controller_run_for_plan(
-            manifest, setting, spec, seed=entry.seed, budget=entry.budget,
-            episodes=episodes, repetition=repetition,
+        record, events = simulate_controller_run(
+            manifest, setting, spec, entry.seed, entry.budget, episodes, repetition
         )
     else:
         record, events = execute_run(

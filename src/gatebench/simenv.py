@@ -329,18 +329,16 @@ def simulate_family_throughput(
     concurrency: int,
     episodes: int,
     seed: int,
-    setting: OperatingSetting | None = None,
-    steps_per_episode: int | None = None,
 ) -> float:
     """Episodes per second for independent episodes over simulated lanes.
 
-    Each episode lasts its step draws plus one verification draw. No verifier
-    queue is modelled: episodes are dealt round-robin to ``concurrency``
-    lanes, each lane's durations are summed, and throughput is episodes
-    divided by the longest lane's sum. Lanes share nothing: when one level
-    divides the next (the report uses 1, 4 and 8) and ``episodes`` is at
-    least the larger level, each wider lane sums a strict subset of a
-    narrower lane's episodes. Throughput then rises by construction, and the
+    Each episode lasts its family's default goal of clean-setting step
+    draws plus one verification draw. No verifier queue is modelled:
+    episodes are dealt round-robin to ``concurrency`` lanes, each lane's
+    durations are summed, and throughput is episodes divided by the longest
+    lane's sum. Lanes share nothing: when one level divides the next (the
+    report uses 1, 4 and 8) and ``episodes`` is at least the larger level,
+    each wider lane sums a strict subset of a narrower lane's episodes. Throughput then rises by construction, and the
     ``throughput_scaling`` claim built on it cannot fail.
     """
 
@@ -348,8 +346,8 @@ def simulate_family_throughput(
         raise EnvError("unsupported_family", f"unknown family {family!r}")
     if concurrency < 1 or episodes < 1:
         raise EnvError("invalid_queue", "concurrency and episodes must be >= 1")
-    setting = setting or clean_setting()
-    steps = steps_per_episode or FAMILY_DEFAULT_GOAL[family]
+    setting = clean_setting()
+    steps = FAMILY_DEFAULT_GOAL[family]
     rng = random.Random(seed)
     durations: list[float] = []
     for _ in range(episodes):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 import tempfile
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Final
 
@@ -42,19 +42,20 @@ from .drivers import (
     hook_b_adjust,
 )
 from .gate import GateDecision, decide_runset, gate_report, save_gate_outputs
-from .manifest import (
-    ManifestStore,
-    ReleaseRoot,
-    TaskManifest,
-    make_manifest,
-    publish_release,
-    resolve_manifest,
-)
+from .manifest import ManifestStore, ReleaseRoot, TaskManifest, make_manifest, publish_release
 from .records import record
-from .report import DecisionStudyReport, StudyGrid, decision_study, save_report_outputs
+from .report import (
+    STUDY_SETTINGS,
+    VARIANT_LABELS,
+    DecisionStudyReport,
+    decision_study,
+    save_report_outputs,
+)
 from .runner import (
     DriverSpec,
     EpisodeSummary,
+    PlanEntry,
+    RunPlan,
     RunRecord,
     RunSet,
     close_run,
@@ -62,76 +63,53 @@ from .runner import (
     end_episode,
     open_run,
     run_episode_steps,
-    save_runset,
+    run_plan,
 )
-from .schema import TimingFields, write_event_log
+from .schema import TimingFields
 from .simenv import (
+    CLEAN_LABEL,
+    STRESSED_LABEL,
     OperatingSetting,
     TerminalOutcome,
     Ticket,
     VerifierQueue,
-    setting_for_label,
 )
 
 STUDY_TASK_ID: Final = "study-web-001"
 STUDY_ROOT_ID: Final = "study-root"
 
+# The study's simulation constants (synthetic calibration, see above).
+BACKEND_LATENCY_SCALE: Final[dict[str, float]] = {"vllm": 1.0, "sglang": 0.96}
+EPISODES_PER_RUN: Final = 8
+GOAL: Final = 3
+LANES: Final = 4
+LANE_STAGGER_MS: Final = 400.0
+HOOK_B: Final = HookBConfig(pressure_threshold_ms=50.0, min_conc=2, max_conc=4, step=1)
+WINDOW_CAPACITY: Final = 12
+PROFILE: Final = SyntheticLlmProfile(
+    mean_model_latency_ms=150.0, latency_cv=0.3, invalid_action_prob=0.08, success_bias=0.75
+)
+VERIFY_BASE_MS: Final = 400.0
+VERIFY_CV: Final = 0.2
+VERIFY_SERVERS: Final = 2
+SAMPLE_INVALID_PROB: Final = 0.15
+STALE_AFTER_MS: Final = 300.0
+SAMPLE_RETRY_BUDGET: Final = 2
+HORIZONS_MS: Final[dict[str, float]] = {CLEAN_LABEL: 30_000.0, STRESSED_LABEL: 120_000.0}
+# Width of the study plan's run pool. Kept at 1 while the benchmark's tracer
+# cannot see the spans of forked workers; the plan's bytes are the same at
+# any width.
+STUDY_CONCURRENCY: Final = 1
+
 
 @record
 class StudyConfig:
-    """Default desk-scale grid: 2 backends x 2 seeds x 3 budgets x 2 settings
-    x 2 variants = 48 runs."""
+    """The study grid: backends x seeds x budgets, each run under both
+    settings and both variants; the default is 2 x 2 x 3 x 2 x 2 = 48 runs."""
 
     backends: tuple[str, ...] = ("vllm", "sglang")
-    backend_latency_scale: dict[str, float] = field(
-        default_factory=lambda: {"vllm": 1.0, "sglang": 0.96}
-    )
     seeds: tuple[int, ...] = (0, 1)
     budgets: tuple[int, ...] = (5, 7, 9)
-    setting_labels: tuple[str, ...] = ("clean", "medium_live_stressed")
-    variants: tuple[str, ...] = ("hook_a_only", "hook_b_only")
-    episodes_per_run: int = 8
-    goal: int = 3
-    lanes: int = 4
-    lane_stagger_ms: float = 400.0
-    hook_b: HookBConfig = field(
-        default_factory=lambda: HookBConfig(
-            pressure_threshold_ms=50.0, min_conc=2, max_conc=4, step=1
-        )
-    )
-    window_capacity: int = 12
-    profile: SyntheticLlmProfile = field(
-        default_factory=lambda: SyntheticLlmProfile(
-            mean_model_latency_ms=150.0,
-            latency_cv=0.3,
-            invalid_action_prob=0.08,
-            success_bias=0.75,
-        )
-    )
-    verify_base_ms: float = 400.0
-    verify_cv: float = 0.2
-    verify_servers: int = 2
-    sample_invalid_prob: float = 0.15
-    stale_after_ms: float = 300.0
-    sample_retry_budget: int = 2
-    horizons_ms: dict[str, float] = field(
-        default_factory=lambda: {"clean": 30_000.0, "medium_live_stressed": 120_000.0}
-    )
-
-    def run_retry_budget(self) -> int:
-        """Run-level retry allowance the gate checks aggregate retries against."""
-
-        return self.episodes_per_run * (self.sample_retry_budget + 1)
-
-    def grid(self) -> StudyGrid:
-        return StudyGrid(
-            backends=self.backends,
-            seeds=self.seeds,
-            budgets=self.budgets,
-            settings=self.setting_labels,
-            variants=self.variants,
-            horizons_ms=dict(self.horizons_ms),
-        )
 
 
 def _substream(*parts: Any) -> random.Random:
@@ -162,16 +140,15 @@ class _ControllerRunSim:
 
     def __init__(
         self,
-        cfg: StudyConfig,
         manifest: TaskManifest,
         setting: OperatingSetting,
         backend: str,
         seed: int,
         budget: int,
         variant: str,
+        episodes: int,
         run_id: str,
     ) -> None:
-        self.cfg = cfg
         self.manifest = manifest
         self.setting = setting
         self.seed = seed
@@ -182,15 +159,15 @@ class _ControllerRunSim:
             name=f"{variant}-actor",
             driver_type="llm",
             driver_version=variant,
-            profile=cfg.profile,
+            profile=PROFILE,
             backend_engine=backend,
         )
-        self.latency_scale = cfg.backend_latency_scale.get(backend, 1.0)
-        self.queue = VerifierQueue(servers=cfg.verify_servers)
-        self.window = TelemetryWindow(capacity=cfg.window_capacity)
-        self.target = cfg.lanes
+        self.latency_scale = BACKEND_LATENCY_SCALE.get(backend, 1.0)
+        self.queue = VerifierQueue(servers=VERIFY_SERVERS)
+        self.window = TelemetryWindow(capacity=WINDOW_CAPACITY)
+        self.target = LANES
         self.idle_lanes: set[int] = set()
-        self.pending = list(range(cfg.episodes_per_run))
+        self.pending = list(range(episodes))
         # One tuple per event: (time_ms, order, kind, episode_id, step_index,
         # timing, payload). ``order`` is unique within the run, so the tuples
         # sort by (time, order) without comparing the fields after it.
@@ -229,10 +206,10 @@ class _ControllerRunSim:
     def _submit(self, time_ms: float, lane: int, sample: _Sample) -> None:
         demand = draw_lognormal(
             sample.demand_rng,
-            self.cfg.verify_base_ms
+            VERIFY_BASE_MS
             * self.setting.env_latency_multiplier
             * self.setting.verifier_arrival_rate_boost,
-            self.cfg.verify_cv,
+            VERIFY_CV,
         )
         if self.setting.tail_inflation > 1.0 and sample.demand_rng.random() > 0.9:
             demand *= self.setting.tail_inflation
@@ -263,11 +240,8 @@ class _ControllerRunSim:
         )
 
     def _deliver(self, time_ms: float, lane: int, sample: _Sample, info: Ticket) -> None:
-        cfg = self.cfg
         wait = info.queue_wait_ms
-        stale = (
-            self.setting.fault_injection_prob > 0.0 and wait > cfg.stale_after_ms
-        )
+        stale = self.setting.fault_injection_prob > 0.0 and wait > STALE_AFTER_MS
         missing = sample.missing_first and sample.attempts == 1
         attempt_status = "error" if missing else ("failure" if sample.invalid else sample.env_status)
         emit_verifier_outcome(
@@ -283,7 +257,7 @@ class _ControllerRunSim:
                 version_mismatch=stale,
                 snapshot_mismatch=False,
                 retry_count=sample.attempts - 1,
-                retry_budget=cfg.sample_retry_budget,
+                retry_budget=SAMPLE_RETRY_BUDGET,
             )
             decision = hook_a_filter(meta)
             if decision.keep:
@@ -297,7 +271,7 @@ class _ControllerRunSim:
 
         # hook_b_only: keep everything, pay the harness retry policy, adapt lanes.
         needs_retry = (missing or sample.invalid) and (
-            sample.attempts <= cfg.sample_retry_budget
+            sample.attempts <= SAMPLE_RETRY_BUDGET
         )
         if needs_retry:
             self.retry_events += 1
@@ -321,7 +295,7 @@ class _ControllerRunSim:
             self._finalize(time_ms, sample, sample.env_status, "verified", None)
 
         self.window.push(time_ms, self.queue.depth_at(time_ms), wait)
-        new_target = hook_b_adjust(self.window, cfg.hook_b, self.target)
+        new_target = hook_b_adjust(self.window, HOOK_B, self.target)
         if new_target > self.target:
             revived = [l for l in sorted(self.idle_lanes) if l < new_target]
             for lane_id in revived:
@@ -359,7 +333,7 @@ class _ControllerRunSim:
         rng = _substream(
             "study-sample", self.seed, self.budget, self.setting.label, episode_index
         )
-        invalid = rng.random() < self.cfg.sample_invalid_prob
+        invalid = rng.random() < SAMPLE_INVALID_PROB
         missing = rng.random() < self.setting.fault_injection_prob
         sample = _Sample(
             episode_id=episode_id,
@@ -377,8 +351,8 @@ class _ControllerRunSim:
     def run(self) -> list[tuple]:
         """Simulate the run; its events sorted by (time, order of recording)."""
 
-        for lane in range(self.cfg.lanes):
-            start = lane * self.cfg.lane_stagger_ms
+        for lane in range(LANES):
+            start = lane * LANE_STAGGER_MS
             if lane < self.target:
                 self._schedule(start, "assign", (lane,))
             else:
@@ -396,20 +370,26 @@ class _ControllerRunSim:
 
 
 def simulate_controller_run(
-    cfg: StudyConfig,
     manifest: TaskManifest,
     setting: OperatingSetting,
-    backend: str,
+    spec: DriverSpec,
     seed: int,
     budget: int,
-    variant: str,
+    episodes: int,
     repetition: int = 0,
-    driver_id: str | None = None,
 ) -> tuple[RunRecord, list]:
-    """One controller run; returns its record and validated event stream."""
+    """One controller run of a plan's ``controller`` driver; returns its record
+    and validated event stream.
 
+    The variant is the driver's ``hooks_enabled``, the backend its
+    ``backend_engine`` (``vllm`` when unset); the driver record and every
+    other quantity come from the study's constants.
+    """
+
+    backend = spec.backend_engine or "vllm"
+    variant = spec.hooks_enabled
     driver = DriverRecord(
-        driver_id=driver_id or f"controller-{variant}-{backend}-b{budget}",
+        driver_id=spec.name,
         driver_type="controller",
         driver_version="1.0.0",
         parser_version="1.0.0",
@@ -420,10 +400,10 @@ def simulate_controller_run(
         model_backend_id=f"{backend}:synthetic",
         backend_engine=backend,
     )
-    builder = open_run(
-        manifest, driver, repetition, cfg.episodes_per_run, variant=variant, backend=backend
+    builder = open_run(manifest, driver, repetition, episodes, variant=variant, backend=backend)
+    sim = _ControllerRunSim(
+        manifest, setting, backend, seed, budget, variant, episodes, builder.run_id
     )
-    sim = _ControllerRunSim(cfg, manifest, setting, backend, seed, budget, variant, builder.run_id)
     timed = sim.run()
     emit = builder.emit
     for time_ms, _, kind, episode_id, step_index, timing, payload in timed:
@@ -433,73 +413,74 @@ def simulate_controller_run(
         manifest,
         driver,
         repetition,
-        cfg.episodes_per_run,
+        episodes,
         sim.summaries,
         timed[-1][0] if timed else 0.0,
         retry_count=sim.retry_events,
-        retry_budget=cfg.run_retry_budget(),
-        concurrency=cfg.lanes,
+        # The run-level retry allowance the gate checks aggregate retries against.
+        retry_budget=episodes * (SAMPLE_RETRY_BUDGET + 1),
+        concurrency=LANES,
         backend=backend,
         variant=variant,
-        horizon_ms=cfg.horizons_ms[setting.label],
+        horizon_ms=HORIZONS_MS[setting.label],
     )
 
 
-def controller_run_for_plan(
-    manifest: TaskManifest,
-    setting: OperatingSetting,
-    spec: DriverSpec,
-    seed: int,
-    budget: int,
-    episodes: int,
-    repetition: int = 0,
-) -> tuple[RunRecord, list]:
-    """Controller run driven from a run-plan driver configuration.
+def build_study_release(store: ManifestStore) -> ReleaseRoot:
+    """Publish the single-task study release the study plan runs against."""
 
-    The variant comes from the driver's hooks_enabled field; the backend label
-    from its backend_engine; everything else uses the study defaults.
-    """
-
-    cfg = dataclasses_replace(StudyConfig(), episodes_per_run=episodes)
-    return simulate_controller_run(
-        cfg,
-        manifest,
-        setting,
-        backend=spec.backend_engine or "vllm",
-        seed=seed,
-        budget=budget,
-        variant=spec.hooks_enabled,
-        repetition=repetition,
-        driver_id=spec.name,
-    )
-
-
-def build_study_release(store: ManifestStore, cfg: StudyConfig | None = None) -> ReleaseRoot:
-    """Publish the single-task study release used by the default grid."""
-
-    cfg = cfg or StudyConfig()
     manifest = make_manifest(
         "web",
         STUDY_TASK_ID,
         release_binding=STUDY_ROOT_ID,
-        family_params={"goal": cfg.goal, "session_config": "study-session",
+        family_params={"goal": GOAL, "session_config": "study-session",
                        "evaluator_semantics": "final_state", "exec_mode": "live"},
     )
     return publish_release(store, STUDY_ROOT_ID, [manifest])
+
+
+def study_plan(cfg: StudyConfig) -> RunPlan:
+    """The study grid as a run plan: one entry per cell and variant, in the
+    order backend, seed, budget, setting, variant.
+
+    Each entry names a ``controller`` driver ``controller-{variant}-{backend}-b{budget}``.
+    """
+
+    drivers: dict[str, DriverSpec] = {}
+    entries: list[PlanEntry] = []
+    for backend in cfg.backends:
+        for seed in cfg.seeds:
+            for budget in cfg.budgets:
+                for label in STUDY_SETTINGS:
+                    for variant in VARIANT_LABELS:
+                        name = f"controller-{variant}-{backend}-b{budget}"
+                        drivers[name] = DriverSpec(
+                            name=name,
+                            driver_type="controller",
+                            backend_engine=backend,
+                            hooks_enabled=variant,
+                        )
+                        entries.append(PlanEntry(STUDY_TASK_ID, name, label, seed, budget))
+    return RunPlan(
+        entries=tuple(entries),
+        drivers=drivers,
+        release_root=STUDY_ROOT_ID,
+        concurrency=STUDY_CONCURRENCY,
+        episodes_per_run=EPISODES_PER_RUN,
+    )
 
 
 def run_study(
     cfg: StudyConfig | None = None,
     out_dir: Path | str | None = None,
 ) -> tuple[RunSet, list[GateDecision], DecisionStudyReport]:
-    """Execute the full grid, gate it with the decision gate, and aggregate.
+    """Run the study plan, gate it with the decision gate, and aggregate.
 
     Deterministic: identical configuration yields byte-identical artifacts.
-    The grid runs in the calling process; each run's event log is written as
-    soon as the run finishes, so its events are not kept.
+    With ``out_dir``, the release, the plan's ``logs/`` and ``runset.json``,
+    the gate outputs and the study report are written there.
     """
 
-    cfg = cfg or StudyConfig()
     base = Path(out_dir) if out_dir is not None else None
     tmp: tempfile.TemporaryDirectory[str] | None = None
     if base is not None:
@@ -507,32 +488,12 @@ def run_study(
     else:
         tmp = tempfile.TemporaryDirectory()
         store = ManifestStore(Path(tmp.name))
-    root = build_study_release(store, cfg)
-    manifest = resolve_manifest(STUDY_TASK_ID, root, store)
-
-    if base is not None:
-        (base / "logs").mkdir(parents=True, exist_ok=True)
-    runs: list[RunRecord] = []
-    for backend in cfg.backends:
-        for seed in cfg.seeds:
-            for budget in cfg.budgets:
-                for label in cfg.setting_labels:
-                    setting = setting_for_label(label)
-                    for variant in cfg.variants:
-                        record, events = simulate_controller_run(
-                            cfg, manifest, setting, backend, seed, budget, variant
-                        )
-                        runs.append(record)
-                        if base is not None:
-                            write_event_log(base / record.event_log_ref, events)
-
-    runset = RunSet(runs=runs)
+    root = build_study_release(store)
+    runset = run_plan(study_plan(cfg or StudyConfig()), store, out_dir=base)
     decisions = decide_runset(runset, root)
-    study_report = decision_study(runset, decisions, cfg.grid())
+    study_report = decision_study(runset, decisions)
 
     if base is not None:
-        save_runset(runset, base)
-        runset.base_dir = base
         decision_scope = gate_report(runset, decisions, scope="decision_study")
         canonical_scope = gate_report(runset, decisions, scope="canonical")
         save_gate_outputs(base, canonical_scope, decisions, decision_report=decision_scope)
@@ -547,7 +508,7 @@ __all__ = [
     "STUDY_TASK_ID",
     "StudyConfig",
     "build_study_release",
-    "controller_run_for_plan",
     "run_study",
     "simulate_controller_run",
+    "study_plan",
 ]

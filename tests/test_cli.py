@@ -447,18 +447,9 @@ def _change_run_id(lines: list[str]) -> None:
     lines[3] = json.dumps(doc)
 
 
-@pytest.mark.parametrize(
-    "tamper, rule",
-    [
-        (_drop_first_env_step_end, "boundary_mismatch kind: nested env_step_start"),
-        (_swap_events, "boundary_mismatch kind: model_request_end without model_request_start"),
-        (_change_run_id, "boundary_mismatch run_id: event run_id '0000000000000000' does not"),
-    ],
-    ids=["drop-env-step-end", "swap-lines", "run-id"],
-)
-def test_tampered_log_is_invalid_log_for_replay_and_report(
-    tamper, rule, gated_runs, tmp_path, capsys
-):
+def _tamper_admitted_web_log(gated_runs, tamper) -> str:
+    """Apply ``tamper`` to the lines of the first admitted web run's log; returns the run id."""
+
     runs, gate_out = gated_runs
     decisions = [
         json.loads(line) for line in (gate_out / "gate_decisions.jsonl").read_text().splitlines()
@@ -472,16 +463,67 @@ def test_tampered_log_is_invalid_log_for_replay_and_report(
     lines = log.read_text(encoding="utf-8").split("\n")
     tamper(lines)
     log.write_text("\n".join(lines), encoding="utf-8")
+    return run_id
+
+
+def _replay_and_report_errors(gated_runs, tmp_path, capsys) -> list[dict]:
+    """The error records of ``replay`` and ``report`` over the gated runs, both failing."""
+
+    runs, gate_out = gated_runs
     capsys.readouterr()
+    records = []
     for argv in (
         ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")],
         ["report", "--runset", str(runs), "--gate", str(gate_out), "--out", str(tmp_path / "rep")],
     ):
         assert main(argv) == EXIT_ERROR
-        record = _last_error_record(capsys)
+        records.append(_last_error_record(capsys))
+    return records
+
+
+@pytest.mark.parametrize(
+    "tamper, rule",
+    [
+        (_drop_first_env_step_end, "boundary_mismatch kind: nested env_step_start"),
+        (_swap_events, "boundary_mismatch kind: model_request_end without model_request_start"),
+        (_change_run_id, "boundary_mismatch run_id: event run_id '0000000000000000' does not"),
+    ],
+    ids=["drop-env-step-end", "swap-lines", "run-id"],
+)
+def test_tampered_log_is_invalid_log_for_replay_and_report(
+    tamper, rule, gated_runs, tmp_path, capsys
+):
+    run_id = _tamper_admitted_web_log(gated_runs, tamper)
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
         assert record["error"] == "invalid_log"
         assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
         assert rule in record["message"]
+
+
+def _edit_line(index: int, **fields):
+    def edit(lines: list[str]) -> None:
+        lines[index] = json.dumps({**json.loads(lines[index]), **fields})
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_edit_line(4, step_index=-1),
+         "line 5: invalid_value: sequence and step_index must be >= 0"),
+        (_edit_line(6, sequence="5"),
+         "line 7: invalid_document: EventRecord.sequence: TypeError: expected an integer, got '5'"),
+    ],
+    ids=["negative-step-index", "string-sequence"],
+)
+def test_undecodable_log_line_is_invalid_log_naming_run_and_line(
+    tamper, message, gated_runs, tmp_path, capsys
+):
+    run_id = _tamper_admitted_web_log(gated_runs, tamper)
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"] == f"invalid_log: run {run_id}: {message}"
 
 
 # One unreadable input per verb, "{gone}" standing for a path that does not exist.
@@ -575,7 +617,8 @@ def _edit_json(path: Path, edit) -> None:
          "RunRecord.trace_complete: TypeError: expected true or false, got 'false'"),
         ("run", lambda doc: doc["entries"][0].pop("driver"), "PlanEntry.driver: missing required key"),
         ("run", lambda doc: doc.update(entries=7), "RunPlan.entries: TypeError: "),
-        ("run", lambda doc: doc.update(drivers=[]), "RunPlan.drivers: AttributeError: "),
+        ("run", lambda doc: doc.update(drivers=[]),
+         "RunPlan.drivers: TypeError: expected an object, got []"),
         ("run", lambda doc: doc["entries"][0].update(budget="3"),
          "PlanEntry.budget: TypeError: expected an integer, got '3'"),
     ],

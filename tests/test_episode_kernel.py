@@ -23,7 +23,7 @@ from gatebench.demo import DEMO_ROOT_ID, demo_drivers
 from gatebench.manifest import ManifestStore, resolve_manifest
 from gatebench.runner import DriverSpec, PlanEntry, RunPlan, execute_run, run_plan
 from gatebench.simenv import OperatingSetting
-from gatebench.study import STUDY_TASK_ID, StudyConfig, build_study_release, simulate_controller_run
+from gatebench.study import STUDY_TASK_ID, build_study_release, simulate_controller_run
 
 ALWAYS_FAULT = OperatingSetting(label="medium_live_stressed", fault_injection_prob=1.0)
 LLM = demo_drivers()["synthetic-llm"]
@@ -80,9 +80,12 @@ def study_manifest(tmp_path_factory):
 
 
 def test_controller_lane_writes_no_retry_once_its_budget_is_spent(study_manifest):
-    cfg = StudyConfig(episodes_per_run=1)
+    spec = DriverSpec(
+        name="hook-a", driver_type="controller", hooks_enabled="hook_a_only",
+        backend_engine="vllm",
+    )
     record, events = simulate_controller_run(
-        cfg, study_manifest, ALWAYS_FAULT, "vllm", seed=0, budget=2, variant="hook_a_only"
+        study_manifest, ALWAYS_FAULT, spec, seed=0, budget=2, episodes=1
     )
     assert _steps(events, "env_step_end") == [0, 1]
     assert _steps(events, "retry") == [0]

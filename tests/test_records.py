@@ -34,7 +34,7 @@ from gatebench.report import (
 from gatebench.runner import _PlanContext, load_plan, load_runset
 from gatebench.schema import ActionRecord, Digest, read_event_log, validate_log
 from gatebench.simenv import StepOutcome, setting_for_label
-from gatebench.study import StudyConfig
+from gatebench.study import HOOK_B, PROFILE, StudyConfig
 
 MODULES = ("schema", "drivers", "manifest", "runner", "simenv", "gate", "replay", "report", "study")
 
@@ -129,7 +129,7 @@ def instances(golden_tree):
         events,
         verify_binding(run, release),
         summarize_run(events, run),
-        StudyConfig(), StudyConfig().grid(), SuiteVersions(),
+        StudyConfig(), HOOK_B, PROFILE, SuiteVersions(),
         validate_log(docs[1:]),  # no run_start: a failed report with violations
         setting_for_label(run.setting_label),
         NOOP_ACTION, SampleMeta(), hook_a_filter(SampleMeta(has_terminal_outcome=False)),
@@ -191,7 +191,7 @@ _BAD_VALUES = (None, -1, 0, "", "bogus", 1.5)
 
 def test_every_frozen_class_is_a_record(instances):
     classes = _record_classes()
-    assert len(classes) == 42
+    assert len(classes) == 41
     assert sorted(c.__qualname__ for c in classes if c not in instances) == []
 
 

@@ -11,7 +11,6 @@ from gatebench.report import (
     DecisionCell,
     DecisionStudyReport,
     ReportError,
-    StudyGrid,
     claim_matrix,
     decision_study,
     invalid_action_rate,
@@ -291,8 +290,7 @@ def _admit_all(runset):
 
 
 def test_decision_study_counts_reversals(study_fixture):
-    grid = StudyGrid(backends=("vllm", "sglang"), seeds=(0,), budgets=(7,))
-    report = decision_study(study_fixture, _admit_all(study_fixture), grid)
+    report = decision_study(study_fixture, _admit_all(study_fixture))
     assert report.admitted == 8
     assert report.blocked == 0
     assert report.comparable_cells == 2
@@ -308,8 +306,7 @@ def test_decision_study_marks_incomparable_cells(study_fixture):
         and run.setting_label == "clean"
     )]
     runset = RunSet(runs=runs)
-    grid = StudyGrid(backends=("vllm", "sglang"), seeds=(0,), budgets=(7,))
-    report = decision_study(runset, _admit_all(runset), grid)
+    report = decision_study(runset, _admit_all(runset))
     assert report.comparable_cells == 1
     assert report.reversal_cells == 1
     assert any("sglang" in item for item in report.incomparable)
@@ -321,15 +318,13 @@ def test_decision_study_counts_blocked(study_fixture):
         run_id=decisions[0].run_id, verdict="rejected",
         reasons=("missing_terminal_outcome",), stratum="decision_study",
     )
-    report = decision_study(study_fixture, decisions, StudyGrid(seeds=(0,), budgets=(7,)))
+    report = decision_study(study_fixture, decisions)
     assert report.blocked == 1
     assert report.admitted == 7
 
 
 def test_render_decision_table_layout(study_fixture):
-    report = decision_study(
-        study_fixture, _admit_all(study_fixture), StudyGrid(seeds=(0,), budgets=(7,))
-    )
+    report = decision_study(study_fixture, _admit_all(study_fixture))
     text = render_decision_table(report)
     header = text.splitlines()[0]
     for column in ("Backend", "Setting", "hook_a_only", "hook_b_only", "Selected"):
@@ -445,9 +440,3 @@ def test_verifier_controls_claim_thresholds():
     diag_partial = {"gold_pass": 4, "gold_total": 5, "noop_fail": 5, "noop_total": 5}
     matrix = claim_matrix(_gate_report(), None, diag_partial)
     assert matrix.row("verifier_controls").status == "caveated"
-
-
-def test_unknown_claim_key_rejected():
-    with pytest.raises(ReportError) as err:
-        claim_matrix(_gate_report(), None, claims=["made_up_claim"])
-    assert err.value.code == "unknown_claim"

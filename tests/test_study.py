@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 from pathlib import Path
 
 import pytest
 
+from gatebench import runner
 from gatebench.gate import gate_report
-from gatebench.report import reward_auc
-from gatebench.study import StudyConfig, run_study
+from gatebench.manifest import ManifestStore
+from gatebench.report import ReportError, decision_study, reward_auc
+from gatebench.runner import RunSet, run_plan
+from gatebench.study import StudyConfig, build_study_release, run_study, study_plan
 
 SMALL = StudyConfig(backends=("vllm",), seeds=(0,), budgets=(7,))
 
@@ -143,3 +147,52 @@ def test_event_logs_validate(tmp_path):
     for run in runset.runs:
         _, docs = read_event_log(out / run.event_log_ref)
         assert validate_log(docs).ok
+
+
+def test_study_plan_lists_the_grid_in_order():
+    plan = study_plan(StudyConfig(budgets=(5, 9)))
+    assert plan.concurrency == 1
+    assert plan.episodes_per_run == 8
+    assert len(plan.entries) == 2 * 2 * 2 * 2 * 2
+    assert [(e.driver, e.setting_label, e.seed, e.budget) for e in plan.entries[:5]] == [
+        ("controller-hook_a_only-vllm-b5", "clean", 0, 5),
+        ("controller-hook_b_only-vllm-b5", "clean", 0, 5),
+        ("controller-hook_a_only-vllm-b5", "medium_live_stressed", 0, 5),
+        ("controller-hook_b_only-vllm-b5", "medium_live_stressed", 0, 5),
+        ("controller-hook_a_only-vllm-b9", "clean", 0, 9),
+    ]
+    assert plan.entries[-1].driver == "controller-hook_b_only-sglang-b9"
+    spec = plan.drivers["controller-hook_b_only-sglang-b9"]
+    assert (spec.driver_type, spec.hooks_enabled, spec.backend_engine) == (
+        "controller", "hook_b_only", "sglang"
+    )
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_study_plan_run_writes_the_study_logs_and_runset(concurrency, tmp_path, monkeypatch):
+    # Two usable CPUs, so that concurrency 2 takes the process pool on any host.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    study = tmp_path / "study"
+    run_study(SMALL, out_dir=study)
+    store = ManifestStore(tmp_path / "release")
+    build_study_release(store)
+    plan = dataclasses.replace(study_plan(SMALL), concurrency=concurrency)
+    runs = tmp_path / "runs"
+    run_plan(plan, store, out_dir=runs)
+    expected = _tree_bytes(study)
+    expected = {
+        name: data for name, data in expected.items()
+        if name == "runset.json" or name.startswith("logs/")
+    }
+    assert len(expected) == 5
+    assert _tree_bytes(runs) == expected
+
+
+def test_decision_study_rejects_a_run_without_horizon(small_study):
+    runset, decisions, _ = small_study
+    runs = list(runset.runs)
+    runs[0] = dataclasses.replace(runs[0], horizon_ms=None)
+    with pytest.raises(ReportError) as err:
+        decision_study(RunSet(runs=runs), decisions)
+    assert err.value.code == "invalid_horizon"
+    assert runs[0].run_id in str(err.value)
