@@ -6,10 +6,11 @@ sequentially. The step loop (``run_episode_steps``), the verifier and
 episode-end events and the run's start and close-out are shared with the
 controller runs of ``study``, which schedule their lanes on a heap. The runs
 of a plan, the study's plan included, are independent, so ``run_plan``
-spreads them over a pool of worker processes (``map_runs``, shared with
-replay and the report's log pass), ``concurrency`` wide but never wider than
-the usable CPUs; each worker writes the event logs of its own runs and sends
-back only their run records.
+spreads them over a pool of forked worker processes (``map_runs``, shared
+with replay and the report's log pass), ``concurrency`` wide but never wider
+than the usable CPUs. Worker ``k`` of ``width`` takes every ``width``-th job
+from job ``k`` on, writes the event logs of its own runs and, after its last
+job, sends back only their run records, in one pickle on a pipe of its own.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """
@@ -21,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Final, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Final, Mapping, NoReturn, Sequence, TypeVar
 
 from .drivers import (
     Action,
@@ -978,21 +979,6 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
     return record
 
 
-# Set once in each pool worker by ``_init_worker``; the parent never sets it.
-_worker_task: tuple[Callable[[Any, Any], Any], Any] | None = None
-
-
-def _init_worker(fn: Callable[[Any, Any], Any], context: Any) -> None:
-    global _worker_task
-    _worker_task = (fn, context)
-
-
-def _worker_job(job: Any) -> Any:
-    assert _worker_task is not None, "pool worker started without _init_worker"
-    fn, context = _worker_task
-    return fn(context, job)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
 
@@ -1007,40 +993,114 @@ def _pool_width(cap: int, jobs: int, cpus: int) -> int:
     return max(1, min(cap, jobs, cpus))
 
 
+def _work(fn: Callable[[Any, Any], Any], context: Any, jobs: Sequence[Any], pipe: int) -> NoReturn:
+    """A forked worker: run ``jobs`` in order up to the first error, report, exit.
+
+    The report is one pickle of ``(results, failure)`` written to ``pipe``;
+    ``failure`` is the exception that stopped the worker, or ``None``. The
+    worker leaves by ``os._exit`` on every path, so nothing of the parent's
+    (its ``finally`` blocks, ``atexit`` handlers, buffered output) runs twice.
+    """
+
+    status = 1
+    try:
+        import pickle
+
+        results: list[Any] = []
+        failure: Exception | None = None
+        for job in jobs:
+            try:
+                results.append(fn(context, job))
+            except Exception as exc:  # noqa: BLE001  (reported to the parent)
+                failure = exc
+                break
+        try:
+            report = pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001  (the failure cannot be pickled)
+            failure = RunnerError(
+                "worker_failed", f"worker {os.getpid()}: a job raised {failure!r}"
+            )
+            report = pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as out:
+            out.write(report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def map_runs(
     fn: Callable[[_Context, _Job], _Result], context: _Context, jobs: Sequence[_Job], cap: int
 ) -> list[_Result]:
     """``[fn(context, job) for job in jobs]`` on up to ``cap`` worker processes.
 
     The pool is ``min(cap, len(jobs), usable CPUs)`` wide; at width 1 every
-    job runs in this process. Wider pools are forked, so ``fn`` and
-    ``context`` reach each worker once without pickling; only the jobs and
-    the results cross the pipe, so both should be small. Results come back
-    in job order, and the first error in job order is re-raised with its type
-    and code. Whatever a job writes to disk stays written when a later job
-    fails.
+    job runs in this process. A wider pool is ``width`` plain ``os.fork``
+    children, so ``fn`` and ``context`` reach each worker without pickling;
+    the calling process must run no other threads (the CLI runs none).
+    Worker ``k`` runs jobs ``k``, ``k + width``, ... in order and stops at
+    its first error; then it writes one pickle, its results and that error,
+    to a pipe of its own and exits. The parent reads the pipes one after
+    another, which loses no parallelism because a worker writes only after
+    its last job, and reaps every worker on every path. Results come back in
+    job order, and the first error in job order is re-raised with its type
+    and code. A worker that exits without a readable report raises
+    ``RunnerError("worker_failed")`` naming its pid and exit status or
+    signal, counted at its first job; so does a job error that cannot be
+    pickled, with its repr. Whatever a job writes to disk stays written when
+    another job fails.
     """
 
     width = _pool_width(cap, len(jobs), _usable_cpus())
     if width == 1:
         return [fn(context, job) for job in jobs]
-    # Deferred so that no verb pays for importing the pool unless it forks
-    # one. A fork start skips re-importing the package in every worker; it
-    # assumes the calling process runs no other threads (the CLI runs none).
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
-    pool = ProcessPoolExecutor(
-        max_workers=width,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(fn, context),
-    )
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
-        chunksize = max(1, len(jobs) // (4 * width))
-        return list(pool.map(_worker_job, jobs, chunksize=chunksize))
+        for k in range(width):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)
+                    _work(fn, context, jobs[k::width], write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        reports = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+
+    results: list[Any] = [None] * len(jobs)
+    failures: list[tuple[int, Exception]] = []
+    for k, (pid, status, report) in enumerate(zip(pids, statuses, reports)):
+        try:
+            done, failure = pickle.loads(report)
+        except Exception:  # noqa: BLE001  (an empty, cut or unreadable report)
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by {signal.Signals(-code).name}" if code < 0 else (
+                f"exited with status {code}"
+            )
+            failures.append((k, RunnerError(
+                "worker_failed", f"worker {pid} {how} and left no readable report"
+            )))
+            continue
+        if failure is not None:
+            failures.append((k + len(done) * width, failure))
+        else:
+            results[k::width] = done
+    if failures:
+        raise min(failures, key=lambda item: item[0])[1]
+    return results
 
 
 def run_plan(

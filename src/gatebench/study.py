@@ -27,12 +27,11 @@ from __future__ import annotations
 import heapq
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Final
 
 from .drivers import (
-    DriverRecord,
     HookBConfig,
     SampleMeta,
     SyntheticLlmProfile,
@@ -382,22 +381,17 @@ def simulate_controller_run(
     and validated event stream.
 
     The variant is the driver's ``hooks_enabled``, the backend its
-    ``backend_engine`` (``vllm`` when unset); the driver record and every
-    other quantity come from the study's constants.
+    ``backend_engine`` (``vllm`` when unset). The driver record is the
+    driver's own, with ``{backend}:synthetic`` as its model backend id when
+    the driver names none; every other quantity comes from the study's
+    constants.
     """
 
     backend = spec.backend_engine or "vllm"
     variant = spec.hooks_enabled
-    driver = DriverRecord(
-        driver_id=spec.name,
-        driver_type="controller",
-        driver_version="1.0.0",
-        parser_version="1.0.0",
-        budget=budget,
-        seed=seed,
-        setting_label=setting.label,
-        evidence_status="paper_facing",
-        model_backend_id=f"{backend}:synthetic",
+    driver = replace(
+        spec.record(seed, setting.label, budget),
+        model_backend_id=spec.model_backend_id or f"{backend}:synthetic",
         backend_engine=backend,
     )
     builder = open_run(manifest, driver, repetition, episodes, variant=variant, backend=backend)

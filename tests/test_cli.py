@@ -233,19 +233,38 @@ def test_worker_error_code_reaches_error_record(root_dir, tmp_path, capsys, monk
     }
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    probe = (
-        "import sys, gatebench.cli; "
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
-    )
+_POOL_MODULES = "[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]"
+
+
+def _probe(code: str) -> str:
+    """The last line a fresh interpreter prints after running ``code``."""
+
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    assert _probe(f"import sys, gatebench.cli; print({_POOL_MODULES})") == "[]"
+
+
+def test_pooled_replay_leaves_process_pool_unloaded(gated_runs, tmp_path):
+    runs, _ = gated_runs
+    code = "\n".join([
+        "import os, sys",
+        "from gatebench import cli, runner",
+        "runner._usable_cpus = lambda: 2",
+        "forks, real_fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or real_fork()",
+        f"status = cli.main(['replay', '--runset', {str(runs)!r}, '--out', {str(tmp_path / 'r')!r}])",
+        f"print(status, len(forks), {_POOL_MODULES})",
+    ])
+    assert _probe(code) == f"{EXIT_OK} 2 []"
 
 
 def test_report_reads_each_log_once(root_dir, tmp_path, monkeypatch):

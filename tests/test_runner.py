@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import signal
+import time
 
 import pytest
 
@@ -379,10 +381,10 @@ def test_usable_cpus_is_positive():
 def test_width_one_runs_in_process_without_pool(demo_store, monkeypatch):
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a width-1 plan must not start a pool")
+    def no_fork():
+        raise AssertionError("a width-1 plan must not fork a pool")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     runset = run_plan(_small_plan(concurrency=4), demo_store)
     assert [run.concurrency for run in runset.runs] == [4, 4, 4, 4]
 
@@ -421,6 +423,102 @@ def test_map_runs_reraises_first_error_in_job_order(monkeypatch):
     with pytest.raises(RunnerError) as err:
         runner.map_runs(_square_unless_listed, (29, 7), list(range(40)), cap=2)
     assert err.value.code == "failed_7"
+
+
+def test_map_runs_keeps_job_order_at_width_three(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+    results = runner.map_runs(_square_unless_listed, (), list(range(41)), cap=3)
+    assert [square for square, _ in results] == [job * job for job in range(41)]
+    pids = [pid for _, pid in results]
+    # Worker k runs jobs k, k + 3, ...: three workers, each on one stride.
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert all(pids[job] == pids[job % 3] for job in range(41))
+
+
+def _assert_no_child() -> None:
+    # waitpid(-1) raises ChildProcessError when this process has no child at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _kill_self_at(victims: tuple[int, ...], job: int) -> int:
+    if job in victims:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return job
+
+
+def test_map_runs_reaps_every_worker(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    _assert_no_child()
+    assert runner.map_runs(_kill_self_at, (), list(range(6)), cap=2) == list(range(6))
+    _assert_no_child()
+    with pytest.raises(RunnerError):
+        runner.map_runs(_square_unless_listed, (3,), list(range(6)), cap=2)
+    _assert_no_child()
+
+
+def test_killed_worker_is_worker_failed(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    with pytest.raises(RunnerError) as err:
+        runner.map_runs(_kill_self_at, (3,), list(range(6)), cap=2)
+    assert err.value.code == "worker_failed"
+    assert "was killed by SIGKILL" in str(err.value)
+    _assert_no_child()
+
+
+def _kill_self_at_five_or_fail_at_four(_: object, job: int) -> int:
+    if job == 4:
+        raise RunnerError("failed_4", "job 4")
+    return _kill_self_at((5,), job)
+
+
+def test_killed_worker_counts_at_its_first_job(monkeypatch):
+    # Worker 1 (jobs 1, 3, 5) dies at job 5 with no report, so job 1 is the
+    # first job it leaves unaccounted: before worker 0's failure at job 4.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    with pytest.raises(RunnerError) as err:
+        runner.map_runs(_kill_self_at_five_or_fail_at_four, None, list(range(6)), cap=2)
+    assert err.value.code == "worker_failed"
+    _assert_no_child()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def _raise_unpicklable(_: object, job: int) -> int:
+    if job == 2:
+        raise _Unpicklable(f"job {job}")
+    return job
+
+
+def test_unpicklable_job_error_is_worker_failed_with_its_repr(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    with pytest.raises(RunnerError) as err:
+        runner.map_runs(_raise_unpicklable, None, list(range(5)), cap=2)
+    assert err.value.code == "worker_failed"
+    assert "_Unpicklable('job 2')" in str(err.value)
+    _assert_no_child()
+
+
+def _interrupt_parent(_: object, job: int) -> int:
+    if job == 0:
+        # Late enough that the parent is reading pipes: an exception raised in
+        # its at-fork hooks (logging registers one) would be swallowed.
+        time.sleep(0.5)
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+    return job
+
+
+def test_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        runner.map_runs(_interrupt_parent, None, list(range(4)), cap=2)
+    assert time.monotonic() - started < 30
+    _assert_no_child()
 
 
 def test_map_runs_at_width_one_runs_in_process(monkeypatch):

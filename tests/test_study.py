@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gatebench import runner
-from gatebench.gate import gate_report
+from gatebench.gate import decide_runset, gate_report
 from gatebench.manifest import ManifestStore
 from gatebench.report import ReportError, decision_study, reward_auc
 from gatebench.runner import RunSet, run_plan
@@ -186,6 +186,25 @@ def test_study_plan_run_writes_the_study_logs_and_runset(concurrency, tmp_path, 
     }
     assert len(expected) == 5
     assert _tree_bytes(runs) == expected
+
+
+def test_controller_runs_record_the_plan_driver(tmp_path):
+    store = ManifestStore(tmp_path / "release")
+    root = build_study_release(store)
+    plan = study_plan(StudyConfig(backends=("vllm",), seeds=(0,), budgets=(7,)))
+    drivers = {
+        name: dataclasses.replace(spec, evidence_status="smoke_only", driver_version="9.9.9")
+        for name, spec in plan.drivers.items()
+    }
+    runset = run_plan(dataclasses.replace(plan, drivers=drivers), store)
+    assert len(runset.runs) == 4
+    assert {
+        (run.driver.evidence_status, run.driver.driver_version, run.driver.model_backend_id)
+        for run in runset.runs
+    } == {("smoke_only", "9.9.9", "vllm:synthetic")}
+    decisions = decide_runset(runset, root)
+    assert [decision.verdict for decision in decisions] == ["rejected"] * 4
+    assert all("smoke_only" in decision.reasons for decision in decisions)
 
 
 def test_decision_study_rejects_a_run_without_horizon(small_study):
