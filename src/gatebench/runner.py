@@ -6,11 +6,12 @@ sequentially. The step loop (``run_episode_steps``), the verifier and
 episode-end events and the run's start and close-out are shared with the
 controller runs of ``study``, which schedule their lanes on a heap. The runs
 of a plan, the study's plan included, are independent, so ``run_plan``
-spreads them over a pool of forked worker processes (``map_runs``, shared
-with replay and the report's log pass), ``concurrency`` wide but never wider
-than the usable CPUs. Worker ``k`` of ``width`` takes every ``width``-th job
-from job ``k`` on, writes the event logs of its own runs and, after its last
-job, sends back only their run records, in one pickle on a pipe of its own.
+spreads them over a pool of workers (``map_runs``, shared with replay and
+the report's log pass), ``concurrency`` wide but never wider than the usable
+CPUs. The calling process is worker 0 and forks the others. Worker ``k`` of
+``width`` takes every ``width``-th job from job ``k`` on and writes the event
+logs of its own runs; a forked worker, after its last job, sends back only
+their run records, in one pickle on a pipe of its own.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """
@@ -41,7 +42,6 @@ from .manifest import (
     FreezeRecord,
     ManifestError,
     ManifestStore,
-    ReleaseRoot,
     SuiteVersions,
     TaskManifest,
     freeze_run,
@@ -936,11 +936,14 @@ def _candidate_run(
 
 @record
 class _PlanContext:
-    """What every job of one plan shares; a pool worker receives it once."""
+    """What every job of one plan shares; a forked worker inherits it.
+
+    ``manifests`` holds each task id's resolved manifest, or ``None`` where
+    it did not resolve, so its runs become rejected-candidate runs.
+    """
 
     plan: RunPlan
-    root: ReleaseRoot
-    store: ManifestStore
+    manifests: dict[str, TaskManifest | None]
     out_dir: Path | None
 
 
@@ -951,9 +954,8 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
     plan = context.plan
     entry = plan.entries[entry_index]
     spec = plan.drivers[entry.driver]
-    try:
-        manifest = resolve_manifest(entry.task_id, context.root, context.store)
-    except ManifestError:
+    manifest = context.manifests[entry.task_id]
+    if manifest is None:
         return _candidate_run(entry, spec, repetition, plan.concurrency)
     setting = plan.setting_for(entry.setting_label)
     episodes = entry.episodes or plan.episodes_per_run
@@ -988,32 +990,44 @@ def _usable_cpus() -> int:
 
 
 def _pool_width(cap: int, jobs: int, cpus: int) -> int:
-    """Worker processes for a set of jobs: ``cap``, capped by jobs and CPUs."""
+    """Workers for a set of jobs, the calling process included: ``cap``,
+    capped by jobs and CPUs; ``map_runs`` forks one child fewer."""
 
     return max(1, min(cap, jobs, cpus))
 
 
-def _work(fn: Callable[[Any, Any], Any], context: Any, jobs: Sequence[Any], pipe: int) -> NoReturn:
-    """A forked worker: run ``jobs`` in order up to the first error, report, exit.
+def _run_stride(
+    fn: Callable[[Any, Any], Any], context: Any, jobs: Sequence[Any]
+) -> tuple[list[Any], Exception | None]:
+    """Run ``jobs`` in order up to the first error: ``(results, that error or None)``."""
+
+    results: list[Any] = []
+    for job in jobs:
+        try:
+            results.append(fn(context, job))
+        except Exception as exc:  # noqa: BLE001  (map_runs re-raises it in job order)
+            return results, exc
+    return results, None
+
+
+def _work(
+    fn: Callable[[Any, Any], Any], context: Any, jobs: Sequence[Any], pipe: int, mask: Any
+) -> NoReturn:
+    """A forked child: restore the signal ``mask``, run its stride, report, exit.
 
     The report is one pickle of ``(results, failure)`` written to ``pipe``;
-    ``failure`` is the exception that stopped the worker, or ``None``. The
-    worker leaves by ``os._exit`` on every path, so nothing of the parent's
+    ``failure`` is the exception that stopped the stride, or ``None``. The
+    child leaves by ``os._exit`` on every path, so nothing of the parent's
     (its ``finally`` blocks, ``atexit`` handlers, buffered output) runs twice.
     """
 
     status = 1
     try:
         import pickle
+        import signal
 
-        results: list[Any] = []
-        failure: Exception | None = None
-        for job in jobs:
-            try:
-                results.append(fn(context, job))
-            except Exception as exc:  # noqa: BLE001  (reported to the parent)
-                failure = exc
-                break
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results, failure = _run_stride(fn, context, jobs)
         try:
             report = pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL)
         except Exception:  # noqa: BLE001  (the failure cannot be pickled)
@@ -1028,48 +1042,73 @@ def _work(fn: Callable[[Any, Any], Any], context: Any, jobs: Sequence[Any], pipe
         os._exit(status)
 
 
+def _child_report(pid: int, status: int, report: bytes) -> tuple[list[Any], Exception | None]:
+    """A reaped child's ``(results, failure)``; one that left no readable
+    report is ``([], RunnerError("worker_failed"))``, so it counts at its first job."""
+
+    import pickle
+    import signal
+
+    try:
+        return pickle.loads(report)
+    except Exception:  # noqa: BLE001  (an empty, cut or unreadable report)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else (
+            f"exited with status {code}"
+        )
+        return [], RunnerError(
+            "worker_failed", f"worker {pid} {how} and left no readable report"
+        )
+
+
 def map_runs(
     fn: Callable[[_Context, _Job], _Result], context: _Context, jobs: Sequence[_Job], cap: int
 ) -> list[_Result]:
     """``[fn(context, job) for job in jobs]`` on up to ``cap`` worker processes.
 
-    The pool is ``min(cap, len(jobs), usable CPUs)`` wide; at width 1 every
-    job runs in this process. A wider pool is ``width`` plain ``os.fork``
-    children, so ``fn`` and ``context`` reach each worker without pickling;
-    the calling process must run no other threads (the CLI runs none).
-    Worker ``k`` runs jobs ``k``, ``k + width``, ... in order and stops at
-    its first error; then it writes one pickle, its results and that error,
-    to a pipe of its own and exits. The parent reads the pipes one after
-    another, which loses no parallelism because a worker writes only after
-    its last job, and reaps every worker on every path. Results come back in
-    job order, and the first error in job order is re-raised with its type
-    and code. A worker that exits without a readable report raises
-    ``RunnerError("worker_failed")`` naming its pid and exit status or
-    signal, counted at its first job; so does a job error that cannot be
-    pickled, with its repr. Whatever a job writes to disk stays written when
-    another job fails.
+    The pool is ``width = min(cap, len(jobs), usable CPUs)`` workers, and the
+    calling process is worker 0: it forks ``width - 1`` plain ``os.fork``
+    children, so ``fn`` and ``context`` reach each without pickling, and the
+    calling process must run no other threads (the CLI runs none). Worker
+    ``k`` runs jobs ``k``, ``k + width``, ... in order and stops at its first
+    error; worker 0 does so in this process once every child is forked, and
+    child ``k`` then writes one pickle, its results and that error, to a pipe
+    of its own and exits. At width 1 nothing is forked and the same loop runs
+    every job here. The parent then reads the pipes one after another, which
+    loses no parallelism because a child writes only after its last job, and
+    reaps every child on every path; an interrupt in the parent kills its
+    children first. SIGINT is blocked while each child is forked, so an
+    interrupt that arrives meanwhile is raised in the parent once the fork
+    has returned, not swallowed by an at-fork hook. Results come back in job
+    order, and the first error in job order is re-raised with its type and
+    code; from worker 0's stride it is the job's own exception. A child that
+    exits without a readable report raises ``RunnerError("worker_failed")``
+    naming its pid and exit status or signal, counted at its first job; so
+    does a child's job error that cannot be pickled, with its repr. Whatever
+    a job writes to disk stays written when another job fails.
     """
 
-    width = _pool_width(cap, len(jobs), _usable_cpus())
-    if width == 1:
-        return [fn(context, job) for job in jobs]
-    import pickle
     import signal
 
+    width = _pool_width(cap, len(jobs), _usable_cpus())
     pids: list[int] = []
     pipes: list[BinaryIO] = []
     try:
-        for k in range(width):
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the mask to restore
+        for k in range(1, width):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 pid = os.fork()
                 if pid == 0:
                     os.close(read_end)
-                    _work(fn, context, jobs[k::width], write_end)
+                    _work(fn, context, jobs[k::width], write_end, mask)
+                pids.append(pid)
             finally:
                 os.close(write_end)
-            pids.append(pid)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        strides = [_run_stride(fn, context, jobs[::width])]
         reports = [pipe.read() for pipe in pipes]
     except BaseException:
         for pid in pids:
@@ -1080,20 +1119,10 @@ def map_runs(
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
 
+    strides += map(_child_report, pids, statuses, reports)
     results: list[Any] = [None] * len(jobs)
     failures: list[tuple[int, Exception]] = []
-    for k, (pid, status, report) in enumerate(zip(pids, statuses, reports)):
-        try:
-            done, failure = pickle.loads(report)
-        except Exception:  # noqa: BLE001  (an empty, cut or unreadable report)
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by {signal.Signals(-code).name}" if code < 0 else (
-                f"exited with status {code}"
-            )
-            failures.append((k, RunnerError(
-                "worker_failed", f"worker {pid} {how} and left no readable report"
-            )))
-            continue
+    for k, (done, failure) in enumerate(strides):
         if failure is not None:
             failures.append((k + len(done) * width, failure))
         else:
@@ -1110,14 +1139,17 @@ def run_plan(
 ) -> RunSet:
     """Execute all plan entries times repetitions on up to ``concurrency`` processes.
 
-    The pool is ``min(plan.concurrency, jobs, usable CPUs)`` worker processes
-    wide; at width 1 every run executes in this process. Output order is
-    deterministic (entry-major, then repetition) regardless of completion
-    order; unresolved tasks become rejected-candidate runs rather than
-    failures. With ``out_dir``, each run's event log is written as soon as the
-    run finishes, so when a run raises (the first error in plan order is
-    re-raised with its type and code), the logs of finished runs may remain
-    without a ``runset.json``.
+    Each distinct task id's manifest is resolved once, in this process,
+    before the first run: a task that does not resolve (a ``ManifestError``)
+    becomes rejected-candidate runs rather than a failure, and any other
+    error, such as a manifest file that does not decode, is raised before a
+    log is written. The runs then go to ``map_runs``, whose pool is
+    ``min(plan.concurrency, jobs, usable CPUs)`` workers wide, this process
+    being the first. Output order is deterministic (entry-major, then
+    repetition) regardless of completion order. With ``out_dir``, each run's
+    event log is written as soon as the run finishes, so when a run raises
+    (the first error in plan order is re-raised with its type and code), the
+    logs of finished runs may remain without a ``runset.json``.
     """
 
     root = store.load_root()
@@ -1126,6 +1158,13 @@ def run_plan(
             "invalid_plan",
             f"plan wants root {plan.release_root!r} but store has {root.root_id!r}",
         )
+    manifests: dict[str, TaskManifest | None] = {}
+    for entry in plan.entries:
+        if entry.task_id not in manifests:
+            try:
+                manifests[entry.task_id] = resolve_manifest(entry.task_id, root, store)
+            except ManifestError:
+                manifests[entry.task_id] = None
 
     jobs = [
         (entry_index, repetition)
@@ -1135,7 +1174,7 @@ def run_plan(
     base = None if out_dir is None else Path(out_dir)
     if base is not None:
         (base / "logs").mkdir(parents=True, exist_ok=True)
-    context = _PlanContext(plan, root, store, base)
+    context = _PlanContext(plan, manifests, base)
 
     runs = map_runs(_run_job, context, jobs, cap=plan.concurrency)
 

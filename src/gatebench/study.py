@@ -95,10 +95,9 @@ SAMPLE_INVALID_PROB: Final = 0.15
 STALE_AFTER_MS: Final = 300.0
 SAMPLE_RETRY_BUDGET: Final = 2
 HORIZONS_MS: Final[dict[str, float]] = {CLEAN_LABEL: 30_000.0, STRESSED_LABEL: 120_000.0}
-# Width of the study plan's run pool. Kept at 1 while the benchmark's tracer
-# cannot see the spans of forked workers; the plan's bytes are the same at
-# any width.
-STUDY_CONCURRENCY: Final = 1
+# Width of the study plan's run pool, the demo plan's; the plan's bytes are
+# the same at any width.
+STUDY_CONCURRENCY: Final = 2
 
 
 @record

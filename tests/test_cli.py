@@ -233,6 +233,69 @@ def test_worker_error_code_reaches_error_record(root_dir, tmp_path, capsys, monk
     }
 
 
+def test_pooled_study_forks_once_and_equals_the_study_on_one_cpu(tmp_path, monkeypatch):
+    real_fork = os.fork
+    trees, forks = [], []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for cpus in (1, 2):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda cpus=cpus: cpus)
+        forks.clear()
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["study", "--out", str(out)]) == EXIT_OK
+        # Width 2: this process is worker 0 and forks the one other worker.
+        assert forks == [os.getpid()] * (cpus - 1)
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        trees.append(_tree_bytes(out))
+    assert len(trees[0]) > 48
+    assert trees[0] == trees[1]
+
+
+def test_undecodable_manifest_fails_the_plan_before_any_log(root_dir, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(root_dir, root)
+    manifest = root / "manifest_web-001.json"
+    doc = json.loads(manifest.read_text())
+    doc["family"] = 5
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    status = main([
+        "all", "--plan", str(root / "demo_plan.json"), "--release-root", str(root),
+        "--out", str(out),
+    ])
+    assert status == EXIT_ERROR
+    assert _last_error_record(capsys)["error"] == "invalid_document"
+    assert not [path for path in (out / "runs").rglob("*") if path.is_file()]
+    assert not (out / "runs" / "runset.json").exists()
+
+
+def test_run_resolves_each_task_manifest_once(root_dir, tmp_path, monkeypatch):
+    loads: Counter[str] = Counter()
+    real_load = runner.ManifestStore.load
+
+    def counting_load(store, task_id):
+        loads[task_id] += 1
+        return real_load(store, task_id)
+
+    monkeypatch.setattr(runner.ManifestStore, "load", counting_load)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)  # every run in this process
+    assert main([
+        "run", "--plan", str(root_dir / "demo_plan.json"), "--release-root", str(root_dir),
+        "--out", str(tmp_path / "runs"),
+    ]) == EXIT_OK
+    plan = json.loads((root_dir / "demo_plan.json").read_text())
+    tasks = {entry["task_id"] for entry in plan["entries"]}
+    registry = json.loads((root_dir / "release_root.json").read_text())["registry"]
+    assert len(tasks - set(registry)) == 1  # the ghost task, never loaded
+    assert loads == Counter(tasks & set(registry))
+
+
 _POOL_MODULES = "[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]"
 
 
@@ -264,7 +327,8 @@ def test_pooled_replay_leaves_process_pool_unloaded(gated_runs, tmp_path):
         f"status = cli.main(['replay', '--runset', {str(runs)!r}, '--out', {str(tmp_path / 'r')!r}])",
         f"print(status, len(forks), {_POOL_MODULES})",
     ])
-    assert _probe(code) == f"{EXIT_OK} 2 []"
+    # Width 2: this process is worker 0 and forks the one other worker.
+    assert _probe(code) == f"{EXIT_OK} 1 []"
 
 
 def test_report_reads_each_log_once(root_dir, tmp_path, monkeypatch):
@@ -348,7 +412,8 @@ def test_report_workers_read_each_log_once(report_input, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "read_event_log", journaled_read)  # forked workers inherit it
     assert main(_report_argv(runs, gate_out, tmp_path / "report", extra)) == EXIT_OK
     reads = [line.split(" ", 1) for line in journal.read_text(encoding="utf-8").splitlines()]
-    assert str(os.getpid()) not in {pid for pid, _ in reads}
+    # Width 2: this process reads stride 0 and one forked child stride 1.
+    assert str(os.getpid()) in {pid for pid, _ in reads}
     assert len({pid for pid, _ in reads}) == 2
     expected = _report_logs(runs, gate_out)
     assert len(expected) > 2
@@ -414,8 +479,12 @@ def test_replay_tree_identical_on_one_and_two_cpus(gated_runs, tmp_path, monkeyp
 def test_replay_worker_error_code_reaches_error_record(gated_runs, tmp_path, capsys, monkeypatch):
     runs, _ = gated_runs
     parent = os.getpid()
+    real_replay = replay.replay_run
 
     def failing_replay(bundle):
+        # Stride 0 replays in this process; stride 1 in the one forked child fails.
+        if os.getpid() == parent:
+            return real_replay(bundle)
         raise ReplayError("replay_version_mismatch", f"raised in pid {os.getpid()}")
 
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)

@@ -139,7 +139,7 @@ def instances(golden_tree):
             parsed["model_latency_ms"],
         ),
         StepOutcome(events[0].timing, True, False, run.terminal),
-        _PlanContext(plan, release, store, None),
+        _PlanContext(plan, {"code-001": store.load("code-001"), "ghost": None}, None),
     ], found)
     return found
 
@@ -232,7 +232,7 @@ def test_records_match_stock_frozen_dataclasses(instances):
 
             # The twin is not importable, so its deep copy stands in for a pickle
             # round trip. A copy equals the original unless a field's value does
-            # not compare by value (the ManifestStore of _PlanContext).
+            # not compare by value.
             for copied, twin_copied in (
                 (pickle.loads(pickle.dumps(record)), copy.deepcopy(same)),
                 (copy.copy(record), copy.copy(same)),

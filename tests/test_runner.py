@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -391,8 +392,12 @@ def test_width_one_runs_in_process_without_pool(demo_store, monkeypatch):
 
 def test_worker_error_keeps_type_and_code(demo_store, tmp_path, monkeypatch):
     parent = os.getpid()
+    real_run = runner.execute_run
 
     def failing_run(*args, **kwargs):
+        # Stride 0 runs in this process; stride 1 in the one forked child fails.
+        if os.getpid() == parent:
+            return real_run(*args, **kwargs)
         raise DriverError("driver_failure", f"raised in pid {os.getpid()}")
 
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
@@ -415,7 +420,10 @@ def test_map_runs_keeps_job_order_across_workers(monkeypatch):
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     results = runner.map_runs(_square_unless_listed, (), list(range(40)), cap=8)
     assert [square for square, _ in results] == [job * job for job in range(40)]
-    assert os.getpid() not in {pid for _, pid in results}
+    # Stride 0 runs in this process, stride 1 in one forked child.
+    pids = [pid for _, pid in results]
+    assert set(pids[0::2]) == {os.getpid()}
+    assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
 
 
 def test_map_runs_reraises_first_error_in_job_order(monkeypatch):
@@ -430,8 +438,10 @@ def test_map_runs_keeps_job_order_at_width_three(monkeypatch):
     results = runner.map_runs(_square_unless_listed, (), list(range(41)), cap=3)
     assert [square for square, _ in results] == [job * job for job in range(41)]
     pids = [pid for _, pid in results]
-    # Worker k runs jobs k, k + 3, ...: three workers, each on one stride.
-    assert len(set(pids)) == 3 and os.getpid() not in pids
+    # Worker k runs jobs k, k + 3, ...: worker 0 is this process, workers 1
+    # and 2 are two forked children, each on one stride.
+    assert set(pids[0::3]) == {os.getpid()}
+    assert len(set(pids)) == 3
     assert all(pids[job] == pids[job % 3] for job in range(41))
 
 
@@ -487,38 +497,96 @@ class _Unpicklable(Exception):
         raise TypeError("this exception does not pickle")
 
 
-def _raise_unpicklable(_: object, job: int) -> int:
-    if job == 2:
+def _raise_unpicklable(at: int, job: int) -> int:
+    if job == at:
         raise _Unpicklable(f"job {job}")
     return job
 
 
 def test_unpicklable_job_error_is_worker_failed_with_its_repr(monkeypatch):
+    # Job 3 is in stride 1, which runs in the forked child.
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     with pytest.raises(RunnerError) as err:
-        runner.map_runs(_raise_unpicklable, None, list(range(5)), cap=2)
+        runner.map_runs(_raise_unpicklable, 3, list(range(5)), cap=2)
     assert err.value.code == "worker_failed"
-    assert "_Unpicklable('job 2')" in str(err.value)
+    assert "_Unpicklable('job 3')" in str(err.value)
     _assert_no_child()
 
 
-def _interrupt_parent(_: object, job: int) -> int:
-    if job == 0:
-        # Late enough that the parent is reading pipes: an exception raised in
-        # its at-fork hooks (logging registers one) would be swallowed.
-        time.sleep(0.5)
+def test_unpicklable_job_error_in_the_parents_stride_is_raised_as_itself(monkeypatch):
+    # Job 2 is in stride 0, which runs in this process: nothing is pickled.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    with pytest.raises(_Unpicklable, match="job 2"):
+        runner.map_runs(_raise_unpicklable, 2, list(range(5)), cap=2)
+    _assert_no_child()
+
+
+def _interrupt_parent(delay: float, job: int) -> int:
+    # Job 1 is in the first child's stride; a job in stride 0 would run in
+    # this process and signal its parent instead.
+    if job == 1:
+        time.sleep(delay)
         os.kill(os.getppid(), signal.SIGINT)
         time.sleep(60)
     return job
 
 
 def test_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
+    # Late enough that the parent has run its own stride and is reading pipes.
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        runner.map_runs(_interrupt_parent, None, list(range(4)), cap=2)
+        runner.map_runs(_interrupt_parent, 0.5, list(range(4)), cap=2)
     assert time.monotonic() - started < 30
     _assert_no_child()
+
+
+_pause_after_fork = False
+
+
+def _pause_in_parent_after_fork() -> None:
+    if _pause_after_fork:
+        time.sleep(0.1)
+
+
+os.register_at_fork(after_in_parent=_pause_in_parent_after_fork)
+
+
+def test_interrupt_while_forking_is_raised_in_the_parent(monkeypatch):
+    # At width 3 the parent forks twice, and child 1 signals it at once,
+    # while the parent still runs the Python at-fork hook above. An exception
+    # raised in such a hook is printed and dropped, so the interrupt must stay
+    # blocked until the fork has returned, and then be raised in the parent.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sys.modules[__name__], "_pause_after_fork", True)
+    for _ in range(10):
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            runner.map_runs(_interrupt_parent, 0.0, list(range(6)), cap=3)
+        assert time.monotonic() - started < 30
+        _assert_no_child()
+
+
+def test_map_runs_at_width_one_forks_nothing_and_raises_the_job_error_itself(monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+
+    def no_fork():
+        raise AssertionError("width 1 must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    error = RunnerError("failed_1", "job 1")
+    ran = []
+
+    def fail_at_one(_: object, job: int) -> int:
+        ran.append(job)
+        if job == 1:
+            raise error
+        return job
+
+    with pytest.raises(RunnerError) as err:
+        runner.map_runs(fail_at_one, None, [0, 1, 2, 3], cap=4)
+    assert err.value is error
+    assert ran == [0, 1]
 
 
 def test_map_runs_at_width_one_runs_in_process(monkeypatch):

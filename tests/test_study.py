@@ -151,7 +151,7 @@ def test_event_logs_validate(tmp_path):
 
 def test_study_plan_lists_the_grid_in_order():
     plan = study_plan(StudyConfig(budgets=(5, 9)))
-    assert plan.concurrency == 1
+    assert plan.concurrency == 2
     assert plan.episodes_per_run == 8
     assert len(plan.entries) == 2 * 2 * 2 * 2 * 2
     assert [(e.driver, e.setting_label, e.seed, e.budget) for e in plan.entries[:5]] == [
