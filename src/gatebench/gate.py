@@ -289,12 +289,6 @@ def save_gate_outputs(
         write_json(base / "gate_report_decision_study.json", decision_report)
 
 
-def load_gate_report(path: Path | str) -> GateReport:
-    return GateReport.from_doc(
-        read_json(path, GateError, "missing_gate_output", "invalid_gate_output")
-    )
-
-
 def load_decisions(path: Path | str) -> list[GateDecision]:
     docs = read_json(path, GateError, "missing_gate_output", "invalid_gate_output", lines=True)
     return [GateDecision.from_doc(doc) for doc in docs]
@@ -311,7 +305,6 @@ __all__ = [
     "decide_runset",
     "gate_report",
     "load_decisions",
-    "load_gate_report",
     "save_gate_outputs",
     "stratify",
 ]

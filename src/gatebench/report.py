@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Final, Iterable, Mapping, Sequence
 
-from .gate import GateDecision, GateReport, load_decisions, load_gate_report
+from .gate import GateDecision, GateReport, gate_report, load_decisions
 from .records import record
 from .replay import build_bundle, replay_run
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
@@ -711,7 +711,8 @@ def _diagnostics(
 ) -> dict[str, Any]:
     """Diagnostic inputs for the claim matrix, computed from admitted rows.
 
-    The R1 replay of every admitted web run with a log comes from its summary.
+    ``verdicts`` maps every run id to its decision. The R1 replay of every
+    admitted web run with a log comes from its summary.
     """
 
     diagnostics: dict[str, Any] = {}
@@ -720,8 +721,7 @@ def _diagnostics(
     r1_reductions: list[float] = []
     r1_matches = 0
     for run in runset.runs:
-        decision = verdicts.get(run.run_id)
-        if decision is None or decision.verdict != "admitted":
+        if verdicts[run.run_id].verdict != "admitted":
             continue
         if run.driver.driver_type == "calibration" and run.family == "code":
             successes = sum(1 for s in run.episode_summaries if s.status == "success")
@@ -764,25 +764,29 @@ def report_runset(
 ) -> ClaimMatrix:
     """Write the claim-scoped report of a gated runset; returns its claim matrix.
 
-    The latency tables and the invalid-action report cover the admitted runs
+    The report trusts only the gate decisions in ``gate_decisions.jsonl``
+    under ``gate_dir``. They must hold one decision per run, in runset order
+    (``decision_set_mismatch`` otherwise), and the canonical ``GateReport``
+    behind the claim matrix is derived from them by ``gate.gate_report``. The
+    latency tables and the invalid-action report cover the admitted runs
     outside the decision study; the diagnostics cover every admitted run. The
     logs read are those of the admitted runs outside the decision study, then
-    those of the admitted decision-study web runs (for the R1 diagnostic), each
-    once, as one job on ``min(logs, usable CPUs)`` worker processes. A job
-    returns only the run's ``RunSummary``; the first failing job in that order
-    raises, before the study report at ``study_path`` is read.
+    those of the admitted decision-study web runs (for the R1 diagnostic),
+    each once through ``RunSet.events_for``, as one job on ``min(logs, usable
+    CPUs)`` worker processes. A job returns only the run's ``RunSummary``; the
+    first failing job in that order raises, before the study report at
+    ``study_path`` is read.
     """
 
     runset = load_runset(runset_path)
-    gate_dir = Path(gate_dir)
-    decisions = load_decisions(gate_dir / "gate_decisions.jsonl")
-    canonical = load_gate_report(gate_dir / "gate_report.json")
+    decisions = load_decisions(Path(gate_dir) / "gate_decisions.jsonl")
+    canonical = gate_report(runset, decisions, "canonical")
 
     verdicts = {decision.run_id: decision for decision in decisions}
     admitted = [
-        (index, run, verdicts[run.run_id].stratum == "decision_study")
-        for index, run in enumerate(runset.runs)
-        if run.run_id in verdicts and verdicts[run.run_id].verdict == "admitted"
+        (index, run, decision.stratum == "decision_study")
+        for index, (run, decision) in enumerate(zip(runset.runs, decisions))
+        if decision.verdict == "admitted"
     ]
     reported = [run for _, run, in_study in admitted if not in_study]
     jobs = [index for index, run, in_study in admitted if not in_study and run.event_log_ref]

@@ -18,7 +18,6 @@ of the plan: event logs are byte-identical across concurrency levels.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from .schema import (
     Digest,
     EventRecord,
     GatebenchError,
+    LogLineError,
     ProvenanceFields,
     Record,
     RunValidator,
@@ -62,7 +62,6 @@ from .schema import (
     _exact,
     canonical_hash,
     canonical_json,  # unused here; perfbench's tracer self-test patches runner's binding
-    decode_events,
     doc_field,
     new_trace_context,
     read_event_log,
@@ -804,21 +803,6 @@ def execute_run(
     )
 
 
-def run_episode(
-    manifest: TaskManifest,
-    spec: DriverSpec,
-    setting: OperatingSetting,
-    seed: int,
-    budget: int,
-) -> tuple[EpisodeSummary, list[EventRecord]]:
-    """Execute a single-episode run; returns its summary and the full event stream."""
-
-    record, events = execute_run(
-        manifest, spec, setting, seed=seed, budget=budget, planned_episodes=1
-    )
-    return record.episode_summaries[0], events
-
-
 # ---------------------------------------------------------------------------
 # Reward trajectories
 # ---------------------------------------------------------------------------
@@ -870,46 +854,28 @@ class RunSet(Record):
     schema_version: str = field(default=SCHEMA_VERSION, init=False)
 
     def events_for(self, run: RunRecord) -> list[EventRecord]:
-        """The events of ``run``'s log, decoded and held to every event rule.
+        """The events of ``run``'s log, held to every event rule.
 
-        A log that breaks a rule raises ``invalid_log`` at its first violation;
-        one with a line that does not decode to an event, at that line.
+        This is the one way a verb gets a run's events. ``schema.read_event_log``
+        reads, parses and decodes the log once. An unreadable log is
+        ``missing_log``. A line that does not decode to an event is
+        ``invalid_log`` as ``run <id>: line N: <code>: <message>``. The first
+        rule the events break is ``invalid_log`` (``schema.require_valid_log``).
         """
 
         if self.base_dir is None or not run.event_log_ref:
             raise RunnerError("missing_log", f"run {run.run_id} has no readable event log")
         path = self.base_dir / run.event_log_ref
         try:
-            _, docs = read_event_log(path)
+            _, events = read_event_log(path)
         except OSError as exc:
             raise RunnerError(
                 "missing_log", f"run {run.run_id}: cannot read event log {path}: {exc.strerror}"
             ) from exc
-        try:
-            events = decode_events(docs)
-        except GatebenchError as exc:
-            line = _first_undecodable_line(path)
-            raise SchemaError(
-                "invalid_log", f"run {run.run_id}: line {line}: {exc.code}: {exc.message}"
-            ) from exc
+        except LogLineError as exc:
+            raise SchemaError("invalid_log", f"run {run.run_id}: {exc.message}") from exc
         require_valid_log(events, run.run_id)
         return events
-
-
-def _decodes(line: str) -> bool:
-    try:
-        EventRecord.from_doc(json.loads(line))
-    except GatebenchError:
-        return False
-    return True
-
-
-def _first_undecodable_line(path: Path) -> int:
-    """The number of the first line of an event log that does not decode to
-    an event, the header being line 1; read again only once the log failed."""
-
-    lines = path.read_text(encoding="utf-8").split("\n")
-    return next(n for n, line in enumerate(lines[1:], start=2) if line and not _decodes(line))
 
 
 def _candidate_run(
@@ -1238,7 +1204,6 @@ __all__ = [
     "map_runs",
     "open_run",
     "provenance_for",
-    "run_episode",
     "run_episode_steps",
     "run_plan",
     "save_plan",

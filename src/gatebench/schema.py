@@ -24,6 +24,7 @@ from typing import (
     Callable,
     Final,
     Iterable,
+    Iterator,
     Literal,
     Mapping,
     NoReturn,
@@ -138,13 +139,12 @@ class SchemaError(GatebenchError):
     """Raised for non-canonical content or malformed typed records."""
 
 
-def read_input(path: Path | str, error: type[GatebenchError], code: str) -> str:
-    """Read a UTF-8 input file; a file that cannot be read raises ``error(code)``."""
+class LogLineError(SchemaError):
+    """``invalid_log`` for an event-log line that does not decode to an event.
 
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise error(code, f"cannot read {path}: {exc.strerror}") from exc
+    :func:`read_event_log` raises it with the message ``line N: <code>:
+    <message>``; ``RunSet.events_for`` prefixes the run it read.
+    """
 
 
 def read_json(
@@ -156,39 +156,51 @@ def read_json(
 ) -> Any:
     """Read a JSON input file, or with ``lines`` one document per non-empty line.
 
-    Lines end at a line feed only, as the writers end them; the canonical form
-    keeps U+2028, U+2029 and U+0085 raw inside strings, where
-    ``str.splitlines`` would break a line. A file that cannot be read raises
-    ``error(missing_code)``; one that is not UTF-8 or not valid JSON raises
-    ``error(invalid_code)``.
+    A file that cannot be read raises ``error(missing_code)``; one that is not
+    UTF-8 or not valid JSON raises ``error(invalid_code)``. The lines are
+    those of :func:`_json_lines`, which names a bad one by its place in the
+    file.
     """
 
     try:
-        text = read_input(path, error, missing_code)
-        if lines:
-            return [json.loads(line) for line in text.split("\n") if line]
-        return json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+        if not lines:
+            return json.loads(text)
+    except OSError as exc:
+        raise error(missing_code, f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        where = _in_file(text, exc) if lines and isinstance(exc, json.JSONDecodeError) else exc
-        raise error(invalid_code, f"{path} is not valid JSON: {where}") from exc
+        raise error(invalid_code, f"{path} is not valid JSON: {exc}") from exc
+    return [doc for _, doc in _json_lines(text, path, error, invalid_code)]
 
 
-def _in_file(text: str, exc: json.JSONDecodeError) -> json.JSONDecodeError:
-    """An error from decoding one line of ``text``, placed at that line of the file.
+def _json_lines(
+    text: str,
+    path: Path | str,
+    error: type[GatebenchError],
+    invalid_code: str,
+    header: bool = False,
+) -> Iterator[tuple[int, Any]]:
+    """Each non-empty line of ``text`` as (its line number, its document), in order.
 
-    ``json.loads`` on a single line reports ``line 1`` and the column within
-    the line; the result is the same error in the same form
-    (``line N column M (char C)``), counted in the whole text. The failing
-    line is the first one equal to the text the decoder saw, since an equal
-    line before it would have failed first.
+    With ``header``, line 1 is a document even when it is blank. Lines end at
+    a line feed only, as the writers end them; the canonical form keeps
+    U+2028, U+2029 and U+0085 raw inside strings, where ``str.splitlines``
+    would break a line. The reader keeps each line's number and start offset,
+    so a line that is not JSON raises ``error(invalid_code)`` with the
+    decoder's message placed in the file (``Expecting value: line 4 column 6
+    (char 1480)``), as ``json.loads`` of the whole text would place it.
     """
 
     start = 0
-    for line in text.split("\n"):
-        if line == exc.doc:
-            return json.JSONDecodeError(exc.msg, text, start + exc.pos)
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line or (header and number == 1):
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                where = f"{exc.msg}: line {number} column {exc.colno} (char {start + exc.pos})"
+                raise error(invalid_code, f"{path} is not valid JSON: {where}") from exc
+            yield number, doc
         start += len(line) + 1
-    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -835,28 +847,47 @@ class EventRecord(Record):
         _require_nonneg("wall_clock_ms", self.wall_clock_ms)
 
 
-def decode_events(docs: Iterable[Mapping[str, Any]]) -> list[EventRecord]:
-    """Decode a log's event documents, equal to ``EventRecord.from_doc`` on each.
+def _event_decoder() -> Callable[[Any], EventRecord]:
+    """``EventRecord.from_doc`` for the event documents of one log, taken in order.
 
     Every event of a run carries the same provenance, so it is decoded once
-    and the frozen record is shared until a document's provenance differs
-    from the one before; every other field is decoded per event.
+    and the frozen record is shared while each document's provenance equals
+    the one before with every value of the same type. ``==`` alone would
+    share it for a seed of ``31.0`` or ``true`` after ``31`` or ``1``, which
+    ``from_doc`` rejects. Only numbers compare equal across JSON types, and
+    a provenance's numbers sit at its top level (its digests hold strings),
+    so the types of its top-level values settle it. Any other document is
+    decoded whole, so every result and every error is that of ``from_doc``.
     """
 
     decode, decode_shared = _decoder(EventRecord), _decoder(EventRecord, ("provenance",))
-    events: list[EventRecord] = []
     last_doc: Any = None
+    last_types: tuple[type, ...] = ()
     provenance: ProvenanceFields | None = None
-    for doc in docs:
-        if type(doc) is dict and "provenance" in doc:
-            provenance_doc = doc["provenance"]
-            if provenance is None or provenance_doc != last_doc:
-                provenance = ProvenanceFields.from_doc(provenance_doc)
-                last_doc = provenance_doc
-            events.append(decode_shared(doc, provenance))
-        else:
-            events.append(decode(doc))  # a document it cannot share, or an error to raise
-    return events
+
+    def decode_event(doc: Any) -> EventRecord:
+        nonlocal last_doc, last_types, provenance
+        if type(doc) is not dict or "provenance" not in doc:
+            return decode(doc)  # a document it cannot share, or an error to raise
+        provenance_doc = doc["provenance"]
+        if (
+            provenance is not None
+            and provenance_doc == last_doc
+            and tuple(map(type, provenance_doc.values())) == last_types
+        ):
+            return decode_shared(doc, provenance)
+        event = decode(doc)
+        provenance, last_doc = event.provenance, provenance_doc
+        last_types = tuple(map(type, provenance_doc.values()))
+        return event
+
+    return decode_event
+
+
+def decode_events(docs: Iterable[Any]) -> list[EventRecord]:
+    """Decode a log's event documents, equal to ``EventRecord.from_doc`` on each."""
+
+    return list(map(_event_decoder(), docs))
 
 
 # ---------------------------------------------------------------------------
@@ -952,30 +983,20 @@ def _event_violations(event: EventRecord) -> list[Violation]:
     return violations
 
 
-def _decode_event(doc: Mapping[str, Any]) -> EventRecord | Violation:
-    """``EventRecord.from_doc(doc)``, or its error as a violation of the event.
-
-    An absent key is ``missing_field``; any other error is ``invalid_value``.
-    """
-
-    try:
-        return EventRecord.from_doc(doc)
-    except SchemaError as exc:
-        code = "missing_field" if exc.message.endswith(_MISSING_KEY) else "invalid_value"
-        return Violation(code, "event", str(exc))
-
-
 def check_event_doc(doc: Mapping[str, Any]) -> list[Violation]:
     """The violations of one serialized event taken alone; empty when it has none.
 
-    The document is decoded as a log line is, and a decoder error is its one
-    violation. Stateful rules (ordering, boundaries) live in
-    :class:`RunValidator`.
+    The document is decoded by ``EventRecord.from_doc``, and a decoder error
+    is its one violation: ``missing_field`` for an absent key,
+    ``invalid_value`` for any other. Stateful rules (ordering, boundaries)
+    live in :class:`RunValidator`.
     """
 
-    event = _decode_event(doc)
-    if isinstance(event, Violation):
-        return [event]
+    try:
+        event = EventRecord.from_doc(doc)
+    except SchemaError as exc:
+        code = "missing_field" if exc.message.endswith(_MISSING_KEY) else "invalid_value"
+        return [Violation(code, "event", str(exc))]
     return _event_violations(event)
 
 
@@ -1173,26 +1194,6 @@ class RunValidator:
         if violations:
             return ValidationReport.failed(violations)
         return ValidationReport.passed()
-
-
-def validate_log(docs: Iterable[Mapping[str, Any]]) -> ValidationReport:
-    """Validate a serialized event stream, run completeness included.
-
-    Each document is decoded as by :func:`check_event_doc` and each event
-    goes through one :class:`RunValidator`; the report lists every
-    violation in log order.
-    """
-
-    validator = RunValidator()
-    failures: list[Violation] = []
-    for doc in docs:
-        event = _decode_event(doc)
-        if isinstance(event, Violation):
-            failures.append(event)
-        else:
-            failures.extend(validator.validate(event).violations)
-    failures.extend(validator.finalize().violations)
-    return ValidationReport.failed(failures) if failures else ValidationReport.passed()
 
 
 def require_valid_log(events: Iterable[EventRecord], run_id: str) -> None:
@@ -1420,25 +1421,39 @@ def write_event_log(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_event_log(path: Path | str) -> tuple[str, list[dict[str, Any]]]:
-    """Read an event log; returns (schema_version, event documents in order).
+def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
+    """Read and decode an event log: (its header's schema version, its events in order).
 
-    Lines end at a line feed only, as ``write_event_log`` ends them.
+    One read of the file: each line is parsed and decoded as it is reached,
+    line 1 being the header, by :func:`_json_lines` and ``EventRecord.from_doc``
+    (see :func:`decode_events`). A file that cannot be read raises its
+    ``OSError``. A line that is not JSON, or a file that is not UTF-8, raises
+    ``invalid_log`` with the position in the file; an empty file or a header
+    without ``schema_version`` raises ``missing_field``. A line whose document
+    does not decode to an event raises :class:`LogLineError`, whose message
+    is ``line N: <code>: <message>`` with the decoder's code and message.
     """
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-        if not text:
-            raise SchemaError("missing_field", f"empty event log: {path}")
-        raw_lines = text.split("\n")
-        header = json.loads(raw_lines[0])
-        docs = [json.loads(line) for line in raw_lines[1:] if line]
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        where = _in_file(text, exc) if isinstance(exc, json.JSONDecodeError) else exc
-        raise SchemaError("invalid_log", f"{path} is not valid JSON: {where}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("invalid_log", f"{path} is not valid JSON: {exc}") from exc
+    if not text:
+        raise SchemaError("missing_field", f"empty event log: {path}")
+    lines = _json_lines(text, path, SchemaError, "invalid_log", header=True)
+    _, header = next(lines)
     if not isinstance(header, dict) or "schema_version" not in header:
         raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
-    return str(header["schema_version"]), docs
+    decode = _event_decoder()
+    events: list[EventRecord] = []
+    for number, doc in lines:
+        try:
+            events.append(decode(doc))
+        except GatebenchError as exc:
+            raise LogLineError(
+                "invalid_log", f"line {number}: {exc.code}: {exc.message}"
+            ) from exc
+    return str(header["schema_version"]), events
 
 
 __all__ = [
@@ -1448,6 +1463,7 @@ __all__ = [
     "EventRecord",
     "GatebenchError",
     "HASH_ALGORITHM",
+    "LogLineError",
     "OPTIONAL_PAYLOAD_KEYS",
     "PARSE_STATUSES",
     "ProvenanceFields",
@@ -1470,11 +1486,9 @@ __all__ = [
     "float_sum",
     "new_trace_context",
     "read_event_log",
-    "read_input",
     "read_json",
     "require_valid_log",
     "text_hash",
-    "validate_log",
     "write_event_log",
     "write_json",
 ]

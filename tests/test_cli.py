@@ -614,6 +614,69 @@ def test_undecodable_log_line_is_invalid_log_naming_run_and_line(
         assert record["message"] == f"invalid_log: run {run_id}: {message}"
 
 
+def _float_seed(index: int):
+    """Rewrite the provenance seed of line ``index + 1`` as the equal float (``31.0``)."""
+
+    def edit(lines: list[str]) -> None:
+        doc = json.loads(lines[index])
+        doc["provenance"]["seed"] = float(doc["provenance"]["seed"])
+        lines[index] = json.dumps(doc)
+
+    return edit
+
+
+def _both(*tampers):
+    def edit(lines: list[str]) -> None:
+        for tamper in tampers:
+            tamper(lines)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_float_seed(3), _both(_float_seed(3), _edit_line(8, sequence="5"))],
+    ids=["float-seed", "float-seed-then-string-sequence"],
+)
+def test_float_seed_after_an_integer_one_is_invalid_log_at_its_line(
+    tamper, gated_runs, tmp_path, capsys
+):
+    # Every earlier event of the log carries the same seed as an integer; the
+    # float one equals it under ==, yet is not an integer.
+    run_id = _tamper_admitted_web_log(gated_runs, tamper)
+    log = gated_runs[0] / "logs" / f"{run_id}.log"
+    seed = json.loads(log.read_text(encoding="utf-8").split("\n")[3])["provenance"]["seed"]
+    assert type(seed) is float
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"] == (
+            f"invalid_log: run {run_id}: line 4: invalid_document: "
+            f"ProvenanceFields.seed: TypeError: expected an integer, got {seed!r}"
+        )
+
+
+def test_report_needs_one_gate_decision_per_run(gated_runs, tmp_path, capsys):
+    runs, gate_out = gated_runs
+    decisions = gate_out / "gate_decisions.jsonl"
+    lines = decisions.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 18
+    decisions.write_text("".join(lines[:5]), encoding="utf-8")
+    capsys.readouterr()
+    argv = _report_argv(runs, gate_out, tmp_path / "report", [])
+    assert main(argv) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "decision_set_mismatch"
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_derives_the_gate_report_from_the_decisions(gated_runs, tmp_path):
+    runs, gate_out = gated_runs
+    assert main(_report_argv(runs, gate_out, tmp_path / "with", [])) == EXIT_OK
+    (gate_out / "gate_report.json").unlink()
+    assert main(_report_argv(runs, gate_out, tmp_path / "without", [])) == EXIT_OK
+    assert _tree_bytes(tmp_path / "with") == _tree_bytes(tmp_path / "without")
+
+
 # One unreadable input per verb, "{gone}" standing for a path that does not exist.
 _MISSING_INPUT_ARGV = {
     "missing_plan": ["run", "--plan", "{gone}", "--release-root", "{root}", "--out", "{out}"],

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from gatebench.drivers import DriverRecord, SyntheticLlmProfile
-from gatebench.gate import GateDecision, GateReport, load_decisions, load_gate_report
+from gatebench.gate import GateDecision, GateReport, load_decisions
 from gatebench.manifest import FreezeRecord, ManifestStore, ReleaseRoot, TaskManifest
 from gatebench.replay import ReplayBundle, load_bundle
 from gatebench.report import DecisionCell, DecisionStudyReport, load_study_report
@@ -42,7 +42,6 @@ from gatebench.schema import (
     TimingFields,
     TraceContext,
     canonical_json,
-    decode_events,
     read_event_log,
 )
 from gatebench.simenv import TerminalOutcome
@@ -75,8 +74,8 @@ def _lines(docs) -> str:
 
 
 def _reencode_log(path: Path) -> str:
-    version, docs = read_event_log(path)
-    return _lines([{"schema_version": version}, *(e.to_doc() for e in decode_events(docs))])
+    version, events = read_event_log(path)
+    return _lines([{"schema_version": version}, *(e.to_doc() for e in events)])
 
 
 # What each loader reads back, keyed by file name pattern, re-encoded the way
@@ -88,7 +87,9 @@ _REENCODERS = {
     ),
     "release_root.json": lambda p: _document(ManifestStore(p.parent).load_root().to_doc()),
     "runset.json": lambda p: _document(load_runset(p).to_doc()),
-    "gate_report*.json": lambda p: _document(load_gate_report(p).to_doc()),
+    "gate_report*.json": lambda p: _document(
+        GateReport.from_doc(json.loads(p.read_text(encoding="utf-8"))).to_doc()
+    ),
     "gate_decisions.jsonl": lambda p: _lines(d.to_doc() for d in load_decisions(p)),
     "bundle_*.json": lambda p: _document(load_bundle(p).to_doc()),
     "decision_study.json": lambda p: _document(load_study_report(p).to_doc()),
@@ -127,7 +128,8 @@ def _record_docs(golden_tree):
     run = next(r for r in read("all", "runs", "runset.json")["runs"] if "terminal" in r)
     study = read("study", "decision_study.json")
     bundle = next(golden_tree.joinpath("replay").glob("bundle_*.json"))
-    event = read_event_log(next(golden_tree.joinpath("all", "runs", "logs").glob("*.log")))[1][1]
+    log = next(golden_tree.joinpath("all", "runs", "logs").glob("*.log"))
+    event = json.loads(log.read_text(encoding="utf-8").split("\n")[2])
     llm = plan["drivers"]["synthetic-llm"]
     return [
         (RunPlan, plan), (PlanEntry, plan["entries"][0]), (DriverSpec, llm),

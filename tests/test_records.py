@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from gatebench.drivers import NOOP_ACTION, SampleMeta, hook_a_filter
-from gatebench.gate import load_decisions, load_gate_report
+from gatebench.gate import GateReport, load_decisions
 from gatebench.manifest import ManifestStore, SuiteVersions, verify_binding
 from gatebench.replay import ReplayResult, load_bundle
 from gatebench.report import (
@@ -32,7 +32,7 @@ from gatebench.report import (
     summarize_run,
 )
 from gatebench.runner import _PlanContext, load_plan, load_runset
-from gatebench.schema import ActionRecord, Digest, read_event_log, validate_log
+from gatebench.schema import ActionRecord, Digest, RunValidator
 from gatebench.simenv import StepOutcome, setting_for_label
 from gatebench.study import HOOK_B, PROFILE, StudyConfig
 
@@ -111,14 +111,13 @@ def instances(golden_tree):
     runset = load_runset(golden_tree / "all" / "runs")
     run = next(r for r in runset.runs if r.terminal is not None and r.freeze is not None)
     events = runset.events_for(run)
-    docs = read_event_log(golden_tree / "all" / "runs" / run.event_log_ref)[1]
     parsed = next(e.payload for e in events if e.kind == "action_parsed")
     replay_lines = golden_tree.joinpath("replay", "replay_results.jsonl").read_text()
     found: dict[type, list] = {}
     _walk([
         plan, release, store.load("code-001"), runset.runs,
         load_decisions(golden_tree / "all" / "gate" / "gate_decisions.jsonl"),
-        load_gate_report(golden_tree / "all" / "gate" / "gate_report.json"),
+        GateReport.from_doc(read("all", "gate", "gate_report.json")),
         load_bundle(next(golden_tree.joinpath("replay").glob("bundle_*.json"))),
         [ReplayResult.from_doc(json.loads(line)) for line in replay_lines.splitlines()],
         [LatencyBreakdown.from_doc(doc)
@@ -130,7 +129,7 @@ def instances(golden_tree):
         verify_binding(run, release),
         summarize_run(events, run),
         StudyConfig(), HOOK_B, PROFILE, SuiteVersions(),
-        validate_log(docs[1:]),  # no run_start: a failed report with violations
+        RunValidator().validate(events[1]),  # no run_start: a failed report with violations
         setting_for_label(run.setting_label),
         NOOP_ACTION, SampleMeta(), hook_a_filter(SampleMeta(has_terminal_outcome=False)),
         ActionRecord(

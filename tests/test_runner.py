@@ -16,13 +16,13 @@ from gatebench.runner import (
     PlanEntry,
     RunPlan,
     RunRecord,
+    RunSet,
     RunnerError,
     build_reward_trajectory,
     emit_verifier_outcome,
     execute_run,
     load_runset,
     make_run_id,
-    run_episode,
     run_plan,
 )
 from gatebench.schema import (
@@ -32,8 +32,7 @@ from gatebench.schema import (
     SchemaError,
     TimingFields,
     canonical_hash,
-    read_event_log,
-    validate_log,
+    require_valid_log,
 )
 from gatebench.simenv import VerifierQueue, clean_setting, stressed_setting
 
@@ -120,12 +119,15 @@ def test_verifier_event_takes_its_time_and_timing_from_the_ticket():
 
 
 # ---------------------------------------------------------------------------
-# run_episode
+# Single-episode runs
 # ---------------------------------------------------------------------------
 
 
 def test_oracle_micro_episode_succeeds_in_exactly_three_steps(micro_manifest):
-    summary, events = run_episode(micro_manifest, ORACLE, clean_setting(), seed=1, budget=10)
+    record, events = execute_run(
+        micro_manifest, ORACLE, clean_setting(), seed=1, budget=10, planned_episodes=1
+    )
+    (summary,) = record.episode_summaries
     assert summary.status == "success"
     assert summary.steps == 3
     assert kinds(events).count("env_step_start") == 3
@@ -133,7 +135,10 @@ def test_oracle_micro_episode_succeeds_in_exactly_three_steps(micro_manifest):
 
 
 def test_noop_episode_fails_with_budget_step_pairs(micro_manifest):
-    summary, events = run_episode(micro_manifest, NOOP, clean_setting(), seed=1, budget=5)
+    record, events = execute_run(
+        micro_manifest, NOOP, clean_setting(), seed=1, budget=5, planned_episodes=1
+    )
+    (summary,) = record.episode_summaries
     assert summary.status == "failure"
     assert summary.steps == 5
     assert kinds(events).count("env_step_start") == 5
@@ -171,7 +176,7 @@ def test_events_validate_and_trace_complete(web_manifest):
         planned_episodes=3,
     )
     assert record.trace_complete
-    assert validate_log([event.to_doc() for event in events]).ok
+    require_valid_log(events, record.run_id)
     assert record.freeze is not None
     assert record.freeze.manifest_hash == web_manifest.manifest_hash()
 
@@ -190,7 +195,10 @@ def test_budget_compliance_across_drivers(web_manifest, micro_manifest):
 
 
 def test_code_episode_emits_verifier_and_tool_events(code_manifest):
-    summary, events = run_episode(code_manifest, ORACLE, clean_setting(), seed=4, budget=2)
+    record, events = execute_run(
+        code_manifest, ORACLE, clean_setting(), seed=4, budget=2, planned_episodes=1
+    )
+    (summary,) = record.episode_summaries
     assert summary.status == "success"
     event_kinds = kinds(events)
     assert "tool_call" in event_kinds
@@ -619,11 +627,11 @@ def test_bool_fields_decode_only_from_json_booleans(demo_runset, value):
 def test_event_log_files_validate(demo_store, tmp_path):
     out = tmp_path / "rs"
     runset = run_plan(_small_plan(), demo_store, out_dir=out)
+    written = RunSet(runs=runset.runs, base_dir=out)
     for run in runset.runs:
         if not run.event_log_ref:
             continue
-        _, docs = read_event_log(out / run.event_log_ref)
-        assert validate_log(docs).ok
+        assert written.events_for(run)
 
 
 def test_run_id_stable_and_distinct(micro_manifest, web_manifest):

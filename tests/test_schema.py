@@ -6,7 +6,8 @@ import json
 import pickle
 import random
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +37,8 @@ from gatebench.schema import (
     new_trace_context,
     read_event_log,
     read_json,
+    require_valid_log,
     text_hash,
-    validate_log,
     write_event_log,
 )
 
@@ -629,7 +630,8 @@ _MUTATIONS = {
 def test_mutated_event_rejected_by_check_and_on_read(mutation, demo_runset, tmp_path):
     events = _run_with_action()
     docs = [event.to_doc() for event in events]
-    assert validate_log(docs).ok and not any(map(check_event_doc, docs))
+    require_valid_log(events, events[0].run_id)
+    assert not any(map(check_event_doc, docs))
     _MUTATIONS[mutation](docs[2])
     assert check_event_doc(docs[2])
 
@@ -663,6 +665,47 @@ def test_read_log_reports_first_violation_with_run_and_sequence(demo_runset, tmp
         )
 
 
+def _break_sequence(rows: list[str]) -> str:
+    rows[5] = rows[5].replace('"sequence":4,', '"sequence":"4",')
+    return "line 6: invalid_document: EventRecord.sequence: TypeError: expected an integer, got '4'"
+
+
+def _break_json(rows: list[str]) -> str:
+    rows[3] = '{"x":,' + rows[3][6:]
+    offset = sum(len(row) + 1 for row in rows[:3]) + 5
+    return f"is not valid JSON: Expecting value: line 4 column 6 (char {offset})"
+
+
+@pytest.mark.parametrize("tamper", [_break_sequence, _break_json], ids=["decode", "json"])
+def test_failing_log_is_read_once_and_named_at_its_line(
+    tamper, demo_runset, tmp_path, monkeypatch
+):
+    run = demo_runset[0].runs[0]
+    log = tmp_path / run.event_log_ref
+    log.parent.mkdir(parents=True)
+    write_event_log(log, well_formed_run())
+    rows = log.read_text(encoding="utf-8").split("\n")
+    message = tamper(rows)
+    log.write_text("\n".join(rows), encoding="utf-8")
+
+    reads: Counter[Path] = Counter()
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    with pytest.raises(SchemaError) as err:
+        RunSet(runs=[run], base_dir=tmp_path).events_for(run)
+    monkeypatch.undo()
+    assert reads == {log: 1}
+    assert err.value.code == "invalid_log"
+    assert err.value.message.endswith(message)
+    if tamper is _break_sequence:
+        assert err.value.message == f"run {run.run_id}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Event-log files
 # ---------------------------------------------------------------------------
@@ -672,10 +715,10 @@ def test_event_log_round_trip(tmp_path):
     events = well_formed_run()
     path = tmp_path / "run.log"
     write_event_log(path, events)
-    version, docs = read_event_log(path)
+    version, decoded = read_event_log(path)
     assert version == SCHEMA_VERSION
-    assert [doc["kind"] for doc in docs] == [event.kind for event in events]
-    assert validate_log(docs).ok
+    assert decoded == events
+    require_valid_log(decoded, events[0].run_id)
 
 
 def test_event_log_header_precedes_events(tmp_path):
@@ -719,7 +762,7 @@ def test_payload_with_unicode_line_separator_round_trips(tmp_path, char):
     write_event_log(path, events)
     assert char in path.read_text(encoding="utf-8")
     expected = [json.loads(canonical_json(event.to_doc())) for event in events]
-    assert read_event_log(path) == (SCHEMA_VERSION, expected)
+    assert read_event_log(path) == (SCHEMA_VERSION, events)
     lines = read_json(path, SchemaError, "missing_log", "invalid_log", lines=True)
     assert lines == [{"schema_version": SCHEMA_VERSION}, *expected]
     assert decode_events(expected) == events
@@ -989,6 +1032,20 @@ def test_decode_events_equals_per_doc_decoding():
     assert decoded[0].provenance is decoded[2].provenance
     assert decoded[3].provenance is decoded[4].provenance == other
     assert decoded[5].provenance == PROVENANCE
+
+
+@pytest.mark.parametrize("seed, later", [(31, 31.0), (1, True)], ids=["float", "true"])
+def test_decode_events_shares_a_provenance_only_of_the_same_types(seed, later):
+    # 31.0 == 31 and True == 1, yet neither decodes as an integer seed.
+    provenance = dataclasses.replace(PROVENANCE, seed=seed)
+    docs = [dataclasses.replace(e, provenance=provenance).to_doc() for e in well_formed_run()]
+    docs[3]["provenance"]["seed"] = later
+    assert docs[3]["provenance"] == docs[2]["provenance"]
+    message = f"ProvenanceFields.seed: TypeError: expected an integer, got {later!r}"
+    for decode in (EventRecord.from_doc, lambda doc: decode_events([*docs[:3], doc])):
+        with pytest.raises(SchemaError) as err:
+            decode(docs[3])
+        assert (err.value.code, err.value.message) == ("invalid_document", message)
 
 
 def test_decode_events_rejects_provenance_that_turns_invalid():

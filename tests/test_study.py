@@ -140,13 +140,11 @@ def test_study_rerun_is_idempotent(tmp_path):
 
 
 def test_event_logs_validate(tmp_path):
-    from gatebench.schema import read_event_log, validate_log
-
     out = tmp_path / "study"
     runset, _, _ = run_study(SMALL, out_dir=out)
+    written = RunSet(runs=runset.runs, base_dir=out)
     for run in runset.runs:
-        _, docs = read_event_log(out / run.event_log_ref)
-        assert validate_log(docs).ok
+        assert written.events_for(run)
 
 
 def test_study_plan_lists_the_grid_in_order():
