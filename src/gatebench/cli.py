@@ -24,7 +24,7 @@ from .manifest import RELEASE_EPOCH, ManifestStore
 from .replay import load_bundle, replay_run, replay_runset
 from .report import render_claim_matrix, render_decision_table, report_runset
 from .runner import load_plan, load_runset, run_plan, save_plan
-from .schema import REPLAY_CLASSES, canonical_json
+from .schema import REPLAY_CLASSES, render_record
 from .study import StudyConfig, run_study
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         results = [replay_run(load_bundle(args.bundle))]
     else:
         results = replay_runset(load_runset(args.runset), out, args.replay_class)
-    lines = [canonical_json(result.to_doc()) for result in results]
+    lines = [render_record(result) for result in results]
     (out / "replay_results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     matches = sum(1 for result in results if result.terminal_match)
     print(f"{len(results)} replays, {matches} terminal matches")

@@ -28,8 +28,8 @@ from .schema import (
     SUPPORTED_SCHEMA_VERSIONS,
     GatebenchError,
     Record,
-    canonical_json,
     read_json,
+    render_record,
     write_json,
 )
 from .simenv import CLEAN_LABEL
@@ -283,15 +283,25 @@ def save_gate_outputs(
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
     write_json(base / "gate_report.json", report)
-    lines = [canonical_json(decision.to_doc()) for decision in decisions]
+    lines = [render_record(decision) for decision in decisions]
     (base / "gate_decisions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if decision_report is not None:
         write_json(base / "gate_report_decision_study.json", decision_report)
 
 
 def load_decisions(path: Path | str) -> list[GateDecision]:
-    docs = read_json(path, GateError, "missing_gate_output", "invalid_gate_output", lines=True)
-    return [GateDecision.from_doc(doc) for doc in docs]
+    """The decisions of a ``gate_decisions.jsonl``; a bad one names its file and line."""
+
+    lines = read_json(path, GateError, "missing_gate_output", "invalid_gate_output", lines=True)
+    decisions = []
+    for number, doc in lines:
+        try:
+            decisions.append(GateDecision.from_doc(doc))
+        except GatebenchError as exc:
+            raise GateError(
+                "invalid_gate_output", f"{path} line {number}: {exc.code}: {exc.message}"
+            ) from exc
+    return decisions
 
 
 __all__ = [

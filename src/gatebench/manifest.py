@@ -21,6 +21,8 @@ from .schema import (
     canonical_hash,
     doc_field,
     read_json,
+    render_record,
+    text_hash,
     write_json,
 )
 
@@ -89,7 +91,7 @@ class TaskManifest(Record):
             )
 
     def manifest_hash(self) -> Digest:
-        return canonical_hash(self.to_doc())
+        return text_hash(render_record(self))
 
     def snapshot_digest(self) -> Digest:
         return canonical_hash({"snapshot_ref": self.snapshot_ref, "task_id": self.task_id})

@@ -259,20 +259,22 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
 
 
 def replay_run(bundle: ReplayBundle) -> ReplayResult:
-    """Replay one bundle under its class contract."""
+    """Replay one bundle under its class contract; material it cannot read is
+    ``invalid_bundle`` (a missing key, a value of the wrong type or form)."""
 
     if bundle.harness_version != REPLAY_HARNESS_VERSION:
         raise ReplayError(
             "replay_version_mismatch",
             f"bundle harness {bundle.harness_version} != {REPLAY_HARNESS_VERSION}",
         )
-    if bundle.replay_class == "R0":
-        return _replay_r0(bundle.material)
-    if bundle.replay_class == "R1":
-        return _replay_r1(bundle.material)
-    if bundle.replay_class == "R2":
-        return _replay_r2(bundle.material)
-    raise ReplayError("replay_version_mismatch", f"unknown class {bundle.replay_class!r}")
+    replay = {"R0": _replay_r0, "R1": _replay_r1, "R2": _replay_r2}.get(bundle.replay_class)
+    if replay is None:
+        raise ReplayError("replay_version_mismatch", f"unknown class {bundle.replay_class!r}")
+    try:
+        return replay(bundle.material)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        message = f"{bundle.replay_class} material: {type(exc).__name__}: {exc}"
+        raise ReplayError("invalid_bundle", message) from exc
 
 
 def save_bundle(bundle: ReplayBundle, path: Path | str) -> None:

@@ -1156,15 +1156,7 @@ def run_plan(
 
 
 def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
-    """Write ``runset.json`` under ``out_dir``, creating it; returns the file's path.
-
-    The file is ``canonical_json(runset.to_doc())`` and a line feed, written
-    by ``write_json`` one run at a time: no step holds the whole document
-    tree, so the writer's memory grows with one run's document and the
-    rendered text, not with the tree of every run. A runset that cannot be
-    rendered raises the error ``canonical_json(runset.to_doc())`` raises and
-    leaves an existing ``runset.json`` as it was.
-    """
+    """Write ``runset.json`` under ``out_dir`` by ``write_json``; returns the file's path."""
 
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
@@ -1174,9 +1166,30 @@ def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
 
 
 def load_runset(path: Path | str) -> RunSet:
+    """Read ``runset.json`` (``path`` or the file under it) and check its index:
+    ``invalid_runset`` if a run id repeats or holds a ``/``, a log ref is neither
+    ``""`` (a candidate's) nor ``logs/<run_id>.log``, a retry count, retry budget
+    or repetition is negative, or a concurrency is below 1."""
+
     path = Path(path)
     index = path if path.is_file() else path / "runset.json"
     runset = RunSet.from_doc(read_json(index, RunnerError, "missing_runset", "invalid_runset"))
+    seen: set[str] = set()
+    for run in runset.runs:
+        if run.run_id in seen:
+            problem = "is indexed twice"
+        elif "/" in run.run_id:
+            problem = "has a '/' in its run id"
+        elif run.event_log_ref not in ("", f"logs/{run.run_id}.log"):
+            problem = f"has event_log_ref {run.event_log_ref!r}, not 'logs/{run.run_id}.log'"
+        elif min(run.retry_count, run.retry_budget, run.repetition) < 0:
+            problem = "has a negative retry_count, retry_budget or repetition"
+        elif run.concurrency < 1:
+            problem = f"has concurrency {run.concurrency}, below 1"
+        else:
+            seen.add(run.run_id)
+            continue
+        raise RunnerError("invalid_runset", f"{index}: run {run.run_id!r} {problem}")
     runset.base_dir = index.parent
     return runset
 

@@ -3,7 +3,10 @@
 Every other layer of the harness builds on this module: events emitted by the
 runner, manifests and freeze records, and the evidence gate all serialize
 through the canonical form defined here, and every stored record derives from
-:class:`Record`, whose one codec is compiled from its dataclass fields. Event
+:class:`Record`, whose one codec is compiled from its dataclass fields. From
+the same fields, :func:`render_record` compiles the one renderer that turns a
+record into its canonical text, for event-log lines and artifact files alike,
+with ``canonical_json(record.to_doc())`` as its reference and fallback. Event
 logs are newline-delimited documents, one event per line, preceded by a
 schema-version header line.
 """
@@ -17,8 +20,9 @@ import math
 import reprlib
 from _json import encode_basestring, make_encoder
 from dataclasses import MISSING, field, fields
+from math import isfinite
 from pathlib import Path
-from types import GeneratorType, UnionType
+from types import UnionType
 from typing import (
     Any,
     Callable,
@@ -157,9 +161,9 @@ def read_json(
     """Read a JSON input file, or with ``lines`` one document per non-empty line.
 
     A file that cannot be read raises ``error(missing_code)``; one that is not
-    UTF-8 or not valid JSON raises ``error(invalid_code)``. The lines are
-    those of :func:`_json_lines`, which names a bad one by its place in the
-    file.
+    UTF-8 or not valid JSON raises ``error(invalid_code)``. With ``lines`` the
+    result is the list of (line number, document) of :func:`_json_lines`,
+    which names a bad line by its place in the file.
     """
 
     try:
@@ -170,7 +174,7 @@ def read_json(
         raise error(missing_code, f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise error(invalid_code, f"{path} is not valid JSON: {exc}") from exc
-    return [doc for _, doc in _json_lines(text, path, error, invalid_code)]
+    return list(_json_lines(text, path, error, invalid_code))
 
 
 def _json_lines(
@@ -337,6 +341,7 @@ def doc_field(
     return field(metadata=metadata, **kwargs)
 
 
+@functools.cache  # read by a class's encoder, decoder and renderer, and by its holders' renderers
 def _stored_fields(cls: type) -> list[tuple[Any, str, Any, bool]]:
     """(field, document key, annotation without ``| None``, optional) per stored field."""
 
@@ -362,14 +367,8 @@ def _is_record(tp: Any) -> bool:
     return isinstance(tp, type) and issubclass(tp, Record)
 
 
-def _encode_expr(
-    tp: Any, value: str, env: dict[str, Any], depth: int = 0, items: bool = False
-) -> str:
-    """Source of the document form of ``value``, an expression of type ``tp``.
-
-    With ``items``, a list or tuple of records becomes a generator of the
-    items' documents instead of a list of them.
-    """
+def _encode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
+    """Source of the document form of ``value``, an expression of type ``tp``."""
 
     origin, args = get_origin(tp), get_args(tp)
     if tp in (str, int, float, bool) or origin is Literal:
@@ -382,8 +381,7 @@ def _encode_expr(
         item = _encode_expr(args[0], f"i{depth}", env, depth + 1)
         if item == f"i{depth}":
             return f"list({value})"
-        loop = f"{item} for i{depth} in {value}"
-        return f"({loop})" if items and _is_record(args[0]) else f"[{loop}]"
+        return f"[{item} for i{depth} in {value}]"
     if origin is dict and args[0] is str:
         item = "" if args[1] is Any else _encode_expr(args[1], f"v{depth}", env, depth + 1)
         if item in ("", f"v{depth}"):
@@ -466,7 +464,7 @@ _ENCODERS: dict[Any, Callable[[Any], dict[str, Any]]] = {}
 _DECODERS: dict[Any, Callable[..., Any]] = {}
 
 
-def _encoder(cls: type, items: bool = False) -> Callable[[Any], dict[str, Any]]:
+def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
     """The compiled ``to_doc`` of ``cls``, built from its fields on first use.
 
     For ``TraceContext`` it reads::
@@ -476,15 +474,9 @@ def _encoder(cls: type, items: bool = False) -> Callable[[Any], dict[str, Any]]:
             if (value := self.parent_span_id) is not None:
                 doc['parent_span_id'] = value
             return doc
-
-    With ``items``, the same function except that the value of a field
-    holding a list or tuple of records is a generator of the items'
-    documents (``RunSet``: ``{'runs': (_encode_1(i0) for i0 in self.runs),
-    ...}``), for :func:`write_json` to render one item at a time.
     """
 
-    cache_key = (cls, items) if items else cls
-    encoder = _ENCODERS.get(cache_key)
+    encoder = _ENCODERS.get(cls)
     if encoder is None:
         env: dict[str, Any] = {}
         always: list[str] = []
@@ -493,14 +485,12 @@ def _encoder(cls: type, items: bool = False) -> Callable[[Any], dict[str, Any]]:
             if item.metadata.get("omit_empty") or optional:
                 test = "" if item.metadata.get("omit_empty") else " is not None"
                 lines.append(f"    if (value := self.{item.name}){test}:")
-                value = _encode_expr(tp, "value", env, items=items)
-                lines.append(f"        doc[{key!r}] = {value}")
+                lines.append(f"        doc[{key!r}] = {_encode_expr(tp, 'value', env)}")
             else:
-                value = _encode_expr(tp, "self." + item.name, env, items=items)
-                always.append(f"{key!r}: {value}")
+                always.append(f"{key!r}: {_encode_expr(tp, 'self.' + item.name, env)}")
         lines[1] = f"    doc = {{{', '.join(always)}}}"
         lines.append("    return doc")
-        encoder = _ENCODERS[cache_key] = _compile(cls, "to_doc", "\n".join(lines), env)
+        encoder = _ENCODERS[cls] = _compile(cls, "to_doc", "\n".join(lines), env)
     return encoder
 
 
@@ -1000,6 +990,12 @@ def check_event_doc(doc: Mapping[str, Any]) -> list[Violation]:
     return _event_violations(event)
 
 
+def _flag(violations: list[Violation], code: str, field: str, message: str) -> None:
+    """Append one violation; a plain call, so a passing event pays nothing for it."""
+
+    violations.append(Violation(code, field, message))
+
+
 class RunValidator:
     """Per-run validation state: sequence order and boundary bookkeeping.
 
@@ -1034,110 +1030,60 @@ class RunValidator:
             if self._started:
                 return [Violation("boundary_mismatch", "kind", "duplicate run_start")]
             if event.sequence != 0:
-                violations.append(
-                    Violation("sequence_order", "sequence", "run_start must have sequence 0")
-                )
+                _flag(violations, "sequence_order", "sequence", "run_start must have sequence 0")
         else:
             if event.run_id != self._run_id:
-                violations.append(
-                    Violation(
-                        "boundary_mismatch",
-                        "run_id",
-                        f"event run_id {event.run_id!r} does not match {self._run_id!r}",
-                    )
-                )
+                _flag(violations, "boundary_mismatch", "run_id",
+                      f"event run_id {event.run_id!r} does not match {self._run_id!r}")
             if self._trace_id is not None and event.trace.trace_id != self._trace_id:
-                violations.append(
-                    Violation("boundary_mismatch", "trace.trace_id", "trace_id changed mid-run")
-                )
+                _flag(violations, "boundary_mismatch", "trace.trace_id", "trace_id changed mid-run")
 
         if self._last_sequence is not None and event.sequence <= self._last_sequence:
-            violations.append(
-                Violation(
-                    "sequence_order",
-                    "sequence",
-                    f"sequence {event.sequence} not greater than {self._last_sequence}",
-                )
-            )
+            _flag(violations, "sequence_order", "sequence",
+                  f"sequence {event.sequence} not greater than {self._last_sequence}")
         if self._last_clock is not None and event.wall_clock_ms < self._last_clock:
-            violations.append(
-                Violation(
-                    "sequence_order",
-                    "wall_clock_ms",
-                    f"clock regressed from {self._last_clock} to {event.wall_clock_ms}",
-                )
-            )
+            _flag(violations, "sequence_order", "wall_clock_ms",
+                  f"clock regressed from {self._last_clock} to {event.wall_clock_ms}")
         if event.trace.span_id in self._seen_spans:
-            violations.append(
-                Violation("invalid_value", "trace.span_id", "span_id reused within run")
-            )
+            _flag(violations, "invalid_value", "trace.span_id", "span_id reused within run")
 
         episode = event.episode_id
         if kind in RUN_SCOPED_KINDS or (kind == "error" and episode == ""):
             if kind in RUN_SCOPED_KINDS and episode != "":
-                violations.append(
-                    Violation(
-                        "boundary_mismatch", "episode_id", f"{kind} must use empty episode_id"
-                    )
-                )
+                _flag(violations, "boundary_mismatch", "episode_id",
+                      f"{kind} must use empty episode_id")
         elif kind == "episode_start":
             if episode == "":
-                violations.append(
-                    Violation("missing_field", "episode_id", "episode_start needs an episode_id")
-                )
+                _flag(violations, "missing_field", "episode_id",
+                      "episode_start needs an episode_id")
             elif episode in self._open_episodes or episode in self._closed_episodes:
-                violations.append(
-                    Violation("boundary_mismatch", "episode_id", f"episode {episode} reused")
-                )
+                _flag(violations, "boundary_mismatch", "episode_id", f"episode {episode} reused")
         else:
             state = self._open_episodes.get(episode)
             if state is None:
-                violations.append(
-                    Violation(
-                        "boundary_mismatch",
-                        "episode_id",
-                        f"{kind} outside an open episode ({episode!r})",
-                    )
-                )
+                _flag(violations, "boundary_mismatch", "episode_id",
+                      f"{kind} outside an open episode ({episode!r})")
             else:
                 if kind == "env_step_start" and state["env_step_open"]:
-                    violations.append(
-                        Violation("boundary_mismatch", "kind", "nested env_step_start")
-                    )
+                    _flag(violations, "boundary_mismatch", "kind", "nested env_step_start")
                 if kind == "env_step_end" and not state["env_step_open"]:
-                    violations.append(
-                        Violation(
-                            "boundary_mismatch", "kind", "env_step_end without env_step_start"
-                        )
-                    )
+                    _flag(violations, "boundary_mismatch", "kind",
+                          "env_step_end without env_step_start")
                 if kind == "model_request_start" and state["request_open"]:
-                    violations.append(
-                        Violation("boundary_mismatch", "kind", "nested model_request_start")
-                    )
+                    _flag(violations, "boundary_mismatch", "kind", "nested model_request_start")
                 if kind == "model_request_end" and not state["request_open"]:
-                    violations.append(
-                        Violation(
-                            "boundary_mismatch",
-                            "kind",
-                            "model_request_end without model_request_start",
-                        )
-                    )
+                    _flag(violations, "boundary_mismatch", "kind",
+                          "model_request_end without model_request_start")
                 if kind == "terminal_result" and episode in self._terminal_episodes:
-                    violations.append(
-                        Violation("boundary_mismatch", "kind", "duplicate terminal_result")
-                    )
+                    _flag(violations, "boundary_mismatch", "kind", "duplicate terminal_result")
                 if kind == "episode_end" and (state["env_step_open"] or state["request_open"]):
-                    violations.append(
-                        Violation(
-                            "boundary_mismatch", "kind", "episode_end with open step or request"
-                        )
-                    )
+                    _flag(violations, "boundary_mismatch", "kind",
+                          "episode_end with open step or request")
 
         if kind == "run_end" and self._open_episodes:
             open_ids = ", ".join(sorted(self._open_episodes))
-            violations.append(
-                Violation("boundary_mismatch", "kind", f"run_end with open episodes: {open_ids}")
-            )
+            _flag(violations, "boundary_mismatch", "kind",
+                  f"run_end with open episodes: {open_ids}")
 
         return violations
 
@@ -1220,66 +1166,200 @@ def require_valid_log(events: Iterable[EventRecord], run_id: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Artifact files
+# Record text
 # ---------------------------------------------------------------------------
 
+_JSON_BOOLS: Final = ("false", "true")  # a bool field's text, indexed by the bool
+_RENDERERS: dict[type, Callable[..., str]] = {}
 
-def _record_parts(content: Record) -> list[str]:
-    """``canonical_json(content.to_doc())`` as a list of strings, field by field.
 
-    The fields come from the codec's own encoder, so their keys, their order
-    and the fields it omits are those of ``to_doc``. A field holding a list
-    of records is rendered one item at a time; a record without one, or of a
-    class with a ``to_doc`` of its own, is rendered by a single
-    ``canonical_json`` call.
+def _reference_only(record: Any, array: Any = None) -> NoReturn:
+    """The renderer of a class it does not compile: raises, so the reference runs."""
+
+    raise TypeError
+
+
+def _item_texts(render: Callable[[Any], str], cls: type, values: Any) -> list[str]:
+    """Each item's text; a ``TypeError`` unless ``values`` is a list or tuple of ``cls``."""
+
+    if type(values) not in (list, tuple) or any(type(value) is not cls for value in values):
+        raise TypeError
+    return list(map(render, values))
+
+
+def _array(render: Callable[[Any], str], cls: type, values: Any) -> str:
+    return "[" + ",".join(_item_texts(render, cls, values)) + "]"
+
+
+def _text_expr(tp: Any, value: str, env: dict[str, Any]) -> tuple[str, str]:
+    """(check, text): source of a test that ``value``, a local of type ``tp``,
+    renders here (empty when every value does), and of its text."""
+
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal and len({type(arg) for arg in args}) == 1:
+        tp = type(args[0])
+    if tp is str:
+        return f"type({value}) is str", f"encode_basestring({value})"
+    if tp is int or tp is float:
+        finite = f" and isfinite({value})" if tp is float else ""
+        return f"type({value}) is {tp.__name__}{finite}", f"{value}!r"
+    if tp is bool:
+        return f"type({value}) is bool", f"_JSON_BOOLS[{value}]"
+    index = len(env)
+    if _is_record(tp) or (origin in (list, tuple) and _is_record(args[0])):
+        item = tp if _is_record(tp) else args[0]
+        env[f"_class_{index}"], env[f"_render_{index}"] = item, _renderer(item)
+        if item is tp:
+            return f"type({value}) is _class_{index}", f"_render_{index}({value})"
+        return "", f"array(_render_{index}, _class_{index}, {value})"
+    doc = _encode_expr(tp, value, env)
+    if doc in (f"dict({value})", f"list({value})"):  # the copy renders as the value itself
+        test = "is dict" if doc[0] == "d" else "in (list, tuple)"
+        return f"type({value}) {test}", f"canonical_json({value})"
+    return "", f"canonical_json({doc})"
+
+
+def _fstring(parts: Iterable[tuple[str, str]]) -> str:
+    """Source of an f-string of (literal text, replacement expression) pairs."""
+
+    text = "".join(
+        literal.replace("{", "{{").replace("}", "}}") + (f"{{{expr}}}" if expr else "")
+        for literal, expr in parts
+    )
+    return "f" + repr(text)
+
+
+def _renderer(cls: type) -> Callable[..., str]:
+    """The compiled ``render(self, array=_array)`` of ``cls``, built on first use.
+
+    It renders the stored fields in key order as one f-string, after one
+    check of their types; a field ``to_doc`` omits is a piece that is empty or
+    carries its comma. A required nested record that is frozen and holds more
+    than strings keeps its last object's text, by identity: every event of a
+    run shares its provenance and most share a timing, while keeping an
+    all-string trace context costs more than rendering it. The code runs on
+    this module's globals, so ``canonical_json`` is looked up at each call::
+
+        def render(self, array=_array):
+            v0 = self.parent_span_id
+            v1 = self.span_id
+            v2 = self.trace_id
+            if not ((v0 is None or type(v0) is str) and type(v1) is str and type(v2) is str):
+                raise TypeError
+            p0 = '' if v0 is None else f'"parent_span_id":{encode_basestring(v0)},'
+            return f'{{{p0}"span_id":{encode_basestring(v1)},"trace_id":{encode_basestring(v2)}}}'
     """
 
-    if type(content).to_doc is not _to_doc:
-        return [canonical_json(content.to_doc())]
-    doc = _encoder(type(content), items=True)(content)
-    if not any(type(value) is GeneratorType for value in doc.values()):
-        return [canonical_json(doc)]
-    parts: list[str] = []
-    for key in sorted(doc):
-        parts.append(("," if parts else "{") + encode_basestring(key) + ":")
-        value = doc[key]
-        if type(value) is not GeneratorType:
-            parts.append(canonical_json(value))
+    render = _RENDERERS.get(cls)
+    if render is not None:
+        return render
+    to_doc = cls.to_doc
+    while hasattr(to_doc, "__wrapped__"):  # a wrapper made by functools.wraps
+        to_doc = to_doc.__wrapped__
+    stored = sorted(_stored_fields(cls), key=lambda entry: entry[1])
+    tests = [
+        "not {}" if item.metadata.get("omit_empty") else "{} is None" if optional else ""
+        for item, _, _, optional in stored
+    ]
+    if to_doc is not _to_doc or "" not in tests:  # its own to_doc, or no field always written
+        render = _RENDERERS[cls] = _reference_only
+        return render
+    env: dict[str, Any] = {}
+    first = tests.index("")
+    reads, checks, body, parts, kept = [], [], [], [], []
+    for index, ((item, key, tp, _), test) in enumerate(zip(stored, tests)):
+        value, label = f"v{index}", encode_basestring(key) + ":"
+        reads.append(f"{value} = self.{item.name}")
+        check, text = _text_expr(tp, value, env)
+        if test:
+            checks += [f"({test.format(value)} or {check})"] if check else []
+            piece = [("," + label, text)] if index > first else [(label, text), (",", "")]
+            body.append(f"p{index} = '' if {test.format(value)} else {_fstring(piece)}")
+            parts.append(("", f"p{index}"))
             continue
-        parts.append("[")
-        for index, item in enumerate(value):
-            if index:
-                parts.append(",")
-            parts.append(canonical_json(item))
-        parts.append("]")
-    parts.append("}")
-    return parts
+        checks += [check] if check else []
+        if (  # frozen (its __setattr__ raises) and holding more than strings
+            _is_record(tp) and tp.__setattr__ is not object.__setattr__
+            and any(hint is not str for _, _, hint, _ in _stored_fields(tp))
+        ):
+            kept.append(f"last_{index}")
+            body += [
+                f"if (cached := last_{index})[0] is not {value}:",
+                f"    last_{index} = cached = ({value}, {text})",
+                f"t{index} = cached[1]",
+            ]
+            text = f"t{index}"
+        parts.append(("," * (index > first) + label, text))
+    source = "\n".join([
+        f"def _make({', '.join(env)}):",
+        f"    {' = '.join(kept)} = (None, None)" if kept else "",
+        "    def render(self, array=_array):",
+        f"        nonlocal {', '.join(kept)}" if kept else "",
+        *(f"        {line}" for line in reads),
+        f"        if not ({' and '.join(checks) or 'True'}):",
+        "            raise TypeError",
+        *(f"        {line}" for line in body),
+        f"        return {_fstring([('{', ''), *parts, ('}', '')])}",
+        "    return render",
+    ])
+    namespace: dict[str, Any] = {}
+    exec(source, globals(), namespace)
+    render = _RENDERERS[cls] = namespace["_make"](**env)
+    render.__qualname__ = f"{cls.__qualname__}.render"
+    return render
+
+
+def render_record(record: Record, array: Callable[..., str] = _array) -> str:
+    """``canonical_json(record.to_doc())``: the one way a record becomes text.
+
+    Its class's renderer writes it without building the document: scalars
+    and ``Literal`` by exact type, nested records by their own renderers, a
+    list or tuple of records item by item through ``array``, and any other
+    field (a payload dict, a tuple of scalars) through ``canonical_json``. A
+    value of another type, a value ``canonical_json`` rejects, or a class with
+    its own ``to_doc`` or with no field that is always written takes
+    ``canonical_json(record.to_doc())``, so the text and any error (with its
+    ``$.payload…`` path) are the reference's.
+    """
+
+    try:
+        return (_RENDERERS.get(type(record)) or _renderer(type(record)))(record, array)
+    except Exception:  # whatever it is, the reference renders the record or raises it
+        return canonical_json(record.to_doc())
+
+
+# ---------------------------------------------------------------------------
+# Artifact files
+# ---------------------------------------------------------------------------
 
 
 def write_json(path: Path | str, content: Any) -> None:
     """Write ``canonical_json(doc) + "\\n"`` to ``path``: the one artifact writer.
 
-    ``doc`` is ``content.to_doc()`` for a :class:`Record` and ``content``
-    itself otherwise. A record's field that holds a list of records is
-    rendered one item at a time, each item's document through
-    ``canonical_json``, so no step holds the whole document tree and no
-    encoder pass covers the whole file. The text is rendered before the file
-    is opened: content that cannot be rendered raises the error
-    ``canonical_json(content.to_doc())`` raises, and leaves ``path`` as it
-    was.
+    ``doc`` is ``content.to_doc()`` for a :class:`Record`, rendered by
+    :func:`render_record`, and ``content`` otherwise. Each item of a list of
+    records stays its own string, so no string holds the whole file. Content
+    that cannot be rendered raises before the file is opened, with the error
+    of ``canonical_json(content.to_doc())``, and leaves ``path`` as it was.
     """
 
-    if isinstance(content, Record):
-        try:
-            parts = _record_parts(content)
-        except Exception:
-            canonical_json(content.to_doc())  # raises the whole document's error
-            raise
-    else:
-        parts = [canonical_json(content)]
-    parts.append("\n")
+    lists: list[list[str]] = []
+
+    def keep(render: Callable[[Any], str], cls: type, values: Any) -> str:
+        # NULs around its number stand for the array: canonical text escapes NUL.
+        lists.append(_item_texts(render, cls, values))
+        return f"\x00{len(lists) - 1}\x00"
+
+    text = render_record(content, keep) if isinstance(content, Record) else canonical_json(content)
+    head, *pieces = text.split("\x00")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(parts)
+        handle.write(head)
+        for number, tail in zip(pieces[::2], pieces[1::2]):
+            handle.write("[")
+            for index, item in enumerate(lists[int(number)]):
+                handle.write("," + item if index else item)
+            handle.write("]" + tail)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1287,137 +1367,16 @@ def write_json(path: Path | str, content: Any) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _event_middle(provenance: ProvenanceFields, run_id: str) -> str | None:
-    """The ``"provenance":{...},"run_id":"..."`` fragment of an event line.
-
-    The two keys sort next to each other, and every event of a run shares
-    one frozen provenance object and one run id, so the fragment is rendered
-    once per run. None when it cannot be rendered; the line then takes the
-    reference path, which raises the error.
-    """
-
-    try:
-        return canonical_json({"provenance": provenance.to_doc(), "run_id": run_id})[1:-1]
-    except Exception:  # whatever it is, the reference path raises it for the event
-        return None
-
-
-def _trace_json(trace: TraceContext) -> str | None:
-    """``canonical_json(trace.to_doc())`` for str ids; None for other types."""
-
-    if (
-        type(trace) is not TraceContext
-        or type(trace.trace_id) is not str
-        or type(trace.span_id) is not str
-    ):
-        return None
-    parent = trace.parent_span_id
-    ids = (
-        f'"span_id":{encode_basestring(trace.span_id)},'
-        f'"trace_id":{encode_basestring(trace.trace_id)}}}'
-    )
-    if parent is None:
-        return "{" + ids
-    if type(parent) is str:
-        return f'{{"parent_span_id":{encode_basestring(parent)},{ids}'
-    return None
-
-
-def _timing_json(timing: TimingFields) -> str | None:
-    """``canonical_json(timing.to_doc())`` for float fields; None for other types.
-
-    Keys go in sorted order, the optional ones only when set. Floats render
-    by ``float.__repr__``, as in the canonical encoder; ``__post_init__``
-    has checked that they are finite.
-    """
-
-    if type(timing) is not TimingFields:
-        return None
-    model = timing.model_latency_ms
-    queue = timing.queue_wait_ms
-    service = timing.service_time_ms
-    tool = timing.tool_latency_ms
-    verifier = timing.verifier_latency_ms
-    if type(queue) is not float or type(service) is not float:
-        return None
-    rendered = "{"
-    if model is not None:
-        if type(model) is not float:
-            return None
-        rendered += f'"model_latency_ms":{model!r},'
-    rendered += f'"queue_wait_ms":{queue!r},"service_time_ms":{service!r}'
-    if tool is not None:
-        if type(tool) is not float:
-            return None
-        rendered += f',"tool_latency_ms":{tool!r}'
-    if verifier is not None:
-        if type(verifier) is not float:
-            return None
-        rendered += f',"verifier_latency_ms":{verifier!r}'
-    return rendered + "}"
-
-
-def _event_line(event: EventRecord, middle: str | None) -> str:
-    """``canonical_json(event.to_doc())``, rendered field by field.
-
-    ``middle`` is the run's fragment from ``_event_middle``. Fields of the
-    exact types the record declares are rendered here, and only the payload
-    still goes through ``canonical_json``. An event with a field of any other
-    type, or whose payload ``canonical_json`` rejects, goes whole through
-    ``canonical_json(event.to_doc())``, so its bytes and its errors are
-    exactly those of that reference path.
-    """
-
-    payload = event.payload
-    trace_json = _trace_json(event.trace)
-    timing_json = _timing_json(event.timing)
-    if (
-        middle is not None
-        and trace_json is not None
-        and timing_json is not None
-        and type(payload) is dict
-        and type(event.episode_id) is str
-        and type(event.kind) is str
-        and type(event.sequence) is int
-        and type(event.step_index) is int
-        and type(event.wall_clock_ms) is float
-    ):
-        try:
-            return (
-                f'{{"episode_id":{encode_basestring(event.episode_id)},'
-                f'"kind":{encode_basestring(event.kind)},'
-                f'"payload":{canonical_json(payload)},{middle},'
-                f'"sequence":{event.sequence!r},"step_index":{event.step_index!r},'
-                f'"timing":{timing_json},"trace":{trace_json},'
-                f'"wall_clock_ms":{event.wall_clock_ms!r}}}'
-            )
-        except (SchemaError, ValueError, RecursionError):
-            pass  # the reference path raises it again, with its $.payload path
-    return canonical_json(event.to_doc())
-
-
 def write_event_log(
     path: Path | str, events: Iterable[EventRecord], schema_version: str = SCHEMA_VERSION
 ) -> None:
     """Write events as newline-delimited canonical documents with a header line.
 
-    Each line is ``canonical_json(event.to_doc())``, rendered by
-    ``_event_line`` from the typed record; the provenance and run id
-    fragment is rendered once per run.
+    Each line is :func:`render_record` of its event.
     """
 
     lines = [canonical_json({"schema_version": schema_version})]
-    provenance: Any = None
-    run_id: Any = None
-    middle: str | None = None
-    for event in events:
-        if type(event) is not EventRecord:
-            lines.append(canonical_json(event.to_doc()))
-            continue
-        if event.provenance is not provenance or event.run_id is not run_id:
-            provenance, run_id = event.provenance, event.run_id
-            middle = _event_middle(provenance, run_id)
-        lines.append(_event_line(event, middle))
+    lines += map(render_record, events)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -1429,9 +1388,11 @@ def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
     (see :func:`decode_events`). A file that cannot be read raises its
     ``OSError``. A line that is not JSON, or a file that is not UTF-8, raises
     ``invalid_log`` with the position in the file; an empty file or a header
-    without ``schema_version`` raises ``missing_field``. A line whose document
-    does not decode to an event raises :class:`LogLineError`, whose message
-    is ``line N: <code>: <message>`` with the decoder's code and message.
+    without ``schema_version`` raises ``missing_field``. A header whose
+    version is not a string in ``SUPPORTED_SCHEMA_VERSIONS``, or a line whose
+    document does not decode to an event, raises :class:`LogLineError`, whose
+    message is ``line N: <code>: <message>`` (the decoder's code and message
+    for an event line).
     """
 
     try:
@@ -1444,6 +1405,11 @@ def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
     _, header = next(lines)
     if not isinstance(header, dict) or "schema_version" not in header:
         raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
+    version = header["schema_version"]
+    if type(version) is not str or version not in SUPPORTED_SCHEMA_VERSIONS:
+        raise LogLineError(
+            "invalid_log", f"line 1: invalid_value: unsupported schema version {version!r}"
+        )
     decode = _event_decoder()
     events: list[EventRecord] = []
     for number, doc in lines:
@@ -1453,7 +1419,7 @@ def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
             raise LogLineError(
                 "invalid_log", f"line {number}: {exc.code}: {exc.message}"
             ) from exc
-    return str(header["schema_version"]), events
+    return version, events
 
 
 __all__ = [
@@ -1487,6 +1453,7 @@ __all__ = [
     "new_trace_context",
     "read_event_log",
     "read_json",
+    "render_record",
     "require_valid_log",
     "text_hash",
     "write_event_log",

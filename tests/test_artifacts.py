@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatebench import schema
 from gatebench.demo import build_demo_plan, build_demo_release
 from gatebench.manifest import ManifestStore
 from gatebench.records import record
 from gatebench.runner import RunSet, run_plan, save_runset
-from gatebench.schema import Record, SchemaError, canonical_json, doc_field, write_json
+from gatebench.schema import (
+    Record,
+    SchemaError,
+    canonical_json,
+    doc_field,
+    render_record,
+    write_json,
+)
 
 
 @record
@@ -32,6 +41,13 @@ class _Document(Record):
     more: list[_Item] = doc_field(default_factory=list, omit_empty=True)
     spare: tuple[_Item, ...] | None = None
     count: int = 0
+
+
+@record
+class _Sparse(Record):
+    # No field is always written: the renderer leaves it to the reference path.
+    note: str | None = None
+    tags: tuple[str, ...] = doc_field(default=(), omit_empty=True)
 
 
 _texts = st.text(max_size=6)  # any code point but surrogates: non-ASCII included
@@ -72,6 +88,8 @@ def test_write_json_writes_plain_documents_and_lone_records(tmp_path):
         _Item("x", 1.0),
         _Document(items=()),
         _Document(items=(_Item("é", -0.0, note=""),), title="\x00", spare=()),
+        _Sparse(),
+        _Sparse(note="n", tags=("a", "b")),
     ]
     for index, content in enumerate(cases):
         path = tmp_path / f"{index}.json"
@@ -98,6 +116,35 @@ def test_write_json_keeps_a_class_own_to_doc(tmp_path):
     content = _OwnDoc("x", 1.0)
     write_json(tmp_path / "own.json", content)
     assert (tmp_path / "own.json").read_text(encoding="utf-8") == _reference(content)
+
+
+def test_renderer_sees_through_a_wrapped_to_doc_and_a_rebound_canonical_json(monkeypatch):
+    # What a tracer does: wrap to_doc with functools.wraps, here before the
+    # class is first rendered, and rebind schema.canonical_json, here after.
+    @record
+    class _Traced(Record):
+        name: str
+        payload: dict[str, Any]
+
+    calls = []
+    original = _Traced.to_doc
+
+    @functools.wraps(original)
+    def to_doc(self):
+        calls.append("to_doc")
+        return original(self)
+
+    def traced_json(content):
+        calls.append("canonical_json")
+        return canonical_json(content)
+
+    monkeypatch.setattr(_Traced, "to_doc", to_doc)
+    item = _Traced("x", {"b": [1, 2.5], "a": None})
+    expected = canonical_json(original(item))
+    assert render_record(item) == expected
+    monkeypatch.setattr(schema, "canonical_json", traced_json)
+    assert render_record(item) == expected
+    assert calls == ["canonical_json"]  # the payload's; the record went through its renderer
 
 
 @pytest.mark.parametrize(

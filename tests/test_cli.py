@@ -655,6 +655,116 @@ def test_float_seed_after_an_integer_one_is_invalid_log_at_its_line(
         )
 
 
+@pytest.mark.parametrize("version", [9, "0.0.1"], ids=["number", "unsupported-string"])
+def test_log_header_of_an_unsupported_version_is_invalid_log(version, gated_runs, tmp_path, capsys):
+    def edit(lines: list[str]) -> None:
+        lines[0] = json.dumps({"schema_version": version})
+
+    run_id = _tamper_admitted_web_log(gated_runs, edit)
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"] == (
+            f"invalid_log: run {run_id}: line 1: invalid_value: "
+            f"unsupported schema version {version!r}"
+        )
+
+
+def test_undecodable_gate_decision_names_its_file_and_line(gated_runs, tmp_path, capsys):
+    runs, gate_out = gated_runs
+    path = gate_out / "gate_decisions.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[6] = json.dumps({**json.loads(lines[6]), "verdict": 5})
+    path.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(_report_argv(runs, gate_out, tmp_path / "report", [])) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "invalid_gate_output"
+    assert record["message"] == (
+        f"invalid_gate_output: {path} line 7: invalid_document: "
+        "GateDecision.verdict: TypeError: expected a string, got 5"
+    )
+    assert not (tmp_path / "report").exists()
+
+
+def _set_run(**fields):
+    """Edit the second run of ``runset.json``."""
+
+    return lambda runs: runs[1].update(fields)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda runs: runs.append(runs[1]), "is indexed twice"),
+        (_set_run(event_log_ref="../../etc/passwd"),
+         "has event_log_ref '../../etc/passwd', not 'logs/{run_id}.log'"),
+        (_set_run(event_log_ref="logs/other.log"),
+         "has event_log_ref 'logs/other.log', not 'logs/{run_id}.log'"),
+        (_set_run(run_id="../../etc/passwd", event_log_ref="logs/../../etc/passwd.log"),
+         "has a '/' in its run id"),
+        (_set_run(retry_count=-5), "has a negative retry_count, retry_budget or repetition"),
+        (_set_run(retry_budget=-1), "has a negative retry_count, retry_budget or repetition"),
+        (_set_run(repetition=-1), "has a negative retry_count, retry_budget or repetition"),
+        (_set_run(concurrency=0), "has concurrency 0, below 1"),
+    ],
+    ids=[
+        "duplicate-run", "ref-outside", "ref-of-another-run", "run-id-with-slash",
+        "retry-count", "retry-budget", "repetition", "concurrency",
+    ],
+)
+def test_tampered_runset_index_is_invalid_runset_for_gate_and_replay(
+    edit, problem, gated_runs, root_dir, tmp_path, capsys
+):
+    runs, _ = gated_runs
+    index = runs / "runset.json"
+    _edit_json(index, lambda doc: edit(doc["runs"]))
+    run_id = json.loads(index.read_text(encoding="utf-8"))["runs"][1]["run_id"]
+    message = f"invalid_runset: {index}: run {run_id!r} {problem.format(run_id=run_id)}"
+    capsys.readouterr()
+    for argv in (
+        ["gate", "--runset", str(runs), "--release-root", str(root_dir), "--out", str(tmp_path / "g")],
+        ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")],
+    ):
+        assert main(argv) == EXIT_ERROR
+        record = _last_error_record(capsys)
+        assert (record["error"], record["message"]) == ("invalid_runset", message)
+    assert not (tmp_path / "g").exists()
+    assert not list((tmp_path / "replay").glob("*"))
+
+
+def _first_event(edit):
+    return lambda material: edit(material["events"][0])
+
+
+@pytest.mark.parametrize(
+    "replay_class, edit, error",
+    [
+        ("R1", _first_event(lambda event: event.pop("episode_id")), "KeyError: 'episode_id'"),
+        ("R1", lambda material: material.update(events=5),
+         "TypeError: 'int' object is not iterable"),
+        ("R2", lambda material: material.pop("seed"), "KeyError: 'seed'"),
+        ("R0", lambda material: material["episode_rows"][0].update(steps="abc"),
+         "ValueError: invalid literal for int() with base 10: 'abc'"),
+    ],
+    ids=["event-without-episode-id", "events-not-a-list", "no-seed", "steps-not-a-number"],
+)
+def test_malformed_bundle_material_is_invalid_bundle(
+    replay_class, edit, error, gated_runs, tmp_path, capsys
+):
+    runs, _ = gated_runs
+    assert main(["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")]) == EXIT_OK
+    bundle = next(
+        path for path in sorted((tmp_path / "replay").glob("bundle_*.json"))
+        if json.loads(path.read_text(encoding="utf-8"))["replay_class"] == replay_class
+    )
+    _edit_json(bundle, lambda doc: edit(doc["material"]))
+    capsys.readouterr()
+    assert main(["replay", "--bundle", str(bundle), "--out", str(tmp_path / "one")]) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "invalid_bundle"
+    assert record["message"] == f"invalid_bundle: {replay_class} material: {error}"
+
+
 def test_report_needs_one_gate_decision_per_run(gated_runs, tmp_path, capsys):
     runs, gate_out = gated_runs
     decisions = gate_out / "gate_decisions.jsonl"

@@ -22,8 +22,14 @@ from pathlib import Path
 from gatebench.drivers import DriverRecord, SyntheticLlmProfile
 from gatebench.gate import GateDecision, GateReport, load_decisions
 from gatebench.manifest import FreezeRecord, ManifestStore, ReleaseRoot, TaskManifest
-from gatebench.replay import ReplayBundle, load_bundle
-from gatebench.report import DecisionCell, DecisionStudyReport, load_study_report
+from gatebench.replay import ReplayBundle, ReplayResult, load_bundle
+from gatebench.report import (
+    ClaimMatrix,
+    DecisionCell,
+    DecisionStudyReport,
+    InvalidActionReport,
+    load_study_report,
+)
 from gatebench.runner import (
     DriverSpec,
     EpisodeSummary,
@@ -31,6 +37,7 @@ from gatebench.runner import (
     RewardPoint,
     RunPlan,
     RunRecord,
+    RunSet,
     load_plan,
     load_runset,
 )
@@ -43,6 +50,7 @@ from gatebench.schema import (
     TraceContext,
     canonical_json,
     read_event_log,
+    render_record,
 )
 from gatebench.simenv import TerminalOutcome
 
@@ -115,6 +123,57 @@ def test_every_artifact_read_back_reencodes_to_its_bytes(golden_tree):
         "gate_decisions.jsonl": 2,
         "bundle_*.json": 17,
         "decision_study.json": 1,
+    }
+
+
+# The record class of every record file in the trees, by file name pattern; a
+# ``.jsonl`` file holds one record per line.
+_RECORD_FILES = {
+    "demo_plan.json": RunPlan,
+    "manifest_*.json": TaskManifest,
+    "release_root.json": ReleaseRoot,
+    "runset.json": RunSet,
+    "gate_report*.json": GateReport,
+    "gate_decisions.jsonl": GateDecision,
+    "bundle_*.json": ReplayBundle,
+    "replay_results.jsonl": ReplayResult,
+    "invalid_actions.json": InvalidActionReport,
+    "decision_study.json": DecisionStudyReport,
+    "claim_matrix.json": ClaimMatrix,
+}
+
+
+def test_renderer_equals_the_reference_on_every_record_and_event(golden_tree):
+    checked = dict.fromkeys(_RECORD_FILES, 0)
+    events = 0
+    for path in sorted(golden_tree.rglob("*")):
+        pattern = next((p for p in _RECORD_FILES if path.match(p)), None)
+        if pattern is None and path.suffix != ".log":
+            continue
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        if pattern is None:
+            _, records = read_event_log(path)
+            lines = lines[1:]
+            events += len(records)
+        else:
+            records = [_RECORD_FILES[pattern].from_doc(json.loads(line)) for line in lines]
+            checked[pattern] += 1
+        for record, line in zip(records, lines, strict=True):
+            assert render_record(record) == canonical_json(record.to_doc()) == line, path
+    assert events > 2000
+    assert checked == {
+        "demo_plan.json": 1,
+        "manifest_*.json": 9,
+        "release_root.json": 2,
+        "runset.json": 2,
+        "gate_report*.json": 4,
+        "gate_decisions.jsonl": 2,
+        "bundle_*.json": 17,
+        "replay_results.jsonl": 1,
+        "invalid_actions.json": 1,
+        "decision_study.json": 1,
+        "claim_matrix.json": 1,
     }
 
 

@@ -764,7 +764,7 @@ def test_payload_with_unicode_line_separator_round_trips(tmp_path, char):
     expected = [json.loads(canonical_json(event.to_doc())) for event in events]
     assert read_event_log(path) == (SCHEMA_VERSION, events)
     lines = read_json(path, SchemaError, "missing_log", "invalid_log", lines=True)
-    assert lines == [{"schema_version": SCHEMA_VERSION}, *expected]
+    assert lines == list(enumerate([{"schema_version": SCHEMA_VERSION}, *expected], start=1))
     assert decode_events(expected) == events
 
 
