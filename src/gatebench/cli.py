@@ -88,11 +88,13 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.bundle is not None:
         results = [replay_run(load_bundle(args.bundle))]
+        out.mkdir(parents=True, exist_ok=True)
     else:
-        results = replay_runset(load_runset(args.runset), out, args.replay_class)
+        runset = load_runset(args.runset)
+        out.mkdir(parents=True, exist_ok=True)
+        results = replay_runset(runset, out, args.replay_class)
     lines = [render_record(result) for result in results]
     (out / "replay_results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     matches = sum(1 for result in results if result.terminal_match)
@@ -121,21 +123,15 @@ def _cmd_all(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         setting=None,
     )
+    # The run's status (ok or validator failure) is the verb's; gate and report
+    # return ok or raise.
     status = _cmd_run(run_args)
-    if status not in (EXIT_OK, EXIT_VALIDATOR):
-        return status
-    gate_args = argparse.Namespace(
+    _cmd_gate(argparse.Namespace(
         runset=out / "runs", release_root=args.release_root, out=out / "gate"
-    )
-    gate_status = _cmd_gate(gate_args)
-    if gate_status != EXIT_OK:
-        return gate_status
-    report_args = argparse.Namespace(
+    ))
+    _cmd_report(argparse.Namespace(
         runset=out / "runs", gate=out / "gate", out=out / "report", study=args.study
-    )
-    report_status = _cmd_report(report_args)
-    if report_status != EXIT_OK:
-        return report_status
+    ))
     return status
 
 

@@ -8,14 +8,16 @@ variant selection breaks ties lexicographically by variant label.
 ``report_runset`` is the ``report`` verb. It reads each event log it needs
 once, on the run pool (``runner.map_runs``): a job decodes one run's log and
 sends back only that run's ``RunSummary``, and the latency tables, the
-invalid-action report and the replay diagnostic are aggregated from the
-summaries in runset order.
+invalid-action report and the ``ClaimEvidence`` are aggregated from the
+summaries in runset order. The claim matrix applies one rule per claim
+(``CLAIM_RULES``) to the gate report, the study report and that evidence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
-from typing import Any, Final, Iterable, Mapping, Sequence
+from typing import Any, Callable, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport, gate_report, load_decisions
 from .records import record
@@ -27,17 +29,6 @@ from .simenv import CLEAN_LABEL, STRESSED_LABEL, simulate_family_throughput
 VARIANT_LABELS: Final[tuple[str, str]] = ("hook_a_only", "hook_b_only")
 # The two settings a decision-study group compares.
 STUDY_SETTINGS: Final[tuple[str, str]] = (CLEAN_LABEL, STRESSED_LABEL)
-
-CLAIM_KEYS: Final[tuple[str, ...]] = (
-    "substrate_evidence_gate",
-    "real_task_anchors",
-    "llm_driver_traffic",
-    "verifier_controls",
-    "replay_fidelity",
-    "throughput_scaling",
-    "stronger_driver_sanity",
-    "controller_decision_study",
-)
 
 CLAIM_STATUSES: Final[frozenset[str]] = frozenset(
     {"supported", "supported_bounded", "caveated", "appendix_only", "not_claimed"}
@@ -78,9 +69,10 @@ def require_admitted(
 class RunSummary:
     """What the report keeps of one run's event log once its events are dropped.
 
-    Samples keep the order of the log. ``r1`` is the run's R1 replay as
-    (reduction, terminal match), present for a web run summarized with its
-    record.
+    Samples keep the order of the log. ``episode_statuses`` counts the
+    ``episode_end`` events by status (0 for a status none has). ``r1`` is the
+    run's R1 replay as (reduction, terminal match), present for a web run
+    summarized with its record.
     """
 
     service_times_ms: list[float]
@@ -89,6 +81,7 @@ class RunSummary:
     wall_span_ms: float
     counts_by_status: dict[str, int]
     invalid_actions: int
+    episode_statuses: Counter[str]
     r1: tuple[float, bool] | None = None
 
 
@@ -97,13 +90,16 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
 
     Service times come from environment steps, queue waits from verifier
     outcomes, episodes from terminal results, parse statuses from parsed
-    actions, and the wall span is the latest event clock. Given the record of
-    a web run, the summary also holds ``replay_run(build_bundle(run, events))``.
+    actions, episode statuses from episode ends (``invalid_log`` for one that
+    is not a string), and the wall span is the latest event clock. Given the
+    record of a web run, the summary also holds
+    ``replay_run(build_bundle(run, events))``.
     """
 
     steps: list[float] = []
     waits: list[float] = []
     counts: dict[str, int] = {}
+    ends: Counter[str] = Counter()
     episodes = invalid = 0
     span = 0.0
     for event in events:
@@ -119,12 +115,21 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
             counts[status] = counts.get(status, 0) + 1
             if bool(event.payload["invalid_action"]):
                 invalid += 1
+        elif kind == "episode_end":
+            status = event.payload["status"]
+            if type(status) is not str:
+                raise ReportError(
+                    "invalid_log",
+                    f"run {event.run_id}: event {event.sequence}: episode_end status "
+                    f"{status!r} is not a string",
+                )
+            ends[status] += 1
         span = max(span, event.wall_clock_ms)
     r1 = None
     if run is not None and run.family == "web":
         result = replay_run(build_bundle(run, events))
         r1 = (result.reduction, result.terminal_match)
-    return RunSummary(steps, waits, episodes, span, counts, invalid, r1)
+    return RunSummary(steps, waits, episodes, span, counts, invalid, ends, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +337,30 @@ class DecisionStudyReport(Record):
     incomparable: tuple[str, ...] = ()
 
 
+def _count_reversals(cells: Iterable[DecisionCell]) -> tuple[int, int, list[str]]:
+    """(comparable groups, reversals, incomparable groups) over ``cells``.
+
+    A (backend, seed, budget) group is comparable when it has a cell in each
+    of ``STUDY_SETTINGS``, and reverses when their selections differ.
+    """
+
+    by_group: dict[tuple[str, int, int], dict[str, str]] = {}
+    for cell in cells:
+        by_group.setdefault((cell.backend, cell.seed, cell.budget), {})[cell.setting] = (
+            cell.selected
+        )
+    comparable = reversals = 0
+    incomparable: list[str] = []
+    for group, selections in sorted(by_group.items()):
+        if set(selections) != set(STUDY_SETTINGS):
+            incomparable.append(f"{group[0]}/s{group[1]}/b{group[2]}")
+            continue
+        comparable += 1
+        if len({selections[setting] for setting in STUDY_SETTINGS}) > 1:
+            reversals += 1
+    return comparable, reversals, incomparable
+
+
 def decision_study(
     runset: RunSet, decisions: Sequence[GateDecision]
 ) -> DecisionStudyReport:
@@ -379,29 +408,14 @@ def decision_study(
             continue
         cells.append(DecisionCell.from_aucs(backend, seed, budget, setting, by_variant))
 
-    by_group: dict[tuple[str, int, int], dict[str, str]] = {}
-    for cell in cells:
-        by_group.setdefault((cell.backend, cell.seed, cell.budget), {})[cell.setting] = (
-            cell.selected
-        )
-    comparable = 0
-    reversals = 0
-    for group, selections in sorted(by_group.items()):
-        if set(selections) != set(STUDY_SETTINGS):
-            incomparable.append(f"{group[0]}/s{group[1]}/b{group[2]}")
-            continue
-        comparable += 1
-        choices = {selections[setting] for setting in STUDY_SETTINGS}
-        if len(choices) > 1:
-            reversals += 1
-
+    comparable, reversals, groups = _count_reversals(cells)
     return DecisionStudyReport(
         cells=tuple(cells),
         admitted=len(admitted),
         blocked=blocked,
         comparable_cells=comparable,
         reversal_cells=reversals,
-        incomparable=tuple(incomparable),
+        incomparable=tuple(incomparable + groups),
     )
 
 
@@ -437,162 +451,133 @@ class ClaimMatrix(Record):
         raise ReportError("unknown_claim", f"no claim row {claim!r}")
 
 
-def _decision_claim(study: DecisionStudyReport | None) -> ClaimRow:
-    if study is None or study.admitted == 0:
-        return ClaimRow(
-            claim="controller_decision_study",
-            status="not_claimed",
-            rows_used=0,
-            scope="no admitted decision-study rows",
+@record
+class ClaimEvidence:
+    """What the claim rules read beyond the gate report and the study report.
+
+    ``report_runset`` counts it over the admitted runs from their verified
+    event logs: control and sanity episodes by ``episode_end`` status, and the
+    R1 replay (reduction, terminal match) of each web run, in runset order.
+    ``throughput_eps`` is the modelled throughput at each concurrency level.
+    """
+
+    gold_pass: int = 0
+    gold_total: int = 0
+    noop_fail: int = 0
+    noop_total: int = 0
+    sanity_episodes: int = 0
+    r1_reductions: tuple[float, ...] = ()
+    r1_terminal_matches: int = 0
+    throughput_eps: tuple[float, ...] = ()
+
+
+# A claim rule reads the canonical gate report, the study report (None without
+# one) and the claim evidence, and gives its row's (status, rows used, scope).
+StudyInput = DecisionStudyReport | None
+Verdict = tuple[str, int, str]
+ClaimRule = Callable[[GateReport, StudyInput, ClaimEvidence], Verdict]
+
+
+def _gate_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    if gate.admitted == 0:
+        return "not_claimed", 0, "no admitted rows"
+    if gate.validation_failures == 0 and not gate.missing_strata:
+        return "supported", gate.admitted, (
+            "canonical surface; all planned strata present, zero validation failures"
         )
-    rows = study.admitted
-    if study.blocked == 0 and study.comparable_cells > 0 and (
-        study.reversal_cells == study.comparable_cells
-    ):
-        return ClaimRow(
-            claim="controller_decision_study",
-            status="supported",
-            rows_used=rows,
-            scope=(
-                f"tested grid only: {study.reversal_cells}/{study.comparable_cells} "
-                "comparable cells reverse clean-vs-stressed selection"
-            ),
-        )
-    return ClaimRow(
-        claim="controller_decision_study",
-        status="caveated",
-        rows_used=rows,
-        scope=(
-            f"{study.reversal_cells}/{study.comparable_cells} reversals, "
-            f"{study.blocked} blocked"
-        ),
+    return "caveated", gate.admitted, (
+        f"missing strata {list(gate.missing_strata)}, "
+        f"{gate.validation_failures} validation failures"
     )
+
+
+def _stratum_rule(stratum: str, scope: str) -> ClaimRule:
+    """Supported by any admitted row of ``stratum``; the gate omits empty strata."""
+
+    def rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+        count = gate.by_stratum.get(stratum, 0)
+        return ("supported" if count else "not_claimed"), count, scope
+
+    return rule
+
+
+def _verifier_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    gold = f"gold {evidence.gold_pass}/{evidence.gold_total}"
+    noop = f"noop {evidence.noop_fail}/{evidence.noop_total}"
+    total = evidence.gold_total + evidence.noop_total
+    if total == 0:
+        return "not_claimed", 0, "no control rows"
+    if evidence.gold_pass == evidence.gold_total > 0 and (
+        evidence.noop_fail == evidence.noop_total > 0
+    ):
+        return "supported", total, f"{gold} pass, {noop} fail"
+    return "caveated", total, f"{gold}, {noop}"
+
+
+def _replay_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    runs = len(evidence.r1_reductions)
+    if runs == 0:
+        return "not_claimed", 0, "no replay diagnostic"
+    reduction = float_sum(evidence.r1_reductions) / runs
+    if reduction >= 0.99 and evidence.r1_terminal_matches == runs:
+        return "supported", runs, f"trace-replay reduction {reduction:.4f}, all terminals match"
+    if reduction >= 0.9:
+        return "supported_bounded", runs, f"reduction {reduction:.4f}"
+    return "caveated", runs, f"reduction {reduction:.4f}"
+
+
+def _throughput_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    series = evidence.throughput_eps
+    if not series:
+        return "not_claimed", 0, "no scaling diagnostic"
+    if all(a < b for a, b in zip(series, series[1:])):
+        return "supported", len(series), "episodes/s strictly increasing across concurrency levels"
+    return "caveated", len(series), "trend not monotone"
+
+
+def _sanity_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    if evidence.sanity_episodes == 0:
+        return "not_claimed", 0, "no sanity rows"
+    return "appendix_only", evidence.sanity_episodes, "separate sanity evidence; non-comparative"
+
+
+def _decision_rule(gate: GateReport, study: StudyInput, evidence: ClaimEvidence) -> Verdict:
+    if study is None or study.admitted == 0:
+        return "not_claimed", 0, "no admitted decision-study rows"
+    counts = f"{study.reversal_cells}/{study.comparable_cells}"
+    if study.blocked == 0 and 0 < study.comparable_cells == study.reversal_cells:
+        return "supported", study.admitted, (
+            f"tested grid only: {counts} comparable cells reverse clean-vs-stressed selection"
+        )
+    return "caveated", study.admitted, f"{counts} reversals, {study.blocked} blocked"
+
+
+# One rule per claim, in the order of the matrix's rows.
+CLAIM_RULES: Final[tuple[tuple[str, ClaimRule], ...]] = (
+    ("substrate_evidence_gate", _gate_rule),
+    ("real_task_anchors", _stratum_rule("real_task_anchor", "scripted/calibration anchors")),
+    ("llm_driver_traffic",
+     _stratum_rule("llm_driver", "traffic and cost evidence, not capability")),
+    ("verifier_controls", _verifier_rule),
+    ("replay_fidelity", _replay_rule),
+    ("throughput_scaling", _throughput_rule),
+    ("stronger_driver_sanity", _sanity_rule),
+    ("controller_decision_study", _decision_rule),
+)
+
+CLAIM_KEYS: Final[tuple[str, ...]] = tuple(key for key, _ in CLAIM_RULES)
 
 
 def claim_matrix(
     gate_rep: GateReport,
     study: DecisionStudyReport | None = None,
-    diagnostics: Mapping[str, Any] | None = None,
+    evidence: ClaimEvidence = ClaimEvidence(),
 ) -> ClaimMatrix:
-    """Build the claim-support matrix, one row per ``CLAIM_KEYS`` entry in
-    order, from gate, study, and diagnostic inputs."""
+    """The claim-support matrix: one row per ``CLAIM_RULES`` entry, in order."""
 
-    diagnostics = diagnostics or {}
-    rows: list[ClaimRow] = []
-    for claim in CLAIM_KEYS:
-        if claim == "substrate_evidence_gate":
-            if gate_rep.admitted == 0:
-                rows.append(ClaimRow(claim, "not_claimed", 0, "no admitted rows"))
-            elif gate_rep.validation_failures == 0 and not gate_rep.missing_strata:
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "supported",
-                        gate_rep.admitted,
-                        "canonical surface; all planned strata present, zero validation failures",
-                    )
-                )
-            else:
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "caveated",
-                        gate_rep.admitted,
-                        f"missing strata {list(gate_rep.missing_strata)}, "
-                        f"{gate_rep.validation_failures} validation failures",
-                    )
-                )
-        elif claim == "real_task_anchors":
-            count = gate_rep.by_stratum.get("real_task_anchor", 0)
-            status = "supported" if count else "not_claimed"
-            rows.append(ClaimRow(claim, status, count, "scripted/calibration anchors"))
-        elif claim == "llm_driver_traffic":
-            count = gate_rep.by_stratum.get("llm_driver", 0)
-            status = "supported" if count else "not_claimed"
-            rows.append(
-                ClaimRow(claim, status, count, "traffic and cost evidence, not capability")
-            )
-        elif claim == "verifier_controls":
-            gold_pass = int(diagnostics.get("gold_pass", 0))
-            gold_total = int(diagnostics.get("gold_total", 0))
-            noop_fail = int(diagnostics.get("noop_fail", 0))
-            noop_total = int(diagnostics.get("noop_total", 0))
-            total = gold_total + noop_total
-            if total == 0:
-                rows.append(ClaimRow(claim, "not_claimed", 0, "no control rows"))
-            elif gold_pass == gold_total > 0 and noop_fail == noop_total > 0:
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "supported",
-                        total,
-                        f"gold {gold_pass}/{gold_total} pass, noop {noop_fail}/{noop_total} fail",
-                    )
-                )
-            else:
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "caveated",
-                        total,
-                        f"gold {gold_pass}/{gold_total}, noop {noop_fail}/{noop_total}",
-                    )
-                )
-        elif claim == "replay_fidelity":
-            if "r1_reduction" not in diagnostics:
-                rows.append(ClaimRow(claim, "not_claimed", 0, "no replay diagnostic"))
-            else:
-                reduction = float(diagnostics["r1_reduction"])
-                match_rate = float(diagnostics.get("r1_terminal_match_rate", 0.0))
-                count = int(diagnostics.get("r1_runs", 0))
-                if reduction >= 0.99 and match_rate == 1.0:
-                    rows.append(
-                        ClaimRow(
-                            claim,
-                            "supported",
-                            count,
-                            f"trace-replay reduction {reduction:.4f}, all terminals match",
-                        )
-                    )
-                elif reduction >= 0.9:
-                    rows.append(
-                        ClaimRow(claim, "supported_bounded", count, f"reduction {reduction:.4f}")
-                    )
-                else:
-                    rows.append(
-                        ClaimRow(claim, "caveated", count, f"reduction {reduction:.4f}")
-                    )
-        elif claim == "throughput_scaling":
-            series = [float(x) for x in diagnostics.get("throughput_eps", [])]
-            if not series:
-                rows.append(ClaimRow(claim, "not_claimed", 0, "no scaling diagnostic"))
-            elif all(a < b for a, b in zip(series, series[1:])):
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "supported",
-                        len(series),
-                        "episodes/s strictly increasing across concurrency levels",
-                    )
-                )
-            else:
-                rows.append(ClaimRow(claim, "caveated", len(series), "trend not monotone"))
-        elif claim == "stronger_driver_sanity":
-            episodes = int(diagnostics.get("sanity_episodes", 0))
-            if episodes == 0:
-                rows.append(ClaimRow(claim, "not_claimed", 0, "no sanity rows"))
-            else:
-                rows.append(
-                    ClaimRow(
-                        claim,
-                        "appendix_only",
-                        episodes,
-                        "separate sanity evidence; non-comparative",
-                    )
-                )
-        elif claim == "controller_decision_study":
-            rows.append(_decision_claim(study))
-    return ClaimMatrix(rows=tuple(rows))
+    return ClaimMatrix(rows=tuple(
+        ClaimRow(claim, *rule(gate_rep, study, evidence)) for claim, rule in CLAIM_RULES
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +675,27 @@ def save_report_outputs(
 
 
 def load_study_report(path: Path | str) -> DecisionStudyReport:
+    """Read a study report that agrees with its own cells (``invalid_study_report``
+    otherwise): each cell selects the argmax of its AUCs, and the comparable and
+    reversal counts are those of the cells."""
+
     doc = read_json(path, ReportError, "missing_study_report", "invalid_study_report")
-    return DecisionStudyReport.from_doc(doc)
+    report = DecisionStudyReport.from_doc(doc)
+    for cell in report.cells:
+        if not cell.auc_by_variant or cell.selected != select_variant(cell.auc_by_variant):
+            raise ReportError(
+                "invalid_study_report",
+                f"{path}: cell {cell.backend}/s{cell.seed}/b{cell.budget}/{cell.setting} "
+                f"selects {cell.selected!r}, not the argmax of its AUCs",
+            )
+    comparable, reversals, _ = _count_reversals(report.cells)
+    if (report.reversal_cells, report.comparable_cells) != (reversals, comparable):
+        raise ReportError(
+            "invalid_study_report",
+            f"{path}: {report.reversal_cells}/{report.comparable_cells} reversals stated, "
+            f"{reversals}/{comparable} in its cells",
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -706,54 +710,36 @@ def _summary_job(runset: RunSet, index: int) -> RunSummary:
     return summarize_run(runset.events_for(run), run)
 
 
-def _diagnostics(
-    runset: RunSet, verdicts: Mapping[str, GateDecision], summaries: Mapping[str, RunSummary]
-) -> dict[str, Any]:
-    """Diagnostic inputs for the claim matrix, computed from admitted rows.
+def _claim_evidence(logged: Iterable[tuple[RunRecord, RunSummary]]) -> ClaimEvidence:
+    """The ``ClaimEvidence`` of admitted runs, in order, each with its log summary."""
 
-    ``verdicts`` maps every run id to its decision. The R1 replay of every
-    admitted web run with a log comes from its summary.
-    """
-
-    diagnostics: dict[str, Any] = {}
-    gold_total = gold_pass = noop_total = noop_fail = 0
-    sanity_episodes = 0
-    r1_reductions: list[float] = []
-    r1_matches = 0
-    for run in runset.runs:
-        if verdicts[run.run_id].verdict != "admitted":
-            continue
-        if run.driver.driver_type == "calibration" and run.family == "code":
-            successes = sum(1 for s in run.episode_summaries if s.status == "success")
-            failures = sum(1 for s in run.episode_summaries if s.status == "failure")
-            if run.driver.driver_id.startswith("oracle"):
-                gold_total += len(run.episode_summaries)
-                gold_pass += successes
-            elif run.driver.driver_id.startswith("noop"):
-                noop_total += len(run.episode_summaries)
-                noop_fail += failures
-        if run.driver.driver_type == "sanity":
-            sanity_episodes += len(run.episode_summaries)
-        if run.family == "web" and run.event_log_ref:
-            reduction, terminal_match = summaries[run.run_id].r1
-            r1_reductions.append(reduction)
-            r1_matches += 1 if terminal_match else 0
-    if gold_total or noop_total:
-        diagnostics.update(
-            gold_total=gold_total, gold_pass=gold_pass,
-            noop_total=noop_total, noop_fail=noop_fail,
-        )
-    if sanity_episodes:
-        diagnostics["sanity_episodes"] = sanity_episodes
-    if r1_reductions:
-        diagnostics["r1_reduction"] = float_sum(r1_reductions) / len(r1_reductions)
-        diagnostics["r1_terminal_match_rate"] = r1_matches / len(r1_reductions)
-        diagnostics["r1_runs"] = len(r1_reductions)
-    diagnostics["throughput_eps"] = [
+    gold_pass = gold_total = noop_fail = noop_total = sanity_episodes = matches = 0
+    reductions: list[float] = []
+    for run, summary in logged:
+        statuses = summary.episode_statuses
+        episodes = sum(statuses.values())
+        driver = run.driver
+        if driver.driver_type == "calibration" and run.family == "code":
+            if driver.driver_id.startswith("oracle"):
+                gold_total += episodes
+                gold_pass += statuses["success"]
+            elif driver.driver_id.startswith("noop"):
+                noop_total += episodes
+                noop_fail += statuses["failure"]
+        if driver.driver_type == "sanity":
+            sanity_episodes += episodes
+        if summary.r1 is not None:
+            reduction, terminal_match = summary.r1
+            reductions.append(reduction)
+            matches += terminal_match
+    throughput = tuple(
         simulate_family_throughput("code", concurrency, episodes=40, seed=7)
         for concurrency in (1, 4, 8)
-    ]
-    return diagnostics
+    )
+    return ClaimEvidence(
+        gold_pass, gold_total, noop_fail, noop_total, sanity_episodes,
+        tuple(reductions), matches, throughput,
+    )
 
 
 def report_runset(
@@ -769,8 +755,8 @@ def report_runset(
     (``decision_set_mismatch`` otherwise), and the canonical ``GateReport``
     behind the claim matrix is derived from them by ``gate.gate_report``. The
     latency tables and the invalid-action report cover the admitted runs
-    outside the decision study; the diagnostics cover every admitted run. The
-    logs read are those of the admitted runs outside the decision study, then
+    outside the decision study; the claim evidence covers every admitted run
+    whose log is read, and no copy in ``runset.json``. The logs read are those of the admitted runs outside the decision study, then
     those of the admitted decision-study web runs (for the R1 diagnostic),
     each once through ``RunSet.events_for``, as one job on ``min(logs, usable
     CPUs)`` worker processes. A job returns only the run's ``RunSummary``; the
@@ -807,7 +793,10 @@ def report_runset(
         invalid_action_rate(logged) if any(s.counts_by_status for s in logged) else None
     )
     study = load_study_report(study_path) if study_path else None
-    matrix = claim_matrix(canonical, study, _diagnostics(runset, verdicts, summaries))
+    evidence = _claim_evidence(
+        (run, summaries[run.run_id]) for _, run, _ in admitted if run.run_id in summaries
+    )
+    matrix = claim_matrix(canonical, study, evidence)
     save_report_outputs(
         out_dir, latency=latency, invalid_actions=invalid, study=study, matrix=matrix
     )
@@ -816,7 +805,9 @@ def report_runset(
 
 __all__ = [
     "CLAIM_KEYS",
+    "CLAIM_RULES",
     "CLAIM_STATUSES",
+    "ClaimEvidence",
     "ClaimMatrix",
     "ClaimRow",
     "DecisionCell",

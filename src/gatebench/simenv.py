@@ -285,13 +285,6 @@ class VerifierQueue:
             if t.submit_time_ms <= now_ms < t.start_service_ms
         )
 
-    def counts_at(self, now_ms: float) -> tuple[int, int, int]:
-        """(submitted, served, pending) at an instant; conservation holds."""
-
-        submitted = sum(1 for t in self.tickets.values() if t.submit_time_ms <= now_ms)
-        served = sum(1 for t in self.tickets.values() if t.completion_ms <= now_ms)
-        return submitted, served, submitted - served
-
 
 def verifier_outcome(
     patch_quality: str,

@@ -729,7 +729,7 @@ def test_tampered_runset_index_is_invalid_runset_for_gate_and_replay(
         record = _last_error_record(capsys)
         assert (record["error"], record["message"]) == ("invalid_runset", message)
     assert not (tmp_path / "g").exists()
-    assert not list((tmp_path / "replay").glob("*"))
+    assert not (tmp_path / "replay").exists()
 
 
 def _first_event(edit):
@@ -962,3 +962,91 @@ def test_run_with_no_entries_for_setting_is_usage_error(root_dir, tmp_path, caps
         "error": "invalid_plan", "message": "no entries with setting 'no-such-setting'",
     }
     assert not (tmp_path / "runs").exists()
+
+
+def _flip_calibration_statuses(doc: dict) -> None:
+    flips = {"success": "failure", "failure": "success"}
+    summaries = [
+        summary for run in doc["runs"] if run["driver"]["driver_type"] == "calibration"
+        for summary in run["episode_summaries"]
+    ]
+    assert len(summaries) == 10
+    for summary in summaries:
+        summary["status"] = flips[summary["status"]]
+
+
+def test_claims_count_episodes_from_the_logs_not_the_runset_copies(gated_runs, root_dir, tmp_path):
+    runs, gate_out = gated_runs
+    assert main(_report_argv(runs, gate_out, tmp_path / "honest", [])) == EXIT_OK
+    _edit_json(runs / "runset.json", _flip_calibration_statuses)
+    assert main([
+        "gate", "--runset", str(runs), "--release-root", str(root_dir), "--out", str(tmp_path / "g"),
+    ]) == EXIT_OK
+    decisions = "gate_decisions.jsonl"
+    assert (tmp_path / "g" / decisions).read_bytes() == (gate_out / decisions).read_bytes()
+    assert main(_report_argv(runs, gate_out, tmp_path / "tampered", [])) == EXIT_OK
+    honest, tampered = (
+        (tmp_path / name / "claim_matrix.json").read_bytes() for name in ("honest", "tampered")
+    )
+    assert b'"gold 5/5 pass, noop 5/5 fail"' in honest
+    assert tampered == honest
+
+
+def _episode_end_status(value):
+    def edit(lines: list[str]) -> None:
+        index = next(i for i, line in enumerate(lines) if '"kind":"episode_end"' in line)
+        doc = json.loads(lines[index])
+        doc["payload"]["status"] = value
+        lines[index] = json.dumps(doc)
+
+    return edit
+
+
+def test_non_string_episode_status_in_a_log_is_invalid_log(gated_runs, tmp_path, capsys):
+    run_id = _tamper_admitted_web_log(gated_runs, _episode_end_status(5))
+    runs, gate_out = gated_runs
+    capsys.readouterr()
+    assert main(_report_argv(runs, gate_out, tmp_path / "report", [])) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "invalid_log"
+    assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+    assert record["message"].endswith(": episode_end status 5 is not a string")
+
+
+def _flip_first_selection(doc: dict) -> None:
+    cell = doc["cells"][0]
+    cell["selected"] = next(label for label in cell["auc_by_variant"] if label != cell["selected"])
+
+
+def _cell_message(doc: dict) -> str:
+    cell = doc["cells"][0]
+    label = f"{cell['backend']}/s{cell['seed']}/b{cell['budget']}/{cell['setting']}"
+    return f"cell {label} selects {cell['selected']!r}, not the argmax of its AUCs"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(reversal_cells=11),
+         lambda doc: "11/12 reversals stated, 12/12 in its cells"),
+        (lambda doc: doc.update(comparable_cells=13),
+         lambda doc: "12/13 reversals stated, 12/12 in its cells"),
+        (_flip_first_selection, _cell_message),
+    ],
+    ids=["reversal-count", "comparable-count", "selected"],
+)
+def test_study_report_that_disagrees_with_its_cells_is_invalid(
+    edit, message, study_out, tmp_path, capsys
+):
+    study = tmp_path / "decision_study.json"
+    shutil.copy(study_out / "decision_study.json", study)
+    _edit_json(study, edit)
+    capsys.readouterr()
+    argv = _report_argv(study_out, study_out, tmp_path / "report", ["--study", str(study)])
+    assert main(argv) == EXIT_ERROR
+    doc = json.loads(study.read_text(encoding="utf-8"))
+    assert _last_error_record(capsys) == {
+        "error": "invalid_study_report",
+        "message": f"invalid_study_report: {study}: {message(doc)}",
+    }
+    assert not (tmp_path / "report").exists()

@@ -8,6 +8,9 @@ import pytest
 
 from gatebench.gate import GateDecision
 from gatebench.report import (
+    CLAIM_KEYS,
+    CLAIM_RULES,
+    ClaimEvidence,
     DecisionCell,
     DecisionStudyReport,
     ReportError,
@@ -434,9 +437,117 @@ def test_substrate_claim_requires_clean_validation():
 
 
 def test_verifier_controls_claim_thresholds():
-    diag = {"gold_pass": 5, "gold_total": 5, "noop_fail": 5, "noop_total": 5}
-    matrix = claim_matrix(_gate_report(), None, diag)
+    evidence = ClaimEvidence(gold_pass=5, gold_total=5, noop_fail=5, noop_total=5)
+    matrix = claim_matrix(_gate_report(), None, evidence)
     assert matrix.row("verifier_controls").status == "supported"
-    diag_partial = {"gold_pass": 4, "gold_total": 5, "noop_fail": 5, "noop_total": 5}
-    matrix = claim_matrix(_gate_report(), None, diag_partial)
+    partial = ClaimEvidence(gold_pass=4, gold_total=5, noop_fail=5, noop_total=5)
+    matrix = claim_matrix(_gate_report(), None, partial)
     assert matrix.row("verifier_controls").status == "caveated"
+
+
+# Every status each claim rule can give, from the inputs that reach it:
+# (claim, gate report, study report, evidence, expected (status, rows, scope)).
+_EMPTY_GATE = GateReport(
+    scope="canonical", indexed=0, admitted=0, excluded=0, quarantined=0,
+    by_reason={}, by_stratum={},
+    missing_strata=("real_task_anchor", "llm_driver", "bounded_extension_or_diagnostic"),
+    validation_failures=0,
+)
+_NONE = ClaimEvidence()
+_CONTROLS = {"gold_pass": 5, "gold_total": 5, "noop_fail": 5, "noop_total": 5}
+_CLAIM_CASES = [
+    ("substrate_evidence_gate", _EMPTY_GATE, None, _NONE, ("not_claimed", 0, "no admitted rows")),
+    ("substrate_evidence_gate", _gate_report(), None, _NONE, (
+        "supported", 10,
+        "canonical surface; all planned strata present, zero validation failures",
+    )),
+    ("substrate_evidence_gate", _gate_report(failures=1, missing=("llm_driver",)), None, _NONE,
+     ("caveated", 10, "missing strata ['llm_driver'], 1 validation failures")),
+    ("real_task_anchors", _gate_report(strata={"llm_driver": 4}), None, _NONE,
+     ("not_claimed", 0, "scripted/calibration anchors")),
+    ("real_task_anchors", _gate_report(), None, _NONE,
+     ("supported", 4, "scripted/calibration anchors")),
+    ("llm_driver_traffic", _gate_report(strata={"real_task_anchor": 4}), None, _NONE,
+     ("not_claimed", 0, "traffic and cost evidence, not capability")),
+    ("llm_driver_traffic", _gate_report(), None, _NONE,
+     ("supported", 4, "traffic and cost evidence, not capability")),
+    ("verifier_controls", _gate_report(), None, _NONE, ("not_claimed", 0, "no control rows")),
+    ("verifier_controls", _gate_report(), None, ClaimEvidence(**_CONTROLS),
+     ("supported", 10, "gold 5/5 pass, noop 5/5 fail")),
+    ("verifier_controls", _gate_report(), None, ClaimEvidence(**{**_CONTROLS, "noop_fail": 4}),
+     ("caveated", 10, "gold 5/5, noop 4/5")),
+    ("verifier_controls", _gate_report(), None, ClaimEvidence(noop_fail=5, noop_total=5),
+     ("caveated", 5, "gold 0/0, noop 5/5")),
+    ("replay_fidelity", _gate_report(), None, _NONE, ("not_claimed", 0, "no replay diagnostic")),
+    ("replay_fidelity", _gate_report(), None,
+     ClaimEvidence(r1_reductions=(0.995, 0.997), r1_terminal_matches=2),
+     ("supported", 2, "trace-replay reduction 0.9960, all terminals match")),
+    ("replay_fidelity", _gate_report(), None,
+     ClaimEvidence(r1_reductions=(0.995, 0.997), r1_terminal_matches=1),
+     ("supported_bounded", 2, "reduction 0.9960")),
+    ("replay_fidelity", _gate_report(), None,
+     ClaimEvidence(r1_reductions=(0.95,), r1_terminal_matches=1),
+     ("supported_bounded", 1, "reduction 0.9500")),
+    ("replay_fidelity", _gate_report(), None,
+     ClaimEvidence(r1_reductions=(0.5, 0.7), r1_terminal_matches=2),
+     ("caveated", 2, "reduction 0.6000")),
+    ("throughput_scaling", _gate_report(), None, _NONE, ("not_claimed", 0, "no scaling diagnostic")),
+    ("throughput_scaling", _gate_report(), None, ClaimEvidence(throughput_eps=(1.0, 2.5, 4.0)),
+     ("supported", 3, "episodes/s strictly increasing across concurrency levels")),
+    ("throughput_scaling", _gate_report(), None, ClaimEvidence(throughput_eps=(1.0, 2.5, 2.5)),
+     ("caveated", 3, "trend not monotone")),
+    ("stronger_driver_sanity", _gate_report(), None, _NONE, ("not_claimed", 0, "no sanity rows")),
+    ("stronger_driver_sanity", _gate_report(), None, ClaimEvidence(sanity_episodes=6),
+     ("appendix_only", 6, "separate sanity evidence; non-comparative")),
+    ("controller_decision_study", _gate_report(), None, _NONE,
+     ("not_claimed", 0, "no admitted decision-study rows")),
+    ("controller_decision_study", _gate_report(),
+     dataclasses.replace(_study_report(), admitted=0, blocked=48), _NONE,
+     ("not_claimed", 0, "no admitted decision-study rows")),
+    ("controller_decision_study", _gate_report(), _study_report(), _NONE, (
+        "supported", 48,
+        "tested grid only: 12/12 comparable cells reverse clean-vs-stressed selection",
+    )),
+    ("controller_decision_study", _gate_report(), _study_report(reversals=10), _NONE,
+     ("caveated", 48, "10/12 reversals, 0 blocked")),
+    ("controller_decision_study", _gate_report(), _study_report(blocked=3), _NONE,
+     ("caveated", 48, "12/12 reversals, 3 blocked")),
+    ("controller_decision_study", _gate_report(), _study_report(reversals=0, comparable=0), _NONE,
+     ("caveated", 48, "0/0 reversals, 0 blocked")),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, gate_rep, study, evidence, expected", _CLAIM_CASES,
+    ids=[f"{case[0]}-{case[4][0]}-{index}" for index, case in enumerate(_CLAIM_CASES)],
+)
+def test_claim_rule_gives_each_of_its_statuses(claim, gate_rep, study, evidence, expected):
+    matrix = claim_matrix(gate_rep, study, evidence)
+    assert CLAIM_KEYS == tuple(row.claim for row in matrix.rows)
+    row = matrix.row(claim)
+    assert (row.status, row.rows_used, row.scope) == expected
+
+
+def test_claim_cases_cover_every_rule():
+    assert CLAIM_KEYS == tuple(claim for claim, _ in CLAIM_RULES)
+    assert len(set(CLAIM_KEYS)) == len(CLAIM_KEYS) == 8
+    assert {case[0] for case in _CLAIM_CASES} == set(CLAIM_KEYS)
+
+
+def test_episode_end_statuses_are_counted_and_must_be_strings():
+    from tests.test_schema import make_event
+
+    statuses = ["success", "failure", "success", "missing_terminal"]
+    events = [
+        make_event("episode_end", index, f"ep-{index}", payload={"status": status, "steps": 1})
+        for index, status in enumerate(statuses)
+    ]
+    summary = summarize_run(events)
+    assert summary.episode_statuses == {"success": 2, "failure": 1, "missing_terminal": 1}
+    events[2] = make_event("episode_end", 2, "ep-2", payload={"status": True, "steps": 1})
+    with pytest.raises(ReportError) as err:
+        summarize_run(events)
+    assert err.value.code == "invalid_log"
+    assert str(err.value) == (
+        "invalid_log: run run-1: event 2: episode_end status True is not a string"
+    )
