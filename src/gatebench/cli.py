@@ -24,7 +24,7 @@ from .manifest import RELEASE_EPOCH, ManifestStore
 from .replay import load_bundle, replay_run, replay_runset
 from .report import render_claim_matrix, render_decision_table, report_runset
 from .runner import load_plan, load_runset, run_plan, save_plan
-from .schema import REPLAY_CLASSES, render_record
+from .schema import REPLAY_CLASSES, write_json_lines
 from .study import StudyConfig, run_study
 
 EXIT_OK = 0
@@ -95,8 +95,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         runset = load_runset(args.runset)
         out.mkdir(parents=True, exist_ok=True)
         results = replay_runset(runset, out, args.replay_class)
-    lines = [render_record(result) for result in results]
-    (out / "replay_results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json_lines(out / "replay_results.jsonl", results)
     matches = sum(1 for result in results if result.terminal_match)
     print(f"{len(results)} replays, {matches} terminal matches")
     return EXIT_OK

@@ -29,8 +29,8 @@ from .schema import (
     GatebenchError,
     Record,
     read_json,
-    render_record,
     write_json,
+    write_json_lines,
 )
 from .simenv import CLEAN_LABEL
 
@@ -283,8 +283,7 @@ def save_gate_outputs(
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)
     write_json(base / "gate_report.json", report)
-    lines = [render_record(decision) for decision in decisions]
-    (base / "gate_decisions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json_lines(base / "gate_decisions.jsonl", decisions)
     if decision_report is not None:
         write_json(base / "gate_report_decision_study.json", decision_report)
 

@@ -228,16 +228,6 @@ def resolve_manifest(task_id: str, root: ReleaseRoot, store: ManifestStore) -> T
 
 
 @record
-class SuiteVersions:
-    """Version set stamped onto freeze records at release time."""
-
-    suite_version: str = SUITE_VERSION
-    schema_version: str = SCHEMA_VERSION
-    replay_harness_version: str = REPLAY_HARNESS_VERSION
-    seed_policy: str = "fixed-per-entry"
-
-
-@record
 class FreezeRecord(Record):
     """Release-time version binding for one run.
 
@@ -267,7 +257,6 @@ def freeze_run(
     driver: "DriverRecord",
     setting_label: str,
     manifest_hash: Digest,
-    versions: SuiteVersions | None = None,
 ) -> FreezeRecord:
     """Bind one run to its release-time versions; deterministic in its inputs.
 
@@ -275,7 +264,6 @@ def freeze_run(
     already computed.
     """
 
-    versions = versions or SuiteVersions()
     verifier_version = str(manifest.family_params.get("verifier_version", "") or "")
     if manifest.family == "code" and not verifier_version:
         raise ManifestError(
@@ -292,17 +280,17 @@ def freeze_run(
         if not value:
             raise ManifestError("incomplete_freeze", f"freeze field {name} is empty")
     return FreezeRecord(
-        suite_version=versions.suite_version,
+        suite_version=SUITE_VERSION,
         manifest_hash=manifest_hash,
         driver_id=driver.driver_id,
         driver_version=driver.driver_version,
         parser_version=driver.parser_version,
         snapshot_digest=manifest.snapshot_digest(),
         verifier_version=verifier_version,
-        schema_version=versions.schema_version,
-        replay_harness_version=versions.replay_harness_version,
+        schema_version=SCHEMA_VERSION,
+        replay_harness_version=REPLAY_HARNESS_VERSION,
         setting_label=setting_label,
-        seed_policy=versions.seed_policy,
+        seed_policy="fixed-per-entry",
         model_backend_id=driver.model_backend_id,
         prompt_template_hash=driver.prompt_template_hash,
         repo_commit=(
@@ -369,7 +357,6 @@ __all__ = [
     "REPLAY_HARNESS_VERSION",
     "ReleaseRoot",
     "SUITE_VERSION",
-    "SuiteVersions",
     "TaskManifest",
     "freeze_run",
     "make_manifest",

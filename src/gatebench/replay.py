@@ -2,8 +2,9 @@
 
 Each workload family has its own reproducibility boundary:
 
-* R0 (micro): summary replay — recompute rollup statistics from stored
-  per-episode rows and check equality with the frozen rollup.
+* R0 (micro): summary replay — take the per-episode rows from the verified
+  log's ``episode_end`` events, check them against the run's episode
+  summaries in ``runset.json``, and recompute the frozen rollup from them.
 * R1 (web): event-trace replay with evaluator freeze — re-drive the recorded
   action/transition sequence with a fixed per-step replay cost and re-run the
   frozen evaluator over the final state.
@@ -16,13 +17,12 @@ identical results.
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 from typing import Any, Final, Mapping, Sequence
 
 from .manifest import FAMILY_REPLAY_CLASS, REPLAY_HARNESS_VERSION
 from .records import record
-from .runner import RunRecord, RunSet, map_runs
+from .runner import RunRecord, RunSet, map_runs, parse_episode_index, reduce_episodes, verdict_rng
 from .schema import (
     EventRecord,
     GatebenchError,
@@ -30,6 +30,7 @@ from .schema import (
     doc_field,
     float_sum,
     read_json,
+    render_record,
     write_json,
 )
 
@@ -76,10 +77,13 @@ def _episode_rollup(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     }
 
 
-def build_bundle(run: RunRecord, events: Sequence[EventRecord] | None = None) -> ReplayBundle:
+def build_bundle(run: RunRecord, events: Sequence[EventRecord]) -> ReplayBundle:
     """Extract the frozen replay material for a run, per its family's class.
 
-    R1 and R2 need the run's event trace; R0 works from episode summaries.
+    ``events`` is the run's verified event log. R0's episode rows are
+    :func:`runner.reduce_episodes` of it, one per ``episode_end``, checked
+    against the ``episode_summaries`` of ``runset.json`` by value and type:
+    a difference is ``summary_mismatch``, naming the run.
     """
 
     if run.freeze is None:
@@ -90,7 +94,11 @@ def build_bundle(run: RunRecord, events: Sequence[EventRecord] | None = None) ->
     }
 
     if run.family == "micro":
-        rows = [summary.to_doc() for summary in run.episode_summaries]
+        logged, _ = reduce_episodes(events)
+        if list(map(render_record, logged)) != list(map(render_record, run.episode_summaries)):
+            message = f"run {run.run_id}: runset.json's episode summaries are not its log's"
+            raise ReplayError("summary_mismatch", message)
+        rows = [row.to_doc() for row in logged]
         material = {
             "run_id": run.run_id,
             "episode_rows": rows,
@@ -98,9 +106,6 @@ def build_bundle(run: RunRecord, events: Sequence[EventRecord] | None = None) ->
             "collector": "summary-stats",
         }
         return ReplayBundle(replay_class="R0", material=material)
-
-    if events is None:
-        raise ReplayError("missing_replay_freeze", "event trace required for R1/R2 bundles")
 
     if run.family == "web":
         material = {
@@ -219,15 +224,6 @@ def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
     )
 
 
-def _episode_index(episode_id: str) -> int:
-    """The episode index in a runner episode id, ``<run_id>-ep<index>``."""
-
-    _, sep, digits = episode_id.rpartition("-ep")
-    if not sep or not (digits.isascii() and digits.isdigit()):
-        raise ReplayError("invalid_bundle", f"episode id {episode_id!r} has no episode index")
-    return int(digits)
-
-
 def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
     freeze = material["verifier_freeze"]
     if not freeze.get("verifier_version"):
@@ -243,8 +239,7 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
             replayed = "failure"
         else:
             # Seeded as the runner seeds the episode's verifier decision.
-            index = _episode_index(str(decision["episode_id"]))
-            rng = random.Random(f"verify:{snapshot_hex}:{seed}:{index}")
+            rng = verdict_rng(snapshot_hex, seed, parse_episode_index(str(decision["episode_id"])))
             replayed = "success" if rng.random() < float(decision["pass_prob"]) else "failure"
         if replayed != decision["status"]:
             matched = False
@@ -292,8 +287,7 @@ def _replay_job(context: tuple[RunSet, Path], index: int) -> ReplayResult:
 
     runset, out = context
     run = runset.runs[index]
-    events = runset.events_for(run) if run.event_log_ref else None
-    bundle = build_bundle(run, events)
+    bundle = build_bundle(run, runset.events_for(run))
     save_bundle(bundle, out / f"bundle_{run.run_id}.json")
     return replay_run(bundle)
 

@@ -22,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Final, Mapping, NoReturn, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Final, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 from .drivers import (
     Action,
@@ -41,7 +41,6 @@ from .manifest import (
     FreezeRecord,
     ManifestError,
     ManifestStore,
-    SuiteVersions,
     TaskManifest,
     freeze_run,
     resolve_manifest,
@@ -291,6 +290,25 @@ def make_run_id(
         }
     )
     return digest.hex[:RUN_ID_HEX_LEN]
+
+
+def make_episode_id(run_id: str, index: int) -> str:
+    return f"{run_id}-ep{index:03d}"
+
+
+def parse_episode_index(episode_id: str) -> int:
+    """The index in an id from :func:`make_episode_id`; ``ValueError`` without one."""
+
+    _, sep, digits = episode_id.rpartition("-ep")
+    if not sep or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"episode id {episode_id!r} has no episode index")
+    return int(digits)
+
+
+def verdict_rng(snapshot_hex: str, seed: int, episode_index: int) -> random.Random:
+    """A code episode's verdict stream, frozen so that R2 replay recomputes it bit for bit."""
+
+    return random.Random(f"verify:{snapshot_hex}:{seed}:{episode_index}")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +569,7 @@ def end_episode(
     start_ms: float,
     terminal: TerminalOutcome | None,
     **extra: Any,
-) -> EpisodeSummary:
+) -> None:
     """An episode's ``terminal_result`` (``error`` without a terminal) and ``episode_end``."""
 
     if terminal is None:
@@ -569,10 +587,8 @@ def end_episode(
                 **extra,
             },
         )
-    wall_ms = clock_ms - start_ms
     emit("episode_end", clock_ms, episode_id, 0, None,
-         {"status": status, "steps": steps, "wall_ms": wall_ms})
-    return EpisodeSummary(episode_id=episode_id, status=status, steps=steps, wall_ms=wall_ms)
+         {"status": status, "steps": steps, "wall_ms": clock_ms - start_ms})
 
 
 # ---------------------------------------------------------------------------
@@ -617,31 +633,31 @@ def close_run(
     driver: DriverRecord,
     repetition: int,
     planned_episodes: int,
-    summaries: Sequence[EpisodeSummary],
     end_ms: float,
-    versions: SuiteVersions | None = None,
     **fields: Any,
 ) -> tuple[RunRecord, list[EventRecord]]:
     """Write ``run_end``, validate the stream and build the run's record.
 
-    The harness terminal counts successes over planned episodes; a run with
-    an episode that ended without a terminal has none. ``fields`` are the
+    Its episode rows and reward trajectory are :func:`reduce_episodes` of the
+    events. The harness terminal counts successes over planned episodes; a run
+    with an episode that ended without a terminal has none. ``fields`` are the
     remaining ``RunRecord`` fields of the caller's run kind.
     """
 
-    successes = sum(1 for item in summaries if item.status == "success")
+    rows, trajectory = reduce_episodes(builder.events)
+    successes = sum(1 for row in rows if row.status == "success")
     builder.emit(
         "run_end",
         end_ms,
         payload={
             "status": "success",
             "successes": successes,
-            "episodes_completed": len(summaries),
+            "episodes_completed": len(rows),
         },
     )
     trace_complete = builder.finalize()
     terminal = None
-    if all(item.status != "missing_terminal" for item in summaries):
+    if all(row.status != "missing_terminal" for row in rows):
         terminal = TerminalOutcome(
             status="success", evaluator_id="harness", detail=f"{successes}/{planned_episodes}"
         )
@@ -657,10 +673,10 @@ def close_run(
         repetition=repetition,
         event_log_ref=f"logs/{builder.run_id}.log",
         trace_complete=trace_complete,
-        freeze=freeze_run(manifest, driver, driver.setting_label, manifest_hash, versions),
+        freeze=freeze_run(manifest, driver, driver.setting_label, manifest_hash),
         terminal=terminal,
-        episode_summaries=tuple(summaries),
-        reward_trajectory=tuple(build_reward_trajectory(builder.events)),
+        episode_summaries=tuple(rows),
+        reward_trajectory=tuple(trajectory),
         **fields,
     )
     return record, builder.events
@@ -707,12 +723,8 @@ def _verify_patch(
                  {"tool_name": "patch_apply"})
     quality, pass_prob = _patch_quality(spec)
     ticket = queue.ticket(queue.submit(clock_ms, _verify_demand_ms(rng, "code", setting)))
-    # Decision stream frozen to (snapshot, run seed, episode) so
-    # snapshot-class replay can recompute the verdict bit for bit.
     snapshot = builder.provenance.snapshot_digest
-    decision_rng = random.Random(
-        f"verify:{snapshot.hex if snapshot else ''}:{builder.run_seed}:{episode_index}"
-    )
+    decision_rng = verdict_rng(snapshot.hex if snapshot else "", builder.run_seed, episode_index)
     terminal = verifier_outcome(
         quality, decision_rng, generated_pass_prob=pass_prob, evaluator_id=manifest.verifier_id
     )
@@ -733,10 +745,10 @@ def _run_one_episode(
     episode_index: int,
     budget: int,
     clock_ms: float,
-) -> tuple[EpisodeSummary, float, int]:
-    """Execute one episode starting at ``clock_ms``; returns (summary, end clock, retries)."""
+) -> tuple[float, int]:
+    """Execute one episode starting at ``clock_ms``; returns (end clock, retries)."""
 
-    episode_id = f"{builder.run_id}-ep{episode_index:03d}"
+    episode_id = make_episode_id(builder.run_id, episode_index)
     env, end_ms, retries = run_episode_steps(
         builder.emit, manifest, spec, setting, rng, episode_id, episode_index, budget, clock_ms,
         latency_scale=1.0, retry_cap=spec.retry_budget, retry_on_last_step=True,
@@ -753,10 +765,10 @@ def _run_one_episode(
             builder.emit, ticket, episode_id, env.step_count, terminal.status,
             manifest.verifier_id,
         )
-    summary = end_episode(
+    end_episode(
         builder.emit, end_ms, episode_id, env.step_count, env.step_count, clock_ms, terminal
     )
-    return summary, end_ms, retries
+    return end_ms, retries
 
 
 def execute_run(
@@ -768,7 +780,6 @@ def execute_run(
     planned_episodes: int,
     repetition: int = 0,
     concurrency: int = 1,
-    versions: SuiteVersions | None = None,
 ) -> tuple[RunRecord, list[EventRecord]]:
     """Execute one plain run of sequential episodes on a fresh simulated clock."""
 
@@ -780,13 +791,11 @@ def execute_run(
     queue = VerifierQueue(servers=1)
 
     clock_ms = 0.0
-    summaries: list[EpisodeSummary] = []
     retry_total = 0
     for index in range(planned_episodes):
-        summary, clock_ms, retries = _run_one_episode(
+        clock_ms, retries = _run_one_episode(
             builder, manifest, spec, setting, rng, queue, index, budget, clock_ms
         )
-        summaries.append(summary)
         retry_total += retries
         if not builder.trace_complete:
             # Validator violation: abort the run with an error event.
@@ -798,45 +807,47 @@ def execute_run(
             break
 
     return close_run(
-        builder, manifest, driver, repetition, planned_episodes, summaries, clock_ms, versions,
+        builder, manifest, driver, repetition, planned_episodes, clock_ms,
         retry_count=retry_total, retry_budget=spec.retry_budget, concurrency=concurrency,
     )
 
 
 # ---------------------------------------------------------------------------
-# Reward trajectories
+# The episode reducer: episode rows and reward trajectory from the event log
 # ---------------------------------------------------------------------------
 
 
-def build_reward_trajectory(events: Sequence[EventRecord]) -> list[RewardPoint]:
-    """Cumulative success fraction at each terminal result, prefixed with (0, 0).
+def reduce_episodes(
+    events: Iterable[EventRecord],
+) -> tuple[list[EpisodeSummary], list[RewardPoint]]:
+    """One pass over a run's events: (its episode rows, its reward trajectory).
 
-    The denominator is the planned episode count declared at run start. Points
-    landing at identical instants collapse to the latest cumulative value.
+    One row per ``episode_end``, in log order (``wall_ms`` ``None`` when
+    absent). The trajectory is the cumulative success fraction at each
+    ``terminal_result``, prefixed with (0, 0), over the ``planned_episodes``
+    of the first ``run_start`` (``invalid_trajectory`` unless a positive
+    int); points at one instant collapse to the latest value.
     """
 
-    planned = 0
-    for event in events:
-        if event.kind == "run_start":
-            planned = int(event.payload.get("planned_episodes", 0))
-            break
-    if planned <= 0:
-        raise RunnerError("invalid_trajectory", "run_start with planned_episodes required")
-
-    points: list[RewardPoint] = [RewardPoint(wall_clock_ms=0.0, reward=0.0)]
+    rows: list[EpisodeSummary] = []
+    planned: Any = None
     successes = 0
+    counts = [(0.0, 0)]  # (clock, successes so far) per distinct terminal instant
     for event in events:
-        if event.kind != "terminal_result":
-            continue
-        if event.payload.get("status") == "success":
-            successes += 1
-        reward = successes / planned
-        point = RewardPoint(wall_clock_ms=event.wall_clock_ms, reward=reward)
-        if points and point.wall_clock_ms == points[-1].wall_clock_ms:
-            points[-1] = point
-        else:
-            points.append(point)
-    return points
+        kind, payload = event.kind, event.payload
+        if kind == "terminal_result":
+            successes += payload.get("status") == "success"
+            if event.wall_clock_ms == counts[-1][0]:
+                counts.pop()
+            counts.append((event.wall_clock_ms, successes))
+        elif kind == "episode_end":
+            steps, wall_ms = payload["steps"], payload.get("wall_ms")
+            rows.append(EpisodeSummary(event.episode_id, payload["status"], steps, wall_ms))
+        elif kind == "run_start" and planned is None:
+            planned = payload.get("planned_episodes")
+    if type(planned) is not int or planned <= 0:
+        raise RunnerError("invalid_trajectory", "run_start with planned_episodes required")
+    return rows, [RewardPoint(clock, count / planned) for clock, count in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -1206,19 +1217,22 @@ __all__ = [
     "RunRecord",
     "RunSet",
     "RunnerError",
-    "build_reward_trajectory",
     "close_run",
     "emit_verifier_outcome",
     "end_episode",
     "execute_run",
     "load_plan",
     "load_runset",
+    "make_episode_id",
     "make_run_id",
     "map_runs",
     "open_run",
+    "parse_episode_index",
     "provenance_for",
+    "reduce_episodes",
     "run_episode_steps",
     "run_plan",
     "save_plan",
     "save_runset",
+    "verdict_rng",
 ]

@@ -1011,7 +1011,7 @@ class RunValidator:
         self._ended = False
         self._open_episodes: dict[str, dict[str, bool]] = {}
         self._closed_episodes: set[str] = set()
-        self._terminal_episodes: set[str] = set()
+        self._terminal_statuses: dict[str, Any] = {}  # episode id -> its terminal status
         self._seen_spans: set[str] = set()
         self._trace_id: str | None = None
 
@@ -1074,11 +1074,20 @@ class RunValidator:
                 if kind == "model_request_end" and not state["request_open"]:
                     _flag(violations, "boundary_mismatch", "kind",
                           "model_request_end without model_request_start")
-                if kind == "terminal_result" and episode in self._terminal_episodes:
+                if kind == "terminal_result" and episode in self._terminal_statuses:
                     _flag(violations, "boundary_mismatch", "kind", "duplicate terminal_result")
                 if kind == "episode_end" and (state["env_step_open"] or state["request_open"]):
                     _flag(violations, "boundary_mismatch", "kind",
                           "episode_end with open step or request")
+                if kind == "episode_end" and "status" in event.payload:
+                    status = event.payload["status"]
+                    expected = self._terminal_statuses.get(episode, "missing_terminal")
+                    if type(status) is not str:
+                        _flag(violations, "invalid_value", "payload.status",
+                              f"episode_end status {status!r} is not a string")
+                    elif status != expected:
+                        _flag(violations, "invalid_value", "payload.status",
+                              f"episode_end status {status!r} is not its episode's {expected!r}")
 
         if kind == "run_end" and self._open_episodes:
             open_ids = ", ".join(sorted(self._open_episodes))
@@ -1109,7 +1118,7 @@ class RunValidator:
         elif kind == "model_request_end":
             self._open_episodes[event.episode_id]["request_open"] = False
         elif kind == "terminal_result":
-            self._terminal_episodes.add(event.episode_id)
+            self._terminal_statuses[event.episode_id] = event.payload.get("status")
         self._last_sequence = event.sequence
         self._last_clock = event.wall_clock_ms
         self._seen_spans.add(event.trace.span_id)
@@ -1362,6 +1371,20 @@ def write_json(path: Path | str, content: Any) -> None:
         handle.write("\n")
 
 
+def write_json_lines(
+    path: Path | str, records: Iterable[Record], header: Mapping[str, Any] | None = None
+) -> None:
+    """The one JSON-lines writer: ``canonical_json(header)`` when given, then
+    each record's :func:`render_record`, one per line. All are rendered before
+    the file is opened, so a record that does not render leaves it as it was."""
+
+    lines = [] if header is None else [canonical_json(header)]
+    lines += map(render_record, records)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines))
+        handle.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Event-log files
 # ---------------------------------------------------------------------------
@@ -1370,14 +1393,10 @@ def write_json(path: Path | str, content: Any) -> None:
 def write_event_log(
     path: Path | str, events: Iterable[EventRecord], schema_version: str = SCHEMA_VERSION
 ) -> None:
-    """Write events as newline-delimited canonical documents with a header line.
+    """Write events as newline-delimited canonical documents after a header
+    line holding ``schema_version``, by :func:`write_json_lines`."""
 
-    Each line is :func:`render_record` of its event.
-    """
-
-    lines = [canonical_json({"schema_version": schema_version})]
-    lines += map(render_record, events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json_lines(path, events, {"schema_version": schema_version})
 
 
 def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
@@ -1458,4 +1477,5 @@ __all__ = [
     "text_hash",
     "write_event_log",
     "write_json",
+    "write_json_lines",
 ]

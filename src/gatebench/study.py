@@ -52,7 +52,6 @@ from .report import (
 )
 from .runner import (
     DriverSpec,
-    EpisodeSummary,
     PlanEntry,
     RunPlan,
     RunRecord,
@@ -60,6 +59,7 @@ from .runner import (
     close_run,
     emit_verifier_outcome,
     end_episode,
+    make_episode_id,
     open_run,
     run_episode_steps,
     run_plan,
@@ -170,9 +170,6 @@ class _ControllerRunSim:
         # timing, payload). ``order`` is unique within the run, so the tuples
         # sort by (time, order) without comparing the fields after it.
         self.records: list[tuple] = []
-        # Episodes end in time order, so this is also the order of their
-        # ``episode_end`` events in the sorted stream.
-        self.summaries: list[EpisodeSummary] = []
         self.retry_events = 0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._heap_seq = 0
@@ -222,19 +219,10 @@ class _ControllerRunSim:
         extra: dict[str, Any] = {"sample_retry_count": sample.attempts - 1}
         if drop_reason is not None:
             extra["drop_reason"] = drop_reason
-        self.summaries.append(
-            end_episode(
-                self._record,
-                time_ms,
-                sample.episode_id,
-                0,
-                sample.steps,
-                sample.start_ms,
-                TerminalOutcome(
-                    status=status, evaluator_id=self.manifest.verifier_id, detail=detail
-                ),
-                **extra,
-            )
+        end_episode(
+            self._record, time_ms, sample.episode_id, 0, sample.steps, sample.start_ms,
+            TerminalOutcome(status=status, evaluator_id=self.manifest.verifier_id, detail=detail),
+            **extra,
         )
 
     def _deliver(self, time_ms: float, lane: int, sample: _Sample, info: Ticket) -> None:
@@ -312,7 +300,7 @@ class _ControllerRunSim:
         if not self.pending:
             return
         episode_index = self.pending.pop(0)
-        episode_id = f"{self.run_id}-ep{episode_index:03d}"
+        episode_id = make_episode_id(self.run_id, episode_index)
         env, body_end, retries = run_episode_steps(
             self._record,
             self.manifest,
@@ -402,13 +390,7 @@ def simulate_controller_run(
     for time_ms, _, kind, episode_id, step_index, timing, payload in timed:
         emit(kind, time_ms, episode_id, step_index, timing, payload)
     return close_run(
-        builder,
-        manifest,
-        driver,
-        repetition,
-        episodes,
-        sim.summaries,
-        timed[-1][0] if timed else 0.0,
+        builder, manifest, driver, repetition, episodes, timed[-1][0] if timed else 0.0,
         retry_count=sim.retry_events,
         # The run-level retry allowance the gate checks aggregate retries against.
         retry_budget=episodes * (SAMPLE_RETRY_BUDGET + 1),

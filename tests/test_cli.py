@@ -1013,6 +1013,31 @@ def test_non_string_episode_status_in_a_log_is_invalid_log(gated_runs, tmp_path,
     assert record["message"].endswith(": episode_end status 5 is not a string")
 
 
+def test_episode_status_that_contradicts_its_terminal_result_is_invalid_log(
+    gated_runs, tmp_path, capsys
+):
+    # An oracle episode's episode_end says failure while its terminal_result
+    # still says success; the claim evidence counts episode_end statuses.
+    runs, gate_out = gated_runs
+    run_id = next(
+        run.run_id for run in runner.load_runset(runs).runs
+        if run.driver.driver_id == "oracle-control"
+    )
+    log = runs / "logs" / f"{run_id}.log"
+    lines = log.read_text(encoding="utf-8").split("\n")
+    _episode_end_status("failure")(lines)
+    log.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(_report_argv(runs, gate_out, tmp_path / "report", [])) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "invalid_log"
+    assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+    assert record["message"].endswith(
+        ": invalid_value payload.status: episode_end status 'failure' is not its episode's "
+        "'success'"
+    )
+
+
 def _flip_first_selection(doc: dict) -> None:
     cell = doc["cells"][0]
     cell["selected"] = next(label for label in cell["auc_by_variant"] if label != cell["selected"])

@@ -22,7 +22,7 @@ import pytest
 
 from gatebench.drivers import NOOP_ACTION, SampleMeta, hook_a_filter
 from gatebench.gate import GateReport, load_decisions
-from gatebench.manifest import ManifestStore, SuiteVersions, verify_binding
+from gatebench.manifest import ManifestStore, verify_binding
 from gatebench.replay import ReplayResult, load_bundle
 from gatebench.report import (
     ClaimEvidence,
@@ -130,7 +130,7 @@ def instances(golden_tree):
         verify_binding(run, release),
         summarize_run(events, run),
         ClaimEvidence(),
-        StudyConfig(), HOOK_B, PROFILE, SuiteVersions(),
+        StudyConfig(), HOOK_B, PROFILE,
         RunValidator().validate(events[1]),  # no run_start: a failed report with violations
         setting_for_label(run.setting_label),
         NOOP_ACTION, SampleMeta(), hook_a_filter(SampleMeta(has_terminal_outcome=False)),
@@ -192,7 +192,7 @@ _BAD_VALUES = (None, -1, 0, "", "bogus", 1.5)
 
 def test_every_frozen_class_is_a_record(instances):
     classes = _record_classes()
-    assert len(classes) == 42
+    assert len(classes) == 41
     assert sorted(c.__qualname__ for c in classes if c not in instances) == []
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -10,9 +11,11 @@ from gatebench.replay import (
     build_bundle,
     load_bundle,
     replay_run,
+    replay_runset,
     save_bundle,
 )
-from gatebench.runner import DriverSpec, execute_run
+from gatebench.runner import DriverSpec, RunSet, execute_run, load_runset, save_runset
+from gatebench.schema import write_event_log
 from gatebench.simenv import clean_setting
 
 LLM = DriverSpec(
@@ -111,6 +114,39 @@ def test_r0_tampered_summary_detected(micro_manifest):
     bundle.material["rollup"]["successes"] += 1
     with pytest.raises(ReplayError) as err:
         replay_run(bundle)
+    assert err.value.code == "summary_mismatch"
+
+
+def test_r0_rows_come_from_the_log_not_from_runset_json(tmp_path, micro_manifest):
+    # Overwrite every stored episode summary with success, 1 step and 1.0 ms:
+    # the log's episode_end events still say otherwise, so R0 must refuse.
+    record, events = _run(micro_manifest, SCRIPTED)
+    (tmp_path / "logs").mkdir()
+    write_event_log(tmp_path / record.event_log_ref, events)
+    save_runset(RunSet(runs=[record]), tmp_path)
+    out = tmp_path / "replay"
+    out.mkdir()
+    (honest,) = replay_runset(load_runset(tmp_path), out)
+    assert honest.terminal_match
+    index = tmp_path / "runset.json"
+    doc = json.loads(index.read_text(encoding="utf-8"))
+    for summary in doc["runs"][0]["episode_summaries"]:
+        summary.update(status="success", steps=1, wall_ms=1.0)
+    index.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_runset(tmp_path).runs[0].episode_summaries != record.episode_summaries
+    with pytest.raises(ReplayError) as err:
+        replay_runset(load_runset(tmp_path), out)
+    assert err.value.code == "summary_mismatch"
+    assert err.value.message.startswith(f"run {record.run_id}: ")
+
+
+def test_r0_summary_of_another_type_is_a_mismatch(micro_manifest):
+    record, events = _run(micro_manifest, SCRIPTED)
+    first, *rest = record.episode_summaries
+    retyped = dataclasses.replace(first, steps=float(first.steps))
+    assert retyped == first  # equal as values, so only the types tell them apart
+    with pytest.raises(ReplayError) as err:
+        build_bundle(dataclasses.replace(record, episode_summaries=(retyped, *rest)), events)
     assert err.value.code == "summary_mismatch"
 
 

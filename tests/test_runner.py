@@ -18,11 +18,11 @@ from gatebench.runner import (
     RunRecord,
     RunSet,
     RunnerError,
-    build_reward_trajectory,
     emit_verifier_outcome,
     execute_run,
     load_runset,
     make_run_id,
+    reduce_episodes,
     run_plan,
 )
 from gatebench.schema import (
@@ -270,9 +270,38 @@ def test_cumulative_quarters():
                        payload={"status": "success", "steps": 1})
         )
         seq += 1
-    trajectory = build_reward_trajectory(events)
+    _, trajectory = reduce_episodes(events)
     assert [point.reward for point in trajectory] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert [point.wall_clock_ms for point in trajectory] == [0.0, 10.0, 20.0, 30.0, 40.0]
+
+
+def test_episode_rows_are_the_episode_end_events_in_log_order(web_manifest):
+    spec = DriverSpec(name="llm", driver_type="llm", model_family="sim", backend_engine="vllm")
+    record, events = execute_run(
+        web_manifest, spec, clean_setting(), seed=5, budget=6, planned_episodes=4
+    )
+    rows, trajectory = reduce_episodes(events)
+    ends = [event for event in events if event.kind == "episode_end"]
+    assert [row.episode_id for row in rows] == [event.episode_id for event in ends]
+    assert [(row.status, row.steps, row.wall_ms) for row in rows] == [
+        (event.payload["status"], event.payload["steps"], event.payload["wall_ms"])
+        for event in ends
+    ]
+    assert (tuple(rows), tuple(trajectory)) == (
+        record.episode_summaries, record.reward_trajectory
+    )
+
+
+@pytest.mark.parametrize("planned", [0, 2.0, True, "4", None])
+def test_trajectory_needs_a_positive_int_planned_episode_count(planned):
+    from tests.test_schema import make_event
+
+    start = make_event("run_start", 0, payload={"setting_label": "clean"})
+    if planned is not None:
+        start.payload["planned_episodes"] = planned
+    with pytest.raises(RunnerError) as err:
+        reduce_episodes([start])
+    assert err.value.code == "invalid_trajectory"
 
 
 def test_trajectory_matches_independent_scan_oracle(web_manifest):

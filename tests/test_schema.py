@@ -40,6 +40,7 @@ from gatebench.schema import (
     require_valid_log,
     text_hash,
     write_event_log,
+    write_json_lines,
 )
 
 PROVENANCE = ProvenanceFields(
@@ -422,6 +423,34 @@ def test_interleaved_episodes_validate():
     for event in events:
         assert validator.validate(event).ok, event.kind
     assert validator.finalize().ok
+
+
+@pytest.mark.parametrize(
+    "terminal, status, message",
+    [
+        ("success", "success", None),
+        (None, "missing_terminal", None),
+        ("success", 5, "episode_end status 5 is not a string"),
+        ("success", "failure", "episode_end status 'failure' is not its episode's 'success'"),
+        (None, "success", "episode_end status 'success' is not its episode's 'missing_terminal'"),
+    ],
+)
+def test_episode_end_status_must_be_its_episodes_terminal_status(terminal, status, message):
+    events = [make_event("run_start", 0)]
+    events.append(make_event("episode_start", 1, "ep-0"))
+    if terminal is None:
+        events.append(make_event("error", 2, "ep-0"))
+    else:
+        events.append(make_event("terminal_result", 2, "ep-0", payload={"status": terminal}))
+    end = make_event("episode_end", 3, "ep-0", payload={"status": status, "steps": 0})
+    validator = RunValidator()
+    for event in events:
+        assert validator.validate(event).ok
+    report = validator.validate(end)
+    if message is None:
+        assert report.ok
+    else:
+        assert report.violations == (Violation("invalid_value", "payload.status", message),)
 
 
 def _reference_payload_violations(kind, payload):
@@ -986,6 +1015,22 @@ def test_write_event_log_payload_errors_match_reference(tmp_path, payload, messa
         write_event_log(tmp_path / "run.log", [make_event("run_start", 0), event])
     assert (err.value.code, str(err.value)) == (reference.value.code, str(reference.value))
     assert str(err.value) == f"non_canonical_value: {message}"
+
+
+def test_write_json_lines_renders_every_line_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    events = [make_event("run_start", 0), make_event("run_end", 1)]
+    write_json_lines(path, events)
+    assert path.read_text(encoding="utf-8") == "".join(
+        canonical_json(event.to_doc()) + "\n" for event in events
+    )
+    write_json_lines(path, [])
+    assert path.read_text(encoding="utf-8") == "\n"
+    path.write_text("kept", encoding="utf-8")
+    bad = make_event("run_end", 1, payload={"a": float("nan")})
+    with pytest.raises(SchemaError):
+        write_json_lines(path, [events[0], bad], {"schema_version": SCHEMA_VERSION})
+    assert path.read_text(encoding="utf-8") == "kept"
 
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "equal-copies"])
