@@ -1,10 +1,10 @@
 """Declared drivers: scripted, calibration, synthetic-LLM, and controller hooks.
 
 A driver is the component generating actions for a workload. Every driver call
-produces exactly one action-level record carrying parse status, hashes, token
-counts, and latency, so downstream reports can audit traffic without knowing
-which driver produced it. The two controller hooks are pure functions over
-their inputs:
+produces exactly one ``action_parsed`` payload carrying parse status, hashes,
+token counts, and latency, so downstream reports can audit traffic without
+knowing which driver produced it. The two controller hooks are pure functions
+over their inputs:
 
 * hook A filters samples by validity and staleness, with a fixed reason order;
 * hook B adjusts actor concurrency from verifier queue-pressure telemetry.
@@ -21,7 +21,6 @@ from typing import Any, Final, Mapping, Sequence
 from .manifest import TaskManifest
 from .records import record
 from .schema import (
-    ActionRecord,
     Digest,
     GatebenchError,
     Record,
@@ -95,7 +94,7 @@ _UNPARSED_ACTION: Final = Action(kind="unparsed", advance_prob=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Action-record digests
+# Action-payload digests
 # ---------------------------------------------------------------------------
 
 
@@ -139,24 +138,24 @@ def action_kind_hash(kind: str) -> Digest:
 
 def scripted_next_action(
     obs: Any, script: Sequence[Action], step: int, cyclic: bool = False
-) -> tuple[ActionRecord, Action]:
-    """Return the scripted action for ``step`` with its parsed action record."""
+) -> tuple[dict[str, Any], Action]:
+    """Return the scripted action for ``step`` with its ``action_parsed`` payload."""
 
     if not script:
         raise DriverError("empty_script", "scripted driver needs a non-empty script")
     if not cyclic and step >= len(script):
         raise DriverError("empty_script", f"step {step} beyond script of length {len(script)}")
     action = script[step % len(script)]
-    record = ActionRecord(
-        observation_hash=observation_hash(obs),
-        parse_status="parsed",
-        invalid_action=False,
-        prompt_tokens=0,
-        completion_tokens=0,
-        model_latency_ms=0.0,
-        parsed_action_hash=action_kind_hash(action.kind),
-    )
-    return record, action
+    payload = {
+        "parse_status": "parsed",
+        "invalid_action": False,
+        "observation_hash": observation_hash(obs).hex,
+        "prompt_tokens": 0,
+        "completion_tokens": 0,
+        "model_latency_ms": 0.0,
+        "parsed_action_hash": action_kind_hash(action.kind).hex,
+    }
+    return payload, action
 
 
 def calibration_action(mode: str, task: TaskManifest) -> Action:
@@ -215,8 +214,8 @@ def draw_lognormal(rng: random.Random, mean: float, cv: float) -> float:
 def synthetic_llm_call(
     obs: Any, profile: SyntheticLlmProfile, rng: random.Random,
     backend_engine: str = "vllm", policy_version: str = "synthetic-1",
-) -> tuple[ActionRecord, Action]:
-    """One synthetic model call: latency, parse status, and hashed payloads.
+) -> tuple[dict[str, Any], Action]:
+    """One synthetic model call: its ``action_parsed`` payload and its action.
 
     Deterministic given the rng state and call order; the action advances the
     task with the profile's success bias unless the call parsed invalid.
@@ -239,26 +238,22 @@ def synthetic_llm_call(
         f'{{"invalid":{"true" if invalid else "false"},"obs":{obs_json},'
         f'"tokens":{completion_tokens!r}}}'
     )
+    payload: dict[str, Any] = {
+        "parse_status": "invalid" if invalid else "parsed",
+        "invalid_action": invalid,
+        "observation_hash": text_hash(obs_text).hex,
+        "prompt_tokens": prompt_tokens,
+        "completion_tokens": completion_tokens,
+        "model_latency_ms": latency,
+        "prompt_hash": text_hash(f'{{"prompt":{obs_json}}}').hex,
+        "raw_output_hash": text_hash(raw_output).hex,
+        "backend_engine": backend_engine,
+        "policy_version": policy_version,
+    }
     if invalid:
-        action = _UNPARSED_ACTION
-        parse_status = "invalid"
-    else:
-        action = Action(kind="act", advance_prob=profile.success_bias)
-        parse_status = "parsed"
-    record = ActionRecord(
-        observation_hash=text_hash(obs_text),
-        parse_status=parse_status,
-        invalid_action=invalid,
-        prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens,
-        model_latency_ms=latency,
-        prompt_hash=text_hash(f'{{"prompt":{obs_json}}}'),
-        raw_output_hash=text_hash(raw_output),
-        parsed_action_hash=None if invalid else action_kind_hash("act"),
-        backend_engine=backend_engine,
-        policy_version=policy_version,
-    )
-    return record, action
+        return payload, _UNPARSED_ACTION
+    payload["parsed_action_hash"] = action_kind_hash("act").hex
+    return payload, Action(kind="act", advance_prob=profile.success_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +366,6 @@ def hook_b_adjust(window: TelemetryWindow, cfg: HookBConfig, current_conc: int) 
 
 __all__ = [
     "Action",
-    "ActionRecord",
     "DRIVER_TYPES",
     "DriverError",
     "DriverRecord",

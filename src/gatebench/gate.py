@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Final, Literal, Sequence
 
-from .manifest import BindingStatus, ReleaseRoot, verify_binding
+from .manifest import ReleaseRoot, verify_binding
 from .records import record
 from .runner import RunRecord, RunSet
 from .schema import (
@@ -117,9 +117,11 @@ def _driver_metadata_complete(run: RunRecord) -> bool:
     return bool(driver.driver_id and driver.driver_version and driver.parser_version)
 
 
-def admit(run: RunRecord, binding: BindingStatus | None) -> GateDecision:
+def admit(run: RunRecord, binding: tuple[str, ...] | None) -> GateDecision:
     """Decide one run; all outcomes are decisions, nothing raises.
 
+    ``binding`` is the run's ``manifest.verify_binding`` violation codes,
+    empty when it is bound, or ``None`` when no release binding was checked.
     Multi-failure runs record every failed condition. Quarantine applies only
     when the incomplete trace is the sole failure.
     """
@@ -148,16 +150,15 @@ def admit(run: RunRecord, binding: BindingStatus | None) -> GateDecision:
 
     if binding is None:
         reasons.append("missing_release_binding")
-    elif not binding.bound:
-        for violation in binding.violations:
-            if violation == "snapshot_mismatch":
-                reasons.append("snapshot_mismatch")
-            elif violation == "missing_schema_version":
-                reasons.append("version_mismatch")
-            elif violation == "missing_replay_freeze":
-                reasons.append("missing_replay_freeze")
-            else:
-                reasons.append("missing_release_binding")
+    for violation in binding or ():
+        if violation == "snapshot_mismatch":
+            reasons.append("snapshot_mismatch")
+        elif violation == "missing_schema_version":
+            reasons.append("version_mismatch")
+        elif violation == "missing_replay_freeze":
+            reasons.append("missing_replay_freeze")
+        else:
+            reasons.append("missing_release_binding")
 
     if run.driver.evidence_status == "fixture_backed":
         reasons.append("fixture_only_provenance")

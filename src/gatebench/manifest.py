@@ -306,14 +306,6 @@ def freeze_run(
 # ---------------------------------------------------------------------------
 
 
-@record
-class BindingStatus:
-    """Whether a run is bound to the release root, with every binding violation found."""
-
-    bound: bool
-    violations: tuple[str, ...] = ()
-
-
 _FREEZE_VERSION_FIELDS: Final[tuple[str, ...]] = (
     "suite_version",
     "driver_version",
@@ -324,29 +316,27 @@ _FREEZE_VERSION_FIELDS: Final[tuple[str, ...]] = (
 )
 
 
-def verify_binding(run: "RunRecord", root: ReleaseRoot) -> BindingStatus:
+def verify_binding(run: "RunRecord", root: ReleaseRoot) -> tuple[str, ...]:
     """Check a run's freeze record against a release root.
 
-    Bound means the frozen manifest hash is registered and every version
-    field is populated; violations are returned, never raised.
+    Returns every binding violation's code, empty when the run is bound: its
+    frozen manifest hash is registered and every version field is populated.
+    Violations are returned, never raised.
     """
 
-    violations: list[str] = []
     freeze = run.freeze
     if freeze is None:
-        return BindingStatus(bound=False, violations=("missing_replay_freeze",))
+        return ("missing_replay_freeze",)
+    violations: list[str] = []
     if freeze.manifest_hash.hex not in root.registry.values():
         violations.append("snapshot_mismatch")
     for name in _FREEZE_VERSION_FIELDS:
         if not getattr(freeze, name):
             violations.append(f"missing_{name}")
-    if violations:
-        return BindingStatus(bound=False, violations=tuple(violations))
-    return BindingStatus(bound=True)
+    return tuple(violations)
 
 
 __all__ = [
-    "BindingStatus",
     "DEFAULT_PARSER_VERSION",
     "FAMILIES",
     "FAMILY_REPLAY_CLASS",

@@ -8,8 +8,11 @@ Each workload family has its own reproducibility boundary:
 * R1 (web): event-trace replay with evaluator freeze — re-drive the recorded
   action/transition sequence with a fixed per-step replay cost and re-run the
   frozen evaluator over the final state.
-* R2 (code): snapshot/manifest replay — recompute each verifier decision from
-  the frozen (snapshot digest, seed, episode) triple and compare verdicts.
+* R2 (code): snapshot/manifest replay — recompute each verifier decision with
+  the run's verdict rule, ``simenv.verifier_outcome`` of the recorded patch
+  quality, seeded from the frozen (snapshot digest, seed, episode) triple, and
+  compare verdicts. The log's validator has already bound each R2 episode's
+  terminal status to its recorded verdict.
 
 Replays are pure computations: replaying the same bundle twice yields
 identical results.
@@ -33,6 +36,7 @@ from .schema import (
     render_record,
     write_json,
 )
+from .simenv import EnvError, verifier_outcome
 
 # Fixed per-step cost of re-driving a recorded trace; the replay path performs
 # no model calls and no environment waits.
@@ -232,15 +236,11 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
     seed = int(material["seed"])
     matched = bool(material["decisions"])
     for decision in material["decisions"]:
-        quality = decision["patch_quality"]
-        if quality == "gold":
-            replayed = "success"
-        elif quality == "noop":
-            replayed = "failure"
-        else:
-            # Seeded as the runner seeds the episode's verifier decision.
-            rng = verdict_rng(snapshot_hex, seed, parse_episode_index(str(decision["episode_id"])))
-            replayed = "success" if rng.random() < float(decision["pass_prob"]) else "failure"
+        # Seeded as the runner seeds the episode's verifier decision.
+        rng = verdict_rng(snapshot_hex, seed, parse_episode_index(str(decision["episode_id"])))
+        replayed = verifier_outcome(
+            decision["patch_quality"], rng, generated_pass_prob=float(decision["pass_prob"])
+        ).status
         if replayed != decision["status"]:
             matched = False
     return ReplayResult(
@@ -255,7 +255,8 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
 
 def replay_run(bundle: ReplayBundle) -> ReplayResult:
     """Replay one bundle under its class contract; material it cannot read is
-    ``invalid_bundle`` (a missing key, a value of the wrong type or form)."""
+    ``invalid_bundle`` (a missing key, a value of the wrong type or form, or an
+    R2 patch quality the verifier does not know)."""
 
     if bundle.harness_version != REPLAY_HARNESS_VERSION:
         raise ReplayError(
@@ -267,7 +268,7 @@ def replay_run(bundle: ReplayBundle) -> ReplayResult:
         raise ReplayError("replay_version_mismatch", f"unknown class {bundle.replay_class!r}")
     try:
         return replay(bundle.material)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, EnvError) as exc:
         message = f"{bundle.replay_class} material: {type(exc).__name__}: {exc}"
         raise ReplayError("invalid_bundle", message) from exc
 

@@ -70,7 +70,9 @@ class RunSummary:
     """What the report keeps of one run's event log once its events are dropped.
 
     Samples keep the order of the log. ``episode_statuses`` counts the
-    ``episode_end`` events by status (0 for a status none has). ``r1`` is the
+    ``episode_end`` events by status (0 for a status none has).
+    ``patch_quality`` is the one its ``verifier_outcome`` events record
+    (``gold`` and ``noop`` for verifier controls), if any. ``r1`` is the
     run's R1 replay as (reduction, terminal match), present for a web run
     summarized with its record.
     """
@@ -82,17 +84,18 @@ class RunSummary:
     counts_by_status: dict[str, int]
     invalid_actions: int
     episode_statuses: Counter[str]
+    patch_quality: str | None = None
     r1: tuple[float, bool] | None = None
 
 
 def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -> RunSummary:
     """Reduce one run's events to its ``RunSummary``.
 
-    Service times come from environment steps, queue waits from verifier
-    outcomes, episodes from terminal results, parse statuses from parsed
-    actions, episode statuses from episode ends (``invalid_log`` for one that
-    is not a string), and the wall span is the latest event clock. Given the
-    record of a web run, the summary also holds
+    Service times come from environment steps, queue waits and the patch
+    quality from verifier outcomes, episodes from terminal results, parse
+    statuses from parsed actions, episode statuses from episode ends
+    (``invalid_log`` for one that is not a string), and the wall span is the
+    latest event clock. Given the record of a web run, the summary also holds
     ``replay_run(build_bundle(run, events))``.
     """
 
@@ -102,12 +105,14 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
     ends: Counter[str] = Counter()
     episodes = invalid = 0
     span = 0.0
+    quality = None
     for event in events:
         kind = event.kind
         if kind == "env_step_end":
             steps.append(float(event.payload["service_time_ms"]))
         elif kind == "verifier_outcome":
             waits.append(float(event.payload["queue_wait_ms"]))
+            quality = event.payload.get("patch_quality")
         elif kind == "terminal_result":
             episodes += 1
         elif kind == "action_parsed":
@@ -129,7 +134,7 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
     if run is not None and run.family == "web":
         result = replay_run(build_bundle(run, events))
         r1 = (result.reduction, result.terminal_match)
-    return RunSummary(steps, waits, episodes, span, counts, invalid, ends, r1)
+    return RunSummary(steps, waits, episodes, span, counts, invalid, ends, quality, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -718,15 +723,13 @@ def _claim_evidence(logged: Iterable[tuple[RunRecord, RunSummary]]) -> ClaimEvid
     for run, summary in logged:
         statuses = summary.episode_statuses
         episodes = sum(statuses.values())
-        driver = run.driver
-        if driver.driver_type == "calibration" and run.family == "code":
-            if driver.driver_id.startswith("oracle"):
-                gold_total += episodes
-                gold_pass += statuses["success"]
-            elif driver.driver_id.startswith("noop"):
-                noop_total += episodes
-                noop_fail += statuses["failure"]
-        if driver.driver_type == "sanity":
+        if summary.patch_quality == "gold":
+            gold_total += episodes
+            gold_pass += statuses["success"]
+        elif summary.patch_quality == "noop":
+            noop_total += episodes
+            noop_fail += statuses["failure"]
+        if run.driver.driver_type == "sanity":
             sanity_episodes += episodes
         if summary.r1 is not None:
             reduction, terminal_match = summary.r1

@@ -29,10 +29,8 @@ from .drivers import (
     DriverError,
     DriverRecord,
     SyntheticLlmProfile,
-    action_kind_hash,
     calibration_action,
     draw_lognormal,
-    observation_hash,
     scripted_next_action,
     synthetic_llm_call,
 )
@@ -47,7 +45,6 @@ from .manifest import (
 )
 from .records import record
 from .schema import (
-    ActionRecord,
     Digest,
     EventRecord,
     GatebenchError,
@@ -367,7 +364,7 @@ class EventBuilder:
             dict(payload or {}),
         )
         self._sequence = sequence + 1
-        if not self.validator.validate(event).ok:
+        if self.validator.validate(event):
             self.trace_complete = False
         self.events.append(event)
         if kind == "run_start":
@@ -377,8 +374,7 @@ class EventBuilder:
         return event
 
     def finalize(self) -> bool:
-        report = self.validator.finalize()
-        if not report.ok:
+        if self.validator.finalize():
             self.trace_complete = False
         return self.trace_complete
 
@@ -417,8 +413,8 @@ def _driver_call(
     obs: Mapping[str, Any],
     step: int,
     rng: random.Random,
-) -> tuple[ActionRecord, Action]:
-    """One driver invocation: the action record and the action."""
+) -> tuple[dict[str, Any], Action]:
+    """One driver invocation: the ``action_parsed`` payload and the action."""
 
     if spec.driver_type == "llm":
         return synthetic_llm_call(
@@ -430,17 +426,9 @@ def _driver_call(
         )
     if spec.driver_type == "calibration":
         action = calibration_action(spec.mode or "oracle", manifest)
-        record = ActionRecord(
-            observation_hash=observation_hash(obs),
-            parse_status="parsed",
-            invalid_action=False,
-            prompt_tokens=0,
-            completion_tokens=0,
-            model_latency_ms=0.0,
-            parsed_action_hash=action_kind_hash(action.kind),
-            policy_version=spec.driver_version,
-        )
-        return record, action
+        payload, _ = scripted_next_action(obs, (action,), 0)
+        payload["policy_version"] = spec.driver_version
+        return payload, action
     if spec.driver_type in ("scripted", "sanity"):
         script = (
             tuple(Action(kind=k, advance_prob=1.0) for k in spec.script)
@@ -490,8 +478,9 @@ def run_episode_steps(
     while env.terminal is None and env.step_count < budget:
         step_index = env.step_count
         obs = {"task_id": manifest.task_id, "step": step_index, "progress": env.solved_progress}
-        record, action = _driver_call(spec, manifest, obs, step_index, rng)
-        model_ms = record.model_latency_ms * latency_scale
+        payload, action = _driver_call(spec, manifest, obs, step_index, rng)
+        model_ms = payload["model_latency_ms"] * latency_scale
+        payload["model_latency_ms"] = model_ms
         model_timing = TimingFields(model_latency_ms=model_ms)
         if model_requests:  # one request per step, so its index is the step's
             emit("model_request_start", clock_ms, episode_id, step_index, None,
@@ -499,8 +488,6 @@ def run_episode_steps(
             clock_ms += model_ms
             emit("model_request_end", clock_ms, episode_id, step_index, model_timing,
                  {"request_index": step_index, "model_latency_ms": model_ms})
-        payload = record.to_payload()
-        payload["model_latency_ms"] = model_ms
         emit("action_parsed", clock_ms, episode_id, step_index, model_timing, payload)
         emit("env_step_start", clock_ms, episode_id, step_index, None, {"action_kind": action.kind})
         outcome = env_step(env, action, setting, rng)
@@ -722,7 +709,7 @@ def _verify_patch(
     builder.emit("tool_call", clock_ms, episode_id, 0, TimingFields(tool_latency_ms=apply_ms),
                  {"tool_name": "patch_apply"})
     quality, pass_prob = _patch_quality(spec)
-    ticket = queue.ticket(queue.submit(clock_ms, _verify_demand_ms(rng, "code", setting)))
+    ticket = queue.submit(clock_ms, _verify_demand_ms(rng, "code", setting))
     snapshot = builder.provenance.snapshot_digest
     decision_rng = verdict_rng(snapshot.hex if snapshot else "", builder.run_seed, episode_index)
     terminal = verifier_outcome(
@@ -760,7 +747,7 @@ def _run_one_episode(
             builder, manifest, spec, setting, rng, queue, episode_id, episode_index, end_ms
         )
     elif manifest.family == "web" and terminal is not None:
-        ticket = queue.ticket(queue.submit(end_ms, _verify_demand_ms(rng, "web", setting)))
+        ticket = queue.submit(end_ms, _verify_demand_ms(rng, "web", setting))
         end_ms = emit_verifier_outcome(
             builder.emit, ticket, episode_id, env.step_count, terminal.status,
             manifest.verifier_id,

@@ -754,56 +754,6 @@ class ProvenanceFields(Record):
             raise SchemaError("invalid_value", f"unknown replay class {self.replay_class!r}")
 
 
-@record
-class ActionRecord:
-    """Action-level record attached to each driver call."""
-
-    observation_hash: Digest
-    parse_status: str
-    invalid_action: bool
-    prompt_tokens: int
-    completion_tokens: int
-    model_latency_ms: float
-    prompt_hash: Digest | None = None
-    raw_output_hash: Digest | None = None
-    parsed_action_hash: Digest | None = None
-    backend_engine: str | None = None
-    policy_version: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.parse_status not in PARSE_STATUSES:
-            raise SchemaError("invalid_value", f"unknown parse status {self.parse_status!r}")
-        if self.invalid_action != (self.parse_status != "parsed"):
-            raise SchemaError(
-                "invalid_value",
-                "invalid_action must be true exactly when parse_status != parsed",
-            )
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise SchemaError("invalid_value", "token counts must be >= 0")
-        _require_nonneg("model_latency_ms", self.model_latency_ms)
-
-    def to_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "parse_status": self.parse_status,
-            "invalid_action": self.invalid_action,
-            "observation_hash": self.observation_hash.hex,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "model_latency_ms": self.model_latency_ms,
-        }
-        if self.prompt_hash is not None:
-            payload["prompt_hash"] = self.prompt_hash.hex
-        if self.raw_output_hash is not None:
-            payload["raw_output_hash"] = self.raw_output_hash.hex
-        if self.parsed_action_hash is not None:
-            payload["parsed_action_hash"] = self.parsed_action_hash.hex
-        if self.backend_engine is not None:
-            payload["backend_engine"] = self.backend_engine
-        if self.policy_version is not None:
-            payload["policy_version"] = self.policy_version
-        return payload
-
-
 # ---------------------------------------------------------------------------
 # Event records
 # ---------------------------------------------------------------------------
@@ -894,25 +844,6 @@ class Violation:
     message: str
 
 
-@record
-class ValidationReport:
-    """Whether an event passed validation, with its violations."""
-
-    ok: bool
-    violations: tuple[Violation, ...] = ()
-
-    @classmethod
-    def passed(cls) -> "ValidationReport":
-        return _PASSED
-
-    @classmethod
-    def failed(cls, violations: Iterable[Violation]) -> "ValidationReport":
-        return cls(ok=False, violations=tuple(violations))
-
-
-# Every passing check returns this one frozen report.
-_PASSED: Final = ValidationReport(ok=True)
-
 # The allowed payload keys per kind, required ∪ optional.
 _ALLOWED_PAYLOAD_KEYS: Final[dict[str, frozenset[str]]] = {
     kind: frozenset(REQUIRED_PAYLOAD_KEYS.get(kind, ()) + OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
@@ -999,6 +930,10 @@ def _flag(violations: list[Violation], code: str, field: str, message: str) -> N
 class RunValidator:
     """Per-run validation state: sequence order and boundary bookkeeping.
 
+    Across events it also checks each ``episode_end`` status against its
+    episode's ``terminal_result`` and, in an R2 run, each ``terminal_result``
+    status against its episode's last ``verifier_outcome``.
+
     One validator instance is confined to a single run; events from different
     runs may be validated concurrently with separate instances.
     """
@@ -1012,6 +947,7 @@ class RunValidator:
         self._open_episodes: dict[str, dict[str, bool]] = {}
         self._closed_episodes: set[str] = set()
         self._terminal_statuses: dict[str, Any] = {}  # episode id -> its terminal status
+        self._verdicts: dict[str, Any] = {}  # episode id -> its last verifier_outcome status
         self._seen_spans: set[str] = set()
         self._trace_id: str | None = None
 
@@ -1076,6 +1012,21 @@ class RunValidator:
                           "model_request_end without model_request_start")
                 if kind == "terminal_result" and episode in self._terminal_statuses:
                     _flag(violations, "boundary_mismatch", "kind", "duplicate terminal_result")
+                if (
+                    kind == "terminal_result"
+                    and event.provenance.replay_class == "R2"
+                    and "status" in event.payload
+                ):
+                    # An R2 episode's verdict is its verifier's, which R2 replay recomputes.
+                    status = event.payload["status"]
+                    verdict = self._verdicts.get(episode)
+                    if verdict is None:
+                        _flag(violations, "invalid_value", "payload.status",
+                              "terminal_result before its episode's verifier_outcome")
+                    elif status != verdict:
+                        _flag(violations, "invalid_value", "payload.status",
+                              f"terminal_result status {status!r} is not its "
+                              f"verifier_outcome's {verdict!r}")
                 if kind == "episode_end" and (state["env_step_open"] or state["request_open"]):
                     _flag(violations, "boundary_mismatch", "kind",
                           "episode_end with open step or request")
@@ -1119,22 +1070,26 @@ class RunValidator:
             self._open_episodes[event.episode_id]["request_open"] = False
         elif kind == "terminal_result":
             self._terminal_statuses[event.episode_id] = event.payload.get("status")
+        elif kind == "verifier_outcome":
+            self._verdicts[event.episode_id] = event.payload["status"]
         self._last_sequence = event.sequence
         self._last_clock = event.wall_clock_ms
         self._seen_spans.add(event.trace.span_id)
 
-    def validate(self, event: EventRecord) -> ValidationReport:
-        """Validate one typed event and advance state only when it is legal."""
+    def validate(self, event: EventRecord) -> list[Violation]:
+        """Validate one typed event and advance state only when it is legal.
+
+        Returns the event's violations, empty when it passes.
+        """
 
         violations = _event_violations(event)
         violations.extend(self._stateful_violations(event))
-        if violations:
-            return ValidationReport.failed(violations)
-        self._advance(event)
-        return ValidationReport.passed()
+        if not violations:
+            self._advance(event)
+        return violations
 
-    def finalize(self) -> ValidationReport:
-        """Check run-level completeness after the last event."""
+    def finalize(self) -> list[Violation]:
+        """Check run-level completeness after the last event; empty when complete."""
 
         violations: list[Violation] = []
         if not self._started:
@@ -1146,9 +1101,7 @@ class RunValidator:
             violations.append(
                 Violation("boundary_mismatch", "run", f"unclosed episodes: {open_ids}")
             )
-        if violations:
-            return ValidationReport.failed(violations)
-        return ValidationReport.passed()
+        return violations
 
 
 def require_valid_log(events: Iterable[EventRecord], run_id: str) -> None:
@@ -1161,14 +1114,14 @@ def require_valid_log(events: Iterable[EventRecord], run_id: str) -> None:
 
     validator = RunValidator()
     for event in events:
-        report = validator.validate(event)
-        if not report.ok:
+        violations = validator.validate(event)
+        if violations:
             where = f"event {event.sequence}"
             break
     else:
-        report, where = validator.finalize(), "end of log"
-    if not report.ok:
-        first = report.violations[0]
+        violations, where = validator.finalize(), "end of log"
+    if violations:
+        first = violations[0]
         raise SchemaError(
             "invalid_log", f"run {run_id}: {where}: {first.code} {first.field}: {first.message}"
         )
@@ -1442,7 +1395,6 @@ def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
 
 
 __all__ = [
-    "ActionRecord",
     "Digest",
     "EVENT_KINDS",
     "EventRecord",
@@ -1461,7 +1413,6 @@ __all__ = [
     "SchemaError",
     "TimingFields",
     "TraceContext",
-    "ValidationReport",
     "Violation",
     "canonical_hash",
     "canonical_json",

@@ -248,8 +248,8 @@ class VerifierQueue:
         if not self.busy_until:
             self.busy_until = [0.0] * self.servers
 
-    def submit(self, now_ms: float, demand_ms: float) -> int:
-        """Enqueue one verification ticket FIFO; returns its id."""
+    def submit(self, now_ms: float, demand_ms: float) -> Ticket:
+        """Enqueue one verification ticket FIFO; returns it."""
 
         if demand_ms <= 0:
             raise EnvError("invalid_queue", "service demand must be > 0")
@@ -269,12 +269,7 @@ class VerifierQueue:
         )
         self.tickets[ticket.ticket_id] = ticket
         self._next_id += 1
-        return ticket.ticket_id
-
-    def ticket(self, ticket_id: int) -> Ticket:
-        if ticket_id not in self.tickets:
-            raise EnvError("unknown_ticket", f"no ticket {ticket_id}")
-        return self.tickets[ticket_id]
+        return ticket
 
     def depth_at(self, now_ms: float) -> int:
         """Tickets submitted but not yet in service at ``now_ms``."""

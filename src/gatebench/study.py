@@ -210,8 +210,7 @@ class _ControllerRunSim:
             demand *= self.setting.tail_inflation
         ticket = self.queue.submit(time_ms, demand)
         sample.attempts += 1
-        info = self.queue.ticket(ticket)
-        self._schedule(info.completion_ms, "deliver", (lane, sample, info))
+        self._schedule(ticket.completion_ms, "deliver", (lane, sample, ticket))
 
     def _finalize(
         self, time_ms: float, sample: _Sample, status: str, detail: str, drop_reason: str | None

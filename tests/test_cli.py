@@ -743,10 +743,15 @@ def _first_event(edit):
         ("R1", lambda material: material.update(events=5),
          "TypeError: 'int' object is not iterable"),
         ("R2", lambda material: material.pop("seed"), "KeyError: 'seed'"),
+        ("R2", lambda material: material["decisions"][0].update(patch_quality="platinum"),
+         "EnvError: invalid_queue: unknown patch quality 'platinum'"),
         ("R0", lambda material: material["episode_rows"][0].update(steps="abc"),
          "ValueError: invalid literal for int() with base 10: 'abc'"),
     ],
-    ids=["event-without-episode-id", "events-not-a-list", "no-seed", "steps-not-a-number"],
+    ids=[
+        "event-without-episode-id", "events-not-a-list", "no-seed", "unknown-patch-quality",
+        "steps-not-a-number",
+    ],
 )
 def test_malformed_bundle_material_is_invalid_bundle(
     replay_class, edit, error, gated_runs, tmp_path, capsys
@@ -992,9 +997,9 @@ def test_claims_count_episodes_from_the_logs_not_the_runset_copies(gated_runs, r
     assert tampered == honest
 
 
-def _episode_end_status(value):
+def _first_status(kind: str, value):
     def edit(lines: list[str]) -> None:
-        index = next(i for i, line in enumerate(lines) if '"kind":"episode_end"' in line)
+        index = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line)
         doc = json.loads(lines[index])
         doc["payload"]["status"] = value
         lines[index] = json.dumps(doc)
@@ -1002,8 +1007,23 @@ def _episode_end_status(value):
     return edit
 
 
+def _tamper_oracle_log(runs: Path, *tampers) -> str:
+    """Apply ``tampers`` to the lines of the first oracle-control run's log; returns its id."""
+
+    run_id = next(
+        run.run_id for run in runner.load_runset(runs).runs
+        if run.driver.driver_id == "oracle-control"
+    )
+    log = runs / "logs" / f"{run_id}.log"
+    lines = log.read_text(encoding="utf-8").split("\n")
+    for tamper in tampers:
+        tamper(lines)
+    log.write_text("\n".join(lines), encoding="utf-8")
+    return run_id
+
+
 def test_non_string_episode_status_in_a_log_is_invalid_log(gated_runs, tmp_path, capsys):
-    run_id = _tamper_admitted_web_log(gated_runs, _episode_end_status(5))
+    run_id = _tamper_admitted_web_log(gated_runs, _first_status("episode_end", 5))
     runs, gate_out = gated_runs
     capsys.readouterr()
     assert main(_report_argv(runs, gate_out, tmp_path / "report", [])) == EXIT_ERROR
@@ -1019,14 +1039,7 @@ def test_episode_status_that_contradicts_its_terminal_result_is_invalid_log(
     # An oracle episode's episode_end says failure while its terminal_result
     # still says success; the claim evidence counts episode_end statuses.
     runs, gate_out = gated_runs
-    run_id = next(
-        run.run_id for run in runner.load_runset(runs).runs
-        if run.driver.driver_id == "oracle-control"
-    )
-    log = runs / "logs" / f"{run_id}.log"
-    lines = log.read_text(encoding="utf-8").split("\n")
-    _episode_end_status("failure")(lines)
-    log.write_text("\n".join(lines), encoding="utf-8")
+    run_id = _tamper_oracle_log(runs, _first_status("episode_end", "failure"))
     capsys.readouterr()
     assert main(_report_argv(runs, gate_out, tmp_path / "report", [])) == EXIT_ERROR
     record = _last_error_record(capsys)
@@ -1035,6 +1048,48 @@ def test_episode_status_that_contradicts_its_terminal_result_is_invalid_log(
     assert record["message"].endswith(
         ": invalid_value payload.status: episode_end status 'failure' is not its episode's "
         "'success'"
+    )
+
+
+def test_r2_terminal_that_contradicts_its_verifier_outcome_is_invalid_log(
+    gated_runs, tmp_path, capsys
+):
+    # An oracle episode's terminal_result and episode_end both say failure
+    # while its verifier_outcome still says success.
+    run_id = _tamper_oracle_log(
+        gated_runs[0],
+        _first_status("terminal_result", "failure"),
+        _first_status("episode_end", "failure"),
+    )
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+        assert record["message"].endswith(
+            ": invalid_value payload.status: terminal_result status 'failure' is not its "
+            "verifier_outcome's 'success'"
+        )
+
+
+def _rename_controls(doc: dict) -> None:
+    names = {"oracle-control": "gold-control", "noop-control": "null-control"}
+    doc["drivers"] = {names.get(name, name): spec for name, spec in doc["drivers"].items()}
+    for entry in doc["entries"]:
+        entry["driver"] = names.get(entry["driver"], entry["driver"])
+
+
+def test_verifier_controls_are_known_by_their_logged_patch_quality_not_their_names(
+    root_dir, tmp_path
+):
+    plan = tmp_path / "plan.json"
+    shutil.copy(root_dir / "demo_plan.json", plan)
+    _edit_json(plan, _rename_controls)
+    assert main([
+        "all", "--plan", str(plan), "--release-root", str(root_dir), "--out", str(tmp_path / "o"),
+    ]) == EXIT_OK
+    rows = json.loads((tmp_path / "o" / "report" / "claim_matrix.json").read_text())["rows"]
+    row = next(row for row in rows if row["claim"] == "verifier_controls")
+    assert (row["status"], row["rows_used"], row["scope"]) == (
+        "supported", 10, "gold 5/5 pass, noop 5/5 fail"
     )
 
 

@@ -23,7 +23,12 @@ from gatebench.drivers import (
     synthetic_llm_call,
 )
 from gatebench.manifest import make_manifest
-from gatebench.schema import SchemaError, canonical_hash
+from gatebench.schema import (
+    OPTIONAL_PAYLOAD_KEYS,
+    REQUIRED_PAYLOAD_KEYS,
+    SchemaError,
+    canonical_hash,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +72,9 @@ SCRIPT = (Action(kind="click"), Action(kind="type"))
 
 
 def test_scripted_step_zero():
-    record, action = scripted_next_action({}, SCRIPT, 0)
+    payload, action = scripted_next_action({}, SCRIPT, 0)
     assert action.kind == "click"
-    assert record.parse_status == "parsed"
+    assert payload["parse_status"] == "parsed"
 
 
 def test_scripted_cyclic_indexing():
@@ -104,7 +109,7 @@ def test_synthetic_zero_invalid_prob():
     profile = SyntheticLlmProfile(invalid_action_prob=0.0)
     rng = random.Random(1)
     assert all(
-        not synthetic_llm_call({}, profile, rng)[0].invalid_action for _ in range(500)
+        not synthetic_llm_call({}, profile, rng)[0]["invalid_action"] for _ in range(500)
     )
 
 
@@ -112,9 +117,9 @@ def test_synthetic_always_invalid():
     profile = SyntheticLlmProfile(invalid_action_prob=1.0)
     rng = random.Random(1)
     for _ in range(50):
-        record, action = synthetic_llm_call({}, profile, rng)
-        assert record.invalid_action
-        assert record.parse_status == "invalid"
+        payload, action = synthetic_llm_call({}, profile, rng)
+        assert payload["invalid_action"]
+        assert payload["parse_status"] == "invalid"
         assert action.advance_prob == 0.0
 
 
@@ -133,12 +138,12 @@ def test_synthetic_deterministic_sequences_match():
     for bucket in (first, second):
         rng = random.Random(42)
         for index in range(20):
-            record, _ = synthetic_llm_call({"step": index}, profile, rng)
-            bucket.append(record)
+            payload, _ = synthetic_llm_call({"step": index}, profile, rng)
+            bucket.append(payload)
     assert first == second  # includes every hash field
 
 
-# Digests of the action record equal canonical_hash of the documents they
+# Digests of the action payload equal canonical_hash of the documents they
 # stand for, however the driver assembles their canonical text.
 
 _json_values = st.recursive(
@@ -161,24 +166,26 @@ def _observation_reference(obs):
 @given(_observations, st.integers(0, 2**32), st.sampled_from([0.0, 0.5, 1.0]))
 def test_synthetic_digests_equal_reference_documents(obs, seed, invalid_prob):
     profile = SyntheticLlmProfile(invalid_action_prob=invalid_prob)
-    record, action = synthetic_llm_call(obs, profile, random.Random(seed))
+    payload, action = synthetic_llm_call(obs, profile, random.Random(seed))
     doc = _observation_reference(obs)
-    raw_output = {"obs": doc, "invalid": record.invalid_action, "tokens": record.completion_tokens}
-    assert record.observation_hash == canonical_hash({"obs": doc})
-    assert record.prompt_hash == canonical_hash({"prompt": doc})
-    assert record.raw_output_hash == canonical_hash(raw_output)
-    if record.invalid_action:
-        assert record.parsed_action_hash is None
+    raw_output = {
+        "obs": doc, "invalid": payload["invalid_action"], "tokens": payload["completion_tokens"]
+    }
+    assert payload["observation_hash"] == canonical_hash({"obs": doc}).hex
+    assert payload["prompt_hash"] == canonical_hash({"prompt": doc}).hex
+    assert payload["raw_output_hash"] == canonical_hash(raw_output).hex
+    if payload["invalid_action"]:
+        assert "parsed_action_hash" not in payload
     else:
-        assert record.parsed_action_hash == canonical_hash({"kind": action.kind})
+        assert payload["parsed_action_hash"] == canonical_hash({"kind": action.kind}).hex
 
 
 @given(_observations, st.text())
 def test_scripted_digests_equal_reference_documents(obs, kind):
-    record, action = scripted_next_action(obs, (Action(kind=kind),), 0)
+    payload, action = scripted_next_action(obs, (Action(kind=kind),), 0)
     assert action.kind == kind
-    assert record.observation_hash == canonical_hash({"obs": _observation_reference(obs)})
-    assert record.parsed_action_hash == canonical_hash({"kind": kind})
+    assert payload["observation_hash"] == canonical_hash({"obs": _observation_reference(obs)}).hex
+    assert payload["parsed_action_hash"] == canonical_hash({"kind": kind}).hex
 
 
 _uncanonical_observations = (
@@ -208,14 +215,14 @@ def test_uncanonical_observations_raise_the_reference_error(obs, seed):
 
 def test_synthetic_fills_action_level_fields():
     rng = random.Random(3)
-    record, _ = synthetic_llm_call({"obs": 1}, SyntheticLlmProfile(), rng)
-    assert record.observation_hash.hex
-    assert record.prompt_hash is not None
-    assert record.raw_output_hash is not None
-    assert record.prompt_tokens > 0
-    assert record.completion_tokens > 0
-    assert record.model_latency_ms > 0
-    assert record.backend_engine == "vllm"
+    payload, _ = synthetic_llm_call({"obs": 1}, SyntheticLlmProfile(), rng)
+    assert set(payload) == set(REQUIRED_PAYLOAD_KEYS["action_parsed"]) | set(
+        OPTIONAL_PAYLOAD_KEYS["action_parsed"]
+    )
+    assert payload["prompt_tokens"] > 0
+    assert payload["completion_tokens"] > 0
+    assert payload["model_latency_ms"] > 0
+    assert payload["backend_engine"] == "vllm"
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,7 @@ def _executed_run(demo_store, demo_root, task_id="micro-001"):
 
 def test_binding_bound_for_registered_run(demo_store, demo_root):
     run = _executed_run(demo_store, demo_root)
-    status = verify_binding(run, demo_root)
-    assert status.bound
-    assert status.violations == ()
+    assert verify_binding(run, demo_root) == ()
 
 
 def test_binding_snapshot_mismatch_for_unregistered_hash(demo_store, demo_root):
@@ -170,9 +168,7 @@ def test_binding_snapshot_mismatch_for_unregistered_hash(demo_store, demo_root):
     tampered = dataclasses.replace(
         run, freeze=freeze_run(foreign, run.driver, "clean", foreign.manifest_hash())
     )
-    status = verify_binding(tampered, demo_root)
-    assert not status.bound
-    assert "snapshot_mismatch" in status.violations
+    assert "snapshot_mismatch" in verify_binding(tampered, demo_root)
 
 
 def test_binding_missing_schema_version(demo_store, demo_root):
@@ -180,18 +176,16 @@ def test_binding_missing_schema_version(demo_store, demo_root):
 
     run = _executed_run(demo_store, demo_root)
     weak_freeze = dataclasses.replace(run.freeze, schema_version="")
-    status = verify_binding(dataclasses.replace(run, freeze=weak_freeze), demo_root)
-    assert not status.bound
-    assert "missing_schema_version" in status.violations
+    violations = verify_binding(dataclasses.replace(run, freeze=weak_freeze), demo_root)
+    assert "missing_schema_version" in violations
 
 
 def test_binding_missing_freeze(demo_store, demo_root):
     import dataclasses
 
     run = _executed_run(demo_store, demo_root)
-    status = verify_binding(dataclasses.replace(run, freeze=None), demo_root)
-    assert not status.bound
-    assert status.violations == ("missing_replay_freeze",)
+    violations = verify_binding(dataclasses.replace(run, freeze=None), demo_root)
+    assert violations == ("missing_replay_freeze",)
 
 
 def test_publish_rejects_duplicate_task_ids(tmp_path):

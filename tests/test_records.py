@@ -33,7 +33,7 @@ from gatebench.report import (
     summarize_run,
 )
 from gatebench.runner import _PlanContext, load_plan, load_runset
-from gatebench.schema import ActionRecord, Digest, RunValidator
+from gatebench.schema import RunValidator
 from gatebench.simenv import StepOutcome, setting_for_label
 from gatebench.study import HOOK_B, PROFILE, StudyConfig
 
@@ -112,7 +112,6 @@ def instances(golden_tree):
     runset = load_runset(golden_tree / "all" / "runs")
     run = next(r for r in runset.runs if r.terminal is not None and r.freeze is not None)
     events = runset.events_for(run)
-    parsed = next(e.payload for e in events if e.kind == "action_parsed")
     replay_lines = golden_tree.joinpath("replay", "replay_results.jsonl").read_text()
     found: dict[type, list] = {}
     _walk([
@@ -131,14 +130,9 @@ def instances(golden_tree):
         summarize_run(events, run),
         ClaimEvidence(),
         StudyConfig(), HOOK_B, PROFILE,
-        RunValidator().validate(events[1]),  # no run_start: a failed report with violations
+        RunValidator().validate(events[1]),  # no run_start: its violations
         setting_for_label(run.setting_label),
         NOOP_ACTION, SampleMeta(), hook_a_filter(SampleMeta(has_terminal_outcome=False)),
-        ActionRecord(
-            Digest("sha256", parsed["observation_hash"]), parsed["parse_status"],
-            parsed["invalid_action"], parsed["prompt_tokens"], parsed["completion_tokens"],
-            parsed["model_latency_ms"],
-        ),
         StepOutcome(events[0].timing, True, False, run.terminal),
         _PlanContext(plan, {"code-001": store.load("code-001"), "ghost": None}, None),
     ], found)
@@ -192,7 +186,7 @@ _BAD_VALUES = (None, -1, 0, "", "bogus", 1.5)
 
 def test_every_frozen_class_is_a_record(instances):
     classes = _record_classes()
-    assert len(classes) == 41
+    assert len(classes) == 38
     assert sorted(c.__qualname__ for c in classes if c not in instances) == []
 
 

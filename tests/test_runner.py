@@ -94,7 +94,7 @@ def test_failed_event_clears_trace_complete():
 def test_verifier_event_takes_its_time_and_timing_from_the_ticket():
     queue = VerifierQueue(servers=1)
     queue.submit(0.0, 10.0)
-    ticket = queue.ticket(queue.submit(4.0, 5.0))  # waits for the first until 10
+    ticket = queue.submit(4.0, 5.0)  # waits for the first until 10
     emitted = []
     end_ms = emit_verifier_outcome(
         lambda *event: emitted.append(event), ticket, "ep-0", 3, "success", "verifier:web:1",

@@ -25,7 +25,6 @@ from gatebench.schema import (
     SchemaError,
     TimingFields,
     TraceContext,
-    ValidationReport,
     Violation,
     _check_canonical,
     _payload_violations,
@@ -326,46 +325,41 @@ def test_digest_validation():
 
 def test_run_start_sequence_zero_ok():
     validator = RunValidator()
-    report = validator.validate(make_event("run_start", 0))
-    assert report.ok
+    assert validator.validate(make_event("run_start", 0)) == []
 
 
 def test_env_step_end_without_start_is_boundary_mismatch():
     validator = RunValidator()
-    assert validator.validate(make_event("run_start", 0)).ok
-    assert validator.validate(
+    assert not validator.validate(make_event("run_start", 0))
+    assert not validator.validate(
         make_event("episode_start", 1, "ep-0", payload={"episode_index": 0})
-    ).ok
-    report = validator.validate(make_event("env_step_end", 2, "ep-0"))
-    assert not report.ok
-    assert {violation.code for violation in report.violations} == {"boundary_mismatch"}
+    )
+    violations = validator.validate(make_event("env_step_end", 2, "ep-0"))
+    assert {violation.code for violation in violations} == {"boundary_mismatch"}
 
 
 def test_sequence_regression_rejected():
     validator = RunValidator()
-    assert validator.validate(make_event("run_start", 0)).ok
-    assert validator.validate(
+    assert not validator.validate(make_event("run_start", 0))
+    assert not validator.validate(
         make_event("episode_start", 5, "ep-0", payload={"episode_index": 0})
-    ).ok
-    report = validator.validate(make_event("env_step_start", 5, "ep-0"))
-    assert not report.ok
-    assert any(violation.code == "sequence_order" for violation in report.violations)
+    )
+    violations = validator.validate(make_event("env_step_start", 5, "ep-0"))
+    assert any(violation.code == "sequence_order" for violation in violations)
 
 
 def test_event_after_run_end_rejected():
     validator = RunValidator()
-    assert validator.validate(make_event("run_start", 0)).ok
-    assert validator.validate(make_event("run_end", 1)).ok
-    report = validator.validate(make_event("error", 2))
-    assert not report.ok
+    assert not validator.validate(make_event("run_start", 0))
+    assert not validator.validate(make_event("run_end", 1))
+    assert validator.validate(make_event("error", 2))
 
 
 def test_missing_required_payload_key_rejected():
     validator = RunValidator()
-    assert validator.validate(make_event("run_start", 0)).ok
-    report = validator.validate(make_event("episode_start", 1, "ep-0", payload={}))
-    assert not report.ok
-    assert any(violation.code == "missing_field" for violation in report.violations)
+    assert not validator.validate(make_event("run_start", 0))
+    violations = validator.validate(make_event("episode_start", 1, "ep-0", payload={}))
+    assert any(violation.code == "missing_field" for violation in violations)
 
 
 def test_unknown_payload_key_rejected_in_strict_mode_only():
@@ -373,8 +367,7 @@ def test_unknown_payload_key_rejected_in_strict_mode_only():
         "run_start", 0, payload={"setting_label": "clean", "planned_episodes": 1, "zzz": 1}
     )
     strict = RunValidator().validate(event)
-    assert not strict.ok
-    assert any(violation.code == "unknown_field" for violation in strict.violations)
+    assert any(violation.code == "unknown_field" for violation in strict)
 
 
 def test_unsupported_schema_version_rejected():
@@ -385,15 +378,14 @@ def test_unsupported_schema_version_rejected():
         replay_class="R1",
         seed=7,
     )
-    report = RunValidator().validate(make_event("run_start", 0, provenance=bad))
-    assert not report.ok
+    assert RunValidator().validate(make_event("run_start", 0, provenance=bad))
 
 
 def test_well_formed_run_validates_and_finalizes():
     validator = RunValidator()
     for event in well_formed_run():
-        assert validator.validate(event).ok
-    assert validator.finalize().ok
+        assert not validator.validate(event)
+    assert not validator.finalize()
 
 
 def test_validation_deterministic():
@@ -402,7 +394,7 @@ def test_validation_deterministic():
     outcomes = []
     for _ in range(3):
         validator = RunValidator()
-        outcomes.append(tuple(validator.validate(event).ok for event in events))
+        outcomes.append(tuple(not validator.validate(event) for event in events))
     assert len(set(outcomes)) == 1
 
 
@@ -421,8 +413,8 @@ def test_interleaved_episodes_validate():
     events.append(make_event("run_end", 11))
     validator = RunValidator()
     for event in events:
-        assert validator.validate(event).ok, event.kind
-    assert validator.finalize().ok
+        assert not validator.validate(event), event.kind
+    assert not validator.finalize()
 
 
 @pytest.mark.parametrize(
@@ -445,12 +437,46 @@ def test_episode_end_status_must_be_its_episodes_terminal_status(terminal, statu
     end = make_event("episode_end", 3, "ep-0", payload={"status": status, "steps": 0})
     validator = RunValidator()
     for event in events:
-        assert validator.validate(event).ok
-    report = validator.validate(end)
+        assert not validator.validate(event)
+    violations = validator.validate(end)
     if message is None:
-        assert report.ok
+        assert violations == []
     else:
-        assert report.violations == (Violation("invalid_value", "payload.status", message),)
+        assert violations == [Violation("invalid_value", "payload.status", message)]
+
+
+@pytest.mark.parametrize(
+    "replay_class, verdict, status, message",
+    [
+        ("R2", "success", "success", None),
+        ("R2", "failure", "failure", None),
+        ("R2", "success", "failure",
+         "terminal_result status 'failure' is not its verifier_outcome's 'success'"),
+        ("R2", None, "success", "terminal_result before its episode's verifier_outcome"),
+        ("R1", "success", "failure", None),
+        ("R1", None, "success", None),
+    ],
+)
+def test_r2_terminal_status_must_be_its_verifier_outcomes(replay_class, verdict, status, message):
+    provenance = dataclasses.replace(PROVENANCE, replay_class=replay_class)
+    events = [
+        make_event("run_start", 0, provenance=provenance),
+        make_event("episode_start", 1, "ep-0", provenance=provenance),
+    ]
+    if verdict is not None:
+        payload = {"status": verdict, "queue_wait_ms": 0.0, "verifier_latency_ms": 2.0}
+        events.append(make_event("verifier_outcome", 2, "ep-0", provenance=provenance,
+                                 payload=payload))
+    terminal = make_event("terminal_result", 3, "ep-0", provenance=provenance,
+                          payload={"status": status})
+    validator = RunValidator()
+    for event in events:
+        assert not validator.validate(event)
+    violations = validator.validate(terminal)
+    if message is None:
+        assert violations == []
+    else:
+        assert violations == [Violation("invalid_value", "payload.status", message)]
 
 
 def _reference_payload_violations(kind, payload):
@@ -492,21 +518,11 @@ def test_missing_and_unknown_payload_keys_reported_in_both_modes():
         "missing_field", "payload.setting_label", "run_start requires payload key setting_label"
     )
     strict = RunValidator().validate(event)
-    assert strict.violations == (
+    assert strict == [
         missing,
         Violation("unknown_field", "payload.zzz", "run_start does not allow key zzz"),
         Violation("unknown_field", "payload.aaa", "run_start does not allow key aaa"),
-    )
-
-
-def test_passing_checks_share_one_report_and_failures_get_their_own():
-    validator = RunValidator()
-    first = validator.validate(make_event("run_start", 0))
-    assert first is validator.validate(make_event("run_end", 1)) is validator.finalize()
-    assert first == ValidationReport(ok=True) and first is ValidationReport.passed()
-    failed = validator.validate(make_event("error", 2))
-    assert not failed.ok and failed.violations
-    assert ValidationReport.passed() == ValidationReport(ok=True)
+    ]
 
 
 @given(st.lists(st.sampled_from(sorted(EVENT_KINDS)), max_size=30))
@@ -528,14 +544,14 @@ def test_validator_never_crashes_and_accepted_runs_balance(kinds):
             episode = open_ids[-1] if open_ids else "ep-none"
         event = make_event(kind, sequence, episode)
         sequence += 1
-        if validator.validate(event).ok:
+        if not validator.validate(event):
             if kind == "episode_start":
                 open_ids.append(episode)
                 starts.append(episode)
             elif kind == "episode_end":
                 open_ids.remove(episode)
                 ends.append(episode)
-    if validator.finalize().ok:
+    if not validator.finalize():
         assert sorted(starts) == sorted(ends)
 
 
@@ -1157,20 +1173,6 @@ def test_float_sum_adds_left_to_right_from_zero():
     assert float_sum([1e16, 1.0, -1e16]) == 0.0
     assert float_sum(iter([0.1, 0.2, 0.3])) == (0.0 + 0.1 + 0.2) + 0.3
     assert float_sum([]) == 0.0 and isinstance(float_sum([]), float)
-
-
-def test_action_record_invariant_enforced():
-    from gatebench.schema import ActionRecord
-
-    with pytest.raises(SchemaError):
-        ActionRecord(
-            observation_hash=canonical_hash({"o": 1}),
-            parse_status="invalid",
-            invalid_action=False,
-            prompt_tokens=1,
-            completion_tokens=1,
-            model_latency_ms=1.0,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,13 @@ def test_clean_setting_must_be_unperturbed():
 
 def test_empty_queue_no_wait():
     queue = VerifierQueue(servers=1)
-    ticket = queue.submit(now_ms=10.0, demand_ms=50.0)
-    assert queue.ticket(ticket).queue_wait_ms == 0.0
+    assert queue.submit(now_ms=10.0, demand_ms=50.0).queue_wait_ms == 0.0
 
 
 def test_fifo_second_ticket_waits_exactly_demand():
     queue = VerifierQueue(servers=1)
     queue.submit(0.0, 40.0)
-    second = queue.submit(0.0, 40.0)
-    assert queue.ticket(second).queue_wait_ms == 40.0
+    assert queue.submit(0.0, 40.0).queue_wait_ms == 40.0
 
 
 def test_queue_conservation_at_any_instant():
@@ -170,22 +168,15 @@ def test_mm1_queue_wait_matches_closed_form():
     for _ in range(200_000):
         now += rng.expovariate(lam)
         tickets.append(queue.submit(now, rng.expovariate(mu)))
-    waits = [queue.ticket(t).queue_wait_ms for t in tickets]
+    waits = [ticket.queue_wait_ms for ticket in tickets]
     expected = (lam / mu) / (mu - lam)
     assert abs(statistics.fmean(waits) - expected) / expected <= 0.15
 
 
-def test_unknown_ticket_raises():
-    queue = VerifierQueue(servers=1)
-    with pytest.raises(EnvError) as err:
-        queue.ticket(99)
-    assert err.value.code == "unknown_ticket"
-
-
 def test_gold_noop_generated_outcomes():
     queue = VerifierQueue(servers=1)
-    gold = queue.ticket(queue.submit(0.0, 10.0))
-    noop = queue.ticket(queue.submit(0.0, 10.0))
+    gold = queue.submit(0.0, 10.0)
+    noop = queue.submit(0.0, 10.0)
     assert verifier_outcome("gold").status == "success"
     assert gold.completion_ms - gold.submit_time_ms == pytest.approx(10.0)
     assert verifier_outcome("noop").status == "failure"
