@@ -30,18 +30,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from .drivers import DriverRecord
     from .runner import RunRecord
 
-FAMILIES: Final[frozenset[str]] = frozenset({"micro", "web", "code"})
-RESET_CONTRACTS: Final[frozenset[str]] = frozenset(
-    {"full_reset", "session_reset", "stateless"}
-)
 
-# Family-to-replay-class mapping: micro is summary replay, web is event-trace
-# replay with evaluator freeze, code is snapshot/manifest replay.
-FAMILY_REPLAY_CLASS: Final[dict[str, str]] = {
-    "micro": "R0",
-    "web": "R1",
-    "code": "R2",
+@record
+class Family:
+    """What a workload family fixes: replay class, reset contract, default
+    ``family_params``, default goal and step service time (``family_params``
+    may override both), and a verification's service demand. The times are
+    order-of-magnitude configuration values, not measured claims."""
+
+    replay_class: str
+    reset_contract: str
+    params: dict[str, str]
+    goal: int
+    base_service_ms: float
+    verify_base_ms: float
+
+
+# The one table of family facts; every module reads a family's from here.
+FAMILIES: Final[dict[str, Family]] = {
+    "micro": Family("R0", "stateless", {"collector_config": "default-collector"}, 3, 15.0, 5.0),
+    "web": Family("R1", "session_reset", {"session_config": "default-session",
+                  "evaluator_semantics": "final_state", "exec_mode": "replay"}, 5, 75.0, 300.0),
+    "code": Family("R2", "full_reset", {"patch_semantics": "unified_diff",
+                   "test_command": "run-suite", "verifier_version": "1.0.0"}, 1, 200.0, 350.0),
 }
+RESET_CONTRACTS: Final = frozenset(family.reset_contract for family in FAMILIES.values())
 
 SUITE_VERSION: Final = "0.1.0"
 REPLAY_HARNESS_VERSION: Final = "0.1.0"
@@ -83,7 +96,7 @@ class TaskManifest(Record):
             raise ManifestError(
                 "invalid_manifest", f"unknown reset contract {self.reset_contract!r}"
             )
-        expected = FAMILY_REPLAY_CLASS[self.family]
+        expected = FAMILIES[self.family].replay_class
         if self.replay_class != expected:
             raise ManifestError(
                 "invalid_manifest",
@@ -109,27 +122,18 @@ def make_manifest(
 
     if family not in FAMILIES:
         raise ManifestError("unsupported_family", f"unknown family {family!r}")
-    reset = {"micro": "stateless", "web": "session_reset", "code": "full_reset"}[family]
-    params: dict[str, Any] = dict(family_params or {})
+    spec = FAMILIES[family]
+    params: dict[str, Any] = {**spec.params, **(family_params or {})}
     if family == "code":
         params.setdefault("repo_state", f"repo:{task_id}")
-        params.setdefault("patch_semantics", "unified_diff")
-        params.setdefault("test_command", "run-suite")
-        params.setdefault("verifier_version", "1.0.0")
-    elif family == "web":
-        params.setdefault("session_config", "default-session")
-        params.setdefault("evaluator_semantics", "final_state")
-        params.setdefault("exec_mode", "replay")
-    else:
-        params.setdefault("collector_config", "default-collector")
     return TaskManifest(
         family=family,
         task_id=task_id,
         snapshot_ref=snapshot_ref or f"snapshot:{family}:{task_id}",
-        reset_contract=reset,
+        reset_contract=spec.reset_contract,
         verifier_id=verifier_id or f"verifier:{family}:1",
         adapter_version=DEFAULT_ADAPTER_VERSION,
-        replay_class=FAMILY_REPLAY_CLASS[family],
+        replay_class=spec.replay_class,
         schema_version=SCHEMA_VERSION,
         release_binding=release_binding,
         family_params=params,
@@ -339,7 +343,7 @@ def verify_binding(run: "RunRecord", root: ReleaseRoot) -> tuple[str, ...]:
 __all__ = [
     "DEFAULT_PARSER_VERSION",
     "FAMILIES",
-    "FAMILY_REPLAY_CLASS",
+    "Family",
     "FreezeRecord",
     "ManifestError",
     "ManifestStore",

@@ -1,6 +1,8 @@
 """Replay classes and replay-vs-live comparison.
 
-Each workload family has its own reproducibility boundary:
+Each replay class has its own reproducibility boundary. A run's class is the
+one its verified log's provenance records, not its ``runset.json`` label, and
+``REPLAYERS`` maps it to its bundle builder and its replayer:
 
 * R0 (micro): summary replay — take the per-episode rows from the verified
   log's ``episode_end`` events, check them against the run's episode
@@ -21,9 +23,9 @@ identical results.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Final, Mapping, Sequence
+from typing import Any, Callable, Final, Mapping, Sequence
 
-from .manifest import FAMILY_REPLAY_CLASS, REPLAY_HARNESS_VERSION
+from .manifest import FAMILIES, REPLAY_HARNESS_VERSION, FreezeRecord
 from .records import record
 from .runner import RunRecord, RunSet, map_runs, parse_episode_index, reduce_episodes, verdict_rng
 from .schema import (
@@ -81,10 +83,70 @@ def _episode_rollup(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     }
 
 
-def build_bundle(run: RunRecord, events: Sequence[EventRecord]) -> ReplayBundle:
-    """Extract the frozen replay material for a run, per its family's class.
+Log = Sequence[EventRecord]  # a run's verified event log
 
-    ``events`` is the run's verified event log. R0's episode rows are
+
+def log_replay_class(run: RunRecord, events: Log) -> str:
+    """The replay class ``run``'s verified log records; a ``family`` label in
+    ``runset.json`` whose class is another is ``family_mismatch``."""
+
+    replay_class = events[0].provenance.replay_class
+    family = FAMILIES.get(run.family)
+    if family is None or family.replay_class != replay_class:
+        says = f"runset.json says family {run.family}, its log records replay class {replay_class}"
+        raise ReplayError("family_mismatch", f"run {run.run_id}: {says}")
+    return replay_class
+
+
+def _r0_material(run: RunRecord, freeze: FreezeRecord, events: Log) -> dict[str, Any]:
+    logged, _ = reduce_episodes(events)
+    if list(map(render_record, logged)) != list(map(render_record, run.episode_summaries)):
+        message = f"run {run.run_id}: runset.json's episode summaries are not its log's"
+        raise ReplayError("summary_mismatch", message)
+    rows = [row.to_doc() for row in logged]
+    return {
+        "run_id": run.run_id,
+        "episode_rows": rows,
+        "rollup": _episode_rollup(rows),
+        "collector": "summary-stats",
+    }
+
+
+def _evaluator_freeze(run: RunRecord, freeze: FreezeRecord) -> dict[str, Any]:
+    return {"verifier_id": f"verifier:{run.family}", "verifier_version": freeze.verifier_version}
+
+
+def _r1_material(run: RunRecord, freeze: FreezeRecord, events: Log) -> dict[str, Any]:
+    return {
+        "run_id": run.run_id,
+        "events": [event.to_doc() for event in events],
+        "evaluator_freeze": _evaluator_freeze(run, freeze),
+        "session_config": "default-session",
+    }
+
+
+def _r2_material(run: RunRecord, freeze: FreezeRecord, events: Log) -> dict[str, Any]:
+    # The validator requires both verdict inputs on every R2 verifier_outcome.
+    decisions = [
+        {"episode_id": event.episode_id, "patch_quality": event.payload["patch_quality"],
+         "pass_prob": float(event.payload["pass_prob"]), "status": event.payload["status"]}
+        for event in events if event.kind == "verifier_outcome"
+    ]
+    return {
+        "run_id": run.run_id,
+        "manifest_hash": run.manifest_hash.to_doc(),
+        "snapshot_digest": freeze.snapshot_digest.to_doc(),
+        "verifier_freeze": _evaluator_freeze(run, freeze),
+        "seed": run.seed,
+        "decisions": decisions,
+    }
+
+
+def build_bundle(run: RunRecord, events: Log) -> ReplayBundle:
+    """Extract the frozen replay material for a run, per its log's replay class.
+
+    ``events`` is the run's verified event log, and its class is
+    :func:`log_replay_class`. R0's episode rows are
     :func:`runner.reduce_episodes` of it, one per ``episode_end``, checked
     against the ``episode_summaries`` of ``runset.json`` by value and type:
     a difference is ``summary_mismatch``, naming the run.
@@ -92,59 +154,9 @@ def build_bundle(run: RunRecord, events: Sequence[EventRecord]) -> ReplayBundle:
 
     if run.freeze is None:
         raise ReplayError("missing_replay_freeze", f"run {run.run_id} has no freeze record")
-    evaluator_freeze = {
-        "verifier_id": f"verifier:{run.family}",
-        "verifier_version": run.freeze.verifier_version,
-    }
-
-    if run.family == "micro":
-        logged, _ = reduce_episodes(events)
-        if list(map(render_record, logged)) != list(map(render_record, run.episode_summaries)):
-            message = f"run {run.run_id}: runset.json's episode summaries are not its log's"
-            raise ReplayError("summary_mismatch", message)
-        rows = [row.to_doc() for row in logged]
-        material = {
-            "run_id": run.run_id,
-            "episode_rows": rows,
-            "rollup": _episode_rollup(rows),
-            "collector": "summary-stats",
-        }
-        return ReplayBundle(replay_class="R0", material=material)
-
-    if run.family == "web":
-        material = {
-            "run_id": run.run_id,
-            "events": [event.to_doc() for event in events],
-            "evaluator_freeze": evaluator_freeze,
-            "session_config": "default-session",
-        }
-        return ReplayBundle(replay_class="R1", material=material)
-
-    if run.family == "code":
-        decisions = []
-        for event in events:
-            if event.kind != "verifier_outcome":
-                continue
-            decisions.append(
-                {
-                    "episode_id": event.episode_id,
-                    "patch_quality": event.payload.get("patch_quality", "generated"),
-                    "pass_prob": float(event.payload.get("pass_prob", 0.5)),
-                    "status": event.payload["status"],
-                }
-            )
-        snapshot = run.freeze.snapshot_digest
-        material = {
-            "run_id": run.run_id,
-            "manifest_hash": run.manifest_hash.to_doc(),
-            "snapshot_digest": snapshot.to_doc(),
-            "verifier_freeze": evaluator_freeze,
-            "seed": run.seed,
-            "decisions": decisions,
-        }
-        return ReplayBundle(replay_class="R2", material=material)
-
-    raise ReplayError("missing_replay_freeze", f"no replay class for family {run.family!r}")
+    replay_class = log_replay_class(run, events)
+    material, _ = REPLAYERS[replay_class]
+    return ReplayBundle(replay_class=replay_class, material=material(run, run.freeze, events))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +265,14 @@ def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
     )
 
 
+# Each class's bundle material, from a run and its verified log, and its replay.
+REPLAYERS: Final[dict[str, tuple[Callable[..., dict[str, Any]], Callable[..., ReplayResult]]]] = {
+    "R0": (_r0_material, _replay_r0),
+    "R1": (_r1_material, _replay_r1),
+    "R2": (_r2_material, _replay_r2),
+}
+
+
 def replay_run(bundle: ReplayBundle) -> ReplayResult:
     """Replay one bundle under its class contract; material it cannot read is
     ``invalid_bundle`` (a missing key, a value of the wrong type or form, or an
@@ -263,9 +283,9 @@ def replay_run(bundle: ReplayBundle) -> ReplayResult:
             "replay_version_mismatch",
             f"bundle harness {bundle.harness_version} != {REPLAY_HARNESS_VERSION}",
         )
-    replay = {"R0": _replay_r0, "R1": _replay_r1, "R2": _replay_r2}.get(bundle.replay_class)
-    if replay is None:
+    if bundle.replay_class not in REPLAYERS:
         raise ReplayError("replay_version_mismatch", f"unknown class {bundle.replay_class!r}")
+    _, replay = REPLAYERS[bundle.replay_class]
     try:
         return replay(bundle.material)
     except (KeyError, TypeError, ValueError, AttributeError, EnvError) as exc:
@@ -283,12 +303,16 @@ def load_bundle(path: Path | str) -> ReplayBundle:
     )
 
 
-def _replay_job(context: tuple[RunSet, Path], index: int) -> ReplayResult:
-    """Bundle, save and replay run ``index`` of the runset."""
+def _replay_job(context: tuple[RunSet, Path, str | None], index: int) -> ReplayResult | None:
+    """Bundle, save and replay run ``index`` of the runset; ``None`` for a run
+    of a class other than the one selected."""
 
-    runset, out = context
+    runset, out, selected = context
     run = runset.runs[index]
-    bundle = build_bundle(run, runset.events_for(run))
+    events = runset.events_for(run)
+    if selected is not None and log_replay_class(run, events) != selected:
+        return None
+    bundle = build_bundle(run, events)
     save_bundle(bundle, out / f"bundle_{run.run_id}.json")
     return replay_run(bundle)
 
@@ -298,30 +322,27 @@ def replay_runset(
 ) -> list[ReplayResult]:
     """Replay every executed run with a freeze record, optionally of one class.
 
-    Each run's bundle is written to ``out_dir/bundle_<run_id>.json``; the
-    directory must exist. The runs are independent, so they spread over
-    ``min(runs, usable CPUs)`` worker processes; results come back in runset
-    order. When a run fails, the first failure in runset order is raised and
-    the bundles already written remain.
+    A run's class is :func:`log_replay_class`. Each run's bundle is written to
+    ``out_dir/bundle_<run_id>.json``; the directory must exist. The runs are
+    independent, so they spread over ``min(runs, usable CPUs)`` worker
+    processes; results come back in runset order. When a run fails, the first
+    failure in runset order is raised and the bundles already written remain.
     """
 
-    jobs = [
-        index
-        for index, run in enumerate(runset.runs)
-        if run.freeze is not None
-        and run.manifest_resolved
-        and (replay_class is None or FAMILY_REPLAY_CLASS[run.family] == replay_class)
-    ]
-    return map_runs(_replay_job, (runset, Path(out_dir)), jobs, cap=len(jobs))
+    jobs = [i for i, run in enumerate(runset.runs) if run.freeze is not None and run.manifest_resolved]
+    results = map_runs(_replay_job, (runset, Path(out_dir), replay_class), jobs, cap=len(jobs))
+    return [result for result in results if result is not None]
 
 
 __all__ = [
     "R1_REPLAY_STEP_COST_MS",
+    "REPLAYERS",
     "ReplayBundle",
     "ReplayError",
     "ReplayResult",
     "build_bundle",
     "load_bundle",
+    "log_replay_class",
     "replay_run",
     "replay_runset",
     "save_bundle",

@@ -21,7 +21,7 @@ from typing import Any, Callable, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport, gate_report, load_decisions
 from .records import record
-from .replay import build_bundle, replay_run
+from .replay import build_bundle, log_replay_class, replay_run
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
 from .schema import EventRecord, GatebenchError, Record, float_sum, read_json, write_json
 from .simenv import CLEAN_LABEL, STRESSED_LABEL, simulate_family_throughput
@@ -73,8 +73,8 @@ class RunSummary:
     ``episode_end`` events by status (0 for a status none has).
     ``patch_quality`` is the one its ``verifier_outcome`` events record
     (``gold`` and ``noop`` for verifier controls), if any. ``r1`` is the
-    run's R1 replay as (reduction, terminal match), present for a web run
-    summarized with its record.
+    run's R1 replay as (reduction, terminal match), present for a run whose
+    log records class R1, summarized with its record.
     """
 
     service_times_ms: list[float]
@@ -95,8 +95,9 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
     quality from verifier outcomes, episodes from terminal results, parse
     statuses from parsed actions, episode statuses from episode ends
     (``invalid_log`` for one that is not a string), and the wall span is the
-    latest event clock. Given the record of a web run, the summary also holds
-    ``replay_run(build_bundle(run, events))``.
+    latest event clock. Given the run's record, its ``family`` label is
+    checked against the log (``replay.log_replay_class``), and when the log's
+    class is R1 the summary also holds ``replay_run(build_bundle(run, events))``.
     """
 
     steps: list[float] = []
@@ -131,7 +132,7 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
             ends[status] += 1
         span = max(span, event.wall_clock_ms)
     r1 = None
-    if run is not None and run.family == "web":
+    if run is not None and log_replay_class(run, events) == "R1":
         result = replay_run(build_bundle(run, events))
         r1 = (result.reduction, result.terminal_match)
     return RunSummary(steps, waits, episodes, span, counts, invalid, ends, quality, r1)
@@ -462,7 +463,8 @@ class ClaimEvidence:
 
     ``report_runset`` counts it over the admitted runs from their verified
     event logs: control and sanity episodes by ``episode_end`` status, and the
-    R1 replay (reduction, terminal match) of each web run, in runset order.
+    R1 replay (reduction, terminal match) of each run whose log records class
+    R1, in runset order.
     ``throughput_eps`` is the modelled throughput at each concurrency level.
     """
 
@@ -759,12 +761,13 @@ def report_runset(
     behind the claim matrix is derived from them by ``gate.gate_report``. The
     latency tables and the invalid-action report cover the admitted runs
     outside the decision study; the claim evidence covers every admitted run
-    whose log is read, and no copy in ``runset.json``. The logs read are those of the admitted runs outside the decision study, then
-    those of the admitted decision-study web runs (for the R1 diagnostic),
-    each once through ``RunSet.events_for``, as one job on ``min(logs, usable
-    CPUs)`` worker processes. A job returns only the run's ``RunSummary``; the
-    first failing job in that order raises, before the study report at
-    ``study_path`` is read.
+    whose log is read, and no copy in ``runset.json``. The logs read are those
+    of every admitted run that has one, in runset order, each once through
+    ``RunSet.events_for``, as one job on ``min(logs, usable CPUs)`` worker
+    processes. A job returns only the run's ``RunSummary``; the first failing
+    job in that order raises, before the study report at ``study_path`` is
+    read. A run whose ``family`` label disagrees with its log's replay class
+    fails its job with ``family_mismatch``.
     """
 
     runset = load_runset(runset_path)
@@ -778,11 +781,7 @@ def report_runset(
         if decision.verdict == "admitted"
     ]
     reported = [run for _, run, in_study in admitted if not in_study]
-    jobs = [index for index, run, in_study in admitted if not in_study and run.event_log_ref]
-    jobs += [
-        index for index, run, in_study in admitted
-        if in_study and run.family == "web" and run.event_log_ref
-    ]
+    jobs = [index for index, run, _ in admitted if run.event_log_ref]
     summaries = dict(zip(
         (runset.runs[index].run_id for index in jobs),
         map_runs(_summary_job, runset, jobs, cap=len(jobs)),

@@ -36,6 +36,7 @@ from .drivers import (
 )
 from .manifest import (
     DEFAULT_PARSER_VERSION,
+    FAMILIES,
     FreezeRecord,
     ManifestError,
     ManifestStore,
@@ -71,7 +72,6 @@ from .simenv import (
     OperatingSetting,
     TerminalOutcome,
     Ticket,
-    VERIFY_BASE_MS,
     VerifierQueue,
     draw_service_ms,
     env_step,
@@ -682,13 +682,8 @@ def _patch_quality(spec: DriverSpec) -> tuple[str, float]:
 
 
 def _verify_demand_ms(rng: random.Random, family: str, setting: OperatingSetting) -> float:
-    return draw_lognormal(
-        rng,
-        VERIFY_BASE_MS[family]
-        * setting.env_latency_multiplier
-        * setting.verifier_arrival_rate_boost,
-        0.2,
-    )
+    demand = FAMILIES[family].verify_base_ms * setting.env_latency_multiplier
+    return draw_lognormal(rng, demand * setting.verifier_arrival_rate_boost, 0.2)
 
 
 def _verify_patch(

@@ -872,9 +872,10 @@ def _event_violations(event: EventRecord) -> list[Violation]:
     """The rules a decoded event meets on its own, wherever it sits in a run.
 
     Its payload keys, for ``action_parsed`` a known ``parse_status`` with an
-    ``invalid_action`` that is true exactly when it is not ``parsed``, and a
-    supported schema version. Each field's type and range are the decoder's
-    and the records' checks.
+    ``invalid_action`` that is true exactly when it is not ``parsed``, for a
+    ``verifier_outcome`` in an R2 run its ``patch_quality`` and ``pass_prob``,
+    and a supported schema version. Each field's type and range are the
+    decoder's and the records' checks.
     """
 
     payload = event.payload
@@ -893,6 +894,12 @@ def _event_violations(event: EventRecord) -> list[Violation]:
                     "invalid_action inconsistent with parse_status",
                 )
             )
+    if event.kind == "verifier_outcome" and event.provenance.replay_class == "R2":
+        # R2 replay recomputes the verdict from these, and controls are known by quality.
+        for key in ("patch_quality", "pass_prob"):
+            if key not in payload:
+                message = f"an R2 verifier_outcome requires payload key {key}"
+                violations.append(Violation("missing_field", f"payload.{key}", message))
     if event.provenance.schema_version not in SUPPORTED_SCHEMA_VERSIONS:
         violations.append(
             Violation(
@@ -930,7 +937,8 @@ def _flag(violations: list[Violation], code: str, field: str, message: str) -> N
 class RunValidator:
     """Per-run validation state: sequence order and boundary bookkeeping.
 
-    Across events it also checks each ``episode_end`` status against its
+    Every event after ``run_start`` must carry its run id, trace id and
+    provenance. Across events it also checks each ``episode_end`` status against its
     episode's ``terminal_result`` and, in an R2 run, each ``terminal_result``
     status against its episode's last ``verifier_outcome``.
 
@@ -950,6 +958,7 @@ class RunValidator:
         self._verdicts: dict[str, Any] = {}  # episode id -> its last verifier_outcome status
         self._seen_spans: set[str] = set()
         self._trace_id: str | None = None
+        self._provenance: ProvenanceFields | None = None
 
     def _stateful_violations(self, event: EventRecord) -> list[Violation]:
         violations: list[Violation] = []
@@ -973,6 +982,10 @@ class RunValidator:
                       f"event run_id {event.run_id!r} does not match {self._run_id!r}")
             if self._trace_id is not None and event.trace.trace_id != self._trace_id:
                 _flag(violations, "boundary_mismatch", "trace.trace_id", "trace_id changed mid-run")
+            # An honest run shares one provenance record, so identity settles it.
+            if event.provenance is not self._provenance and event.provenance != self._provenance:
+                _flag(violations, "boundary_mismatch", "provenance",
+                      "provenance differs from run_start's")
 
         if self._last_sequence is not None and event.sequence <= self._last_sequence:
             _flag(violations, "sequence_order", "sequence",
@@ -1053,6 +1066,7 @@ class RunValidator:
             self._started = True
             self._run_id = event.run_id
             self._trace_id = event.trace.trace_id
+            self._provenance = event.provenance
         elif kind == "run_end":
             self._ended = True
         elif kind == "episode_start":

@@ -20,18 +20,10 @@ from dataclasses import dataclass, field
 from typing import Final
 
 from .drivers import Action, draw_lognormal
-from .manifest import TaskManifest
+from .manifest import FAMILIES, TaskManifest
 from .records import record
 from .schema import GatebenchError, Record, TimingFields, float_sum
 
-# Family base service times, calibrated to order of magnitude only; these are
-# configuration values, not measured claims.
-FAMILY_BASE_SERVICE_MS: Final[dict[str, float]] = {
-    "micro": 15.0,
-    "web": 75.0,
-    "code": 200.0,
-}
-FAMILY_DEFAULT_GOAL: Final[dict[str, int]] = {"micro": 3, "web": 5, "code": 1}
 SERVICE_CV: Final = 0.2
 TAIL_DECILE: Final = 0.9
 
@@ -41,7 +33,7 @@ SETTING_LABELS: Final[frozenset[str]] = frozenset({CLEAN_LABEL, STRESSED_LABEL})
 
 
 class EnvError(GatebenchError):
-    """Raised for invalid settings, queues, outcomes and environment steps."""
+    """Raised for invalid settings, queues, outcomes, patch qualities and environment steps."""
 
 
 @record
@@ -140,14 +132,11 @@ def init_env(
     budget: int | None = None,
 ) -> EnvState:
     """Deterministic initial state; goal and base latency come from family
-    params with family defaults."""
+    params with the family's defaults."""
 
-    if manifest.family not in FAMILY_DEFAULT_GOAL:
-        raise EnvError("unsupported_family", f"unknown family {manifest.family!r}")
-    goal = int(manifest.family_params.get("goal", FAMILY_DEFAULT_GOAL[manifest.family]))
-    base = float(
-        manifest.family_params.get("base_service_ms", FAMILY_BASE_SERVICE_MS[manifest.family])
-    )
+    family = FAMILIES[manifest.family]
+    goal = int(manifest.family_params.get("goal", family.goal))
+    base = float(manifest.family_params.get("base_service_ms", family.base_service_ms))
     del seed, setting  # initial state is independent of both; steps consume them
     return EnvState(
         family=manifest.family,
@@ -182,7 +171,7 @@ def env_step(
     if state.terminal is not None:
         raise EnvError("stepped_after_terminal", f"episode {state.task_id} already terminal")
 
-    base = state.base_service_ms or FAMILY_BASE_SERVICE_MS[state.family]
+    base = state.base_service_ms or FAMILIES[state.family].base_service_ms
     service_ms = draw_service_ms(rng, base, setting)
     fault = rng.random() < setting.fault_injection_prob
     state.step_count += 1
@@ -297,19 +286,17 @@ def verifier_outcome(
         detail = "noop_control"
     elif patch_quality == "generated":
         if rng is None:
-            raise EnvError("invalid_queue", "generated patches need a seeded rng")
+            raise EnvError("invalid_patch_quality", "generated patches need a seeded rng")
         status = "success" if rng.random() < generated_pass_prob else "failure"
         detail = "generated_patch"
     else:
-        raise EnvError("invalid_queue", f"unknown patch quality {patch_quality!r}")
+        raise EnvError("invalid_patch_quality", f"unknown patch quality {patch_quality!r}")
     return TerminalOutcome(status=status, evaluator_id=evaluator_id, detail=detail)
 
 
 # ---------------------------------------------------------------------------
 # Concurrency-scaling measurement (simulated lanes)
 # ---------------------------------------------------------------------------
-
-VERIFY_BASE_MS: Final[dict[str, float]] = {"micro": 5.0, "web": 300.0, "code": 350.0}
 
 
 def simulate_family_throughput(
@@ -330,19 +317,17 @@ def simulate_family_throughput(
     ``throughput_scaling`` claim built on it cannot fail.
     """
 
-    if family not in FAMILY_BASE_SERVICE_MS:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise EnvError("unsupported_family", f"unknown family {family!r}")
     if concurrency < 1 or episodes < 1:
         raise EnvError("invalid_queue", "concurrency and episodes must be >= 1")
     setting = clean_setting()
-    steps = FAMILY_DEFAULT_GOAL[family]
     rng = random.Random(seed)
     durations: list[float] = []
     for _ in range(episodes):
-        body = float_sum(
-            draw_service_ms(rng, FAMILY_BASE_SERVICE_MS[family], setting) for _ in range(steps)
-        )
-        verify = draw_lognormal(rng, VERIFY_BASE_MS[family], SERVICE_CV)
+        body = float_sum(draw_service_ms(rng, spec.base_service_ms, setting) for _ in range(spec.goal))
+        verify = draw_lognormal(rng, spec.verify_base_ms, SERVICE_CV)
         durations.append(body + verify)
     lane_end = [0.0] * concurrency
     for index, duration in enumerate(durations):
@@ -356,14 +341,11 @@ __all__ = [
     "CLEAN_LABEL",
     "EnvError",
     "EnvState",
-    "FAMILY_BASE_SERVICE_MS",
-    "FAMILY_DEFAULT_GOAL",
     "OperatingSetting",
     "STRESSED_LABEL",
     "StepOutcome",
     "TerminalOutcome",
     "Ticket",
-    "VERIFY_BASE_MS",
     "VerifierQueue",
     "clean_setting",
     "draw_service_ms",

@@ -88,7 +88,7 @@ WINDOW_CAPACITY: Final = 12
 PROFILE: Final = SyntheticLlmProfile(
     mean_model_latency_ms=150.0, latency_cv=0.3, invalid_action_prob=0.08, success_bias=0.75
 )
-VERIFY_BASE_MS: Final = 400.0
+VERIFY_DEMAND_MS: Final = 400.0
 VERIFY_CV: Final = 0.2
 VERIFY_SERVERS: Final = 2
 SAMPLE_INVALID_PROB: Final = 0.15
@@ -201,7 +201,7 @@ class _ControllerRunSim:
     def _submit(self, time_ms: float, lane: int, sample: _Sample) -> None:
         demand = draw_lognormal(
             sample.demand_rng,
-            VERIFY_BASE_MS
+            VERIFY_DEMAND_MS
             * self.setting.env_latency_multiplier
             * self.setting.verifier_arrival_rate_boost,
             VERIFY_CV,

@@ -744,7 +744,7 @@ def _first_event(edit):
          "TypeError: 'int' object is not iterable"),
         ("R2", lambda material: material.pop("seed"), "KeyError: 'seed'"),
         ("R2", lambda material: material["decisions"][0].update(patch_quality="platinum"),
-         "EnvError: invalid_queue: unknown patch quality 'platinum'"),
+         "EnvError: invalid_patch_quality: unknown patch quality 'platinum'"),
         ("R0", lambda material: material["episode_rows"][0].update(steps="abc"),
          "ValueError: invalid literal for int() with base 10: 'abc'"),
     ],
@@ -997,14 +997,20 @@ def test_claims_count_episodes_from_the_logs_not_the_runset_copies(gated_runs, r
     assert tampered == honest
 
 
-def _first_status(kind: str, value):
-    def edit(lines: list[str]) -> None:
+def _first_payload(kind: str, edit):
+    """A log tamper applying ``edit`` to the payload of the first ``kind`` event."""
+
+    def tamper(lines: list[str]) -> None:
         index = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line)
         doc = json.loads(lines[index])
-        doc["payload"]["status"] = value
+        edit(doc["payload"])
         lines[index] = json.dumps(doc)
 
-    return edit
+    return tamper
+
+
+def _first_status(kind: str, value):
+    return _first_payload(kind, lambda payload: payload.update(status=value))
 
 
 def _tamper_oracle_log(runs: Path, *tampers) -> str:
@@ -1068,6 +1074,73 @@ def test_r2_terminal_that_contradicts_its_verifier_outcome_is_invalid_log(
             ": invalid_value payload.status: terminal_result status 'failure' is not its "
             "verifier_outcome's 'success'"
         )
+
+
+@pytest.mark.parametrize("key", ["patch_quality", "pass_prob"])
+def test_r2_verifier_outcome_without_a_verdict_input_is_invalid_log(
+    key, gated_runs, tmp_path, capsys
+):
+    # Without the key the run used to stop counting as a control, and replay
+    # filled in a generated patch.
+    run_id = _tamper_oracle_log(
+        gated_runs[0], _first_payload("verifier_outcome", lambda payload: payload.pop(key))
+    )
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+        assert record["message"].endswith(
+            f": missing_field payload.{key}: an R2 verifier_outcome requires payload key {key}"
+        )
+
+
+def _relabel_web_runs(doc: dict) -> None:
+    for run in doc["runs"]:
+        if run["family"] == "web" and run["manifest_resolved"]:
+            run["family"] = "micro"
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "--runset", "{runs}", "--out", "{tmp}/replay"],
+    ["replay", "--runset", "{runs}", "--class", "R1", "--out", "{tmp}/replay"],
+    ["report", "--runset", "{runs}", "--gate", "{gate}", "--out", "{tmp}/report"],
+], ids=["replay", "replay-class-r1", "report"])
+def test_family_label_that_disagrees_with_the_log_is_family_mismatch(
+    argv, gated_runs, tmp_path, capsys
+):
+    runs, gate_out = gated_runs
+    relabelled = {
+        run.run_id for run in runner.load_runset(runs).runs
+        if run.family == "web" and run.manifest_resolved
+    }
+    assert len(relabelled) == 3
+    _edit_json(runs / "runset.json", _relabel_web_runs)
+    capsys.readouterr()
+    paths = {"runs": runs, "gate": gate_out, "tmp": tmp_path}
+    assert main([arg.format_map(paths) for arg in argv]) == EXIT_ERROR
+    record = _last_error_record(capsys)
+    assert record["error"] == "family_mismatch"
+    run_id = record["message"].split()[2].rstrip(":")
+    assert run_id in relabelled
+    assert record["message"] == (
+        f"family_mismatch: run {run_id}: runset.json says family micro, "
+        "its log records replay class R1"
+    )
+
+
+def test_replay_class_r1_selects_exactly_the_web_runs(gated_runs, tmp_path):
+    runs, _ = gated_runs
+    web = [
+        run.run_id for run in runner.load_runset(runs).runs
+        if run.family == "web" and run.freeze is not None and run.manifest_resolved
+    ]
+    out = tmp_path / "replay"
+    assert main(["replay", "--runset", str(runs), "--class", "R1", "--out", str(out)]) == EXIT_OK
+    assert sorted(path.name for path in out.glob("bundle_*.json")) == sorted(
+        f"bundle_{run_id}.json" for run_id in web
+    )
+    assert len(web) == 3
+    results = (out / "replay_results.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["replay_class"] for line in results] == ["R1"] * 3
 
 
 def _rename_controls(doc: dict) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gatebench.manifest import (
-    FAMILY_REPLAY_CLASS,
+    FAMILIES,
     FreezeRecord,
     ManifestError,
     ManifestStore,
@@ -84,7 +84,7 @@ def test_resolved_marker_excluded_from_hash(micro_manifest):
 )
 def test_family_replay_class_mapping_holds(family, task, goal):
     manifest = make_manifest(family, task, "root", family_params={"goal": goal})
-    assert manifest.replay_class == FAMILY_REPLAY_CLASS[family]
+    assert manifest.replay_class == FAMILIES[family].replay_class
 
 
 def test_wrong_replay_class_rejected():

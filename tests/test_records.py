@@ -22,7 +22,7 @@ import pytest
 
 from gatebench.drivers import NOOP_ACTION, SampleMeta, hook_a_filter
 from gatebench.gate import GateReport, load_decisions
-from gatebench.manifest import ManifestStore, verify_binding
+from gatebench.manifest import FAMILIES, ManifestStore, verify_binding
 from gatebench.replay import ReplayResult, load_bundle
 from gatebench.report import (
     ClaimEvidence,
@@ -115,7 +115,7 @@ def instances(golden_tree):
     replay_lines = golden_tree.joinpath("replay", "replay_results.jsonl").read_text()
     found: dict[type, list] = {}
     _walk([
-        plan, release, store.load("code-001"), runset.runs,
+        plan, release, store.load("code-001"), FAMILIES, runset.runs,
         load_decisions(golden_tree / "all" / "gate" / "gate_decisions.jsonl"),
         GateReport.from_doc(read("all", "gate", "gate_report.json")),
         load_bundle(next(golden_tree.joinpath("replay").glob("bundle_*.json"))),
@@ -186,7 +186,7 @@ _BAD_VALUES = (None, -1, 0, "", "bogus", 1.5)
 
 def test_every_frozen_class_is_a_record(instances):
     classes = _record_classes()
-    assert len(classes) == 38
+    assert len(classes) == 39
     assert sorted(c.__qualname__ for c in classes if c not in instances) == []
 
 

@@ -464,7 +464,8 @@ def test_r2_terminal_status_must_be_its_verifier_outcomes(replay_class, verdict,
         make_event("episode_start", 1, "ep-0", provenance=provenance),
     ]
     if verdict is not None:
-        payload = {"status": verdict, "queue_wait_ms": 0.0, "verifier_latency_ms": 2.0}
+        payload = {"status": verdict, "queue_wait_ms": 0.0, "verifier_latency_ms": 2.0,
+                   "patch_quality": "generated", "pass_prob": 0.5}
         events.append(make_event("verifier_outcome", 2, "ep-0", provenance=provenance,
                                  payload=payload))
     terminal = make_event("terminal_result", 3, "ep-0", provenance=provenance,
@@ -477,6 +478,43 @@ def test_r2_terminal_status_must_be_its_verifier_outcomes(replay_class, verdict,
         assert violations == []
     else:
         assert violations == [Violation("invalid_value", "payload.status", message)]
+
+
+def test_event_whose_provenance_is_not_its_run_starts_is_invalid_log(demo_runset):
+    runset, _ = demo_runset
+    run = next(run for run in runset.runs if run.family == "web" and run.event_log_ref)
+    events = list(runset.events_for(run))
+    middle = len(events) // 2
+    provenance = events[middle].provenance
+    # An equal provenance that is another object passes; one relabelled R0 does not.
+    events[middle] = dataclasses.replace(events[middle], provenance=dataclasses.replace(provenance))
+    require_valid_log(events, run.run_id)
+    relabelled = dataclasses.replace(provenance, replay_class="R0")
+    events[middle] = dataclasses.replace(events[middle], provenance=relabelled)
+    with pytest.raises(SchemaError) as err:
+        require_valid_log(events, run.run_id)
+    assert (err.value.code, err.value.message) == (
+        "invalid_log",
+        f"run {run.run_id}: event {events[middle].sequence}: boundary_mismatch provenance: "
+        "provenance differs from run_start's",
+    )
+
+
+@pytest.mark.parametrize("replay_class, violations", [
+    ("R2", [
+        Violation("missing_field", "payload.patch_quality",
+                  "an R2 verifier_outcome requires payload key patch_quality"),
+        Violation("missing_field", "payload.pass_prob",
+                  "an R2 verifier_outcome requires payload key pass_prob"),
+    ]),
+    ("R1", []),
+])
+def test_r2_verifier_outcome_requires_its_verdict_inputs(replay_class, violations):
+    provenance = dataclasses.replace(PROVENANCE, replay_class=replay_class)
+    doc = make_event("verifier_outcome", 2, "ep-0", provenance=provenance).to_doc()
+    assert check_event_doc(doc) == violations
+    doc["payload"].update(patch_quality="gold", pass_prob=1.0)
+    assert check_event_doc(doc) == []
 
 
 def _reference_payload_violations(kind, payload):

@@ -183,6 +183,16 @@ def test_gold_noop_generated_outcomes():
     assert noop.queue_wait_ms == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("quality, rng, message", [
+    ("platinum", random.Random(0), "unknown patch quality 'platinum'"),
+    ("generated", None, "generated patches need a seeded rng"),
+])
+def test_unknown_patch_quality_is_invalid_patch_quality(quality, rng, message):
+    with pytest.raises(EnvError) as err:
+        verifier_outcome(quality, rng)
+    assert (err.value.code, err.value.message) == ("invalid_patch_quality", message)
+
+
 def test_generated_with_zero_pass_prob_always_fails():
     rng = random.Random(0)
     for _ in range(100):
