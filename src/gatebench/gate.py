@@ -1,27 +1,18 @@
 """Evidence gate: admission decisions, strata, and gate reports.
 
-A run is admitted only when every admission condition holds: resolved
-manifest, complete declared-driver metadata, complete trace boundaries, a
-terminal outcome, release binding, supported schema version, replay/freeze
-metadata, and no fixture-only or smoke-only provenance. Anything else is
-rejected with every failed condition recorded, except runs whose only failure
-is an incomplete trace, which are quarantined for diagnostic review.
-
-Stressed-setting paper-facing rows must carry the decision-study label
-(controller driver); otherwise they are rejected as unsupported stress rows
-(reason: missing driver metadata, since the decision label is driver
-metadata).
-
-Decision-study rows are gated with the same rules but reported through a
-separate scope; they never merge into canonical counts.
+``ADMISSION_RULES`` is the evidence-admission contract, one (reason, rule) row
+per condition; ``STRATUM_RULES`` and ``REPORT_SCOPES`` assign each decision
+its stratum and each stratum its report scope. Decision-study rows are gated
+by the same rules but never merge into canonical counts.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Final, Literal, Sequence
+from typing import Callable, Final, Literal, Sequence
 
-from .manifest import ReleaseRoot, verify_binding
+from .drivers import DriverRecord
+from .manifest import FREEZE_VERSION_FIELDS, ReleaseRoot, verify_binding
 from .records import record
 from .runner import RunRecord, RunSet
 from .schema import (
@@ -35,39 +26,88 @@ from .schema import (
 from .simenv import CLEAN_LABEL
 
 Verdict = Literal["admitted", "rejected", "quarantined"]
+AdmissionRule = Callable[[RunRecord, tuple[str, ...] | None], bool]
 
-REASONS: Final[frozenset[str]] = frozenset(
-    {
-        "missing_terminal_outcome",
-        "invalid_sample",
-        "version_mismatch",
-        "snapshot_mismatch",
-        "retry_budget_violation",
-        "fixture_only_provenance",
-        "missing_driver_metadata",
-        "incomplete_trace",
-        "unresolved_manifest",
-        "smoke_only",
-        "missing_replay_freeze",
-        "missing_release_binding",
-    }
+# The reason of each code ``manifest.verify_binding`` returns, in the order it
+# returns them. A missing schema version is a version mismatch; any other
+# missing freeze version leaves the run without its release binding.
+BINDING_REASONS: Final[dict[str, str]] = {
+    "missing_replay_freeze": "missing_replay_freeze",
+    "snapshot_mismatch": "snapshot_mismatch",
+    **{
+        f"missing_{name}": "version_mismatch" if name == "schema_version"
+        else "missing_release_binding"
+        for name in FREEZE_VERSION_FIELDS
+    },
+}
+
+
+def _binding_code(code: str) -> AdmissionRule:
+    return lambda run, binding: binding is not None and code in binding
+
+
+def _unsupported_stress_row(run: RunRecord, binding: tuple[str, ...] | None) -> bool:
+    # Stressed paper-facing evidence without the decision-study (controller)
+    # label. The label is driver metadata, so this row's reason is
+    # missing_driver_metadata until a schema bump gives it its own.
+    driver = run.driver
+    return (
+        run.setting_label != CLEAN_LABEL
+        and driver.evidence_status == "paper_facing"
+        and driver.driver_type != "controller"
+    )
+
+
+# In emission order: a run's reasons are the rows that fire, deduplicated in order.
+ADMISSION_RULES: Final[tuple[tuple[str, AdmissionRule], ...]] = (
+    ("unresolved_manifest", lambda run, _: not run.manifest_resolved),
+    ("missing_driver_metadata", lambda run, _: not (
+        run.driver.driver_id and run.driver.driver_version and run.driver.parser_version
+    )),
+    ("missing_driver_metadata", _unsupported_stress_row),
+    ("incomplete_trace", lambda run, _: not run.trace_complete),
+    ("missing_terminal_outcome", lambda run, _: run.terminal is None),
+    ("missing_replay_freeze", lambda run, _: run.freeze is None),
+    ("version_mismatch", lambda run, _: (
+        run.freeze is not None and run.freeze.schema_version not in SUPPORTED_SCHEMA_VERSIONS
+    )),
+    ("missing_release_binding", lambda _, binding: binding is None),
+    *((reason, _binding_code(code)) for code, reason in BINDING_REASONS.items()),
+    ("fixture_only_provenance", lambda run, _: run.driver.evidence_status == "fixture_backed"),
+    ("smoke_only", lambda run, _: run.driver.evidence_status == "smoke_only"),
+    ("invalid_sample", lambda run, _: run.invalid_sample),
+    ("retry_budget_violation", lambda run, _: run.retry_count > run.retry_budget),
 )
 
-STRATA: Final[tuple[str, ...]] = (
-    "real_task_anchor",
-    "llm_driver",
-    "bounded_extension_or_diagnostic",
-    "decision_study",
-    "non_paper_facing",
+REASONS: Final[frozenset[str]] = frozenset(reason for reason, _ in ADMISSION_RULES)
+
+# A run's stratum is that of the first row whose rule holds for its driver.
+STRATUM_RULES: Final[tuple[tuple[str, Callable[[DriverRecord], bool]], ...]] = (
+    ("decision_study", lambda driver: driver.driver_type == "controller"),
+    ("non_paper_facing",
+     lambda driver: driver.evidence_status in ("fixture_backed", "smoke_only")),
+    ("llm_driver", lambda driver: driver.driver_type == "llm"),
+    ("real_task_anchor", lambda driver: (
+        driver.driver_type in ("scripted", "calibration")
+        and driver.evidence_status == "paper_facing"
+    )),
+    ("bounded_extension_or_diagnostic", lambda driver: True),
 )
 
-# Strata the canonical surface plans to populate; decision-study rows are
-# tracked by their own scope and never backfill these.
-PLANNED_CANONICAL_STRATA: Final[tuple[str, ...]] = (
-    "real_task_anchor",
-    "llm_driver",
-    "bounded_extension_or_diagnostic",
-)
+STRATA: Final[tuple[str, ...]] = tuple(stratum for stratum, _ in STRATUM_RULES)
+
+# Each gate report scope: which decisions it counts, by their stratum, and the
+# strata it plans to populate. Decision-study rows have their own scope and
+# never backfill the canonical one.
+REPORT_SCOPES: Final[dict[str, tuple[Callable[[str], bool], tuple[str, ...]]]] = {
+    "canonical": (
+        lambda stratum: stratum != "decision_study",
+        ("real_task_anchor", "llm_driver", "bounded_extension_or_diagnostic"),
+    ),
+    "decision_study": (lambda stratum: stratum == "decision_study", ("decision_study",)),
+}
+
+PLANNED_CANONICAL_STRATA: Final[tuple[str, ...]] = REPORT_SCOPES["canonical"][1]
 
 
 class GateError(GatebenchError):
@@ -96,89 +136,33 @@ class GateDecision(Record):
 
 
 def stratify(run: RunRecord) -> str:
-    """Assign the evidence stratum from driver type and evidence status."""
+    """The first ``STRATUM_RULES`` stratum whose rule holds for the run's driver."""
 
-    if run.driver.driver_type == "controller":
-        return "decision_study"
-    if run.driver.evidence_status in ("fixture_backed", "smoke_only"):
-        return "non_paper_facing"
-    if run.driver.driver_type == "llm":
-        return "llm_driver"
-    if (
-        run.driver.driver_type in ("scripted", "calibration")
-        and run.driver.evidence_status == "paper_facing"
-    ):
-        return "real_task_anchor"
-    return "bounded_extension_or_diagnostic"
-
-
-def _driver_metadata_complete(run: RunRecord) -> bool:
-    driver = run.driver
-    return bool(driver.driver_id and driver.driver_version and driver.parser_version)
+    return next(stratum for stratum, rule in STRATUM_RULES if rule(run.driver))
 
 
 def admit(run: RunRecord, binding: tuple[str, ...] | None) -> GateDecision:
-    """Decide one run; all outcomes are decisions, nothing raises.
+    """Decide one run: the reasons of the ``ADMISSION_RULES`` rows that fire.
 
     ``binding`` is the run's ``manifest.verify_binding`` violation codes,
     empty when it is bound, or ``None`` when no release binding was checked.
-    Multi-failure runs record every failed condition. Quarantine applies only
-    when the incomplete trace is the sole failure.
+    A run with no reason is admitted; one whose only reason is
+    ``incomplete_trace`` is quarantined; any other is rejected. A binding code
+    with no ``BINDING_REASONS`` entry raises ``unknown_binding_code``, since
+    the gate cannot weigh a violation it does not know.
     """
 
-    reasons: list[str] = []
-
-    if not run.manifest_resolved:
-        reasons.append("unresolved_manifest")
-    if not _driver_metadata_complete(run):
-        reasons.append("missing_driver_metadata")
-    elif (
-        run.setting_label != CLEAN_LABEL
-        and run.driver.evidence_status == "paper_facing"
-        and run.driver.driver_type != "controller"
-    ):
-        # Unsupported stress row: stressed evidence without the decision label.
-        reasons.append("missing_driver_metadata")
-    if not run.trace_complete:
-        reasons.append("incomplete_trace")
-    if run.terminal is None:
-        reasons.append("missing_terminal_outcome")
-    if run.freeze is None:
-        reasons.append("missing_replay_freeze")
-    elif run.freeze.schema_version not in SUPPORTED_SCHEMA_VERSIONS:
-        reasons.append("version_mismatch")
-
-    if binding is None:
-        reasons.append("missing_release_binding")
-    for violation in binding or ():
-        if violation == "snapshot_mismatch":
-            reasons.append("snapshot_mismatch")
-        elif violation == "missing_schema_version":
-            reasons.append("version_mismatch")
-        elif violation == "missing_replay_freeze":
-            reasons.append("missing_replay_freeze")
-        else:
-            reasons.append("missing_release_binding")
-
-    if run.driver.evidence_status == "fixture_backed":
-        reasons.append("fixture_only_provenance")
-    elif run.driver.evidence_status == "smoke_only":
-        reasons.append("smoke_only")
-
-    if run.invalid_sample:
-        reasons.append("invalid_sample")
-    if run.retry_count > run.retry_budget:
-        reasons.append("retry_budget_violation")
-
-    deduped = tuple(dict.fromkeys(reasons))
-    stratum = stratify(run)
-    if not deduped:
-        return GateDecision(run_id=run.run_id, verdict="admitted", reasons=(), stratum=stratum)
-    if deduped == ("incomplete_trace",):
-        return GateDecision(
-            run_id=run.run_id, verdict="quarantined", reasons=deduped, stratum=stratum
-        )
-    return GateDecision(run_id=run.run_id, verdict="rejected", reasons=deduped, stratum=stratum)
+    for code in binding or ():
+        if code not in BINDING_REASONS:
+            raise GateError("unknown_binding_code", f"run {run.run_id}: binding code {code!r}")
+    fired = (reason for reason, rule in ADMISSION_RULES if rule(run, binding))
+    reasons = tuple(dict.fromkeys(fired))
+    verdict: Verdict = (
+        "admitted" if not reasons
+        else "quarantined" if reasons == ("incomplete_trace",)
+        else "rejected"
+    )
+    return GateDecision(run_id=run.run_id, verdict=verdict, reasons=reasons, stratum=stratify(run))
 
 
 def decide_runset(runset: RunSet, root: ReleaseRoot) -> list[GateDecision]:
@@ -228,22 +212,14 @@ def gate_report(
                 f"decision for {decision.run_id} does not match run {run.run_id}",
             )
 
-    if scope == "canonical":
-        kept = [
-            (run, decision)
-            for run, decision in zip(runset.runs, decisions)
-            if decision.stratum != "decision_study"
-        ]
-        planned = PLANNED_CANONICAL_STRATA
-    elif scope == "decision_study":
-        kept = [
-            (run, decision)
-            for run, decision in zip(runset.runs, decisions)
-            if decision.stratum == "decision_study"
-        ]
-        planned = ("decision_study",)
-    else:
+    if scope not in REPORT_SCOPES:
         raise GateError("decision_set_mismatch", f"unknown report scope {scope!r}")
+    counted, planned = REPORT_SCOPES[scope]
+    kept = [
+        (run, decision)
+        for run, decision in zip(runset.runs, decisions)
+        if counted(decision.stratum)
+    ]
 
     indexed = len(kept)
     admitted = sum(1 for _, decision in kept if decision.verdict == "admitted")
@@ -307,10 +283,14 @@ def load_decisions(path: Path | str) -> list[GateDecision]:
 __all__ = [
     "GateDecision",
     "GateError",
+    "ADMISSION_RULES",
+    "BINDING_REASONS",
     "GateReport",
     "PLANNED_CANONICAL_STRATA",
     "REASONS",
+    "REPORT_SCOPES",
     "STRATA",
+    "STRATUM_RULES",
     "admit",
     "decide_runset",
     "gate_report",

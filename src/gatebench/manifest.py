@@ -310,7 +310,7 @@ def freeze_run(
 # ---------------------------------------------------------------------------
 
 
-_FREEZE_VERSION_FIELDS: Final[tuple[str, ...]] = (
+FREEZE_VERSION_FIELDS: Final[tuple[str, ...]] = (
     "suite_version",
     "driver_version",
     "parser_version",
@@ -334,7 +334,7 @@ def verify_binding(run: "RunRecord", root: ReleaseRoot) -> tuple[str, ...]:
     violations: list[str] = []
     if freeze.manifest_hash.hex not in root.registry.values():
         violations.append("snapshot_mismatch")
-    for name in _FREEZE_VERSION_FIELDS:
+    for name in FREEZE_VERSION_FIELDS:
         if not getattr(freeze, name):
             violations.append(f"missing_{name}")
     return tuple(violations)
@@ -343,6 +343,7 @@ def verify_binding(run: "RunRecord", root: ReleaseRoot) -> tuple[str, ...]:
 __all__ = [
     "DEFAULT_PARSER_VERSION",
     "FAMILIES",
+    "FREEZE_VERSION_FIELDS",
     "Family",
     "FreezeRecord",
     "ManifestError",

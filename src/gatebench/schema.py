@@ -71,6 +71,9 @@ RUN_SCOPED_KINDS: Final[frozenset[str]] = frozenset({"run_start", "run_end"})
 
 PARSE_STATUSES: Final[frozenset[str]] = frozenset({"parsed", "invalid", "empty"})
 
+# A code episode's patch: one of the two verifier controls, or a generated one.
+PATCH_QUALITIES: Final[frozenset[str]] = frozenset({"gold", "noop", "generated"})
+
 REPLAY_CLASSES: Final[frozenset[str]] = frozenset({"R0", "R1", "R2"})
 
 # Closed per-kind payload schemas. Required keys must be present, and any key
@@ -151,6 +154,15 @@ class LogLineError(SchemaError):
     """
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name}")
+
+
+# The one decoder of every reader: it refuses NaN, Infinity and -Infinity,
+# which the canonical writer never emits.
+_DECODER: Final = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_json(
     path: Path | str,
     error: type[GatebenchError],
@@ -161,18 +173,19 @@ def read_json(
     """Read a JSON input file, or with ``lines`` one document per non-empty line.
 
     A file that cannot be read raises ``error(missing_code)``; one that is not
-    UTF-8 or not valid JSON raises ``error(invalid_code)``. With ``lines`` the
-    result is the list of (line number, document) of :func:`_json_lines`,
-    which names a bad line by its place in the file.
+    UTF-8 or not valid JSON (``NaN`` and ``Infinity`` are not) raises
+    ``error(invalid_code)``. With ``lines`` the result is the list of (line
+    number, document) of :func:`_json_lines`, which names a bad line by its
+    place in the file.
     """
 
     try:
         text = Path(path).read_text(encoding="utf-8")
         if not lines:
-            return json.loads(text)
+            return _DECODER.decode(text)
     except OSError as exc:
         raise error(missing_code, f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except ValueError as exc:  # JSONDecodeError, a non-finite number, UnicodeDecodeError
         raise error(invalid_code, f"{path} is not valid JSON: {exc}") from exc
     return list(_json_lines(text, path, error, invalid_code))
 
@@ -192,16 +205,20 @@ def _json_lines(
     would break a line. The reader keeps each line's number and start offset,
     so a line that is not JSON raises ``error(invalid_code)`` with the
     decoder's message placed in the file (``Expecting value: line 4 column 6
-    (char 1480)``), as ``json.loads`` of the whole text would place it.
+    (char 1480)``), as ``json.loads`` of the whole text would place it. A
+    non-finite number is named with its line (``non-finite number NaN: line 7``).
     """
 
     start = 0
     for number, line in enumerate(text.split("\n"), start=1):
         if line or (header and number == 1):
             try:
-                doc = json.loads(line)
+                doc = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 where = f"{exc.msg}: line {number} column {exc.colno} (char {start + exc.pos})"
+                raise error(invalid_code, f"{path} is not valid JSON: {where}") from exc
+            except ValueError as exc:  # a non-finite number
+                where = f"{exc}: line {number}"
                 raise error(invalid_code, f"{path} is not valid JSON: {where}") from exc
             yield number, doc
         start += len(line) + 1
@@ -868,14 +885,23 @@ def _payload_violations(kind: str, payload: Mapping[str, Any]) -> list[Violation
     return violations
 
 
+# The verdict inputs of an R2 verifier_outcome: key, value test, what the value must be.
+_R2_VERDICT_INPUTS: Final = (
+    ("patch_quality", lambda value: type(value) is str and value in PATCH_QUALITIES,
+     "a known patch quality"),
+    ("pass_prob", lambda value: type(value) in (int, float) and 0 <= value <= 1,
+     "a number in [0, 1]"),
+)
+
+
 def _event_violations(event: EventRecord) -> list[Violation]:
     """The rules a decoded event meets on its own, wherever it sits in a run.
 
     Its payload keys, for ``action_parsed`` a known ``parse_status`` with an
     ``invalid_action`` that is true exactly when it is not ``parsed``, for a
-    ``verifier_outcome`` in an R2 run its ``patch_quality`` and ``pass_prob``,
-    and a supported schema version. Each field's type and range are the
-    decoder's and the records' checks.
+    ``verifier_outcome`` in an R2 run a ``patch_quality`` in ``PATCH_QUALITIES``
+    and a ``pass_prob`` in [0, 1], and a supported schema version. Each
+    field's type and range are the decoder's and the records' checks.
     """
 
     payload = event.payload
@@ -896,10 +922,13 @@ def _event_violations(event: EventRecord) -> list[Violation]:
             )
     if event.kind == "verifier_outcome" and event.provenance.replay_class == "R2":
         # R2 replay recomputes the verdict from these, and controls are known by quality.
-        for key in ("patch_quality", "pass_prob"):
+        for key, valid, expected in _R2_VERDICT_INPUTS:
             if key not in payload:
                 message = f"an R2 verifier_outcome requires payload key {key}"
                 violations.append(Violation("missing_field", f"payload.{key}", message))
+            elif not valid(payload[key]):
+                message = f"{key} {payload[key]!r} is not {expected}"
+                violations.append(Violation("invalid_value", f"payload.{key}", message))
     if event.provenance.schema_version not in SUPPORTED_SCHEMA_VERSIONS:
         violations.append(
             Violation(
@@ -1417,6 +1446,7 @@ __all__ = [
     "LogLineError",
     "OPTIONAL_PAYLOAD_KEYS",
     "PARSE_STATUSES",
+    "PATCH_QUALITIES",
     "ProvenanceFields",
     "REPLAY_CLASSES",
     "Record",

@@ -22,7 +22,7 @@ from typing import Final
 from .drivers import Action, draw_lognormal
 from .manifest import FAMILIES, TaskManifest
 from .records import record
-from .schema import GatebenchError, Record, TimingFields, float_sum
+from .schema import PATCH_QUALITIES, GatebenchError, Record, TimingFields, float_sum
 
 SERVICE_CV: Final = 0.2
 TAIL_DECILE: Final = 0.9
@@ -278,19 +278,19 @@ def verifier_outcome(
 ) -> TerminalOutcome:
     """The verdict on a verified patch: gold passes, noop fails, generated is seeded."""
 
+    if not isinstance(patch_quality, str) or patch_quality not in PATCH_QUALITIES:
+        raise EnvError("invalid_patch_quality", f"unknown patch quality {patch_quality!r}")
     if patch_quality == "gold":
         status = "success"
         detail = "gold_control"
     elif patch_quality == "noop":
         status = "failure"
         detail = "noop_control"
-    elif patch_quality == "generated":
+    else:
         if rng is None:
             raise EnvError("invalid_patch_quality", "generated patches need a seeded rng")
         status = "success" if rng.random() < generated_pass_prob else "failure"
         detail = "generated_patch"
-    else:
-        raise EnvError("invalid_patch_quality", f"unknown patch quality {patch_quality!r}")
     return TerminalOutcome(status=status, evaluator_id=evaluator_id, detail=detail)
 
 

@@ -13,7 +13,11 @@ import pytest
 from gatebench import replay, runner
 from gatebench.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from gatebench.drivers import DriverError
+from gatebench.gate import load_decisions
+from gatebench.manifest import ManifestStore
 from gatebench.replay import ReplayError
+from gatebench.report import load_study_report
+from gatebench.schema import GatebenchError, read_event_log
 
 
 def _tree_bytes(base: Path) -> dict[str, bytes]:
@@ -864,6 +868,76 @@ def test_invalid_json_input_is_typed_error(code, gated_runs, root_dir, tmp_path,
     assert " is not valid JSON: Expecting value: line " in record["message"]
 
 
+NAN = float("nan")
+
+
+def _set_first_number_to_nan(doc) -> None:
+    """Replace the first number in ``doc`` (its first value when it has none) with NaN."""
+
+    slots = []
+
+    def walk(node) -> None:
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if isinstance(value, (dict, list)):
+                walk(value)
+            else:
+                slots.append((node, key, value))
+
+    walk(doc)
+    numbers = [slot for slot in slots if type(slot[2]) in (int, float)]
+    node, key, _ = (numbers or slots)[0]
+    node[key] = NAN
+
+
+# Each loader of a JSON input: its invalid code, the file it reads (a glob
+# under the test's directory) and the call that loads it.
+_NAN_LOADERS = {
+    "plan": ("invalid_plan", "root/demo_plan.json", runner.load_plan),
+    "runset": ("invalid_runset", "runs/runset.json", lambda path: runner.load_runset(path.parent)),
+    "release-root": (
+        "invalid_manifest", "root/release_root.json",
+        lambda path: ManifestStore(path.parent).load_root(),
+    ),
+    "manifest": (
+        "invalid_manifest", "root/manifest_web-001.json",
+        lambda path: ManifestStore(path.parent).load("web-001"),
+    ),
+    "gate-decisions": ("invalid_gate_output", "gate/gate_decisions.jsonl", load_decisions),
+    "bundle": ("invalid_bundle", "replay/bundle_*.json", replay.load_bundle),
+    "study-report": ("invalid_study_report", "study/decision_study.json", load_study_report),
+    "event-log": ("invalid_log", "runs/logs/*.log", read_event_log),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(_NAN_LOADERS))
+def test_non_finite_number_is_its_loaders_invalid_code(
+    loader, gated_runs, root_dir, study_out, tmp_path
+):
+    code, pattern, load = _NAN_LOADERS[loader]
+    runs, _ = gated_runs
+    shutil.copytree(root_dir, tmp_path / "root")
+    shutil.copytree(study_out, tmp_path / "study")
+    if loader == "bundle":
+        replay_argv = ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")]
+        assert main(replay_argv) == EXIT_OK
+    path = sorted(tmp_path.glob(pattern))[0]
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        _set_first_number_to_nan(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    else:  # one document per line: NaN goes into line 2
+        lines = text.split("\n")
+        doc = json.loads(lines[1])
+        _set_first_number_to_nan(doc)
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(GatebenchError) as err:
+        load(path)
+    assert err.value.code == code
+    assert err.value.message.startswith(f"{path} is not valid JSON: non-finite number NaN")
+
+
 def _edit_json(path: Path, edit) -> None:
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)
@@ -1091,6 +1165,49 @@ def test_r2_verifier_outcome_without_a_verdict_input_is_invalid_log(
         assert record["message"].endswith(
             f": missing_field payload.{key}: an R2 verifier_outcome requires payload key {key}"
         )
+
+
+def test_non_finite_number_in_a_log_is_invalid_log_at_its_line(gated_runs, tmp_path, capsys):
+    # The decoder used to accept NaN: the gate admitted the run, and replay
+    # and report failed late on a canonical-form check that named no run.
+    run_id = _tamper_admitted_web_log(
+        gated_runs,
+        _first_payload("env_step_end", lambda payload: payload.update(service_time_ms=NAN)),
+    )
+    log = gated_runs[0] / "logs" / f"{run_id}.log"
+    lines = log.read_text(encoding="utf-8").split("\n")
+    number = next(index for index, line in enumerate(lines, start=1) if "NaN" in line)
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record == {
+            "error": "invalid_log",
+            "message": f"invalid_log: {log} is not valid JSON: non-finite number NaN: "
+                       f"line {number}",
+        }
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("patch_quality", "platinum", "'platinum' is not a known patch quality"),
+        ("pass_prob", "high", "'high' is not a number in [0, 1]"),
+        ("pass_prob", 1.5, "1.5 is not a number in [0, 1]"),
+        ("pass_prob", True, "True is not a number in [0, 1]"),
+    ],
+    ids=["platinum", "high", "above-one", "bool"],
+)
+def test_r2_verdict_input_of_a_wrong_value_is_invalid_log(
+    key, value, expected, gated_runs, tmp_path, capsys
+):
+    # An unknown quality used to drop the run from the control counts while
+    # report passed; a string pass_prob failed replay with a bare ValueError.
+    run_id = _tamper_oracle_log(
+        gated_runs[0],
+        _first_payload("verifier_outcome", lambda payload: payload.update({key: value})),
+    )
+    for record in _replay_and_report_errors(gated_runs, tmp_path, capsys):
+        assert record["error"] == "invalid_log"
+        assert record["message"].startswith(f"invalid_log: run {run_id}: event ")
+        assert record["message"].endswith(f": invalid_value payload.{key}: {key} {expected}")
 
 
 def _relabel_web_runs(doc: dict) -> None:

@@ -517,6 +517,35 @@ def test_r2_verifier_outcome_requires_its_verdict_inputs(replay_class, violation
     assert check_event_doc(doc) == []
 
 
+@pytest.mark.parametrize("key, value, valid", [
+    *(("patch_quality", quality, True) for quality in ("gold", "noop", "generated")),
+    ("patch_quality", "platinum", False),
+    ("patch_quality", 1, False),
+    ("pass_prob", 0, True),
+    ("pass_prob", 0.5, True),
+    ("pass_prob", 1, True),
+    ("pass_prob", -0.1, False),
+    ("pass_prob", 1.5, False),
+    ("pass_prob", "high", False),
+    ("pass_prob", True, False),
+    ("pass_prob", None, False),
+])
+def test_r2_verdict_inputs_are_checked_by_value(key, value, valid):
+    provenance = dataclasses.replace(PROVENANCE, replay_class="R2")
+    doc = make_event("verifier_outcome", 2, "ep-0", provenance=provenance).to_doc()
+    doc["payload"].update({"patch_quality": "gold", "pass_prob": 1.0, key: value})
+    violations = check_event_doc(doc)
+    if valid:
+        assert violations == []
+    else:
+        assert [(v.code, v.field) for v in violations] == [("invalid_value", f"payload.{key}")]
+    r1 = dataclasses.replace(PROVENANCE, replay_class="R1")
+    doc["provenance"] = make_event("verifier_outcome", 2, "ep-0", provenance=r1).to_doc()[
+        "provenance"
+    ]
+    assert check_event_doc(doc) == []
+
+
 def _reference_payload_violations(kind, payload):
     """The payload check as first written: allowed keys built per call."""
 

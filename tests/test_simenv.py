@@ -6,6 +6,7 @@ import statistics
 import pytest
 
 from gatebench.drivers import Action, NOOP_ACTION
+from gatebench.schema import PATCH_QUALITIES
 from gatebench.simenv import (
     EnvError,
     OperatingSetting,
@@ -185,12 +186,18 @@ def test_gold_noop_generated_outcomes():
 
 @pytest.mark.parametrize("quality, rng, message", [
     ("platinum", random.Random(0), "unknown patch quality 'platinum'"),
+    (["gold"], random.Random(0), "unknown patch quality ['gold']"),
     ("generated", None, "generated patches need a seeded rng"),
 ])
 def test_unknown_patch_quality_is_invalid_patch_quality(quality, rng, message):
     with pytest.raises(EnvError) as err:
         verifier_outcome(quality, rng)
     assert (err.value.code, err.value.message) == ("invalid_patch_quality", message)
+
+
+def test_every_patch_quality_a_log_may_record_has_a_verdict():
+    for quality in PATCH_QUALITIES:
+        assert verifier_outcome(quality, random.Random(0)).status in ("success", "failure")
 
 
 def test_generated_with_zero_pass_prob_always_fails():
