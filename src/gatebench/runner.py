@@ -1,23 +1,24 @@
-"""Run execution: the episode kernel, event emission, retries, and run records.
+"""Run execution: the episode kernel, the lane scheduler, event emission, retries, and run records.
 
 A run is one workload-driver-setting execution of ``planned_episodes``
-episodes on a single simulated clock. Episodes inside a plain run execute
-sequentially. The step loop (``run_episode_steps``), the verifier and
-episode-end events and the run's start and close-out are shared with the
-controller runs of ``study``, which schedule their lanes on a heap. The runs
-of a plan, the study's plan included, are independent, so ``run_plan``
-spreads them over a pool of workers (``map_runs``, shared with replay and
-the report's log pass), ``concurrency`` wide but never wider than the usable
-CPUs. The calling process is worker 0 and forks the others. Worker ``k`` of
-``width`` takes every ``width``-th job from job ``k`` on and writes the event
-logs of its own runs; a forked worker, after its last job, sends back only
-their run records, in one pickle on a pipe of its own.
+episodes on a single simulated clock. ``LaneScheduler`` plays them on lanes
+through the step loop ``run_episode_steps``, with one shared verifier queue:
+a plain run is its one-lane, one-server case, and the controller runs of
+``study`` add lanes and a hook on each delivery. The runs of a plan, the
+study's plan included, are independent, so ``run_plan`` spreads them over a
+pool of workers (``map_runs``, shared with replay and the report's log pass),
+``concurrency`` wide but never wider than the usable CPUs. The calling
+process is worker 0 and forks the others. Worker ``k`` of ``width`` takes
+every ``width``-th job from job ``k`` on and writes the event logs of its own
+runs; a forked worker, after its last job, sends back only their run
+records, in one pickle on a pipe of its own.
 Because every run owns its seed, clock, and rng, results are a pure function
 of the plan: event logs are byte-identical across concurrency levels.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from dataclasses import dataclass, field
@@ -118,6 +119,8 @@ class DriverSpec(Record):
     hooks_enabled: str | None = None  # controller: "hook_a_only" | "hook_b_only"
 
     def __post_init__(self) -> None:
+        if self.retry_budget < 0:
+            raise RunnerError("invalid_plan", "retry_budget must be >= 0")
         if self.driver_type == "controller" and self.hooks_enabled not in (
             "hook_a_only",
             "hook_b_only",
@@ -169,6 +172,8 @@ class PlanEntry(Record):
             raise RunnerError("invalid_plan", "repetitions must be >= 1")
         if self.budget < 1:
             raise RunnerError("invalid_plan", "budget must be >= 1")
+        if self.episodes is not None and self.episodes < 1:
+            raise RunnerError("invalid_plan", "episodes must be >= 1")
 
 
 def _decode_drivers(docs: Any) -> dict[str, DriverSpec]:
@@ -196,6 +201,8 @@ class RunPlan(Record):
             raise RunnerError("invalid_plan", "plan has no entries")
         if self.concurrency < 1:
             raise RunnerError("invalid_plan", "concurrency must be >= 1")
+        if self.episodes_per_run < 1:
+            raise RunnerError("invalid_plan", "episodes_per_run must be >= 1")
         for entry in self.entries:
             spec = self.drivers.get(entry.driver)
             if spec is None:
@@ -402,8 +409,8 @@ def provenance_for(
 # ---------------------------------------------------------------------------
 
 # Where the kernel writes its events: ``EventBuilder.emit``, or a controller
-# run's recorder, called as (kind, wall_clock_ms, episode_id, step_index,
-# timing, payload).
+# run's recorder, called with all six of (kind, wall_clock_ms, episode_id,
+# step_index, timing, payload), in that order.
 Emit = Callable[..., Any]
 
 
@@ -521,8 +528,8 @@ def emit_verifier_outcome(
     status: str,
     evaluator_id: str,
     **extra: Any,
-) -> float:
-    """The ``verifier_outcome`` of a served ticket, at its completion; returns that time."""
+) -> None:
+    """The ``verifier_outcome`` of a served ticket, at its completion."""
 
     latency = ticket.completion_ms - ticket.submit_time_ms
     emit(
@@ -544,7 +551,6 @@ def emit_verifier_outcome(
             **extra,
         },
     )
-    return ticket.completion_ms
 
 
 def end_episode(
@@ -620,10 +626,9 @@ def close_run(
     driver: DriverRecord,
     repetition: int,
     planned_episodes: int,
-    end_ms: float,
     **fields: Any,
 ) -> tuple[RunRecord, list[EventRecord]]:
-    """Write ``run_end``, validate the stream and build the run's record.
+    """Write ``run_end`` at the last event's time, validate, build the run's record.
 
     Its episode rows and reward trajectory are :func:`reduce_episodes` of the
     events. The harness terminal counts successes over planned episodes; a run
@@ -635,7 +640,7 @@ def close_run(
     successes = sum(1 for row in rows if row.status == "success")
     builder.emit(
         "run_end",
-        end_ms,
+        builder.events[-1].wall_clock_ms,
         payload={
             "status": "success",
             "successes": successes,
@@ -670,7 +675,81 @@ def close_run(
 
 
 # ---------------------------------------------------------------------------
-# Plain runs: sequential episodes on one clock
+# The lane scheduler (plain runs and controller runs)
+# ---------------------------------------------------------------------------
+
+
+class LaneScheduler:
+    """Discrete-event simulation of one run's episodes over lanes and one verifier.
+
+    Lane ``k`` is first assigned at ``k * stagger_ms``; an assigned lane at or
+    above ``target`` idles until :meth:`set_target` raises the target past it.
+    A run kind subclasses this with three steps that write through ``emit``
+    and count ``retries``: ``body(time_ms, index)`` plays an episode and
+    returns (its end, its verifier job or ``None``), ``demand(job)`` is a
+    submission's service time, and ``deliver(time_ms, lane, job, ticket)``
+    ends in :meth:`submit` or :meth:`lane_done`. Steps due at one instant run
+    in scheduling order.
+    """
+
+    def __init__(
+        self, emit: Emit, episodes: int, lanes: int, servers: int, stagger_ms: float = 0.0
+    ) -> None:
+        self.emit = emit
+        self.queue = VerifierQueue(servers=servers)
+        self.target = lanes
+        self.idle_lanes: set[int] = set()
+        self.pending = list(range(episodes))
+        self.retries = 0
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._seq = 0
+        for lane in range(lanes):
+            self._schedule(lane * stagger_ms, self._assign, (lane,))
+
+    def _schedule(self, time_ms: float, step: Callable[..., None], args: tuple) -> None:
+        heapq.heappush(self._heap, (time_ms, self._seq, step, args))
+        self._seq += 1
+
+    def _assign(self, time_ms: float, lane: int) -> None:
+        if lane >= self.target:
+            self.idle_lanes.add(lane)
+        elif self.pending:
+            end_ms, job = self.body(time_ms, self.pending.pop(0))
+            if job is None:
+                self.lane_done(end_ms, lane)
+            else:
+                self._schedule(end_ms, self.submit, (lane, job))
+
+    def submit(self, time_ms: float, lane: int, job: Any) -> None:
+        """Queue ``job`` at the verifier; it is delivered at its ticket's completion."""
+
+        ticket = self.queue.submit(time_ms, self.demand(job))
+        self._schedule(ticket.completion_ms, self.deliver, (lane, job, ticket))
+
+    def lane_done(self, time_ms: float, lane: int) -> None:
+        """``lane`` is free at ``time_ms`` for its next episode."""
+
+        self._schedule(time_ms, self._assign, (lane,))
+
+    def set_target(self, time_ms: float, target: int) -> None:
+        """Move the lane target; idle lanes below the new one restart at ``time_ms``."""
+
+        self.target = target
+        for lane in sorted(self.idle_lanes):
+            if lane < target:
+                self.idle_lanes.discard(lane)
+                self._schedule(time_ms, self._assign, (lane,))
+
+    def run(self) -> None:
+        """Run every scheduled step, in (time, seq) order, until none is left."""
+
+        while self._heap:
+            time_ms, _, step, args = heapq.heappop(self._heap)
+            step(time_ms, *args)
+
+
+# ---------------------------------------------------------------------------
+# Plain runs: the scheduler's one-lane, one-server case
 # ---------------------------------------------------------------------------
 
 
@@ -681,76 +760,82 @@ def _patch_quality(spec: DriverSpec) -> tuple[str, float]:
     return "generated", profile.success_bias
 
 
-def _verify_demand_ms(rng: random.Random, family: str, setting: OperatingSetting) -> float:
-    demand = FAMILIES[family].verify_base_ms * setting.env_latency_multiplier
-    return draw_lognormal(rng, demand * setting.verifier_arrival_rate_boost, 0.2)
+class _PlainRun(LaneScheduler):
+    """One plain run, written straight into ``builder``: one lane, one server and
+    one random stream (steps, then patch apply, then verifier demand). A code
+    patch or a web terminal goes to the verifier as the job (episode id, start,
+    steps, outcome step index, verdict, outcome extras); any other episode ends
+    in its body. A validator rejection stops the run when its episode ends.
+    """
 
+    def __init__(
+        self,
+        builder: EventBuilder,
+        manifest: TaskManifest,
+        spec: DriverSpec,
+        setting: OperatingSetting,
+        budget: int,
+        episodes: int,
+    ) -> None:
+        super().__init__(builder.emit, episodes, lanes=1, servers=1)
+        self.builder = builder
+        self.manifest = manifest
+        self.spec = spec
+        self.setting = setting
+        self.budget = budget
+        self.rng = random.Random(f"run:{builder.run_id}:{builder.run_seed}")
 
-def _verify_patch(
-    builder: EventBuilder,
-    manifest: TaskManifest,
-    spec: DriverSpec,
-    setting: OperatingSetting,
-    rng: random.Random,
-    queue: VerifierQueue,
-    episode_id: str,
-    episode_index: int,
-    clock_ms: float,
-) -> tuple[TerminalOutcome, float]:
-    """Apply a code episode's patch and verify it; returns (verdict, end clock)."""
-
-    apply_ms = draw_service_ms(rng, 25.0, setting)
-    clock_ms += apply_ms
-    builder.emit("tool_call", clock_ms, episode_id, 0, TimingFields(tool_latency_ms=apply_ms),
-                 {"tool_name": "patch_apply"})
-    quality, pass_prob = _patch_quality(spec)
-    ticket = queue.submit(clock_ms, _verify_demand_ms(rng, "code", setting))
-    snapshot = builder.provenance.snapshot_digest
-    decision_rng = verdict_rng(snapshot.hex if snapshot else "", builder.run_seed, episode_index)
-    terminal = verifier_outcome(
-        quality, decision_rng, generated_pass_prob=pass_prob, evaluator_id=manifest.verifier_id
-    )
-    end_ms = emit_verifier_outcome(
-        builder.emit, ticket, episode_id, 0, terminal.status, terminal.evaluator_id,
-        detail=terminal.detail, patch_quality=quality, pass_prob=pass_prob,
-    )
-    return terminal, end_ms
-
-
-def _run_one_episode(
-    builder: EventBuilder,
-    manifest: TaskManifest,
-    spec: DriverSpec,
-    setting: OperatingSetting,
-    rng: random.Random,
-    queue: VerifierQueue,
-    episode_index: int,
-    budget: int,
-    clock_ms: float,
-) -> tuple[float, int]:
-    """Execute one episode starting at ``clock_ms``; returns (end clock, retries)."""
-
-    episode_id = make_episode_id(builder.run_id, episode_index)
-    env, end_ms, retries = run_episode_steps(
-        builder.emit, manifest, spec, setting, rng, episode_id, episode_index, budget, clock_ms,
-        latency_scale=1.0, retry_cap=spec.retry_budget, retry_on_last_step=True,
-    )
-    terminal = env.terminal
-    if manifest.family == "code" and env.step_count:
-        # The verifier, not the environment, owns a patch's verdict.
-        terminal, end_ms = _verify_patch(
-            builder, manifest, spec, setting, rng, queue, episode_id, episode_index, end_ms
+    def body(self, time_ms: float, episode_index: int) -> tuple[float, tuple | None]:
+        manifest, builder = self.manifest, self.builder
+        episode_id = make_episode_id(builder.run_id, episode_index)
+        env, end_ms, retries = run_episode_steps(
+            self.emit, manifest, self.spec, self.setting, self.rng, episode_id,
+            episode_index, self.budget, time_ms,
+            latency_scale=1.0, retry_cap=self.spec.retry_budget, retry_on_last_step=True,
         )
-    elif manifest.family == "web" and terminal is not None:
-        ticket = queue.submit(end_ms, _verify_demand_ms(rng, "web", setting))
-        end_ms = emit_verifier_outcome(
-            builder.emit, ticket, episode_id, env.step_count, terminal.status,
-            manifest.verifier_id,
+        self.retries += retries
+        if manifest.family == "code" and env.step_count:
+            apply_ms = draw_service_ms(self.rng, 25.0, self.setting)
+            end_ms += apply_ms
+            self.emit("tool_call", end_ms, episode_id, 0, TimingFields(tool_latency_ms=apply_ms),
+                      {"tool_name": "patch_apply"})
+            # The verifier, not the environment, owns a patch's verdict; its
+            # stream is frozen apart from the run's.
+            quality, pass_prob = _patch_quality(self.spec)
+            snapshot = builder.provenance.snapshot_digest
+            verdict = verifier_outcome(
+                quality,
+                verdict_rng(snapshot.hex if snapshot else "", builder.run_seed, episode_index),
+                generated_pass_prob=pass_prob,
+                evaluator_id=manifest.verifier_id,
+            )
+            extra = {"detail": verdict.detail, "patch_quality": quality, "pass_prob": pass_prob}
+            return end_ms, (episode_id, time_ms, env.step_count, 0, verdict, extra)
+        if manifest.family == "web" and env.terminal is not None:
+            return end_ms, (episode_id, time_ms, env.step_count, env.step_count, env.terminal, {})
+        end_episode(
+            self.emit, end_ms, episode_id, env.step_count, env.step_count, time_ms, env.terminal
         )
-    end_episode(
-        builder.emit, end_ms, episode_id, env.step_count, env.step_count, clock_ms, terminal
-    )
-    return end_ms, retries
+        return end_ms, None
+
+    def demand(self, job: tuple) -> float:
+        setting = self.setting
+        demand = FAMILIES[self.manifest.family].verify_base_ms * setting.env_latency_multiplier
+        return draw_lognormal(self.rng, demand * setting.verifier_arrival_rate_boost, 0.2)
+
+    def deliver(self, time_ms: float, lane: int, job: tuple, ticket: Ticket) -> None:
+        episode_id, start_ms, steps, step_index, terminal, extra = job
+        emit_verifier_outcome(self.emit, ticket, episode_id, step_index, terminal.status,
+                              self.manifest.verifier_id, **extra)
+        end_episode(self.emit, time_ms, episode_id, steps, steps, start_ms, terminal)
+        self.lane_done(time_ms, lane)
+
+    def lane_done(self, time_ms: float, lane: int) -> None:
+        if self.builder.trace_complete:
+            super().lane_done(time_ms, lane)
+        else:  # validator violation: abort the run with an error event
+            self.emit("error", time_ms,
+                      payload={"message": "validator rejected emitted events", "scope": "run"})
 
 
 def execute_run(
@@ -763,34 +848,17 @@ def execute_run(
     repetition: int = 0,
     concurrency: int = 1,
 ) -> tuple[RunRecord, list[EventRecord]]:
-    """Execute one plain run of sequential episodes on a fresh simulated clock."""
+    """Execute one plain run on a fresh simulated clock."""
 
     if not manifest.resolved:
         raise RunnerError("unresolved_manifest", f"manifest {manifest.task_id} not resolved")
     driver = spec.record(seed=seed, setting_label=setting.label, budget=budget)
     builder = open_run(manifest, driver, repetition, planned_episodes)
-    rng = random.Random(f"run:{builder.run_id}:{seed}")
-    queue = VerifierQueue(servers=1)
-
-    clock_ms = 0.0
-    retry_total = 0
-    for index in range(planned_episodes):
-        clock_ms, retries = _run_one_episode(
-            builder, manifest, spec, setting, rng, queue, index, budget, clock_ms
-        )
-        retry_total += retries
-        if not builder.trace_complete:
-            # Validator violation: abort the run with an error event.
-            builder.emit(
-                "error",
-                clock_ms,
-                payload={"message": "validator rejected emitted events", "scope": "run"},
-            )
-            break
-
+    run = _PlainRun(builder, manifest, spec, setting, budget, planned_episodes)
+    run.run()
     return close_run(
-        builder, manifest, driver, repetition, planned_episodes, clock_ms,
-        retry_count=retry_total, retry_budget=spec.retry_budget, concurrency=concurrency,
+        builder, manifest, driver, repetition, planned_episodes,
+        retry_count=run.retries, retry_budget=spec.retry_budget, concurrency=concurrency,
     )
 
 
@@ -1193,6 +1261,7 @@ __all__ = [
     "DriverSpec",
     "EpisodeSummary",
     "EventBuilder",
+    "LaneScheduler",
     "PlanEntry",
     "RewardPoint",
     "RunPlan",

@@ -1,8 +1,8 @@
 """Controller decision study: two single-hook variants over one web workload.
 
-Each study run executes a fixed episode count through a pool of simulated
-actor lanes sharing one verifier queue. The two variants consume the same
-telemetry substrate:
+Each study run plays a fixed episode count on ``runner.LaneScheduler`` with
+``LANES`` simulated actor lanes sharing one verifier queue; this module holds
+the controller's steps. The two variants consume the same telemetry substrate:
 
 * ``hook_a_only`` filters verification samples by validity and staleness at
   first delivery (it never retries); dropped samples terminate their episode
@@ -24,7 +24,6 @@ weights queue- and tail-sensitive costs; they are not measured claims.
 
 from __future__ import annotations
 
-import heapq
 import random
 import tempfile
 from dataclasses import dataclass, replace
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import Any, Final
 
 from .drivers import (
+    DriverRecord,
     HookBConfig,
     SampleMeta,
     SyntheticLlmProfile,
@@ -52,6 +52,7 @@ from .report import (
 )
 from .runner import (
     DriverSpec,
+    LaneScheduler,
     PlanEntry,
     RunPlan,
     RunRecord,
@@ -64,14 +65,12 @@ from .runner import (
     run_episode_steps,
     run_plan,
 )
-from .schema import TimingFields
 from .simenv import (
     CLEAN_LABEL,
     STRESSED_LABEL,
     OperatingSetting,
     TerminalOutcome,
     Ticket,
-    VerifierQueue,
 )
 
 STUDY_TASK_ID: Final = "study-web-001"
@@ -128,8 +127,8 @@ class _Sample:
     attempts: int = 0
 
 
-class _ControllerRunSim:
-    """Discrete-event simulation of one controller run.
+class _ControllerRun(LaneScheduler):
+    """One controller run: ``LANES`` scheduler lanes over ``VERIFY_SERVERS`` servers.
 
     Each lane runs its episodes through the episode kernel with a synthetic
     LLM actor, whose policy version is the variant, and hands each sample to
@@ -140,17 +139,16 @@ class _ControllerRunSim:
         self,
         manifest: TaskManifest,
         setting: OperatingSetting,
-        backend: str,
-        seed: int,
-        budget: int,
+        driver: DriverRecord,
         variant: str,
         episodes: int,
         run_id: str,
     ) -> None:
+        super().__init__(self._record, episodes, LANES, VERIFY_SERVERS, LANE_STAGGER_MS)
         self.manifest = manifest
         self.setting = setting
-        self.seed = seed
-        self.budget = budget
+        self.budget = driver.budget
+        self.stream_key = (driver.seed, driver.budget, setting.label)
         self.variant = variant
         self.run_id = run_id
         self.actor = DriverSpec(
@@ -158,47 +156,50 @@ class _ControllerRunSim:
             driver_type="llm",
             driver_version=variant,
             profile=PROFILE,
-            backend_engine=backend,
+            backend_engine=driver.backend_engine,
         )
-        self.latency_scale = BACKEND_LATENCY_SCALE.get(backend, 1.0)
-        self.queue = VerifierQueue(servers=VERIFY_SERVERS)
+        self.latency_scale = BACKEND_LATENCY_SCALE.get(driver.backend_engine, 1.0)
         self.window = TelemetryWindow(capacity=WINDOW_CAPACITY)
-        self.target = LANES
-        self.idle_lanes: set[int] = set()
-        self.pending = list(range(episodes))
-        # One tuple per event: (time_ms, order, kind, episode_id, step_index,
-        # timing, payload). ``order`` is unique within the run, so the tuples
-        # sort by (time, order) without comparing the fields after it.
-        self.records: list[tuple] = []
-        self.retry_events = 0
-        self._heap: list[tuple[float, int, str, tuple]] = []
-        self._heap_seq = 0
+        # One (time_ms, order, event) per event. ``order`` is unique within
+        # the run, so the tuples sort by (time, order) without comparing events.
+        self.records: list[tuple[float, int, tuple]] = []
 
-    # -- event collection ---------------------------------------------------
+    def _record(self, *event: Any) -> None:
+        """Keep an event, emitted as ``EventBuilder.emit``'s six arguments, for sorting."""
 
-    def _record(
-        self,
-        kind: str,
-        time_ms: float,
-        episode_id: str = "",
-        step_index: int = 0,
-        timing: TimingFields | None = None,
-        payload: dict[str, Any] | None = None,
-    ) -> None:
-        """``EventBuilder.emit``'s signature; the event is kept for sorting."""
+        self.records.append((event[1], len(self.records), event))
 
-        records = self.records
-        records.append(
-            (time_ms, len(records), kind, episode_id, step_index, timing, payload)
+    def body(self, time_ms: float, episode_index: int) -> tuple[float, _Sample]:
+        episode_id = make_episode_id(self.run_id, episode_index)
+        env, body_end, retries = run_episode_steps(
+            self.emit,
+            self.manifest,
+            self.actor,
+            self.setting,
+            _substream("study-body", *self.stream_key, episode_index),
+            episode_id,
+            episode_index,
+            self.budget,
+            time_ms,
+            latency_scale=self.latency_scale,
+            retry_cap=None,
+            retry_on_last_step=False,
+        )
+        self.retries += retries
+        rng = _substream("study-sample", *self.stream_key, episode_index)
+        invalid = rng.random() < SAMPLE_INVALID_PROB
+        missing = rng.random() < self.setting.fault_injection_prob
+        return body_end, _Sample(
+            episode_id=episode_id,
+            env_status=env.terminal.status if env.terminal is not None else "failure",
+            invalid=invalid,
+            missing_first=missing or env.terminal is None,
+            demand_rng=rng,
+            start_ms=time_ms,
+            steps=env.step_count,
         )
 
-    def _schedule(self, time_ms: float, kind: str, args: tuple) -> None:
-        heapq.heappush(self._heap, (time_ms, self._heap_seq, kind, args))
-        self._heap_seq += 1
-
-    # -- verification lifecycle ----------------------------------------------
-
-    def _submit(self, time_ms: float, lane: int, sample: _Sample) -> None:
+    def demand(self, sample: _Sample) -> float:
         demand = draw_lognormal(
             sample.demand_rng,
             VERIFY_DEMAND_MS
@@ -208,9 +209,8 @@ class _ControllerRunSim:
         )
         if self.setting.tail_inflation > 1.0 and sample.demand_rng.random() > 0.9:
             demand *= self.setting.tail_inflation
-        ticket = self.queue.submit(time_ms, demand)
         sample.attempts += 1
-        self._schedule(ticket.completion_ms, "deliver", (lane, sample, ticket))
+        return demand
 
     def _finalize(
         self, time_ms: float, sample: _Sample, status: str, detail: str, drop_reason: str | None
@@ -219,18 +219,18 @@ class _ControllerRunSim:
         if drop_reason is not None:
             extra["drop_reason"] = drop_reason
         end_episode(
-            self._record, time_ms, sample.episode_id, 0, sample.steps, sample.start_ms,
+            self.emit, time_ms, sample.episode_id, 0, sample.steps, sample.start_ms,
             TerminalOutcome(status=status, evaluator_id=self.manifest.verifier_id, detail=detail),
             **extra,
         )
 
-    def _deliver(self, time_ms: float, lane: int, sample: _Sample, info: Ticket) -> None:
+    def deliver(self, time_ms: float, lane: int, sample: _Sample, info: Ticket) -> None:
         wait = info.queue_wait_ms
         stale = self.setting.fault_injection_prob > 0.0 and wait > STALE_AFTER_MS
         missing = sample.missing_first and sample.attempts == 1
         attempt_status = "error" if missing else ("failure" if sample.invalid else sample.env_status)
         emit_verifier_outcome(
-            self._record, info, sample.episode_id, 0, attempt_status,
+            self.emit, info, sample.episode_id, 0, attempt_status,
             self.manifest.verifier_id, detail="sample_attempt",
         )
 
@@ -251,7 +251,7 @@ class _ControllerRunSim:
                 self._finalize(
                     time_ms, sample, "failure", "filtered_sample", decision.reason
                 )
-            self._lane_done(time_ms, lane)
+            self.lane_done(time_ms, lane)
             return
 
         # hook_b_only: keep everything, pay the harness retry policy, adapt lanes.
@@ -259,8 +259,8 @@ class _ControllerRunSim:
             sample.attempts <= SAMPLE_RETRY_BUDGET
         )
         if needs_retry:
-            self.retry_events += 1
-            self._record(
+            self.retries += 1
+            self.emit(
                 "retry",
                 time_ms,
                 sample.episode_id,
@@ -272,7 +272,7 @@ class _ControllerRunSim:
                     "scope": "sample",
                 },
             )
-            self._submit(time_ms, lane, sample)
+            self.submit(time_ms, lane, sample)
             return
         if sample.invalid:
             self._finalize(time_ms, sample, "failure", "invalid_sample_exhausted", None)
@@ -280,78 +280,8 @@ class _ControllerRunSim:
             self._finalize(time_ms, sample, sample.env_status, "verified", None)
 
         self.window.push(time_ms, self.queue.depth_at(time_ms), wait)
-        new_target = hook_b_adjust(self.window, HOOK_B, self.target)
-        if new_target > self.target:
-            revived = [l for l in sorted(self.idle_lanes) if l < new_target]
-            for lane_id in revived:
-                self.idle_lanes.discard(lane_id)
-                self._schedule(time_ms, "assign", (lane_id,))
-        self.target = new_target
-        self._lane_done(time_ms, lane)
-
-    def _lane_done(self, time_ms: float, lane: int) -> None:
-        self._schedule(time_ms, "assign", (lane,))
-
-    def _assign(self, time_ms: float, lane: int) -> None:
-        if lane >= self.target:
-            self.idle_lanes.add(lane)
-            return
-        if not self.pending:
-            return
-        episode_index = self.pending.pop(0)
-        episode_id = make_episode_id(self.run_id, episode_index)
-        env, body_end, retries = run_episode_steps(
-            self._record,
-            self.manifest,
-            self.actor,
-            self.setting,
-            _substream("study-body", self.seed, self.budget, self.setting.label, episode_index),
-            episode_id,
-            episode_index,
-            self.budget,
-            time_ms,
-            latency_scale=self.latency_scale,
-            retry_cap=None,
-            retry_on_last_step=False,
-        )
-        self.retry_events += retries
-        rng = _substream(
-            "study-sample", self.seed, self.budget, self.setting.label, episode_index
-        )
-        invalid = rng.random() < SAMPLE_INVALID_PROB
-        missing = rng.random() < self.setting.fault_injection_prob
-        sample = _Sample(
-            episode_id=episode_id,
-            env_status=env.terminal.status if env.terminal is not None else "failure",
-            invalid=invalid,
-            missing_first=missing or env.terminal is None,
-            demand_rng=rng,
-            start_ms=time_ms,
-            steps=env.step_count,
-        )
-        self._schedule(body_end, "submit", (lane, sample))
-
-    # -- main loop -------------------------------------------------------------
-
-    def run(self) -> list[tuple]:
-        """Simulate the run; its events sorted by (time, order of recording)."""
-
-        for lane in range(LANES):
-            start = lane * LANE_STAGGER_MS
-            if lane < self.target:
-                self._schedule(start, "assign", (lane,))
-            else:
-                self.idle_lanes.add(lane)
-        while self._heap:
-            time_ms, _, kind, args = heapq.heappop(self._heap)
-            if kind == "assign":
-                self._assign(time_ms, *args)
-            elif kind == "submit":
-                self._submit(time_ms, *args)
-            elif kind == "deliver":
-                self._deliver(time_ms, *args)
-        self.records.sort()
-        return self.records
+        self.set_target(time_ms, hook_b_adjust(self.window, HOOK_B, self.target))
+        self.lane_done(time_ms, lane)
 
 
 def simulate_controller_run(
@@ -381,16 +311,13 @@ def simulate_controller_run(
         backend_engine=backend,
     )
     builder = open_run(manifest, driver, repetition, episodes, variant=variant, backend=backend)
-    sim = _ControllerRunSim(
-        manifest, setting, backend, seed, budget, variant, episodes, builder.run_id
-    )
-    timed = sim.run()
-    emit = builder.emit
-    for time_ms, _, kind, episode_id, step_index, timing, payload in timed:
-        emit(kind, time_ms, episode_id, step_index, timing, payload)
+    sim = _ControllerRun(manifest, setting, driver, variant, episodes, builder.run_id)
+    sim.run()
+    for _, _, event in sorted(sim.records):
+        builder.emit(*event)
     return close_run(
-        builder, manifest, driver, repetition, episodes, timed[-1][0] if timed else 0.0,
-        retry_count=sim.retry_events,
+        builder, manifest, driver, repetition, episodes,
+        retry_count=sim.retries,
         # The run-level retry allowance the gate checks aggregate retries against.
         retry_budget=episodes * (SAMPLE_RETRY_BUDGET + 1),
         concurrency=LANES,

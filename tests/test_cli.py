@@ -984,6 +984,38 @@ def test_malformed_document_is_typed_error(verb, edit, message, gated_runs, root
     assert record["message"].startswith(f"invalid_document: {message}")
 
 
+def _first_entrys_driver(doc) -> dict:
+    return doc["drivers"][doc["entries"][0]["driver"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["entries"][0].update(episodes=-2), "episodes must be >= 1"),
+        (lambda doc: doc["entries"][0].update(episodes=0), "episodes must be >= 1"),
+        (lambda doc: doc.update(episodes_per_run=0), "episodes_per_run must be >= 1"),
+        (lambda doc: doc.update(episodes_per_run=-1), "episodes_per_run must be >= 1"),
+        (lambda doc: _first_entrys_driver(doc).update(retry_budget=-1), "retry_budget must be >= 0"),
+    ],
+    ids=["episodes-negative", "episodes-zero", "episodes-per-run-zero",
+         "episodes-per-run-negative", "retry-budget-negative"],
+)
+def test_count_below_its_floor_is_invalid_plan_before_any_log(
+    edit, message, root_dir, tmp_path, capsys
+):
+    plan, out = tmp_path / "plan.json", tmp_path / "out"
+    shutil.copy(root_dir / "demo_plan.json", plan)
+    _edit_json(plan, edit)
+    capsys.readouterr()
+    argv = ["run", "--plan", str(plan), "--release-root", str(root_dir), "--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert _last_error_record(capsys)["message"] == f"invalid_plan: {message}"
+    assert not out.exists()
+    with pytest.raises(runner.RunnerError, match=message) as err:
+        runner.load_plan(plan)
+    assert err.value.code == "invalid_plan"
+
+
 def test_plan_checks_keep_their_codes_after_decoding(root_dir, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     shutil.copy(root_dir / "demo_plan.json", plan)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import signal
 import sys
@@ -29,12 +30,14 @@ from gatebench.schema import (
     SCHEMA_VERSION,
     EventRecord,
     ProvenanceFields,
+    RunValidator,
     SchemaError,
     TimingFields,
+    Violation,
     canonical_hash,
     require_valid_log,
 )
-from gatebench.simenv import VerifierQueue, clean_setting, stressed_setting
+from gatebench.simenv import OperatingSetting, VerifierQueue, clean_setting, stressed_setting
 
 ORACLE = DriverSpec(name="oracle", driver_type="calibration", mode="oracle",
                     evidence_status="diagnostic")
@@ -96,11 +99,10 @@ def test_verifier_event_takes_its_time_and_timing_from_the_ticket():
     queue.submit(0.0, 10.0)
     ticket = queue.submit(4.0, 5.0)  # waits for the first until 10
     emitted = []
-    end_ms = emit_verifier_outcome(
+    emit_verifier_outcome(
         lambda *event: emitted.append(event), ticket, "ep-0", 3, "success", "verifier:web:1",
         detail="sample_attempt",
     )
-    assert end_ms == 15.0
     assert emitted == [(
         "verifier_outcome",
         15.0,
@@ -216,6 +218,108 @@ def test_stressed_run_emits_retries(web_manifest):
             saw_retry = True
             break
     assert saw_retry
+
+
+def test_validator_rejection_stops_the_plain_run_after_that_episode(web_manifest, monkeypatch):
+    setting = OperatingSetting(label="medium_live_stressed", fault_injection_prob=0.3)
+    spec = DriverSpec(name="s", driver_type="scripted", retry_budget=2)
+    run = functools.partial(execute_run, web_manifest, spec, setting, seed=1, budget=10)
+    first, _ = run(planned_episodes=1)  # episode 0 alone: the same stream, the same retries
+    whole, _ = run(planned_episodes=3)
+    assert 0 < first.retry_count < whole.retry_count
+    validate = RunValidator.validate
+
+    def flag_the_first_step_of_episode_0(self, event):
+        found = validate(self, event)
+        if event.kind == "env_step_end" and event.episode_id.endswith("-ep000"):
+            found = [*found, Violation("forced", "kind", "flagged by the test")]
+        return found
+
+    monkeypatch.setattr(RunValidator, "validate", flag_the_first_step_of_episode_0)
+    record, events = run(planned_episodes=3)
+    episode_0 = runner.make_episode_id(record.run_id, 0)
+    end = next(
+        i for i, event in enumerate(events)
+        if event.kind == "episode_end" and event.episode_id == episode_0
+    )
+    assert "verifier_outcome" in kinds(events[:end])
+    error = events[end + 1]
+    assert (error.kind, error.episode_id, error.wall_clock_ms) == ("error", "", events[end].wall_clock_ms)
+    assert error.payload == {"message": "validator rejected emitted events", "scope": "run"}
+    assert kinds(events[end + 2:]) == ["run_end"]
+    assert {event.episode_id for event in events} == {"", episode_0}
+    assert not record.trace_complete
+    assert record.retry_count == first.retry_count
+    assert [row.episode_id for row in record.episode_summaries] == [episode_0]
+
+
+# ---------------------------------------------------------------------------
+# The lane scheduler
+# ---------------------------------------------------------------------------
+
+
+class _ConstantRun(runner.LaneScheduler):
+    """A minimal run kind: each body takes 100 ms, each verification 50 ms."""
+
+    def __init__(self, episodes: int, lanes: int, servers: int, stagger_ms: float) -> None:
+        self.events: list[tuple] = []
+        super().__init__(lambda *event: self.events.append(event), episodes, lanes, servers,
+                         stagger_ms)
+        self.waits: dict[int, float] = {}
+        self.lanes: dict[int, int] = {}
+
+    def body(self, time_ms: float, episode_index: int) -> tuple[float, int]:
+        return time_ms + 100.0, episode_index
+
+    def demand(self, job: int) -> float:
+        return 50.0
+
+    def deliver(self, time_ms: float, lane: int, job: int, ticket) -> None:
+        self.waits[job] = ticket.queue_wait_ms
+        self.lanes[job] = lane
+        self.emit("episode_end", time_ms, str(job), 0, None, {})
+        self.lane_done(time_ms, lane)
+
+
+def test_more_lanes_than_verifier_servers_wait_in_the_queue():
+    # Bodies end at 100, 110 and 120 and queue for the one server, which serves
+    # them at 100-150, 150-200 and 200-250. Lane 0 takes episode 3 at 150; its
+    # body ends at 250, when the server has just come free.
+    run = _ConstantRun(episodes=4, lanes=3, servers=1, stagger_ms=10.0)
+    run.run()
+    assert run.waits == {0: 0.0, 1: 40.0, 2: 80.0, 3: 0.0}
+    assert run.lanes == {0: 0, 1: 1, 2: 2, 3: 0}
+    assert [event[1] for event in run.events] == [150.0, 200.0, 250.0, 300.0]
+    assert run.pending == [] and run.idle_lanes == set()
+
+
+def test_one_lane_plays_its_episodes_one_after_another():
+    run = _ConstantRun(episodes=4, lanes=1, servers=1, stagger_ms=10.0)
+    run.run()
+    assert run.waits == {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+    assert [event[1] for event in run.events] == [150.0, 300.0, 450.0, 600.0]
+
+
+class _RaisingRun(_ConstantRun):
+    """Raises the lane target to 3 at every delivery."""
+
+    def deliver(self, time_ms: float, lane: int, job: int, ticket) -> None:
+        self.set_target(time_ms, 3)
+        super().deliver(time_ms, lane, job, ticket)
+
+
+def test_a_lowered_target_idles_lanes_and_a_raised_one_restarts_them():
+    run = _ConstantRun(episodes=4, lanes=3, servers=3, stagger_ms=10.0)
+    run.set_target(0.0, 1)  # lanes 1 and 2 idle at their first assignment
+    run.run()
+    assert run.idle_lanes == {1, 2}
+    assert run.lanes == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert run.events[-1][1] == 600.0
+    run = _RaisingRun(episodes=4, lanes=3, servers=3, stagger_ms=10.0)
+    run.set_target(0.0, 1)
+    run.run()  # at 150, lanes 1 and 2 restart before lane 0 takes its next episode
+    assert run.idle_lanes == set()
+    assert run.lanes == {0: 0, 1: 1, 2: 2, 3: 0}
 
 
 # ---------------------------------------------------------------------------
