@@ -9,7 +9,13 @@ one its verified log's provenance records, not its ``runset.json`` label, and
   summaries in ``runset.json``, and recompute the frozen rollup from them.
 * R1 (web): event-trace replay with evaluator freeze — re-drive the recorded
   action/transition sequence with a fixed per-step replay cost and re-run the
-  frozen evaluator over the final state.
+  frozen evaluator over the final state. The bundle's ``material.events`` is
+  the log's event lines as ``schema.read_event_log`` read them, joined by
+  commas and spliced between a fixed prefix and suffix; no event is turned
+  back into a document or rendered again. The replay reads ``EventRecord``s:
+  a runset replay and ``report`` run it on the events they hold
+  (:func:`replay_r1`), and a bundle's events are decoded by
+  ``EventRecord.from_doc``.
 * R2 (code): snapshot/manifest replay — recompute each verifier decision with
   the run's verdict rule, ``simenv.verifier_outcome`` of the recorded patch
   quality, seeded from the frozen (snapshot digest, seed, episode) triple, and
@@ -32,6 +38,7 @@ from .schema import (
     EventRecord,
     GatebenchError,
     Record,
+    SchemaError,
     doc_field,
     float_sum,
     read_json,
@@ -184,36 +191,34 @@ def _replay_r0(material: Mapping[str, Any]) -> ReplayResult:
     )
 
 
-def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
-    freeze = material["evaluator_freeze"]
-    if not freeze.get("verifier_version"):
-        raise ReplayError("replay_version_mismatch", "evaluator freeze lacks verifier_version")
+def _r1_result(events: Log) -> ReplayResult:
+    """R1 replay of a run's events: each episode's recorded final state
+    through the frozen evaluator, and a fixed cost per recorded step."""
 
-    events = material["events"]
     episodes: dict[str, dict[str, Any]] = {}
     live_step_ms: list[float] = []
     pending_model_ms: dict[str, float] = {}
-    for doc in events:
-        kind = doc["kind"]
-        episode_id = doc["episode_id"]
+    for event in events:
+        kind = event.kind
+        episode_id = event.episode_id
         if kind == "episode_start":
             episodes[episode_id] = {
-                "goal": int(doc["payload"].get("goal", 0)),
+                "goal": int(event.payload.get("goal", 0)),
                 "progress": 0,
                 "steps": 0,
                 "recorded": None,
             }
         elif kind == "model_request_end":
-            pending_model_ms[episode_id] = float(doc["payload"]["model_latency_ms"])
+            pending_model_ms[episode_id] = float(event.payload["model_latency_ms"])
         elif kind == "env_step_end":
             state = episodes[episode_id]
             state["steps"] += 1
-            state["progress"] = int(doc["payload"]["progress"])
+            state["progress"] = int(event.payload["progress"])
             live_step_ms.append(
-                float(doc["payload"]["service_time_ms"]) + pending_model_ms.pop(episode_id, 0.0)
+                float(event.payload["service_time_ms"]) + pending_model_ms.pop(episode_id, 0.0)
             )
         elif kind == "terminal_result":
-            episodes[episode_id]["recorded"] = doc["payload"]["status"]
+            episodes[episode_id]["recorded"] = event.payload["status"]
 
     total_steps = sum(state["steps"] for state in episodes.values())
     matched = bool(episodes)
@@ -238,6 +243,40 @@ def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
         replay_mean_ms=replay_mean,
         reduction=reduction,
     )
+
+
+def _require_evaluator_version(verifier_version: Any) -> None:
+    if not verifier_version:
+        raise ReplayError("replay_version_mismatch", "evaluator freeze lacks verifier_version")
+
+
+def _material_events(docs: Any) -> list[EventRecord]:
+    """R1 material's events, each by ``EventRecord.from_doc``. A document that
+    does not decode raises the lookup or type error behind the decoder's
+    (``KeyError: 'episode_id'`` for a missing key), as other material reads."""
+
+    events = []
+    for doc in docs:
+        try:
+            events.append(EventRecord.from_doc(doc))
+        except SchemaError as exc:
+            raise exc.__cause__ or exc from None
+    return events
+
+
+def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
+    _require_evaluator_version(material["evaluator_freeze"].get("verifier_version"))
+    return _r1_result(_material_events(material["events"]))
+
+
+def replay_r1(run: RunRecord, events: Log) -> ReplayResult:
+    """``replay_run(build_bundle(run, events))`` of a run whose log's class is
+    R1, replayed on its events without building the bundle."""
+
+    if run.freeze is None:
+        raise ReplayError("missing_replay_freeze", f"run {run.run_id} has no freeze record")
+    _require_evaluator_version(run.freeze.verifier_version)
+    return _r1_result(events)
 
 
 def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
@@ -275,8 +314,9 @@ REPLAYERS: Final[dict[str, tuple[Callable[..., dict[str, Any]], Callable[..., Re
 
 def replay_run(bundle: ReplayBundle) -> ReplayResult:
     """Replay one bundle under its class contract; material it cannot read is
-    ``invalid_bundle`` (a missing key, a value of the wrong type or form, or an
-    R2 patch quality the verifier does not know)."""
+    ``invalid_bundle`` (a missing key, a value of the wrong type or form, an R1
+    event that ``EventRecord.from_doc`` does not decode, or an R2 patch quality
+    the verifier does not know)."""
 
     if bundle.harness_version != REPLAY_HARNESS_VERSION:
         raise ReplayError(
@@ -288,13 +328,34 @@ def replay_run(bundle: ReplayBundle) -> ReplayResult:
     _, replay = REPLAYERS[bundle.replay_class]
     try:
         return replay(bundle.material)
-    except (KeyError, TypeError, ValueError, AttributeError, EnvError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, EnvError, SchemaError) as exc:
         message = f"{bundle.replay_class} material: {type(exc).__name__}: {exc}"
         raise ReplayError("invalid_bundle", message) from exc
 
 
 def save_bundle(bundle: ReplayBundle, path: Path | str) -> None:
     write_json(path, bundle)
+
+
+def _save_r1_bundle(run: RunRecord, lines: Sequence[str], path: Path | str) -> None:
+    """Write the R1 bundle of ``run``, whose log's event lines are ``lines``,
+    without building it: the text of ``save_bundle`` of its bundle with no
+    events, with the lines joined by commas spliced into ``material.events``.
+
+    A line gatebench writes is its event's canonical text, so the file is
+    that of ``save_bundle(build_bundle(run, events), path)``. A line written
+    another way (a space after a colon, say) is copied as written.
+    """
+
+    if run.freeze is None:
+        raise ReplayError("missing_replay_freeze", f"run {run.run_id} has no freeze record")
+    shell = render_record(ReplayBundle("R1", _r1_material(run, run.freeze, ())))
+    # The first match is the key: a '"' inside a string value is escaped.
+    head, tail = shell.split('"events":[]', 1)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{head}"events":[')
+        handle.write(",".join(lines))
+        handle.write(f"]{tail}\n")
 
 
 def load_bundle(path: Path | str) -> ReplayBundle:
@@ -305,15 +366,21 @@ def load_bundle(path: Path | str) -> ReplayBundle:
 
 def _replay_job(context: tuple[RunSet, Path, str | None], index: int) -> ReplayResult | None:
     """Bundle, save and replay run ``index`` of the runset; ``None`` for a run
-    of a class other than the one selected."""
+    of a class other than the one selected. An R1 run's bundle splices its
+    log's lines and its replay reads its events (:func:`replay_r1`)."""
 
     runset, out, selected = context
     run = runset.runs[index]
     events = runset.events_for(run)
-    if selected is not None and log_replay_class(run, events) != selected:
+    replay_class = log_replay_class(run, events)
+    if selected is not None and replay_class != selected:
         return None
+    path = out / f"bundle_{run.run_id}.json"
+    if replay_class == "R1":  # the reader keeps an R1 log's lines
+        _save_r1_bundle(run, events.lines, path)
+        return replay_r1(run, events)
     bundle = build_bundle(run, events)
-    save_bundle(bundle, out / f"bundle_{run.run_id}.json")
+    save_bundle(bundle, path)
     return replay_run(bundle)
 
 
@@ -343,6 +410,7 @@ __all__ = [
     "build_bundle",
     "load_bundle",
     "log_replay_class",
+    "replay_r1",
     "replay_run",
     "replay_runset",
     "save_bundle",

@@ -21,7 +21,7 @@ from typing import Any, Callable, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport, gate_report, load_decisions
 from .records import record
-from .replay import build_bundle, log_replay_class, replay_run
+from .replay import log_replay_class, replay_r1
 from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
 from .schema import EventRecord, GatebenchError, Record, float_sum, read_json, write_json
 from .simenv import CLEAN_LABEL, STRESSED_LABEL, simulate_family_throughput
@@ -97,7 +97,8 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
     (``invalid_log`` for one that is not a string), and the wall span is the
     latest event clock. Given the run's record, its ``family`` label is
     checked against the log (``replay.log_replay_class``), and when the log's
-    class is R1 the summary also holds ``replay_run(build_bundle(run, events))``.
+    class is R1 the summary also holds ``replay.replay_r1(run, events)``, which is
+    ``replay_run(build_bundle(run, events))`` without the bundle.
     """
 
     steps: list[float] = []
@@ -133,7 +134,7 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
         span = max(span, event.wall_clock_ms)
     r1 = None
     if run is not None and log_replay_class(run, events) == "R1":
-        result = replay_run(build_bundle(run, events))
+        result = replay_r1(run, events)
         r1 = (result.reduction, result.terminal_match)
     return RunSummary(steps, waits, episodes, span, counts, invalid, ends, quality, r1)
 

@@ -47,7 +47,9 @@ from .manifest import (
 )
 from .records import record
 from .schema import (
+    HASH_ALGORITHM,
     Digest,
+    EventLog,
     EventRecord,
     GatebenchError,
     LogLineError,
@@ -591,14 +593,15 @@ def end_episode(
 
 def open_run(
     manifest: TaskManifest,
+    manifest_hash: Digest,
     driver: DriverRecord,
     repetition: int,
     planned_episodes: int,
     **start: Any,
 ) -> EventBuilder:
-    """The event builder of a new run, its ``run_start`` written at 0."""
+    """The event builder of a new run, its ``run_start`` written at 0;
+    ``manifest_hash`` is ``manifest.manifest_hash()``."""
 
-    manifest_hash = manifest.manifest_hash()
     run_id = make_run_id(
         manifest_hash, driver.driver_id, driver.setting_label, driver.seed, repetition
     )
@@ -847,13 +850,16 @@ def execute_run(
     planned_episodes: int,
     repetition: int = 0,
     concurrency: int = 1,
+    manifest_hash: Digest | None = None,
 ) -> tuple[RunRecord, list[EventRecord]]:
-    """Execute one plain run on a fresh simulated clock."""
+    """Execute one plain run on a fresh simulated clock. ``manifest_hash`` is
+    the manifest's verified hash, when the caller has it, or else computed."""
 
     if not manifest.resolved:
         raise RunnerError("unresolved_manifest", f"manifest {manifest.task_id} not resolved")
     driver = spec.record(seed=seed, setting_label=setting.label, budget=budget)
-    builder = open_run(manifest, driver, repetition, planned_episodes)
+    manifest_hash = manifest_hash or manifest.manifest_hash()
+    builder = open_run(manifest, manifest_hash, driver, repetition, planned_episodes)
     run = _PlainRun(builder, manifest, spec, setting, budget, planned_episodes)
     run.run()
     return close_run(
@@ -914,11 +920,12 @@ class RunSet(Record):
     # Written as the version of the code that writes the file; never read.
     schema_version: str = field(default=SCHEMA_VERSION, init=False)
 
-    def events_for(self, run: RunRecord) -> list[EventRecord]:
+    def events_for(self, run: RunRecord) -> EventLog:
         """The events of ``run``'s log, held to every event rule.
 
         This is the one way a verb gets a run's events. ``schema.read_event_log``
-        reads, parses and decodes the log once. An unreadable log is
+        reads, parses and decodes the log once; the events of an R1 log keep
+        the text of their lines (``EventLog.lines``). An unreadable log is
         ``missing_log``. A line that does not decode to an event is
         ``invalid_log`` as ``run <id>: line N: <code>: <message>``. The first
         rule the events break is ``invalid_log`` (``schema.require_valid_log``).
@@ -965,12 +972,14 @@ def _candidate_run(
 class _PlanContext:
     """What every job of one plan shares; a forked worker inherits it.
 
-    ``manifests`` holds each task id's resolved manifest, or ``None`` where
-    it did not resolve, so its runs become rejected-candidate runs.
+    ``manifests`` holds each task id's resolved manifest with its hash, as
+    the release root registers it and ``resolve_manifest`` has verified it,
+    or ``None`` where it did not resolve, so its runs become
+    rejected-candidate runs.
     """
 
     plan: RunPlan
-    manifests: dict[str, TaskManifest | None]
+    manifests: dict[str, tuple[TaskManifest, Digest] | None]
     out_dir: Path | None
 
 
@@ -981,16 +990,17 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
     plan = context.plan
     entry = plan.entries[entry_index]
     spec = plan.drivers[entry.driver]
-    manifest = context.manifests[entry.task_id]
-    if manifest is None:
+    resolved = context.manifests[entry.task_id]
+    if resolved is None:
         return _candidate_run(entry, spec, repetition, plan.concurrency)
+    manifest, manifest_hash = resolved
     setting = plan.setting_for(entry.setting_label)
     episodes = entry.episodes or plan.episodes_per_run
     if spec.driver_type == "controller":
         from .study import simulate_controller_run  # deferred: study builds on runner
 
         record, events = simulate_controller_run(
-            manifest, setting, spec, entry.seed, entry.budget, episodes, repetition
+            manifest, setting, spec, entry.seed, entry.budget, episodes, repetition, manifest_hash
         )
     else:
         record, events = execute_run(
@@ -1002,6 +1012,7 @@ def _run_job(context: _PlanContext, job: tuple[int, int]) -> RunRecord:
             planned_episodes=episodes,
             repetition=repetition,
             concurrency=plan.concurrency,
+            manifest_hash=manifest_hash,
         )
     if context.out_dir is not None and events:
         write_event_log(context.out_dir / record.event_log_ref, events)
@@ -1185,13 +1196,16 @@ def run_plan(
             "invalid_plan",
             f"plan wants root {plan.release_root!r} but store has {root.root_id!r}",
         )
-    manifests: dict[str, TaskManifest | None] = {}
+    manifests: dict[str, tuple[TaskManifest, Digest] | None] = {}
     for entry in plan.entries:
         if entry.task_id not in manifests:
             try:
-                manifests[entry.task_id] = resolve_manifest(entry.task_id, root, store)
+                manifest = resolve_manifest(entry.task_id, root, store)
             except ManifestError:
                 manifests[entry.task_id] = None
+            else:  # resolve_manifest has checked the manifest's hash against this one
+                registered = Digest(HASH_ALGORITHM, root.registry[entry.task_id])
+                manifests[entry.task_id] = (manifest, registered)
 
     jobs = [
         (entry_index, repetition)

@@ -598,7 +598,7 @@ def _not_object(cls: type, doc: Any) -> None:
 
 def _invalid(cls: type, key: str, doc: Mapping[str, Any], exc: Exception) -> None:
     if isinstance(exc, KeyError) and key not in doc:
-        raise SchemaError("invalid_document", f"{cls.__name__}.{key}: {_MISSING_KEY}") from None
+        raise SchemaError("invalid_document", f"{cls.__name__}.{key}: {_MISSING_KEY}") from exc
     raise SchemaError(
         "invalid_document", f"{cls.__name__}.{key}: {type(exc).__name__}: {exc}"
     ) from exc
@@ -1395,19 +1395,127 @@ def write_event_log(
     write_json_lines(path, events, {"schema_version": schema_version})
 
 
-def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
+class EventLog(list):
+    """A log's decoded events, in order, as :func:`read_event_log` returns them.
+
+    ``lines`` holds the text of each event line as it was read when the
+    log's replay class (its first event's) is R1, whose bundles carry the
+    log's lines, and is ``None`` otherwise.
+    """
+
+    __slots__ = ("lines",)
+
+    def __init__(self, events: Iterable[EventRecord] = ()) -> None:
+        super().__init__(events)
+        self.lines: list[str] | None = None
+
+
+def _log_version(header: Any, path: Path | str) -> str:
+    """The schema version of an event log's decoded header line."""
+
+    if not isinstance(header, dict) or "schema_version" not in header:
+        raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
+    version = header["schema_version"]
+    if type(version) is not str or version not in SUPPORTED_SCHEMA_VERSIONS:
+        raise LogLineError(
+            "invalid_log", f"line 1: invalid_value: unsupported schema version {version!r}"
+        )
+    return version
+
+
+def _line_error(number: int, exc: GatebenchError) -> LogLineError:
+    return LogLineError("invalid_log", f"line {number}: {exc.code}: {exc.message}")
+
+
+def _keeps_lines(events: list[EventRecord]) -> bool:
+    return events[0].provenance.replay_class == "R1"
+
+
+def _decode_log_lines(text: str, path: Path | str) -> tuple[str, EventLog]:
+    """The reference parse of an event log's text: :func:`_json_lines`, each
+    event document decoded as it is reached (see :func:`decode_events`)."""
+
+    lines = _json_lines(text, path, SchemaError, "invalid_log", header=True)
+    version = _log_version(next(lines)[1], path)
+    decode = _event_decoder()
+    events = EventLog()
+    for number, doc in lines:
+        try:
+            events.append(decode(doc))
+        except GatebenchError as exc:
+            raise _line_error(number, exc) from exc
+    if events and _keeps_lines(events):
+        events.lines = [line for line in text.split("\n")[1:] if line]
+    return version, events
+
+
+def _scan_log_lines(text: str, path: Path | str) -> tuple[str, EventLog] | None:
+    """:func:`_decode_log_lines` of ``text`` without splitting it, or ``None``.
+
+    Each line is parsed in place by the decoder's ``scan_once`` at the
+    line's offset, then decoded, one line at a time. That is the
+    reference's result whenever every line is blank or one document that
+    starts at its first character and ends at its line feed, line 1 not
+    blank. At the first line that is not (a blank header, leading
+    whitespace, a value that ends before or after the line feed, a scan
+    error, a non-finite number) it returns ``None``, and the caller parses
+    the whole text by the reference, its errors included. A decode error
+    before that line is the reference's already, since both parse the
+    lines before it alike.
+    """
+
+    scan, find, size = _DECODER.scan_once, text.find, len(text)
+    decode = _event_decoder()
+    events = EventLog()
+    lines: list[str] | None = None
+    version: str | None = None
+    number = pos = 0
+    while pos < size:
+        number += 1
+        end_of_line = find("\n", pos)
+        if end_of_line < 0:
+            end_of_line = size
+        if end_of_line == pos and version is not None:
+            pos += 1  # a blank line after the header holds no document
+            continue
+        try:
+            doc, end = scan(text, pos)
+        except (StopIteration, ValueError, RecursionError):  # no value, a bad one, NaN, too deep
+            return None
+        if end != end_of_line:
+            return None
+        if version is None:
+            version = _log_version(doc, path)
+        else:
+            try:
+                events.append(decode(doc))
+            except GatebenchError as exc:
+                raise _line_error(number, exc) from exc
+            if lines is not None:
+                lines.append(text[pos:end])
+            elif len(events) == 1 and _keeps_lines(events):
+                lines = events.lines = [text[pos:end]]
+        pos = end_of_line + 1
+    return None if version is None else (version, events)
+
+
+def read_event_log(path: Path | str) -> tuple[str, EventLog]:
     """Read and decode an event log: (its header's schema version, its events in order).
 
-    One read of the file: each line is parsed and decoded as it is reached,
-    line 1 being the header, by :func:`_json_lines` and ``EventRecord.from_doc``
-    (see :func:`decode_events`). A file that cannot be read raises its
-    ``OSError``. A line that is not JSON, or a file that is not UTF-8, raises
-    ``invalid_log`` with the position in the file; an empty file or a header
-    without ``schema_version`` raises ``missing_field``. A header whose
-    version is not a string in ``SUPPORTED_SCHEMA_VERSIONS``, or a line whose
-    document does not decode to an event, raises :class:`LogLineError`, whose
-    message is ``line N: <code>: <message>`` (the decoder's code and message
-    for an event line).
+    One read of the file, parsed and decoded one line at a time as it is
+    reached, line 1 being the header, in place by :func:`_scan_log_lines`.
+    A text with a line the scan does not take is parsed again, whole, by the
+    reference :func:`_decode_log_lines` (:func:`_json_lines` and
+    ``EventRecord.from_doc``), so every result and error is the reference's.
+    A file that cannot be read
+    raises its ``OSError``. A line that is not JSON, or a file that is not
+    UTF-8, raises ``invalid_log`` with the position in the file; an empty
+    file or a header without ``schema_version`` raises ``missing_field``. A
+    header whose version is not a string in ``SUPPORTED_SCHEMA_VERSIONS``, or
+    a line whose document does not decode to an event, raises
+    :class:`LogLineError`, whose message is ``line N: <code>: <message>``
+    (the decoder's code and message for an event line). The events of an R1
+    log keep their lines' text (:class:`EventLog`).
     """
 
     try:
@@ -1416,30 +1524,13 @@ def read_event_log(path: Path | str) -> tuple[str, list[EventRecord]]:
         raise SchemaError("invalid_log", f"{path} is not valid JSON: {exc}") from exc
     if not text:
         raise SchemaError("missing_field", f"empty event log: {path}")
-    lines = _json_lines(text, path, SchemaError, "invalid_log", header=True)
-    _, header = next(lines)
-    if not isinstance(header, dict) or "schema_version" not in header:
-        raise SchemaError("missing_field", f"event log missing schema_version header: {path}")
-    version = header["schema_version"]
-    if type(version) is not str or version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise LogLineError(
-            "invalid_log", f"line 1: invalid_value: unsupported schema version {version!r}"
-        )
-    decode = _event_decoder()
-    events: list[EventRecord] = []
-    for number, doc in lines:
-        try:
-            events.append(decode(doc))
-        except GatebenchError as exc:
-            raise LogLineError(
-                "invalid_log", f"line {number}: {exc.code}: {exc.message}"
-            ) from exc
-    return version, events
+    return _scan_log_lines(text, path) or _decode_log_lines(text, path)
 
 
 __all__ = [
     "Digest",
     "EVENT_KINDS",
+    "EventLog",
     "EventRecord",
     "GatebenchError",
     "HASH_ALGORITHM",

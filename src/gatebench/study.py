@@ -65,6 +65,7 @@ from .runner import (
     run_episode_steps,
     run_plan,
 )
+from .schema import Digest
 from .simenv import (
     CLEAN_LABEL,
     STRESSED_LABEL,
@@ -292,9 +293,11 @@ def simulate_controller_run(
     budget: int,
     episodes: int,
     repetition: int = 0,
+    manifest_hash: Digest | None = None,
 ) -> tuple[RunRecord, list]:
     """One controller run of a plan's ``controller`` driver; returns its record
-    and validated event stream.
+    and validated event stream. ``manifest_hash`` is the manifest's verified
+    hash, when the caller has it, or else computed.
 
     The variant is the driver's ``hooks_enabled``, the backend its
     ``backend_engine`` (``vllm`` when unset). The driver record is the
@@ -310,7 +313,10 @@ def simulate_controller_run(
         model_backend_id=spec.model_backend_id or f"{backend}:synthetic",
         backend_engine=backend,
     )
-    builder = open_run(manifest, driver, repetition, episodes, variant=variant, backend=backend)
+    manifest_hash = manifest_hash or manifest.manifest_hash()
+    builder = open_run(
+        manifest, manifest_hash, driver, repetition, episodes, variant=variant, backend=backend
+    )
     sim = _ControllerRun(manifest, setting, driver, variant, episodes, builder.run_id)
     sim.run()
     for _, _, event in sorted(sim.records):

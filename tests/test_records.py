@@ -134,7 +134,10 @@ def instances(golden_tree):
         setting_for_label(run.setting_label),
         NOOP_ACTION, SampleMeta(), hook_a_filter(SampleMeta(has_terminal_outcome=False)),
         StepOutcome(events[0].timing, True, False, run.terminal),
-        _PlanContext(plan, {"code-001": store.load("code-001"), "ghost": None}, None),
+        _PlanContext(
+            plan, {"code-001": (manifest := store.load("code-001"), manifest.manifest_hash()),
+                   "ghost": None}, None,
+        ),
     ], found)
     return found
 

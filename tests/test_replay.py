@@ -2,20 +2,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
+from gatebench.cli import EXIT_OK, main
 from gatebench.drivers import SyntheticLlmProfile
 from gatebench.replay import (
     ReplayError,
     build_bundle,
     load_bundle,
+    log_replay_class,
     replay_run,
     replay_runset,
     save_bundle,
 )
 from gatebench.runner import DriverSpec, RunSet, execute_run, load_runset, save_runset
-from gatebench.schema import write_event_log
+from gatebench.schema import write_event_log, write_json
 from gatebench.simenv import clean_setting
 
 LLM = DriverSpec(
@@ -213,3 +216,101 @@ def test_r1_hundred_episode_fidelity(web_manifest):
         matches += len(record.episode_summaries) if result.terminal_match else 0
     assert episodes == 100
     assert matches == 100
+
+
+# ---------------------------------------------------------------------------
+# R1 bundles splice the log's lines
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["all/runs", "study"])
+def replayed(request, golden_tree, tmp_path_factory):
+    """A golden runset (the demo's or the study's), replayed: (runset, bundle
+    directory, replay_results.jsonl lines by run id)."""
+
+    runs = golden_tree / request.param
+    out = tmp_path_factory.mktemp("replay")
+    assert main(["replay", "--runset", str(runs), "--out", str(out)]) == EXIT_OK
+    runset = load_runset(runs)
+    replayed_ids = [run.run_id for run in runset.runs if run.freeze and run.manifest_resolved]
+    lines = (out / "replay_results.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(replayed_ids)
+    return runset, out, dict(zip(replayed_ids, lines))
+
+
+def _r1_runs(runset):
+    for run in runset.runs:
+        if run.freeze and run.manifest_resolved:
+            events = runset.events_for(run)
+            if log_replay_class(run, events) == "R1":
+                yield run, events
+
+
+def test_r1_bundle_file_is_the_reference_bundle(replayed, tmp_path):
+    runset, out, _ = replayed
+    reference = tmp_path / "reference.json"
+    checked = 0
+    for run, events in _r1_runs(runset):
+        write_json(reference, build_bundle(run, events))
+        assert (out / f"bundle_{run.run_id}.json").read_bytes() == reference.read_bytes()
+        checked += 1
+    assert checked >= 2
+
+
+def test_replaying_an_r1_bundle_file_gives_its_runs_result(replayed, tmp_path):
+    runset, out, results = replayed
+    checked = 0
+    for run, _ in _r1_runs(runset):
+        one = tmp_path / run.run_id
+        bundle = out / f"bundle_{run.run_id}.json"
+        assert main(["replay", "--bundle", str(bundle), "--out", str(one)]) == EXIT_OK
+        assert (one / "replay_results.jsonl").read_text(encoding="utf-8") == results[run.run_id] + "\n"
+        checked += 1
+    assert checked >= 2
+
+
+def test_r1_bundle_copies_a_non_canonical_log_line_as_written(golden_tree, tmp_path):
+    # A space after every colon of one event line: the log still decodes and
+    # validates, and its R1 bundle carries that line as written, so its bytes
+    # differ from the reference rendering while its document and its replay
+    # do not.
+    runs = tmp_path / "runs"
+    shutil.copytree(golden_tree / "all" / "runs", runs)
+    runset = load_runset(runs)
+    run, events = next(_r1_runs(runset))
+    expected = replay_run(build_bundle(run, events))
+    reference = tmp_path / "reference.json"
+    write_json(reference, build_bundle(run, events))
+
+    log = runs / run.event_log_ref
+    rows = log.read_text(encoding="utf-8").split("\n")
+    rows[2] = rows[2].replace('":', '": ')
+    log.write_text("\n".join(rows), encoding="utf-8")
+    out = tmp_path / "replay"
+    out.mkdir()
+    results = replay_runset(load_runset(runs), out, "R1")
+    written = (out / f"bundle_{run.run_id}.json").read_text(encoding="utf-8")
+
+    assert rows[2] in written
+    assert written != reference.read_text(encoding="utf-8")
+    assert json.loads(written) == json.loads(reference.read_text(encoding="utf-8"))
+    assert expected in results
+    assert replay_run(load_bundle(out / f"bundle_{run.run_id}.json")) == expected
+
+
+def test_r1_bundle_event_that_does_not_decode_is_invalid_bundle(web_manifest):
+    record, events = _run(web_manifest, LLM)
+    bundle = build_bundle(record, events)
+    bundle.material["events"][3]["sequence"] = "3"
+    with pytest.raises(ReplayError) as err:
+        replay_run(bundle)
+    assert (err.value.code, err.value.message) == (
+        "invalid_bundle", "R1 material: TypeError: expected an integer, got '3'"
+    )
+    bundle.material["events"][3] = 7
+    with pytest.raises(ReplayError) as err:
+        replay_run(bundle)
+    assert (err.value.code, err.value.message) == (
+        "invalid_bundle",
+        "R1 material: SchemaError: invalid_document: EventRecord: expected an object, got int",
+    )

@@ -6,12 +6,13 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from gatebench import runner
 from gatebench.drivers import DriverError, SyntheticLlmProfile
-from gatebench.manifest import resolve_manifest
+from gatebench.manifest import ManifestStore, TaskManifest, resolve_manifest
 from gatebench.runner import (
     DriverSpec,
     PlanEntry,
@@ -38,6 +39,7 @@ from gatebench.schema import (
     require_valid_log,
 )
 from gatebench.simenv import OperatingSetting, VerifierQueue, clean_setting, stressed_setting
+from gatebench.study import StudyConfig, build_study_release, study_plan
 
 ORACLE = DriverSpec(name="oracle", driver_type="calibration", mode="oracle",
                     evidence_status="diagnostic")
@@ -481,6 +483,33 @@ def test_unknown_task_becomes_candidate_run(demo_store):
     assert not candidate.manifest_resolved
     assert candidate.terminal is None
     assert not candidate.trace_complete
+
+
+@pytest.mark.parametrize("kind", ["plain", "controller"])
+def test_plan_hashes_each_manifest_once_not_per_run(kind, demo_store, tmp_path, monkeypatch):
+    # run_plan hands each task's verified hash to its runs, so a manifest is
+    # hashed once, when resolve_manifest checks it against the release root.
+    if kind == "plain":
+        plan, store = _small_plan(), demo_store
+    else:
+        store = ManifestStore(tmp_path / "release")
+        build_study_release(store)
+        plan = study_plan(StudyConfig(backends=("vllm",), seeds=(0,), budgets=(7,)))
+    real_hash = TaskManifest.manifest_hash
+    hashed: Counter[str] = Counter()
+
+    def counting_hash(manifest):
+        hashed[manifest.task_id] += 1
+        return real_hash(manifest)
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)  # every run in this process
+    monkeypatch.setattr(TaskManifest, "manifest_hash", counting_hash)
+    runset = run_plan(plan, store)
+    monkeypatch.undo()
+    assert len(runset.runs) == 4
+    assert hashed and set(hashed.values()) == {1}
+    for run in runset.runs:
+        assert run.manifest_hash == store.load(run.task_id).manifest_hash()
 
 
 def test_concurrency_one_vs_four_bit_identical(demo_store, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import importlib
 import json
 import pickle
 import random
+import re
 import threading
 from collections import Counter, OrderedDict
 from pathlib import Path
@@ -17,6 +18,7 @@ from gatebench.schema import (
     Digest,
     EVENT_KINDS,
     EventRecord,
+    GatebenchError,
     OPTIONAL_PAYLOAD_KEYS,
     ProvenanceFields,
     REQUIRED_PAYLOAD_KEYS,
@@ -27,7 +29,9 @@ from gatebench.schema import (
     TraceContext,
     Violation,
     _check_canonical,
+    _decode_log_lines,
     _payload_violations,
+    _scan_log_lines,
     canonical_hash,
     canonical_json,
     check_event_doc,
@@ -1098,6 +1102,118 @@ def test_write_event_log_payload_errors_match_reference(tmp_path, payload, messa
         write_event_log(tmp_path / "run.log", [make_event("run_start", 0), event])
     assert (err.value.code, str(err.value)) == (reference.value.code, str(reference.value))
     assert str(err.value) == f"non_canonical_value: {message}"
+
+
+# ---------------------------------------------------------------------------
+# The in-place line scan of read_event_log against the reference reader
+# ---------------------------------------------------------------------------
+
+
+def _log_rows(replay_class: str) -> list[str]:
+    provenance = dataclasses.replace(PROVENANCE, replay_class=replay_class)
+    events = [
+        dataclasses.replace(event, provenance=provenance) for event in well_formed_run(1, 1)
+    ]
+    header = canonical_json({"schema_version": SCHEMA_VERSION})
+    return [header, *(canonical_json(event.to_doc()) for event in events)]
+
+
+def _read_outcome(read, *args):
+    """(version, events, kept lines) of a read, or the typed error's class, code and message."""
+
+    try:
+        version, events = read(*args)
+    except GatebenchError as exc:
+        return type(exc), exc.code, exc.message
+    return version, list(events), events.lines
+
+
+_NON_FINITE = ("NaN", "Infinity", "-Infinity")
+
+
+@st.composite
+def _edited_logs(draw) -> str:
+    """A small R0 or R1 log's text with up to four line edits: blank lines (a
+    blank header too), whitespace around a line, two documents on one line,
+    a line cut in two (inside a string or between tokens), a non-finite
+    number, raw U+2028 inside a string or between tokens, spaces after colons."""
+
+    rows = _log_rows(draw(st.sampled_from(["R0", "R1"])))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from([
+            "blank", "leading", "trailing", "join", "cut", "non_finite",
+            "u2028_in_string", "u2028_between", "space_after_colon",
+        ]))
+        index = draw(st.integers(0, len(rows) - 1))
+        row = rows[index]
+        if edit == "blank":
+            rows.insert(index, "")
+        elif edit == "leading":
+            rows[index] = draw(st.sampled_from([" ", "\t", "\r"])) + row
+        elif edit == "trailing":
+            rows[index] = row + draw(st.sampled_from([" ", "\t", "\r", " \r"]))
+        elif edit == "join" and index + 1 < len(rows):
+            rows[index:index + 2] = [row + draw(st.sampled_from(["", " "])) + rows[index + 1]]
+        elif edit == "cut" and len(row) > 1:
+            at = draw(st.integers(1, len(row) - 1))
+            rows[index:index + 1] = [row[:at], row[at:]]
+        elif edit == "non_finite":
+            constant = draw(st.sampled_from(_NON_FINITE))
+            rows[index] = re.sub(r":-?\d+\.\d+", ":" + constant, row, count=1)
+        elif edit == "u2028_in_string":
+            rows[index] = row.replace('"run-1"', '"run-\u2028-1"', 1)
+        elif edit == "u2028_between":
+            rows[index] = row.replace(",", ",\u2028", 1)
+        elif edit == "space_after_colon":
+            rows[index] = row.replace('":', '": ')
+    return "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_logs())
+def test_read_event_log_matches_the_reference_reader(log_path, text):
+    log_path.write_text(text, encoding="utf-8")
+    read = log_path.read_text(encoding="utf-8")  # as the reader reads it: "\r" ends a line
+    assert _read_outcome(read_event_log, log_path) == _read_outcome(
+        _decode_log_lines, read, log_path
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, scanned",
+    [
+        (lambda rows: rows, True),
+        (lambda rows: [*rows[:2], "", *rows[2:]], True),
+        (lambda rows: [rows[0], rows[1].replace('":', '": '), *rows[2:]], True),
+        (lambda rows: ["", *rows[1:]], False),
+        (lambda rows: [rows[0], " " + rows[1], *rows[2:]], False),
+        (lambda rows: [rows[0], rows[1] + "\r", *rows[2:]], False),
+        (lambda rows: [rows[0], rows[1] + rows[2], *rows[3:]], False),
+        (lambda rows: [rows[0], rows[1][:9], rows[1][9:], *rows[2:]], False),
+        (lambda rows: [rows[0], rows[1].replace(":0.0", ":NaN", 1), *rows[2:]], False),
+    ],
+    ids=[
+        "canonical", "blank-line", "space-after-colon", "blank-header", "leading-space",
+        "carriage-return", "two-documents", "cut-line", "nan",
+    ],
+)
+def test_scan_reads_clean_lines_and_leaves_the_rest_to_the_reference(edit, scanned, log_path):
+    rows = edit(_log_rows("R1"))
+    text = "\n".join(rows) + "\n"
+    if scanned:
+        assert _read_outcome(_scan_log_lines, text, log_path) == _read_outcome(
+            _decode_log_lines, text, log_path
+        )
+    else:
+        assert _scan_log_lines(text, log_path) is None
+
+
+def test_read_event_log_keeps_the_event_lines_of_r1_logs_only(log_path):
+    for replay_class, kept in (("R1", True), ("R0", False)):
+        rows = _log_rows(replay_class)
+        log_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _, events = read_event_log(log_path)
+        assert events.lines == (rows[1:] if kept else None)
 
 
 def test_write_json_lines_renders_every_line_before_it_opens_the_file(tmp_path):
