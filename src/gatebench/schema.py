@@ -31,6 +31,7 @@ from typing import (
     Iterator,
     Literal,
     Mapping,
+    NamedTuple,
     NoReturn,
     Union,
     get_args,
@@ -47,27 +48,64 @@ HASH_ALGORITHM: Final = "sha256"
 _TRACE_ID_HEX_LEN: Final = 32
 _SPAN_ID_HEX_LEN: Final = 16
 
-EVENT_KINDS: Final[frozenset[str]] = frozenset(
-    {
-        "run_start",
-        "run_end",
-        "episode_start",
-        "episode_end",
-        "model_request_start",
-        "model_request_end",
-        "action_parsed",
-        "env_step_start",
-        "env_step_end",
-        "tool_call",
-        "verifier_outcome",
-        "retry",
-        "error",
-        "terminal_result",
-    }
-)
 
-# Kinds that belong to the run envelope rather than to a specific episode.
-RUN_SCOPED_KINDS: Final[frozenset[str]] = frozenset({"run_start", "run_end"})
+class EventKind(NamedTuple):
+    """One event kind's contract: where it sits in a run, its payload keys, its span.
+
+    ``scope`` is ``"run"`` (the run envelope, with an empty episode id),
+    ``"opens_episode"`` (under a new episode id), ``"episode"`` (inside an
+    open episode) or ``"episode_or_run"`` (run-level when its episode id is
+    empty). The payload is closed: each ``required`` key must be present, and
+    any key outside ``required`` and ``optional`` is rejected. ``span`` is the
+    episode span that ``{span}_start`` opens and ``{span}_end`` closes.
+    """
+
+    scope: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    span: str | None = None
+
+
+KINDS: Final[dict[str, EventKind]] = {
+    "run_start": EventKind(
+        "run", ("setting_label", "planned_episodes"), ("driver_type", "variant", "backend")
+    ),
+    "run_end": EventKind("run", ("status",), ("successes", "episodes_completed")),
+    "episode_start": EventKind("opens_episode", ("episode_index",), ("goal",)),
+    "episode_end": EventKind("episode", ("status", "steps"), ("wall_ms",)),
+    "model_request_start": EventKind("episode", ("request_index",), span="model_request"),
+    "model_request_end": EventKind(
+        "episode", ("request_index", "model_latency_ms"), ("backend_engine",), "model_request"
+    ),
+    "action_parsed": EventKind(
+        "episode",
+        ("parse_status", "invalid_action", "observation_hash", "prompt_tokens",
+         "completion_tokens", "model_latency_ms"),
+        ("prompt_hash", "raw_output_hash", "parsed_action_hash", "backend_engine",
+         "policy_version"),
+    ),
+    "env_step_start": EventKind("episode", ("action_kind",), span="env_step"),
+    "env_step_end": EventKind("episode", ("service_time_ms", "progress"), ("fault",), "env_step"),
+    "tool_call": EventKind("episode", ("tool_name",), ("detail",)),
+    "verifier_outcome": EventKind(
+        "episode",
+        ("status", "queue_wait_ms", "verifier_latency_ms"),
+        ("evaluator_id", "detail", "ticket_id", "pass_prob", "patch_quality"),
+    ),
+    "retry": EventKind("episode", ("attempt", "reason"), ("scope",)),
+    "error": EventKind("episode_or_run", ("message",), ("scope",)),
+    "terminal_result": EventKind(
+        "episode", ("status",), ("evaluator_id", "detail", "drop_reason", "sample_retry_count")
+    ),
+}
+
+EVENT_KINDS: Final[frozenset[str]] = frozenset(KINDS)
+REQUIRED_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
+    kind: row.required for kind, row in KINDS.items()
+}
+OPTIONAL_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
+    kind: row.optional for kind, row in KINDS.items()
+}
 
 PARSE_STATUSES: Final[frozenset[str]] = frozenset({"parsed", "invalid", "empty"})
 
@@ -76,54 +114,6 @@ PATCH_QUALITIES: Final[frozenset[str]] = frozenset({"gold", "noop", "generated"}
 
 REPLAY_CLASSES: Final[frozenset[str]] = frozenset({"R0", "R1", "R2"})
 
-# Closed per-kind payload schemas. Required keys must be present, and any key
-# outside required ∪ optional is rejected.
-REQUIRED_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
-    "run_start": ("setting_label", "planned_episodes"),
-    "run_end": ("status",),
-    "episode_start": ("episode_index",),
-    "episode_end": ("status", "steps"),
-    "model_request_start": ("request_index",),
-    "model_request_end": ("request_index", "model_latency_ms"),
-    "action_parsed": (
-        "parse_status",
-        "invalid_action",
-        "observation_hash",
-        "prompt_tokens",
-        "completion_tokens",
-        "model_latency_ms",
-    ),
-    "env_step_start": ("action_kind",),
-    "env_step_end": ("service_time_ms", "progress"),
-    "tool_call": ("tool_name",),
-    "verifier_outcome": ("status", "queue_wait_ms", "verifier_latency_ms"),
-    "retry": ("attempt", "reason"),
-    "error": ("message",),
-    "terminal_result": ("status",),
-}
-
-OPTIONAL_PAYLOAD_KEYS: Final[dict[str, tuple[str, ...]]] = {
-    "run_start": ("driver_type", "variant", "backend"),
-    "run_end": ("successes", "episodes_completed"),
-    "episode_start": ("goal",),
-    "episode_end": ("wall_ms",),
-    "model_request_start": (),
-    "model_request_end": ("backend_engine",),
-    "action_parsed": (
-        "prompt_hash",
-        "raw_output_hash",
-        "parsed_action_hash",
-        "backend_engine",
-        "policy_version",
-    ),
-    "env_step_start": (),
-    "env_step_end": ("fault",),
-    "tool_call": ("detail",),
-    "verifier_outcome": ("evaluator_id", "detail", "ticket_id", "pass_prob", "patch_quality"),
-    "retry": ("scope",),
-    "error": ("scope",),
-    "terminal_result": ("evaluator_id", "detail", "drop_reason", "sample_retry_count"),
-}
 
 class GatebenchError(Exception):
     """Base of every typed harness error: ``str()`` is ``"code: message"``.
@@ -797,7 +787,7 @@ class EventRecord(Record):
     from_doc = classmethod(_from_doc)
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in KINDS:
             raise SchemaError("invalid_value", f"unknown event kind {self.kind!r}")
         if self.sequence < 0 or self.step_index < 0:
             raise SchemaError("invalid_value", "sequence and step_index must be >= 0")
@@ -861,22 +851,27 @@ class Violation:
     message: str
 
 
-# The allowed payload keys per kind, required ∪ optional.
-_ALLOWED_PAYLOAD_KEYS: Final[dict[str, frozenset[str]]] = {
-    kind: frozenset(REQUIRED_PAYLOAD_KEYS.get(kind, ()) + OPTIONAL_PAYLOAD_KEYS.get(kind, ()))
-    for kind in REQUIRED_PAYLOAD_KEYS.keys() | OPTIONAL_PAYLOAD_KEYS.keys()
+# The columns of KINDS that every event reads, as plain dicts: a field of a
+# NamedTuple costs more to read per event. Per kind: (required, allowed) payload
+# keys; scope; and for a span's start or end kind, (span, whether it opens it).
+_PAYLOAD_KEYS: Final[dict[str, tuple[tuple[str, ...], frozenset[str]]]] = {
+    kind: (row.required, frozenset(row.required + row.optional)) for kind, row in KINDS.items()
 }
+_SCOPES: Final[dict[str, str]] = {kind: row.scope for kind, row in KINDS.items()}
+_SPAN_EDGES: Final[dict[str, tuple[str, bool]]] = {
+    kind: (row.span, kind == f"{row.span}_start") for kind, row in KINDS.items() if row.span
+}
+_NO_PAYLOAD_KEYS: Final = ((), frozenset())  # an unknown kind's, built once
 
 
 def _payload_violations(kind: str, payload: Mapping[str, Any]) -> list[Violation]:
     violations: list[Violation] = []
-    required = REQUIRED_PAYLOAD_KEYS.get(kind, ())
+    required, allowed = _PAYLOAD_KEYS.get(kind, _NO_PAYLOAD_KEYS)
     for key in required:
         if key not in payload:
             violations.append(
                 Violation("missing_field", f"payload.{key}", f"{kind} requires payload key {key}")
             )
-    allowed = _ALLOWED_PAYLOAD_KEYS.get(kind, frozenset())
     for key in payload:
         if key not in allowed:
             violations.append(
@@ -981,7 +976,7 @@ class RunValidator:
         self._last_clock: float | None = None
         self._started = False
         self._ended = False
-        self._open_episodes: dict[str, dict[str, bool]] = {}
+        self._open_episodes: dict[str, set[str]] = {}  # episode id -> its open spans
         self._closed_episodes: set[str] = set()
         self._terminal_statuses: dict[str, Any] = {}  # episode id -> its terminal status
         self._verdicts: dict[str, Any] = {}  # episode id -> its last verifier_outcome status
@@ -1026,32 +1021,31 @@ class RunValidator:
             _flag(violations, "invalid_value", "trace.span_id", "span_id reused within run")
 
         episode = event.episode_id
-        if kind in RUN_SCOPED_KINDS or (kind == "error" and episode == ""):
-            if kind in RUN_SCOPED_KINDS and episode != "":
+        scope = _SCOPES[kind]
+        if scope == "run" or (scope == "episode_or_run" and episode == ""):
+            if episode != "":
                 _flag(violations, "boundary_mismatch", "episode_id",
                       f"{kind} must use empty episode_id")
-        elif kind == "episode_start":
+        elif scope == "opens_episode":
             if episode == "":
                 _flag(violations, "missing_field", "episode_id",
-                      "episode_start needs an episode_id")
+                      f"{kind} needs an episode_id")
             elif episode in self._open_episodes or episode in self._closed_episodes:
                 _flag(violations, "boundary_mismatch", "episode_id", f"episode {episode} reused")
         else:
-            state = self._open_episodes.get(episode)
-            if state is None:
+            open_spans = self._open_episodes.get(episode)
+            if open_spans is None:
                 _flag(violations, "boundary_mismatch", "episode_id",
                       f"{kind} outside an open episode ({episode!r})")
             else:
-                if kind == "env_step_start" and state["env_step_open"]:
-                    _flag(violations, "boundary_mismatch", "kind", "nested env_step_start")
-                if kind == "env_step_end" and not state["env_step_open"]:
-                    _flag(violations, "boundary_mismatch", "kind",
-                          "env_step_end without env_step_start")
-                if kind == "model_request_start" and state["request_open"]:
-                    _flag(violations, "boundary_mismatch", "kind", "nested model_request_start")
-                if kind == "model_request_end" and not state["request_open"]:
-                    _flag(violations, "boundary_mismatch", "kind",
-                          "model_request_end without model_request_start")
+                edge = _SPAN_EDGES.get(kind)
+                if edge is not None:
+                    span, opens = edge
+                    if opens and span in open_spans:
+                        _flag(violations, "boundary_mismatch", "kind", f"nested {kind}")
+                    elif not opens and span not in open_spans:
+                        _flag(violations, "boundary_mismatch", "kind",
+                              f"{kind} without {span}_start")
                 if kind == "terminal_result" and episode in self._terminal_statuses:
                     _flag(violations, "boundary_mismatch", "kind", "duplicate terminal_result")
                 if (
@@ -1069,7 +1063,7 @@ class RunValidator:
                         _flag(violations, "invalid_value", "payload.status",
                               f"terminal_result status {status!r} is not its "
                               f"verifier_outcome's {verdict!r}")
-                if kind == "episode_end" and (state["env_step_open"] or state["request_open"]):
+                if kind == "episode_end" and open_spans:
                     _flag(violations, "boundary_mismatch", "kind",
                           "episode_end with open step or request")
                 if kind == "episode_end" and "status" in event.payload:
@@ -1091,7 +1085,15 @@ class RunValidator:
 
     def _advance(self, event: EventRecord) -> None:
         kind = event.kind
-        if kind == "run_start":
+        edge = _SPAN_EDGES.get(kind)
+        if edge is not None:
+            span, opens = edge
+            open_spans = self._open_episodes[event.episode_id]
+            if opens:
+                open_spans.add(span)
+            else:
+                open_spans.discard(span)
+        elif kind == "run_start":
             self._started = True
             self._run_id = event.run_id
             self._trace_id = event.trace.trace_id
@@ -1099,18 +1101,10 @@ class RunValidator:
         elif kind == "run_end":
             self._ended = True
         elif kind == "episode_start":
-            self._open_episodes[event.episode_id] = {"env_step_open": False, "request_open": False}
+            self._open_episodes[event.episode_id] = set()
         elif kind == "episode_end":
             self._open_episodes.pop(event.episode_id, None)
             self._closed_episodes.add(event.episode_id)
-        elif kind == "env_step_start":
-            self._open_episodes[event.episode_id]["env_step_open"] = True
-        elif kind == "env_step_end":
-            self._open_episodes[event.episode_id]["env_step_open"] = False
-        elif kind == "model_request_start":
-            self._open_episodes[event.episode_id]["request_open"] = True
-        elif kind == "model_request_end":
-            self._open_episodes[event.episode_id]["request_open"] = False
         elif kind == "terminal_result":
             self._terminal_statuses[event.episode_id] = event.payload.get("status")
         elif kind == "verifier_outcome":
@@ -1530,10 +1524,12 @@ def read_event_log(path: Path | str) -> tuple[str, EventLog]:
 __all__ = [
     "Digest",
     "EVENT_KINDS",
+    "EventKind",
     "EventLog",
     "EventRecord",
     "GatebenchError",
     "HASH_ALGORITHM",
+    "KINDS",
     "LogLineError",
     "OPTIONAL_PAYLOAD_KEYS",
     "PARSE_STATUSES",

@@ -145,7 +145,16 @@ class _ControllerRun(LaneScheduler):
         episodes: int,
         run_id: str,
     ) -> None:
-        super().__init__(self._record, episodes, LANES, VERIFY_SERVERS, LANE_STAGGER_MS)
+        # One (time_ms, order, event) per event, as ``EventBuilder.emit``'s six
+        # arguments; ``order`` is unique, so the tuples sort without comparing
+        # events. The emitter holds the list, not the run: no reference cycle.
+        records: list[tuple[float, int, tuple]] = []
+
+        def record(*event: Any) -> None:
+            records.append((event[1], len(records), event))
+
+        super().__init__(record, episodes, LANES, VERIFY_SERVERS, LANE_STAGGER_MS)
+        self.records = records
         self.manifest = manifest
         self.setting = setting
         self.budget = driver.budget
@@ -161,14 +170,6 @@ class _ControllerRun(LaneScheduler):
         )
         self.latency_scale = BACKEND_LATENCY_SCALE.get(driver.backend_engine, 1.0)
         self.window = TelemetryWindow(capacity=WINDOW_CAPACITY)
-        # One (time_ms, order, event) per event. ``order`` is unique within
-        # the run, so the tuples sort by (time, order) without comparing events.
-        self.records: list[tuple[float, int, tuple]] = []
-
-    def _record(self, *event: Any) -> None:
-        """Keep an event, emitted as ``EventBuilder.emit``'s six arguments, for sorting."""
-
-        self.records.append((event[1], len(self.records), event))
 
     def body(self, time_ms: float, episode_index: int) -> tuple[float, _Sample]:
         episode_id = make_episode_id(self.run_id, episode_index)

@@ -15,9 +15,13 @@ Two kinds of pin:
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import pytest
+
+from gatebench import study
 
 from gatebench.demo import DEMO_ROOT_ID, demo_drivers
 from gatebench.manifest import ManifestStore, resolve_manifest
@@ -91,6 +95,29 @@ def test_controller_lane_writes_no_retry_once_its_budget_is_spent(study_manifest
     assert _steps(events, "retry") == [0]
     assert record.retry_count == 2  # both faults count, one retry is written
     assert record.episode_summaries[0].status == "failure"
+
+
+def test_controller_run_is_freed_without_the_cycle_collector(study_manifest, monkeypatch):
+    runs = []
+    run = study._ControllerRun.run
+
+    def run_and_keep_a_weakref(sim):
+        runs.append(weakref.ref(sim))
+        run(sim)
+
+    monkeypatch.setattr(study._ControllerRun, "run", run_and_keep_a_weakref)
+    spec = DriverSpec(
+        name="hook-b", driver_type="controller", hooks_enabled="hook_b_only",
+        backend_engine="vllm",
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        simulate_controller_run(study_manifest, ALWAYS_FAULT, spec, seed=0, budget=2, episodes=3)
+        assert len(runs) == 1 and runs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # sha256 of every file ``run_plan`` writes for ``_pinned_plan``, recorded
