@@ -7,8 +7,7 @@ Every module of the harness declares its immutable values with :func:`record`.
 ``__slots__`` and the record codec of ``schema.Record`` read, and gives every
 class the same small set of functions, which work from the class's tuple of
 field names. Each class's ``__init__`` is compiled from its fields on its
-first construction, as ``Record`` compiles ``to_doc``/``from_doc`` on first
-use.
+first construction, as ``Record`` compiles ``from_doc`` on first use.
 """
 
 from __future__ import annotations

@@ -252,15 +252,16 @@ def _require_evaluator_version(verifier_version: Any) -> None:
 
 def _material_events(docs: Any) -> list[EventRecord]:
     """R1 material's events, each by ``EventRecord.from_doc``. A document that
-    does not decode raises the lookup or type error behind the decoder's
-    (``KeyError: 'episode_id'`` for a missing key), as other material reads."""
+    does not decode is ``invalid_bundle`` naming its index and the decoder's
+    error, as ``R1 material: events[3]: invalid_document: EventRecord.sequence:
+    ...``."""
 
     events = []
-    for doc in docs:
+    for index, doc in enumerate(docs):
         try:
             events.append(EventRecord.from_doc(doc))
         except SchemaError as exc:
-            raise exc.__cause__ or exc from None
+            raise ReplayError("invalid_bundle", f"R1 material: events[{index}]: {exc}") from exc
     return events
 
 

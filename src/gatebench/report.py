@@ -202,7 +202,7 @@ def latency_decomposition(
     Samples are environment step service times; queue waits come from verifier
     outcomes; throughput is completed episodes over the run's wall-clock span.
     Each run contributes its summary, keyed by run id, in the order of
-    ``runs``; a run without one contributes nothing. Empty groups are omitted.
+    ``runs``. Empty groups are omitted.
     """
 
     require_admitted(runs, decisions)
@@ -212,9 +212,7 @@ def latency_decomposition(
         bucket = grouped.setdefault(
             key, {"steps": [], "waits": [], "episodes": 0, "span": 0.0}
         )
-        summary = summaries.get(run.run_id)
-        if summary is None:
-            continue
+        summary = summaries[run.run_id]
         bucket["steps"] += summary.service_times_ms
         bucket["waits"] += summary.queue_waits_ms
         bucket["episodes"] += summary.episodes
@@ -761,9 +759,10 @@ def report_runset(
     (``decision_set_mismatch`` otherwise), and the canonical ``GateReport``
     behind the claim matrix is derived from them by ``gate.gate_report``. The
     latency tables and the invalid-action report cover the admitted runs
-    outside the decision study; the claim evidence covers every admitted run
-    whose log is read, and no copy in ``runset.json``. The logs read are those
-    of every admitted run that has one, in runset order, each once through
+    outside the decision study; the claim evidence covers every admitted run,
+    from its log and no copy in ``runset.json``. The logs read are those of
+    every admitted run (the gate admits only resolved runs, and ``load_runset``
+    holds each of those to its log), in runset order, each once through
     ``RunSet.events_for``, as one job on ``min(logs, usable CPUs)`` worker
     processes. A job returns only the run's ``RunSummary``; the first failing
     job in that order raises, before the study report at ``study_path`` is
@@ -782,23 +781,21 @@ def report_runset(
         if decision.verdict == "admitted"
     ]
     reported = [run for _, run, in_study in admitted if not in_study]
-    jobs = [index for index, run, _ in admitted if run.event_log_ref]
+    jobs = [index for index, _, _ in admitted]
     summaries = dict(zip(
-        (runset.runs[index].run_id for index in jobs),
+        (run.run_id for _, run, _ in admitted),
         map_runs(_summary_job, runset, jobs, cap=len(jobs)),
     ))
 
     latency = latency_decomposition(
         reported, summaries, [verdicts[run.run_id] for run in reported]
     )
-    logged = [summaries[run.run_id] for run in reported if run.event_log_ref]
+    logged = [summaries[run.run_id] for run in reported]
     invalid = (
         invalid_action_rate(logged) if any(s.counts_by_status for s in logged) else None
     )
     study = load_study_report(study_path) if study_path else None
-    evidence = _claim_evidence(
-        (run, summaries[run.run_id]) for _, run, _ in admitted if run.run_id in summaries
-    )
+    evidence = _claim_evidence((run, summaries[run.run_id]) for _, run, _ in admitted)
     matrix = claim_matrix(canonical, study, evidence)
     save_report_outputs(
         out_dir, latency=latency, invalid_actions=invalid, study=study, matrix=matrix

@@ -1242,9 +1242,9 @@ def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
 
 def load_runset(path: Path | str) -> RunSet:
     """Read ``runset.json`` (``path`` or the file under it) and check its index:
-    ``invalid_runset`` if a run id repeats or holds a ``/``, a log ref is neither
-    ``""`` (a candidate's) nor ``logs/<run_id>.log``, a retry count, retry budget
-    or repetition is negative, or a concurrency is below 1."""
+    ``invalid_runset`` if a run id repeats or holds a ``/``, a log ref is not
+    ``logs/<run_id>.log`` for a resolved run or ``""`` for a candidate, a retry
+    count, retry budget or repetition is negative, or a concurrency is below 1."""
 
     path = Path(path)
     index = path if path.is_file() else path / "runset.json"
@@ -1255,8 +1255,10 @@ def load_runset(path: Path | str) -> RunSet:
             problem = "is indexed twice"
         elif "/" in run.run_id:
             problem = "has a '/' in its run id"
-        elif run.event_log_ref not in ("", f"logs/{run.run_id}.log"):
-            problem = f"has event_log_ref {run.event_log_ref!r}, not 'logs/{run.run_id}.log'"
+        elif run.event_log_ref != (
+            ref := f"logs/{run.run_id}.log" if run.manifest_resolved else ""
+        ):
+            problem = f"has event_log_ref {run.event_log_ref!r}, not {ref!r}"
         elif min(run.retry_count, run.retry_budget, run.repetition) < 0:
             problem = "has a negative retry_count, retry_budget or repetition"
         elif run.concurrency < 1:

@@ -3,10 +3,11 @@
 Every other layer of the harness builds on this module: events emitted by the
 runner, manifests and freeze records, and the evidence gate all serialize
 through the canonical form defined here, and every stored record derives from
-:class:`Record`, whose one codec is compiled from its dataclass fields. From
-the same fields, :func:`render_record` compiles the one renderer that turns a
-record into its canonical text, for event-log lines and artifact files alike,
-with ``canonical_json(record.to_doc())`` as its reference and fallback. Event
+:class:`Record`, whose one codec reads its dataclass fields: ``to_doc`` walks
+them, and ``from_doc`` is compiled from them. From the same fields,
+:func:`render_record` compiles the one renderer that turns a record into its
+canonical text, for event-log lines and artifact files alike, with
+``canonical_json(record.to_doc())`` as its reference and fallback. Event
 logs are newline-delimited documents, one event per line, preceded by a
 schema-version header line.
 """
@@ -348,7 +349,7 @@ def doc_field(
     return field(metadata=metadata, **kwargs)
 
 
-@functools.cache  # read by a class's encoder, decoder and renderer, and by its holders' renderers
+@functools.cache  # read by every to_doc call, by a class's decoder and by the renderers
 def _stored_fields(cls: type) -> list[tuple[Any, str, Any, bool]]:
     """(field, document key, annotation without ``| None``, optional) per stored field."""
 
@@ -372,29 +373,6 @@ def _stored_fields(cls: type) -> list[tuple[Any, str, Any, bool]]:
 
 def _is_record(tp: Any) -> bool:
     return isinstance(tp, type) and issubclass(tp, Record)
-
-
-def _encode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
-    """Source of the document form of ``value``, an expression of type ``tp``."""
-
-    origin, args = get_origin(tp), get_args(tp)
-    if tp in (str, int, float, bool) or origin is Literal:
-        return value
-    if _is_record(tp):
-        name = f"_encode_{len(env)}"
-        env[name] = _encoder(tp)
-        return f"{name}({value})"
-    if origin is list or (origin is tuple and args[1:] == (...,)):
-        item = _encode_expr(args[0], f"i{depth}", env, depth + 1)
-        if item == f"i{depth}":
-            return f"list({value})"
-        return f"[{item} for i{depth} in {value}]"
-    if origin is dict and args[0] is str:
-        item = "" if args[1] is Any else _encode_expr(args[1], f"v{depth}", env, depth + 1)
-        if item in ("", f"v{depth}"):
-            return f"dict({value})"
-        return f"{{k{depth}: {item} for k{depth}, v{depth} in {value}.items()}}"
-    raise TypeError(f"no record codec for annotation {tp!r}")
 
 
 def _decode_expr(tp: Any, value: str, env: dict[str, Any], depth: int = 0) -> str:
@@ -460,45 +438,7 @@ def _exact(expected: type, value: Any) -> Any:
     return value
 
 
-def _compile(cls: type, name: str, source: str, env: dict[str, Any]) -> Callable[..., Any]:
-    exec(source, env)
-    function = env[name]
-    function.__qualname__ = f"{cls.__qualname__}.{name}"
-    return function
-
-
-_ENCODERS: dict[Any, Callable[[Any], dict[str, Any]]] = {}
 _DECODERS: dict[Any, Callable[..., Any]] = {}
-
-
-def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
-    """The compiled ``to_doc`` of ``cls``, built from its fields on first use.
-
-    For ``TraceContext`` it reads::
-
-        def to_doc(self):
-            doc = {'trace_id': self.trace_id, 'span_id': self.span_id}
-            if (value := self.parent_span_id) is not None:
-                doc['parent_span_id'] = value
-            return doc
-    """
-
-    encoder = _ENCODERS.get(cls)
-    if encoder is None:
-        env: dict[str, Any] = {}
-        always: list[str] = []
-        lines = ["def to_doc(self):", ""]
-        for item, key, tp, optional in _stored_fields(cls):
-            if item.metadata.get("omit_empty") or optional:
-                test = "" if item.metadata.get("omit_empty") else " is not None"
-                lines.append(f"    if (value := self.{item.name}){test}:")
-                lines.append(f"        doc[{key!r}] = {_encode_expr(tp, 'value', env)}")
-            else:
-                always.append(f"{key!r}: {_encode_expr(tp, 'self.' + item.name, env)}")
-        lines[1] = f"    doc = {{{', '.join(always)}}}"
-        lines.append("    return doc")
-        encoder = _ENCODERS[cls] = _compile(cls, "to_doc", "\n".join(lines), env)
-    return encoder
 
 
 def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
@@ -572,7 +512,9 @@ def _decoder(cls: type, given: tuple[str, ...] = ()) -> Callable[..., Any]:
             "        _invalid(cls, key, doc, exc)",
             f"    return cls({', '.join(args)})",
         ])
-        decoder = _DECODERS[cache_key] = _compile(cls, "from_doc", source, env)
+        exec(source, env)
+        decoder = _DECODERS[cache_key] = env["from_doc"]
+        decoder.__qualname__ = f"{cls.__qualname__}.from_doc"
     return decoder
 
 
@@ -594,10 +536,35 @@ def _invalid(cls: type, key: str, doc: Mapping[str, Any], exc: Exception) -> Non
     ) from exc
 
 
+def _document(cls: type, record: Any) -> dict[str, Any]:
+    """The document of ``record`` by the stored fields of ``cls``: see :class:`Record`."""
+
+    doc = {}
+    for item, key, tp, optional in _stored_fields(cls):
+        value = getattr(record, item.name)
+        if value is None and optional or not value and item.metadata.get("omit_empty"):
+            continue
+        doc[key] = _doc_value(tp, value)
+    return doc
+
+
+def _doc_value(tp: Any, value: Any) -> Any:
+    """The document form of ``value``, a value of annotation ``tp``, in fresh containers."""
+
+    if _is_record(tp):
+        return _document(tp, value)
+    origin = get_origin(tp)
+    if origin is list or origin is tuple:
+        return [_doc_value(get_args(tp)[0], item) for item in value]
+    if origin is dict:
+        return {key: _doc_value(get_args(tp)[1], item) for key, item in value.items()}
+    return value
+
+
 def _to_doc(self: Any) -> dict[str, Any]:
     """The record as a fresh document: see :class:`Record`."""
 
-    return (_ENCODERS.get(type(self)) or _encoder(type(self)))(self)
+    return _document(type(self), self)
 
 
 def _from_doc(cls: Any, doc: Mapping[str, Any]) -> Any:
@@ -624,9 +591,9 @@ class Record:
     ``SchemaError("invalid_document")`` naming the class and key.
     :func:`doc_field` declares the exceptions to this rule.
 
-    The codec of each class is compiled from its fields on first use, not
-    at import, into the plain ``to_doc``/``from_doc`` a person would write,
-    as ``records.record`` compiles ``__init__``.
+    ``to_doc`` walks the class's fields. ``from_doc`` is compiled from them
+    on first use, not at import, into the plain decoder a person would
+    write, as ``records.record`` compiles ``__init__``.
     """
 
     __slots__ = ()
@@ -1211,11 +1178,11 @@ def _text_expr(tp: Any, value: str, env: dict[str, Any]) -> tuple[str, str]:
         if item is tp:
             return f"type({value}) is _class_{index}", f"_render_{index}({value})"
         return "", f"array(_render_{index}, _class_{index}, {value})"
-    doc = _encode_expr(tp, value, env)
-    if doc in (f"dict({value})", f"list({value})"):  # the copy renders as the value itself
-        test = "is dict" if doc[0] == "d" else "in (list, tuple)"
-        return f"type({value}) {test}", f"canonical_json({value})"
-    return "", f"canonical_json({doc})"
+    if origin is dict and _is_record(args[1]):  # the records as their documents
+        env[f"_type_{index}"] = tp
+        return "", f"canonical_json(_doc_value(_type_{index}, {value}))"
+    test = "is dict" if origin is dict else "in (list, tuple)"  # renders as the value itself
+    return f"type({value}) {test}", f"canonical_json({value})"
 
 
 def _fstring(parts: Iterable[tuple[str, str]]) -> str:
@@ -1314,7 +1281,8 @@ def render_record(record: Record, array: Callable[..., str] = _array) -> str:
     Its class's renderer writes it without building the document: scalars
     and ``Literal`` by exact type, nested records by their own renderers, a
     list or tuple of records item by item through ``array``, and any other
-    field (a payload dict, a tuple of scalars) through ``canonical_json``. A
+    field through ``canonical_json``: a payload dict or a tuple of scalars as
+    it is, a dict of records (``RunPlan.drivers``) as its documents. A
     value of another type, a value ``canonical_json`` rejects, or a class with
     its own ``to_doc`` or with no field that is always written takes
     ``canonical_json(record.to_doc())``, so the text and any error (with its

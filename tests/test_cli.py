@@ -704,6 +704,7 @@ def _set_run(**fields):
          "has event_log_ref '../../etc/passwd', not 'logs/{run_id}.log'"),
         (_set_run(event_log_ref="logs/other.log"),
          "has event_log_ref 'logs/other.log', not 'logs/{run_id}.log'"),
+        (_set_run(event_log_ref=""), "has event_log_ref '', not 'logs/{run_id}.log'"),
         (_set_run(run_id="../../etc/passwd", event_log_ref="logs/../../etc/passwd.log"),
          "has a '/' in its run id"),
         (_set_run(retry_count=-5), "has a negative retry_count, retry_budget or repetition"),
@@ -712,14 +713,14 @@ def _set_run(**fields):
         (_set_run(concurrency=0), "has concurrency 0, below 1"),
     ],
     ids=[
-        "duplicate-run", "ref-outside", "ref-of-another-run", "run-id-with-slash",
+        "duplicate-run", "ref-outside", "ref-of-another-run", "ref-blank", "run-id-with-slash",
         "retry-count", "retry-budget", "repetition", "concurrency",
     ],
 )
 def test_tampered_runset_index_is_invalid_runset_for_gate_and_replay(
     edit, problem, gated_runs, root_dir, tmp_path, capsys
 ):
-    runs, _ = gated_runs
+    runs, gate_out = gated_runs
     index = runs / "runset.json"
     _edit_json(index, lambda doc: edit(doc["runs"]))
     run_id = json.loads(index.read_text(encoding="utf-8"))["runs"][1]["run_id"]
@@ -728,12 +729,14 @@ def test_tampered_runset_index_is_invalid_runset_for_gate_and_replay(
     for argv in (
         ["gate", "--runset", str(runs), "--release-root", str(root_dir), "--out", str(tmp_path / "g")],
         ["replay", "--runset", str(runs), "--out", str(tmp_path / "replay")],
+        _report_argv(runs, gate_out, tmp_path / "report", []),
     ):
         assert main(argv) == EXIT_ERROR
         record = _last_error_record(capsys)
         assert (record["error"], record["message"]) == ("invalid_runset", message)
     assert not (tmp_path / "g").exists()
     assert not (tmp_path / "replay").exists()
+    assert not (tmp_path / "report").exists()
 
 
 def _first_event(edit):
@@ -743,7 +746,8 @@ def _first_event(edit):
 @pytest.mark.parametrize(
     "replay_class, edit, error",
     [
-        ("R1", _first_event(lambda event: event.pop("episode_id")), "KeyError: 'episode_id'"),
+        ("R1", _first_event(lambda event: event.pop("episode_id")),
+         "events[0]: invalid_document: EventRecord.episode_id: missing required key"),
         ("R1", lambda material: material.update(events=5),
          "TypeError: 'int' object is not iterable"),
         ("R2", lambda material: material.pop("seed"), "KeyError: 'seed'"),

@@ -3,7 +3,8 @@
 Every class ``records.record`` builds is compared with a twin made by the
 stock ``@dataclass(frozen=True, slots=True)`` from the same fields and the
 same methods, on records decoded from the golden demo and study artifacts
-and on records the library derives from them.
+and on records the library derives from them. On the same records,
+``Record.to_doc`` is compared with the compiled encoder it replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any, Literal, get_args, get_origin
 
 import pytest
 
@@ -32,8 +34,8 @@ from gatebench.report import (
     load_study_report,
     summarize_run,
 )
-from gatebench.runner import _PlanContext, load_plan, load_runset
-from gatebench.schema import RunValidator
+from gatebench.runner import RunRecord, RunSet, _PlanContext, load_plan, load_runset
+from gatebench.schema import Record, RunValidator, _is_record, _stored_fields, canonical_json
 from gatebench.simenv import StepOutcome, setting_for_label
 from gatebench.study import HOOK_B, PROFILE, StudyConfig
 
@@ -254,3 +256,120 @@ def test_records_match_stock_frozen_dataclasses(instances):
                     assert outcome == _outcome(twin, *changed_args)
                     typed_errors += outcome[-1] is not None
     assert typed_errors > 100  # __post_init__ checks raised with their codes
+
+
+# ---------------------------------------------------------------------------
+# The compiled encoder that was ``Record.to_doc`` before it became a walk over
+# the fields, kept as the reference.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_ENCODERS: dict[type, Any] = {}
+
+
+def _reference_expr(tp, value, env, depth=0):
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in (str, int, float, bool) or origin is Literal:
+        return value
+    if _is_record(tp):
+        name = f"_encode_{len(env)}"
+        env[name] = _reference_encoder(tp)
+        return f"{name}({value})"
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        item = _reference_expr(args[0], f"i{depth}", env, depth + 1)
+        if item == f"i{depth}":
+            return f"list({value})"
+        return f"[{item} for i{depth} in {value}]"
+    if origin is dict and args[0] is str:
+        item = "" if args[1] is Any else _reference_expr(args[1], f"v{depth}", env, depth + 1)
+        if item in ("", f"v{depth}"):
+            return f"dict({value})"
+        return f"{{k{depth}: {item} for k{depth}, v{depth} in {value}.items()}}"
+    raise TypeError(f"no record codec for annotation {tp!r}")
+
+
+def _reference_encoder(cls):
+    encoder = _REFERENCE_ENCODERS.get(cls)
+    if encoder is None:
+        env: dict[str, Any] = {}
+        always: list[str] = []
+        lines = ["def to_doc(self):", ""]
+        for item, key, tp, optional in _stored_fields(cls):
+            if item.metadata.get("omit_empty") or optional:
+                test = "" if item.metadata.get("omit_empty") else " is not None"
+                lines.append(f"    if (value := self.{item.name}){test}:")
+                lines.append(f"        doc[{key!r}] = {_reference_expr(tp, 'value', env)}")
+            else:
+                always.append(f"{key!r}: {_reference_expr(tp, 'self.' + item.name, env)}")
+        lines[1] = f"    doc = {{{', '.join(always)}}}"
+        lines.append("    return doc")
+        exec("\n".join(lines), env)
+        encoder = _REFERENCE_ENCODERS[cls] = env["to_doc"]
+    return encoder
+
+
+def _sample(tp, instances):
+    """A value of annotation ``tp`` that is neither None nor empty."""
+
+    origin, args = get_origin(tp), get_args(tp)
+    if _is_record(tp):
+        return instances[tp][0]
+    if origin is Literal:
+        return args[0]
+    if origin in (list, tuple):
+        return origin([_sample(args[0], instances)])
+    if origin is dict:
+        return {"k": 1 if args[1] is Any else _sample(args[1], instances)}
+    return {str: "x", int: 1, float: 2.5, bool: True}[tp]
+
+
+def _variants(cls, instances):
+    """The instances of ``cls``, then one with every optional and ``omit_empty``
+    field set, and one with each of them None or empty."""
+
+    records = instances[cls]
+    given: dict[str, Any] = {}
+    empty: dict[str, Any] = {}
+    for item, _, tp, optional in _stored_fields(cls):
+        if optional or item.metadata.get("omit_empty"):
+            values = [value for record in records if (value := getattr(record, item.name))]
+            given[item.name] = values[0] if values else _sample(tp, instances)
+            empty[item.name] = None if optional else (get_origin(tp) or tp)()
+    return [*records, dataclasses.replace(records[0], **given),
+            dataclasses.replace(records[0], **empty)]
+
+
+def _clear(tp, value) -> None:
+    """Empty every container of ``value``, the document form of a ``tp``, that
+    the encoder builds; the values of a ``dict[str, Any]`` are the record's own."""
+
+    origin, args = get_origin(tp), get_args(tp)
+    if _is_record(tp):
+        for _, key, field_tp, _ in _stored_fields(tp):
+            if key in value:
+                _clear(field_tp, value[key])
+        value.clear()
+    elif origin in (list, tuple):
+        for item in value:
+            _clear(args[0], item)
+        value.clear()
+    elif origin is dict:
+        for item in value.values():
+            _clear(args[1], item)
+        value.clear()
+
+
+def test_to_doc_matches_the_compiled_encoder_it_replaced(instances):
+    records = {**instances, RunSet: [RunSet(list(instances[RunRecord]))]}  # the fixture has none
+    classes = [cls for cls in records if issubclass(cls, Record)]
+    assert len(classes) == 29
+    for cls in classes:
+        for record in _variants(cls, records):
+            expected = _reference_encoder(cls)(record)
+            before = repr(record)
+            doc = record.to_doc()
+            assert doc == expected
+            assert canonical_json(doc) == canonical_json(expected)
+            _clear(cls, doc)
+            assert doc == {}
+            assert repr(record) == before
+            assert record.to_doc() == expected

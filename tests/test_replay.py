@@ -305,12 +305,14 @@ def test_r1_bundle_event_that_does_not_decode_is_invalid_bundle(web_manifest):
     with pytest.raises(ReplayError) as err:
         replay_run(bundle)
     assert (err.value.code, err.value.message) == (
-        "invalid_bundle", "R1 material: TypeError: expected an integer, got '3'"
+        "invalid_bundle",
+        "R1 material: events[3]: invalid_document: EventRecord.sequence: TypeError:"
+        " expected an integer, got '3'",
     )
     bundle.material["events"][3] = 7
     with pytest.raises(ReplayError) as err:
         replay_run(bundle)
     assert (err.value.code, err.value.message) == (
         "invalid_bundle",
-        "R1 material: SchemaError: invalid_document: EventRecord: expected an object, got int",
+        "R1 material: events[3]: invalid_document: EventRecord: expected an object, got int",
     )
