@@ -12,10 +12,10 @@ one its verified log's provenance records, not its ``runset.json`` label, and
   frozen evaluator over the final state. The bundle's ``material.events`` is
   the log's event lines as ``schema.read_event_log`` read them, joined by
   commas and spliced between a fixed prefix and suffix; no event is turned
-  back into a document or rendered again. The replay reads ``EventRecord``s:
-  a runset replay and ``report`` run it on the events they hold
-  (:func:`replay_r1`), and a bundle's events are decoded by
-  ``EventRecord.from_doc``.
+  back into a document or rendered again. The replay reads the events'
+  ``runner.reduce_log``: a runset replay and ``report`` reduce the events
+  they hold (:func:`replay_r1`), and a bundle's events are decoded by
+  ``EventRecord.from_doc`` first.
 * R2 (code): snapshot/manifest replay — recompute each verifier decision with
   the run's verdict rule, ``simenv.verifier_outcome`` of the recorded patch
   quality, seeded from the frozen (snapshot digest, seed, episode) triple, and
@@ -33,7 +33,9 @@ from typing import Any, Callable, Final, Mapping, Sequence
 
 from .manifest import FAMILIES, REPLAY_HARNESS_VERSION, FreezeRecord
 from .records import record
-from .runner import RunRecord, RunSet, map_runs, parse_episode_index, reduce_episodes, verdict_rng
+from .runner import (
+    ReducedLog, RunRecord, RunSet, map_runs, parse_episode_index, reduce_log, verdict_rng,
+)
 from .schema import (
     EventRecord,
     GatebenchError,
@@ -106,7 +108,7 @@ def log_replay_class(run: RunRecord, events: Log) -> str:
 
 
 def _r0_material(run: RunRecord, freeze: FreezeRecord, events: Log) -> dict[str, Any]:
-    logged, _ = reduce_episodes(events)
+    logged, _ = reduce_log(events).outcomes()
     if list(map(render_record, logged)) != list(map(render_record, run.episode_summaries)):
         message = f"run {run.run_id}: runset.json's episode summaries are not its log's"
         raise ReplayError("summary_mismatch", message)
@@ -137,7 +139,7 @@ def _r2_material(run: RunRecord, freeze: FreezeRecord, events: Log) -> dict[str,
     decisions = [
         {"episode_id": event.episode_id, "patch_quality": event.payload["patch_quality"],
          "pass_prob": float(event.payload["pass_prob"]), "status": event.payload["status"]}
-        for event in events if event.kind == "verifier_outcome"
+        for event in reduce_log(events).verifier_outcomes
     ]
     return {
         "run_id": run.run_id,
@@ -153,8 +155,8 @@ def build_bundle(run: RunRecord, events: Log) -> ReplayBundle:
     """Extract the frozen replay material for a run, per its log's replay class.
 
     ``events`` is the run's verified event log, and its class is
-    :func:`log_replay_class`. R0's episode rows are
-    :func:`runner.reduce_episodes` of it, one per ``episode_end``, checked
+    :func:`log_replay_class`. R0's episode rows are its
+    :func:`runner.reduce_log`'s, one per ``episode_end``, checked
     against the ``episode_summaries`` of ``runset.json`` by value and type:
     a difference is ``summary_mismatch``, naming the run.
     """
@@ -191,57 +193,32 @@ def _replay_r0(material: Mapping[str, Any]) -> ReplayResult:
     )
 
 
-def _r1_result(events: Log) -> ReplayResult:
-    """R1 replay of a run's events: each episode's recorded final state
+def _r1_result(log: ReducedLog) -> ReplayResult:
+    """R1 replay of a run's reduced events: each episode's recorded final state
     through the frozen evaluator, and a fixed cost per recorded step."""
 
-    episodes: dict[str, dict[str, Any]] = {}
+    episodes = {episode_id: [int(goal), 0, None] for episode_id, goal in log.goals.items()}
     live_step_ms: list[float] = []
-    pending_model_ms: dict[str, float] = {}
-    for event in events:
-        kind = event.kind
-        episode_id = event.episode_id
-        if kind == "episode_start":
-            episodes[episode_id] = {
-                "goal": int(event.payload.get("goal", 0)),
-                "progress": 0,
-                "steps": 0,
-                "recorded": None,
-            }
-        elif kind == "model_request_end":
-            pending_model_ms[episode_id] = float(event.payload["model_latency_ms"])
-        elif kind == "env_step_end":
-            state = episodes[episode_id]
-            state["steps"] += 1
-            state["progress"] = int(event.payload["progress"])
-            live_step_ms.append(
-                float(event.payload["service_time_ms"]) + pending_model_ms.pop(episode_id, 0.0)
-            )
-        elif kind == "terminal_result":
-            episodes[episode_id]["recorded"] = event.payload["status"]
-
-    total_steps = sum(state["steps"] for state in episodes.values())
-    matched = bool(episodes)
-    for state in episodes.values():
-        if state["recorded"] is None:
-            matched = False
-            continue
-        # Frozen evaluator: final-state check against the recorded goal.
-        replayed = "success" if state["goal"] and state["progress"] >= state["goal"] else "failure"
-        if replayed != state["recorded"]:
-            matched = False
-
-    per_step = tuple(R1_REPLAY_STEP_COST_MS for _ in range(total_steps))
+    for episode_id, service_ms, model_ms, progress in log.steps:
+        model_ms = float(model_ms)
+        episodes[episode_id][1] = int(progress)
+        live_step_ms.append(float(service_ms) + model_ms)
+    for episode_id, status in log.terminals.items():
+        episodes[episode_id][2] = status
+    # Frozen evaluator: final-state check against the recorded goal.
+    matched = bool(episodes) and all(
+        status == ("success" if goal and progress >= goal else "failure")
+        for goal, progress, status in episodes.values()
+    )
     live_mean = float_sum(live_step_ms) / len(live_step_ms) if live_step_ms else 0.0
-    replay_mean = R1_REPLAY_STEP_COST_MS if total_steps else 0.0
-    reduction = 1.0 - (replay_mean / live_mean) if live_mean > 0 else 0.0
+    replay_mean = R1_REPLAY_STEP_COST_MS if log.steps else 0.0
     return ReplayResult(
         replay_class="R1",
         terminal_match=matched,
-        per_step_latency_ms=per_step,
+        per_step_latency_ms=(R1_REPLAY_STEP_COST_MS,) * len(log.steps),
         live_mean_ms=live_mean,
         replay_mean_ms=replay_mean,
-        reduction=reduction,
+        reduction=1.0 - (replay_mean / live_mean) if live_mean > 0 else 0.0,
     )
 
 
@@ -267,17 +244,17 @@ def _material_events(docs: Any) -> list[EventRecord]:
 
 def _replay_r1(material: Mapping[str, Any]) -> ReplayResult:
     _require_evaluator_version(material["evaluator_freeze"].get("verifier_version"))
-    return _r1_result(_material_events(material["events"]))
+    return _r1_result(reduce_log(_material_events(material["events"])))
 
 
-def replay_r1(run: RunRecord, events: Log) -> ReplayResult:
+def replay_r1(run: RunRecord, log: ReducedLog) -> ReplayResult:
     """``replay_run(build_bundle(run, events))`` of a run whose log's class is
-    R1, replayed on its events without building the bundle."""
+    R1, replayed on ``reduce_log(events)`` without building the bundle."""
 
     if run.freeze is None:
         raise ReplayError("missing_replay_freeze", f"run {run.run_id} has no freeze record")
     _require_evaluator_version(run.freeze.verifier_version)
-    return _r1_result(events)
+    return _r1_result(log)
 
 
 def _replay_r2(material: Mapping[str, Any]) -> ReplayResult:
@@ -379,7 +356,7 @@ def _replay_job(context: tuple[RunSet, Path, str | None], index: int) -> ReplayR
     path = out / f"bundle_{run.run_id}.json"
     if replay_class == "R1":  # the reader keeps an R1 log's lines
         _save_r1_bundle(run, events.lines, path)
-        return replay_r1(run, events)
+        return replay_r1(run, reduce_log(events))
     bundle = build_bundle(run, events)
     save_bundle(bundle, path)
     return replay_run(bundle)

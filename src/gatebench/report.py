@@ -6,23 +6,24 @@ reward AUC is the left-continuous step integral normalized by the horizon, and
 variant selection breaks ties lexicographically by variant label.
 
 ``report_runset`` is the ``report`` verb. It reads each event log it needs
-once, on the run pool (``runner.map_runs``): a job decodes one run's log and
-sends back only that run's ``RunSummary``, and the latency tables, the
-invalid-action report and the ``ClaimEvidence`` are aggregated from the
-summaries in runset order. The claim matrix applies one rule per claim
-(``CLAIM_RULES``) to the gate report, the study report and that evidence.
+once, on the run pool (``runner.map_runs``): a job decodes one run's log,
+reduces it (``runner.reduce_log``) and sends back only its ``RunSummary``.
+The latency tables, the invalid-action report and the ``ClaimEvidence`` are
+aggregated from the summaries in runset order, and the claim matrix applies
+one rule per claim (``CLAIM_RULES``) to the gate report, the study report
+and that evidence.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Final, Iterable, Mapping, Sequence
+from typing import Callable, Final, Iterable, Mapping, Sequence
 
 from .gate import GateDecision, GateReport, gate_report, load_decisions
 from .records import record
 from .replay import log_replay_class, replay_r1
-from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs
+from .runner import RewardPoint, RunRecord, RunSet, load_runset, map_runs, reduce_log
 from .schema import EventRecord, GatebenchError, Record, float_sum, read_json, write_json
 from .simenv import CLEAN_LABEL, STRESSED_LABEL, simulate_family_throughput
 
@@ -89,7 +90,7 @@ class RunSummary:
 
 
 def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -> RunSummary:
-    """Reduce one run's events to its ``RunSummary``.
+    """One run's ``RunSummary``, from ``runner.reduce_log`` of its events.
 
     Service times come from environment steps, queue waits and the patch
     quality from verifier outcomes, episodes from terminal results, parse
@@ -97,46 +98,28 @@ def summarize_run(events: Sequence[EventRecord], run: RunRecord | None = None) -
     (``invalid_log`` for one that is not a string), and the wall span is the
     latest event clock. Given the run's record, its ``family`` label is
     checked against the log (``replay.log_replay_class``), and when the log's
-    class is R1 the summary also holds ``replay.replay_r1(run, events)``, which is
-    ``replay_run(build_bundle(run, events))`` without the bundle.
+    class is R1 the summary also holds ``replay.replay_r1`` of the reduced log.
     """
 
-    steps: list[float] = []
-    waits: list[float] = []
-    counts: dict[str, int] = {}
+    log = reduce_log(events)
     ends: Counter[str] = Counter()
-    episodes = invalid = 0
-    span = 0.0
-    quality = None
-    for event in events:
-        kind = event.kind
-        if kind == "env_step_end":
-            steps.append(float(event.payload["service_time_ms"]))
-        elif kind == "verifier_outcome":
-            waits.append(float(event.payload["queue_wait_ms"]))
-            quality = event.payload.get("patch_quality")
-        elif kind == "terminal_result":
-            episodes += 1
-        elif kind == "action_parsed":
-            status = str(event.payload["parse_status"])
-            counts[status] = counts.get(status, 0) + 1
-            if bool(event.payload["invalid_action"]):
-                invalid += 1
-        elif kind == "episode_end":
-            status = event.payload["status"]
-            if type(status) is not str:
-                raise ReportError(
-                    "invalid_log",
-                    f"run {event.run_id}: event {event.sequence}: episode_end status "
-                    f"{status!r} is not a string",
-                )
-            ends[status] += 1
-        span = max(span, event.wall_clock_ms)
+    for end in log.ends:
+        if type(status := end.payload["status"]) is not str:
+            message = f"event {end.sequence}: episode_end status {status!r} is not a string"
+            raise ReportError("invalid_log", f"run {end.run_id}: {message}")
+        ends[status] += 1
+    steps = [float(service_ms) for _, service_ms, _, _ in log.steps]
+    outcomes = log.verifier_outcomes
+    waits = [float(event.payload["queue_wait_ms"]) for event in outcomes]
+    quality = outcomes[-1].payload.get("patch_quality") if outcomes else None
     r1 = None
     if run is not None and log_replay_class(run, events) == "R1":
-        result = replay_r1(run, events)
+        result = replay_r1(run, log)
         r1 = (result.reduction, result.terminal_match)
-    return RunSummary(steps, waits, episodes, span, counts, invalid, ends, quality, r1)
+    return RunSummary(
+        steps, waits, len(log.terminals), log.latest_ms, log.parse_statuses,
+        log.invalid_actions, ends, quality, r1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +189,18 @@ def latency_decomposition(
     """
 
     require_admitted(runs, decisions)
-    grouped: dict[str, dict[str, Any]] = {}
+    grouped: dict[str, list[RunSummary]] = {}
     for run in runs:
-        key = f"{run.family}/c{run.concurrency}"
-        bucket = grouped.setdefault(
-            key, {"steps": [], "waits": [], "episodes": 0, "span": 0.0}
-        )
-        summary = summaries[run.run_id]
-        bucket["steps"] += summary.service_times_ms
-        bucket["waits"] += summary.queue_waits_ms
-        bucket["episodes"] += summary.episodes
-        bucket["span"] = max(bucket["span"], summary.wall_span_ms)
+        grouped.setdefault(f"{run.family}/c{run.concurrency}", []).append(summaries[run.run_id])
     output: dict[str, LatencyBreakdown] = {}
     for key in sorted(grouped):
-        bucket = grouped[key]
-        if not bucket["steps"]:
-            continue
-        output[key] = latency_breakdown(
-            bucket["steps"], bucket["waits"], bucket["episodes"], bucket["span"]
-        )
+        group = grouped[key]
+        steps = [ms for summary in group for ms in summary.service_times_ms]
+        if steps:
+            waits = [ms for summary in group for ms in summary.queue_waits_ms]
+            episodes = sum(summary.episodes for summary in group)
+            span = max(0.0, *(summary.wall_span_ms for summary in group))
+            output[key] = latency_breakdown(steps, waits, episodes, span)
     return output
 
 

@@ -23,7 +23,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Final, Iterable, Mapping, NoReturn, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Final, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .drivers import (
     Action,
@@ -475,9 +475,7 @@ def run_episode_steps(
     remains. Returns (environment, end clock, retries).
     """
 
-    env = init_env(
-        manifest, setting, seed=0, budget=None if manifest.family == "code" else budget
-    )
+    env = init_env(manifest, budget=None if manifest.family == "code" else budget)
     emit(
         "episode_start", clock_ms, episode_id, 0, None,
         {"episode_index": episode_index, "goal": env.goal},
@@ -633,13 +631,13 @@ def close_run(
 ) -> tuple[RunRecord, list[EventRecord]]:
     """Write ``run_end`` at the last event's time, validate, build the run's record.
 
-    Its episode rows and reward trajectory are :func:`reduce_episodes` of the
-    events. The harness terminal counts successes over planned episodes; a run
-    with an episode that ended without a terminal has none. ``fields`` are the
+    Its episode rows and reward trajectory are :func:`reduce_log`'s. The
+    harness terminal counts successes over planned episodes; a run with an
+    episode that ended without a terminal has none. ``fields`` are the
     remaining ``RunRecord`` fields of the caller's run kind.
     """
 
-    rows, trajectory = reduce_episodes(builder.events)
+    rows, trajectory = reduce_log(builder.events).outcomes()
     successes = sum(1 for row in rows if row.status == "success")
     builder.emit(
         "run_end",
@@ -869,41 +867,83 @@ def execute_run(
 
 
 # ---------------------------------------------------------------------------
-# The episode reducer: episode rows and reward trajectory from the event log
+# The log reducer: what the runner, replay and report read of a run's events
 # ---------------------------------------------------------------------------
 
 
-def reduce_episodes(
-    events: Iterable[EventRecord],
-) -> tuple[list[EpisodeSummary], list[RewardPoint]]:
-    """One pass over a run's events: (its episode rows, its reward trajectory).
+class ReducedLog(NamedTuple):
+    """A run's events in one pass (:func:`reduce_log`), payload values as logged.
 
-    One row per ``episode_end``, in log order (``wall_ms`` ``None`` when
-    absent). The trajectory is the cumulative success fraction at each
-    ``terminal_result``, prefixed with (0, 0), over the ``planned_episodes``
-    of the first ``run_start`` (``invalid_trajectory`` unless a positive
-    int); points at one instant collapse to the latest value.
-    """
+    ``points`` is (clock, successes so far) per ``terminal_result`` instant,
+    from (0, 0). ``steps`` is, per ``env_step_end``: (episode id, service
+    time, the latency its episode's last ``model_request_end`` since its
+    previous step recorded or 0.0, progress)."""
 
-    rows: list[EpisodeSummary] = []
-    planned: Any = None
-    successes = 0
-    counts = [(0.0, 0)]  # (clock, successes so far) per distinct terminal instant
+    planned_episodes: Any
+    points: list[tuple[float, int]]
+    ends: list[EventRecord]
+    steps: list[tuple[str, Any, Any, Any]]
+    verifier_outcomes: list[EventRecord]
+    goals: dict[str, Any]
+    terminals: dict[str, Any]
+    parse_statuses: dict[str, int]
+    invalid_actions: int
+    latest_ms: float
+
+    def outcomes(self) -> tuple[list[EpisodeSummary], list[RewardPoint]]:
+        """(The episode rows, one per ``episode_end``; the reward trajectory,
+        each point's successes over the first ``run_start``'s
+        ``planned_episodes``, which must be a positive int: ``invalid_trajectory``)."""
+
+        rows = [
+            EpisodeSummary(end.episode_id, end.payload["status"], end.payload["steps"],
+                           end.payload.get("wall_ms"))
+            for end in self.ends
+        ]
+        planned = self.planned_episodes
+        if type(planned) is not int or planned <= 0:
+            raise RunnerError("invalid_trajectory", "run_start with planned_episodes required")
+        return rows, [RewardPoint(clock, count / planned) for clock, count in self.points]
+
+
+def reduce_log(events: Sequence[EventRecord]) -> ReducedLog:
+    """Reduce a run's events in one pass; raises nothing on a valid log. Keys
+    R1 replay does not read are read with ``get``: R1 bundles are not validated."""
+
+    planned, successes, invalid, latest, points = None, 0, 0, 0.0, [(0.0, 0)]
+    ends, steps, outcomes = [], [], []
+    goals, terminals, parse_statuses = {}, {}, {}
+    model_ms = {}  # episode id -> its latest request's latency, until its next step
     for event in events:
-        kind, payload = event.kind, event.payload
-        if kind == "terminal_result":
-            successes += payload.get("status") == "success"
-            if event.wall_clock_ms == counts[-1][0]:
-                counts.pop()
-            counts.append((event.wall_clock_ms, successes))
+        kind, payload, episode_id = event.kind, event.payload, event.episode_id
+        if kind == "env_step_end":
+            steps.append((episode_id, payload["service_time_ms"], model_ms.pop(episode_id, 0.0),
+                          payload["progress"]))
+        elif kind == "model_request_end":
+            model_ms[episode_id] = payload["model_latency_ms"]
+        elif kind == "action_parsed":
+            status = str(payload.get("parse_status"))
+            parse_statuses[status] = parse_statuses.get(status, 0) + 1
+            invalid += bool(payload.get("invalid_action"))
+        elif kind == "terminal_result":
+            status = terminals[episode_id] = payload["status"]
+            successes += status == "success"
+            if event.wall_clock_ms == points[-1][0]:
+                points.pop()
+            points.append((event.wall_clock_ms, successes))
         elif kind == "episode_end":
-            steps, wall_ms = payload["steps"], payload.get("wall_ms")
-            rows.append(EpisodeSummary(event.episode_id, payload["status"], steps, wall_ms))
+            ends.append(event)
+        elif kind == "verifier_outcome":
+            outcomes.append(event)
+        elif kind == "episode_start":
+            goals[episode_id] = payload.get("goal", 0)
         elif kind == "run_start" and planned is None:
             planned = payload.get("planned_episodes")
-    if type(planned) is not int or planned <= 0:
-        raise RunnerError("invalid_trajectory", "run_start with planned_episodes required")
-    return rows, [RewardPoint(clock, count / planned) for clock, count in counts]
+        if event.wall_clock_ms > latest:
+            latest = event.wall_clock_ms
+    return ReducedLog(
+        planned, points, ends, steps, outcomes, goals, terminals, parse_statuses, invalid, latest
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +986,16 @@ class RunSet(Record):
         return events
 
 
+def candidate_manifest_hash(task_id: str) -> Digest:
+    """The placeholder ``manifest_hash`` of a candidate run, whose task did not resolve."""
+
+    return canonical_hash({"unresolved_task": task_id})
+
+
 def _candidate_run(
     entry: PlanEntry, spec: DriverSpec, repetition: int, concurrency: int
 ) -> RunRecord:
-    placeholder = canonical_hash({"unresolved_task": entry.task_id})
+    placeholder = candidate_manifest_hash(entry.task_id)
     driver = spec.record(entry.seed, entry.setting_label, entry.budget)
     return RunRecord(
         run_id=make_run_id(placeholder, driver.driver_id, entry.setting_label, entry.seed, repetition),
@@ -1243,8 +1289,9 @@ def save_runset(runset: RunSet, out_dir: Path | str) -> Path:
 def load_runset(path: Path | str) -> RunSet:
     """Read ``runset.json`` (``path`` or the file under it) and check its index:
     ``invalid_runset`` if a run id repeats or holds a ``/``, a log ref is not
-    ``logs/<run_id>.log`` for a resolved run or ``""`` for a candidate, a retry
-    count, retry budget or repetition is negative, or a concurrency is below 1."""
+    ``logs/<run_id>.log`` for a resolved run or ``""`` and the placeholder hash
+    for a candidate, a retry count, retry budget or repetition is negative, or
+    a concurrency is below 1."""
 
     path = Path(path)
     index = path if path.is_file() else path / "runset.json"
@@ -1259,6 +1306,8 @@ def load_runset(path: Path | str) -> RunSet:
             ref := f"logs/{run.run_id}.log" if run.manifest_resolved else ""
         ):
             problem = f"has event_log_ref {run.event_log_ref!r}, not {ref!r}"
+        elif not run.manifest_resolved and run.manifest_hash != candidate_manifest_hash(run.task_id):
+            problem = "is a candidate whose manifest_hash is not its task's placeholder"
         elif min(run.retry_count, run.retry_budget, run.repetition) < 0:
             problem = "has a negative retry_count, retry_budget or repetition"
         elif run.concurrency < 1:
@@ -1279,11 +1328,13 @@ __all__ = [
     "EventBuilder",
     "LaneScheduler",
     "PlanEntry",
+    "ReducedLog",
     "RewardPoint",
     "RunPlan",
     "RunRecord",
     "RunSet",
     "RunnerError",
+    "candidate_manifest_hash",
     "close_run",
     "emit_verifier_outcome",
     "end_episode",
@@ -1296,7 +1347,7 @@ __all__ = [
     "open_run",
     "parse_episode_index",
     "provenance_for",
-    "reduce_episodes",
+    "reduce_log",
     "run_episode_steps",
     "run_plan",
     "save_plan",

@@ -125,19 +125,14 @@ class StepOutcome:
     terminal: TerminalOutcome | None
 
 
-def init_env(
-    manifest: TaskManifest,
-    setting: OperatingSetting,
-    seed: int,
-    budget: int | None = None,
-) -> EnvState:
+def init_env(manifest: TaskManifest, budget: int | None = None) -> EnvState:
     """Deterministic initial state; goal and base latency come from family
-    params with the family's defaults."""
+    params with the family's defaults. Steps draw from the setting and the
+    random stream; the initial state reads neither."""
 
     family = FAMILIES[manifest.family]
     goal = int(manifest.family_params.get("goal", family.goal))
     base = float(manifest.family_params.get("base_service_ms", family.base_service_ms))
-    del seed, setting  # initial state is independent of both; steps consume them
     return EnvState(
         family=manifest.family,
         task_id=manifest.task_id,

@@ -711,10 +711,12 @@ def _set_run(**fields):
         (_set_run(retry_budget=-1), "has a negative retry_count, retry_budget or repetition"),
         (_set_run(repetition=-1), "has a negative retry_count, retry_budget or repetition"),
         (_set_run(concurrency=0), "has concurrency 0, below 1"),
+        (_set_run(manifest_resolved=False, event_log_ref=""),
+         "is a candidate whose manifest_hash is not its task's placeholder"),
     ],
     ids=[
         "duplicate-run", "ref-outside", "ref-of-another-run", "ref-blank", "run-id-with-slash",
-        "retry-count", "retry-budget", "repetition", "concurrency",
+        "retry-count", "retry-budget", "repetition", "concurrency", "resolved-run-as-candidate",
     ],
 )
 def test_tampered_runset_index_is_invalid_runset_for_gate_and_replay(

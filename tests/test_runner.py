@@ -24,7 +24,7 @@ from gatebench.runner import (
     execute_run,
     load_runset,
     make_run_id,
-    reduce_episodes,
+    reduce_log,
     run_plan,
 )
 from gatebench.schema import (
@@ -376,7 +376,7 @@ def test_cumulative_quarters():
                        payload={"status": "success", "steps": 1})
         )
         seq += 1
-    _, trajectory = reduce_episodes(events)
+    _, trajectory = reduce_log(events).outcomes()
     assert [point.reward for point in trajectory] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert [point.wall_clock_ms for point in trajectory] == [0.0, 10.0, 20.0, 30.0, 40.0]
 
@@ -386,7 +386,7 @@ def test_episode_rows_are_the_episode_end_events_in_log_order(web_manifest):
     record, events = execute_run(
         web_manifest, spec, clean_setting(), seed=5, budget=6, planned_episodes=4
     )
-    rows, trajectory = reduce_episodes(events)
+    rows, trajectory = reduce_log(events).outcomes()
     ends = [event for event in events if event.kind == "episode_end"]
     assert [row.episode_id for row in rows] == [event.episode_id for event in ends]
     assert [(row.status, row.steps, row.wall_ms) for row in rows] == [
@@ -406,7 +406,7 @@ def test_trajectory_needs_a_positive_int_planned_episode_count(planned):
     if planned is not None:
         start.payload["planned_episodes"] = planned
     with pytest.raises(RunnerError) as err:
-        reduce_episodes([start])
+        reduce_log([start]).outcomes()
     assert err.value.code == "invalid_trajectory"
 
 

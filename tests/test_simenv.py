@@ -29,15 +29,15 @@ ORACLE = Action(kind="oracle", advance_prob=1.0)
 
 
 def test_init_env_defaults(micro_manifest):
-    state = init_env(micro_manifest, clean_setting(), seed=0)
+    state = init_env(micro_manifest)
     assert state.goal == 3
     assert state.step_count == 0
     assert state.solved_progress == 0
 
 
 def test_init_env_deterministic(micro_manifest):
-    first = init_env(micro_manifest, clean_setting(), seed=1, budget=5)
-    second = init_env(micro_manifest, clean_setting(), seed=1, budget=5)
+    first = init_env(micro_manifest, budget=5)
+    second = init_env(micro_manifest, budget=5)
     assert first == second
 
 
@@ -45,12 +45,12 @@ def test_init_env_goal_override(demo_store, demo_root):
     from gatebench.manifest import resolve_manifest
 
     manifest = resolve_manifest("micro-002", demo_root, demo_store)
-    state = init_env(manifest, clean_setting(), seed=0)
+    state = init_env(manifest)
     assert state.goal == 4
 
 
 def test_oracle_reaches_goal_in_three_steps(micro_manifest):
-    state = init_env(micro_manifest, clean_setting(), seed=0, budget=10)
+    state = init_env(micro_manifest, budget=10)
     rng = random.Random(0)
     steps = 0
     while state.terminal is None:
@@ -61,7 +61,7 @@ def test_oracle_reaches_goal_in_three_steps(micro_manifest):
 
 
 def test_noop_fails_at_budget(micro_manifest):
-    state = init_env(micro_manifest, clean_setting(), seed=0, budget=5)
+    state = init_env(micro_manifest, budget=5)
     rng = random.Random(0)
     while state.terminal is None:
         env_step(state, NOOP_ACTION, clean_setting(), rng)
@@ -70,7 +70,7 @@ def test_noop_fails_at_budget(micro_manifest):
 
 
 def test_step_after_terminal_raises(micro_manifest):
-    state = init_env(micro_manifest, clean_setting(), seed=0, budget=1)
+    state = init_env(micro_manifest, budget=1)
     rng = random.Random(0)
     env_step(state, NOOP_ACTION, clean_setting(), rng)
     with pytest.raises(EnvError) as err:
@@ -80,7 +80,7 @@ def test_step_after_terminal_raises(micro_manifest):
 
 def test_clock_monotone_and_trajectory_bit_identical(web_manifest):
     def trajectory():
-        state = init_env(web_manifest, stressed_setting(), seed=0, budget=50)
+        state = init_env(web_manifest, budget=50)
         rng = random.Random(123)
         points = []
         while state.terminal is None:
